@@ -174,35 +174,20 @@ def factorize(input_path, order_flag, fmt, element) -> None:
     )
 
 
-_ALGORITHMS = {
-    "general": lambda S, p, order, stats: frobenius.fp_general(S, p, order, stats),
-    "normalform": lambda S, p, order, stats: frobenius.f1_normalform(S, order, stats),
-    "staircase": lambda S, p, order, stats: frobenius.f1_staircase(S, order, stats),
-    "f2": lambda S, p, order, stats: frobenius.f2_improved(S, order, stats),
-}
-
-
 @main.command("fp")
 @input_option
 @order_option
 @format_option
 @click.option("--p", "p", type=int, required=True)
-@click.option(
-    "--algorithm", type=click.Choice(sorted(_ALGORITHMS)), default="general"
-)
 @click.option("--verify", is_flag=True, help="Cross-check against the oracle.")
 @click.option("--budget", type=float, default=None, help="Oracle budget in seconds.")
 @handle_errors
-def fp_cmd(input_path, order_flag, fmt, p, algorithm, verify, budget) -> None:
+def fp_cmd(input_path, order_flag, fmt, p, verify, budget) -> None:
     """The p-Frobenius vector of the semigroup."""
     S, order = _load(input_path, order_flag)
-    if algorithm in ("normalform", "staircase") and p != 1:
-        raise ValidationError(f"algorithm {algorithm!r} computes p = 1 only")
-    if algorithm == "f2" and p != 2:
-        raise ValidationError("algorithm 'f2' computes p = 2 only")
     stats: dict = {}
-    result = _ALGORITHMS[algorithm](S, p, order, stats)
-    meta = dict(stats, order=order.kind, algorithm=algorithm)
+    result = frobenius.fp_general(S, p, order, stats)
+    meta = dict(stats, order=order.kind)
     if verify:
         report = oracle.oracle_fp(S, p, order, budget_seconds=budget)
         meta["oracle"] = _result_json(report.result)

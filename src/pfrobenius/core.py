@@ -8,7 +8,6 @@ results are either exact or an explicit error, never silently wrong.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -243,6 +242,3 @@ def numerical(*gens: int) -> Semigroup:
     """Convenience constructor for q = 1 semigroups from plain integers."""
     return minimalize_generators([(g,) for g in gens], q=1)
 
-
-def gcd_of(coords) -> int:
-    return math.gcd(*coords) if len(tuple(coords)) > 1 else abs(tuple(coords)[0])

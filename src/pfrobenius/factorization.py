@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Semigroup, ValidationError, s_degree
+from .core import Semigroup, ValidationError
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,3 @@ def contains(S: Semigroup, n) -> bool:
         return False
     return count_capped(S, n, 1) == 1
 
-
-def assert_consistent(S: Semigroup, fset: FactorizationSet) -> None:
-    """Sanity check used by tests: every factorization evaluates back to n."""
-    for lam in fset.factorizations:
-        assert s_degree(S, lam) == fset.element

@@ -1,11 +1,12 @@
-"""p-Frobenius vectors: the general algorithm, two improved routes for p = 1,
-the indispensable-binomial route for p = 2, and the classical p = 0 case of
-numerical semigroups.
+"""p-Frobenius vectors: one pipeline for every p >= 1, and the classical
+p = 0 case of numerical semigroups.
 
-All routes share the same skeleton: a finiteness gate on the cone, a box of
-candidate exponent tuples derived from per-generator bounds, and a maximum
-under the active graded order.  An optional ``stats`` dict collects the
-intermediate cardinalities so callers can regression-check them.
+``fp_general`` runs a finiteness gate on the cone, the reduced basis, the
+per-generator bounds Lambda read off it, and then one of two strategies:
+at p = 1 the staircase complement of the basis monomials, at p >= 2 a scan
+of the candidate box for the top element with at most p factorizations.
+An optional ``stats`` dict collects the intermediate cardinalities so
+callers can regression-check them.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .core import (
     Semigroup,
     UnsupportedError,
     ValidationError,
+    checked,
     s_degree,
 )
 from .factorization import count_capped, factorizations
@@ -30,12 +32,9 @@ from .groebner import (
     assert_s_homogeneous,
     buchberger_reduced,
     in_ideal,
-    normal_form,
     reduced_basis,
     toric_ideal_generators,
 )
-
-_LAMBDA_SEARCH_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -49,26 +48,15 @@ class LambdaBounds:
             raise ValidationError("lambda bounds must all be >= 1")
 
 
-def _smallest_own_free_multiple(S: Semigroup, k: int) -> int:
-    """Smallest lam >= 1 such that lam*a_k factors without generator k."""
-    from .factorization import contains
-
-    others = Semigroup(S.q, tuple(g for i, g in enumerate(S.generators) if i != k))
-    a = S.generators[k]
-    for lam in range(1, _LAMBDA_SEARCH_CAP + 1):
-        if contains(others, tuple(lam * c for c in a)):
-            return lam
-    raise RuntimeError(f"no multiple of generator {k} factors over the others")
-
-
 def lambda_bounds(S: Semigroup, G: GroebnerBasis) -> LambdaBounds:
     """Minimal pure-power exponent of each variable across the basis monomials.
 
-    Falls back to a direct multiple search for any variable without a pure
-    power in the basis (possible for non-reduced inputs).
+    In the finite case a reduced basis holds a pure power of every variable:
+    x_k^lambda_k - x^beta lies in the ideal, so x_k^lambda_k is divisible by a
+    lead or, if it is standard, by the trail of the last rewrite reaching it.
+    A missing pure power therefore means F_p(S) is infinite (or G is not a
+    reduced basis), and raises.
     """
-    if not is_fp_finite(S):
-        raise ValidationError("lambda bounds only exist when F_p(S) is finite")
     best: list[int | None] = [None] * S.h
     for b in G.elements:
         for mono in (b.lead, b.trail):
@@ -78,10 +66,9 @@ def lambda_bounds(S: Semigroup, G: GroebnerBasis) -> LambdaBounds:
                 e = mono[k]
                 if best[k] is None or e < best[k]:
                     best[k] = e
-    out = []
-    for k, e in enumerate(best):
-        out.append(e if e is not None else _smallest_own_free_multiple(S, k))
-    return LambdaBounds(tuple(out))
+    if None in best:
+        raise ValidationError("lambda bounds only exist when F_p(S) is finite")
+    return LambdaBounds(tuple(best))
 
 
 def candidate_degrees(S: Semigroup, lam: LambdaBounds, p: int) -> set[tuple[int, ...]]:
@@ -90,6 +77,9 @@ def candidate_degrees(S: Semigroup, lam: LambdaBounds, p: int) -> set[tuple[int,
         raise ValidationError("p must be >= 1")
     gens = S.generators
     q = S.q
+    # every term is non-negative, so the top corner bounds every point built
+    for j in range(q):
+        checked(sum(p * b * a[j] for b, a in zip(lam.bounds, gens)))
     out: set[tuple[int, ...]] = set()
     ranges = [range(p * b + 1) for b in lam.bounds]
     for gamma in itertools.product(*ranges):
@@ -114,7 +104,8 @@ def _scan_descending(S, degrees, order: OrderSpec, p: int) -> FrobeniusResult:
 def fp_general(
     S: Semigroup, p: int, order: OrderSpec = OrderSpec(), stats: dict | None = None
 ) -> FrobeniusResult:
-    """F_p(S) by the direct candidate-box scan (any p >= 1; p = 0 for q = 1)."""
+    """F_p(S) for any p >= 1 (p = 0 for q = 1): the staircase at p = 1, the
+    candidate-box scan for p >= 2."""
     if p < 0:
         raise ValidationError("p must be >= 0")
     if p == 0:
@@ -123,8 +114,13 @@ def fp_general(
         raise UnsupportedError("p = 0 with q >= 2 (gap sets) is out of scope")
     if not is_fp_finite(S):
         return INFINITE
-    G = reduced_basis(S, order)
-    lam = lambda_bounds(S, G)
+    if p == 1:
+        omega, _, degrees = staircase_data(S, order)
+        if stats is not None:
+            stats["omega"] = len(omega)
+            stats["complement_degrees"] = len(degrees)
+        return FrobeniusResult.finite(max(degrees, key=order.key))
+    lam = lambda_bounds(S, reduced_basis(S, order))
     degrees = candidate_degrees(S, lam, p)
     if stats is not None:
         stats["lambda"] = list(lam.bounds)
@@ -132,74 +128,41 @@ def fp_general(
     return _scan_descending(S, degrees, order, p)
 
 
-def f1_normalform(
-    S: Semigroup, order: OrderSpec = OrderSpec(), stats: dict | None = None
-) -> FrobeniusResult:
-    """F_1(S) via normal-form fixed points of the Lambda box.
-
-    A box tuple survives iff its monomial is its own normal form and is not
-    divisible by any trailing term of the reduced basis; survivors are
-    exactly the uniquely factorizable elements of the box.
-    """
-    if not is_fp_finite(S):
-        return INFINITE
-    G = reduced_basis(S, order)
-    lam = lambda_bounds(S, G)
-    trails = [b.trail for b in G.elements]
-    survivors: set[tuple[int, ...]] = set()
-    for gamma in itertools.product(*(range(b + 1) for b in lam.bounds)):
-        if normal_form(gamma, G) != gamma:
-            continue
-        if any(all(t <= g for t, g in zip(trail, gamma)) for trail in trails):
-            continue
-        survivors.add(s_degree(S, gamma))
-    if stats is not None:
-        stats["lambda"] = list(lam.bounds)
-        stats["unique_degrees"] = len(survivors)
-    best = max(survivors, key=order.key)
-    return FrobeniusResult.finite(best)
-
-
 def staircase_data(S: Semigroup, order: OrderSpec = OrderSpec()):
     """Basis monomial exponents Omega and the finite complement of their staircase.
 
     Returns (omega, complement, degrees): the complement is every tuple of
     N^h not componentwise above any element of omega, and degrees is the set
-    of its semigroup images.
+    of its semigroup images.  Those degrees are exactly the elements with a
+    single factorization, so F_1(S) is their maximum.
     """
     G = reduced_basis(S, order)
-    omega: set[tuple[int, ...]] = set()
-    for b in G.elements:
-        omega.add(b.lead)
-        omega.add(b.trail)
-    bounds: list[int | None] = [None] * S.h
-    for mono in omega:
-        support = [i for i, e in enumerate(mono) if e > 0]
-        if len(support) == 1:
-            k = support[0]
-            if bounds[k] is None or mono[k] < bounds[k]:
-                bounds[k] = mono[k]
-    if any(b is None for b in bounds):
-        raise ValidationError("staircase complement is infinite (missing pure power)")
-    complement: set[tuple[int, ...]] = set()
-    for gamma in itertools.product(*(range(b) for b in bounds)):
-        if not any(all(w <= g for w, g in zip(om, gamma)) for om in omega):
-            complement.add(gamma)
-    degrees = {s_degree(S, gamma) for gamma in complement}
-    return frozenset(omega), frozenset(complement), frozenset(degrees)
+    omega = frozenset(m for b in G.elements for m in (b.lead, b.trail))
+    lam = lambda_bounds(S, G)
+    complement = frozenset(
+        gamma
+        for gamma in itertools.product(*(range(b) for b in lam.bounds))
+        if not any(all(w <= g for w, g in zip(om, gamma)) for om in omega)
+    )
+    degrees = frozenset(s_degree(S, gamma) for gamma in complement)
+    return omega, complement, degrees
 
 
 def f1_staircase(
     S: Semigroup, order: OrderSpec = OrderSpec(), stats: dict | None = None
 ) -> FrobeniusResult:
     """F_1(S) as the maximal semigroup image of the staircase complement."""
-    if not is_fp_finite(S):
-        return INFINITE
-    omega, complement, degrees = staircase_data(S, order)
-    if stats is not None:
-        stats["omega"] = len(omega)
-        stats["complement_degrees"] = len(degrees)
-    return FrobeniusResult.finite(max(degrees, key=order.key))
+    return fp_general(S, 1, order, stats)
+
+
+def f1_normalform(S: Semigroup, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
+    """F_1(S); an alias of fp_general(S, 1, order)."""
+    return fp_general(S, 1, order)
+
+
+def f2_improved(S: Semigroup, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
+    """F_2(S); an alias of fp_general(S, 2, order)."""
+    return fp_general(S, 2, order)
 
 
 def nabla_components(S: Semigroup, m) -> list[frozenset[tuple[int, ...]]]:
@@ -274,28 +237,6 @@ def indispensable_binomials(S: Semigroup) -> list[Binomial]:
     return out
 
 
-def f2_improved(
-    S: Semigroup, order: OrderSpec = OrderSpec(), stats: dict | None = None
-) -> FrobeniusResult:
-    """F_2(S): falls back to F_1 when no indispensable binomial exists,
-    otherwise scans the doubled Lambda box for the top element with at most
-    two factorizations."""
-    if not is_fp_finite(S):
-        return INFINITE
-    ind = indispensable_binomials(S)
-    if stats is not None:
-        stats["indispensable"] = len(ind)
-    if not ind:
-        return f1_staircase(S, order, stats)
-    G = reduced_basis(S, order)
-    lam = lambda_bounds(S, G)
-    degrees = candidate_degrees(S, lam, 2)
-    if stats is not None:
-        stats["lambda"] = list(lam.bounds)
-        stats["candidates"] = len(degrees)
-    return _scan_descending(S, degrees, order, 2)
-
-
 def f0_numerical(S: Semigroup) -> FrobeniusResult:
     """Frobenius number of a numerical semigroup (q = 1) by membership scan."""
     from .factorization import contains
@@ -307,7 +248,11 @@ def f0_numerical(S: Semigroup) -> FrobeniusResult:
         return INFINITE
     if values[0] == 1:
         return FrobeniusResult.finite((-1,))  # N itself has no gaps
-    bound = values[0] * values[1]
+    # Schur's bound (a_1 - 1)(a_h - 1) - 1 (Brauer 1942); when a_1 and a_2 are
+    # coprime, S contains <a_1, a_2>, whose F_0 = a_1 a_2 - a_1 - a_2 is lower
+    bound = (values[0] - 1) * (values[-1] - 1) - 1
+    if math.gcd(values[0], values[1]) == 1:
+        bound = min(bound, values[0] * values[1] - values[0] - values[1])
     for n in range(bound, -1, -1):
         if not contains(S, (n,)):
             return FrobeniusResult.finite((n,))

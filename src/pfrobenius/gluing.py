@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import (
-    FrobeniusResult,
     OrderSpec,
     Semigroup,
     ValidationError,

@@ -34,9 +34,6 @@ class Binomial:
         if self.lead == self.trail:
             raise ValidationError("zero binomial (lead == trail)")
 
-    def support_shared(self) -> bool:
-        return any(a > 0 and b > 0 for a, b in zip(self.lead, self.trail))
-
 
 @dataclass(frozen=True)
 class GroebnerBasis:

@@ -146,7 +146,7 @@ def _oracle_f0(S: Semigroup, budget: _Budget) -> OracleReport:
         raise ValidationError("oracle p = 0 needs gcd 1 (finite gap set)")
     if values[0] == 1:
         return OracleReport(FrobeniusResult.finite((-1,)), 0, "no gaps: S = N")
-    bound = values[0] * values[1]
+    bound = (values[0] - 1) * (values[-1] - 1) - 1  # Schur (Brauer 1942)
     counts = _count_grid(S.generators, (bound,), budget=budget)
     gaps = [n for n in range(bound + 1) if counts[(n,)] == 0]
     return OracleReport(

@@ -54,3 +54,12 @@ def random_finite_semigroup(rng: random.Random, q: int) -> pf.Semigroup:
         S = pf.minimalize_generators(gens, 2)
         if pf.is_fp_finite(S):
             return S
+
+
+def f0_certified(gens, f: int) -> bool:
+    """F_0 = f for the numerical semigroup on gens, by plain reachability:
+    f is not a sum of generators, and f+1, ..., f+min(gens) all are."""
+    reach = [True] + [False] * (f + min(gens))
+    for n in range(1, len(reach)):
+        reach[n] = any(n >= a and reach[n - a] for a in gens)
+    return not reach[f] and all(reach[f + 1 :])

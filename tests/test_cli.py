@@ -77,7 +77,6 @@ def test_fp_general(runner, tmp_path):
     )
     assert res.exit_code == 0
     assert out["result"] == [7]
-    assert out["meta"]["algorithm"] == "general"
     assert out["meta"]["order"] == "grlex"
 
 
@@ -97,36 +96,6 @@ def test_fp_verify(runner, tmp_path):
     assert out["result"] == [13]
     assert out["meta"]["oracle"] == [13]
     assert out["meta"]["oracle_agrees"] is True
-
-
-def test_fp_algorithm_routes(runner, tmp_path):
-    path = write(tmp_path, NUM23)
-    for algo, p, expected in (
-        ("normalform", 1, [7]),
-        ("staircase", 1, [7]),
-        ("f2", 2, [13]),
-    ):
-        _, out = run_json(
-            runner,
-            ["fp", "--input", path, "--p", str(p), "--algorithm", algo],
-        )
-        assert out["result"] == expected, algo
-
-
-def test_fp_algorithm_p_mismatch(runner, tmp_path):
-    res = runner.invoke(
-        main,
-        [
-            "fp",
-            "--input",
-            write(tmp_path, NUM23),
-            "--p",
-            "2",
-            "--algorithm",
-            "staircase",
-        ],
-    )
-    assert res.exit_code == 4
 
 
 def test_fp_p0_unsupported_in_dim2(runner, tmp_path):

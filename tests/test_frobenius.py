@@ -6,7 +6,8 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.groebner import Binomial
-from conftest import random_finite_semigroup
+from pfrobenius.oracle import _direct_lambda
+from conftest import f0_certified, random_finite_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
 GREVLEX = pf.OrderSpec("grevlex")
@@ -37,6 +38,14 @@ def test_lambda_bounds_defining_property(example_S, example_G):
             example_S.q, tuple(g for i, g in enumerate(example_S.generators) if i != k)
         )
         assert pf.contains(others, tuple(bound * c for c in a))
+    # the basis pure powers are the oracle's direct multiple search, always
+    rng = random.Random(41)
+    for q in (1, 2):
+        for _ in range(10):
+            S = random_finite_semigroup(rng, q)
+            for order in (GRLEX, GREVLEX):
+                lam = pf.lambda_bounds(S, pf.reduced_basis(S, order))
+                assert lam.bounds == _direct_lambda(S), (S, order)
 
 
 def test_lambda_bounds_requires_finite():
@@ -58,6 +67,12 @@ def test_candidate_degrees_contains_origin():
 def test_candidate_degrees_example_cardinality(example_S, example_G):
     lam = pf.lambda_bounds(example_S, example_G)
     assert len(pf.candidate_degrees(example_S, lam, 1)) == 1835
+
+
+def test_candidate_degrees_overflow_guard():
+    S = pf.Semigroup(1, ((2**62,), (2**62 + 1,)))
+    with pytest.raises(pf.OverflowGuardError):
+        pf.candidate_degrees(S, pf.LambdaBounds((1, 1)), 1)
 
 
 def test_fp_general_23():
@@ -191,10 +206,13 @@ def test_f2_agrees_with_general(example_S):
     assert pf.f2_improved(example_S, GRLEX) == pf.fp_general(example_S, 2, GRLEX)
 
 
-def test_f2_indispensable_free_falls_back_to_f1(monkeypatch):
-    S = pf.numerical(2, 3)
-    monkeypatch.setattr(pf.frobenius, "indispensable_binomials", lambda _s: [])
-    assert pf.f2_improved(S) == pf.f1_staircase(S)
+def test_f2_indispensable_free_falls_back_to_f1():
+    # no indispensable binomials: F_2 = F_1
+    S = pf.numerical(6, 10, 15)
+    assert pf.indispensable_binomials(S) == []
+    expected = pf.FrobeniusResult.finite((59,))
+    assert pf.fp_general(S, 2) == pf.fp_general(S, 1) == expected
+    assert pf.oracle_fp(S, 2).result == expected
 
 
 def test_f2_doubled_box_certificate(example_S):
@@ -229,6 +247,9 @@ def test_f0_numerical():
     assert pf.f0_numerical(pf.numerical(3, 4)) == pf.FrobeniusResult.finite((5,))
     assert pf.f0_numerical(pf.numerical(6, 7, 8)) == pf.FrobeniusResult.finite((17,))
     assert pf.f0_numerical(pf.numerical(2, 4)).is_infinite
+    # a_1 and a_2 share a factor, so a_1 * a_2 is no upper bound
+    assert pf.f0_numerical(pf.numerical(4, 6, 101)) == pf.FrobeniusResult.finite((103,))
+    assert f0_certified((4, 6, 101), 103)
     with pytest.raises(pf.UnsupportedError):
         pf.f0_numerical(pf.Semigroup(2, ((1, 1),)))
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 import pfrobenius as pf
-from conftest import random_finite_semigroup
+from conftest import f0_certified, random_finite_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
 
@@ -46,6 +46,8 @@ def test_oracle_f2_23():
 def test_oracle_f0():
     assert pf.oracle_fp(pf.numerical(6, 7, 8), 0).result.point == (17,)
     assert pf.oracle_fp(pf.numerical(1, 5), 0).result.point == (-1,)
+    assert pf.oracle_fp(pf.numerical(4, 6, 101), 0).result.point == (103,)
+    assert f0_certified((4, 6, 101), 103)
     with pytest.raises(pf.ValidationError):
         pf.oracle_fp(pf.numerical(2, 4), 0)
 

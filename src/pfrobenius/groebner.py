@@ -5,11 +5,12 @@ whole Buchberger machinery closes over (lead, trail) exponent-vector pairs:
 S-polynomials of binomials are binomials, and reducing a binomial by
 binomials rewrites single monomials.  General polynomials never appear.
 
-The semigroup ideal is obtained by elimination: adjoin one auxiliary symbol
-per ambient coordinate, start from the relations x_i - t^{a_i}, run
-Buchberger under a block order with the auxiliary block dominant, and keep
-the elements free of auxiliary symbols.  Because the generators are non-zero
-vectors of N^q the grading is positive and no saturation step is needed.
+The semigroup ideal comes from the integer kernel of the generator matrix,
+with no auxiliary variables (Bigatti, La Scala & Robbiano, "Computing toric
+ideals", JSC 27, 1999; Hosten & Sturmfels, GRIN, IPCO 1995).  A basis of the
+kernel lattice L gives the binomials x^{v+} - x^{v-} of the lattice ideal
+I_L, which can be smaller than the semigroup ideal; saturating I_L by each
+variable in turn recovers it, because L is saturated.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import OrderSpec, Semigroup, ValidationError, s_degree
+from .core import OrderSpec, Semigroup, ValidationError, checked, s_degree
 
 KeyFn = Callable[[tuple[int, ...]], object]
 
@@ -167,33 +168,74 @@ def buchberger_reduced(gens, order: OrderSpec) -> GroebnerBasis:
     return GroebnerBasis(order, tuple(_interreduce(basis, key)))
 
 
-def _elimination_key(q: int):
-    """Block order: auxiliary block dominant, graded-lex inside each block."""
+def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
+    """An integer basis of {v in Z^h : sum v_j a_j = 0}.
+
+    Row reduction of [A^T | I_h] by unimodular steps, Euclid-style on each of
+    the q columns; the rows left with zero in all q columns span the kernel.
+    """
+    q, h = S.q, S.h
+    rows = [list(a) + [int(k == j) for k in range(h)] for j, a in enumerate(S.generators)]
+    r = 0
+    for c in range(q):
+        while True:
+            nonzero = [i for i in range(r, h) if rows[i][c]]
+            if not nonzero:
+                break
+            piv = min(nonzero, key=lambda i: abs(rows[i][c]))
+            rows[r], rows[piv] = rows[piv], rows[r]
+            if len(nonzero) == 1:
+                r += 1
+                break
+            for i in range(r + 1, h):
+                f = rows[i][c] // rows[r][c]
+                rows[i] = [checked(x - f * y) for x, y in zip(rows[i], rows[r])]
+    return [tuple(row[q:]) for row in rows[r:]]
+
+
+def _revlex_key(weights: tuple[int, ...], last: int) -> KeyFn:
+    """Weighted reverse-lexicographic order with x_last the smallest variable."""
+    rest = [j for j in reversed(range(len(weights))) if j != last]
 
     def key(v: tuple[int, ...]):
-        t, x = v[:q], v[q:]
-        return (sum(t), t, sum(x), x)
+        return (sum(w * e for w, e in zip(weights, v)), -v[last], tuple(-v[j] for j in rest))
 
     return key
 
 
 @functools.lru_cache(maxsize=256)
 def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
-    """A finite binomial generating set of the semigroup ideal of S."""
-    q, h = S.q, S.h
-    gens: list[Binomial] = []
-    for i, a in enumerate(S.generators):
-        t_mono = a + (0,) * h
-        x_mono = (0,) * q + tuple(1 if j == i else 0 for j in range(h))
-        gens.append(Binomial(t_mono, x_mono))  # t^{a_i} > x_i in the block order
-    basis = _buchberger(gens, _elimination_key(q))
-    basis = _interreduce(basis, _elimination_key(q))
-    out: list[Binomial] = []
-    for b in basis:
-        if any(b.lead[:q]) or any(b.trail[:q]):
-            continue
-        out.append(Binomial(b.lead[q:], b.trail[q:]))
-    return tuple(out)
+    """A finite binomial generating set of the semigroup ideal of S.
+
+    Starts from the lattice ideal of a kernel basis and saturates it by
+    x_1, ..., x_{h-1} in turn.  Each step is a Groebner basis under a
+    weighted revlex order with x_s last; the weight sum(a_j) is positive and
+    makes every lattice binomial homogeneous, so x_s divides a basis element
+    exactly as often as it divides its lead, and dividing that power out
+    gives a Groebner basis of I : x_s^oo.
+
+    x_0 needs no step: a path of kernel moves from x^v to x^u can take every
+    move that raises the x_0 exponent before any that lowers it, so that
+    exponent never drops below min(u_0, v_0), and a large enough power of
+    x_1 ... x_{h-1} keeps the others non-negative.
+    """
+    weights = tuple(sum(a) for a in S.generators)
+    basis = [
+        Binomial(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v))
+        for v in _kernel_basis(S)
+    ]
+    for s in range(1, S.h):
+        key = _revlex_key(weights, s)
+        basis = _interreduce(_buchberger([_orient(b.lead, b.trail, key) for b in basis], key), key)
+        saturated = []
+        for b in basis:
+            k = min(b.lead[s], b.trail[s])
+            lead, trail = list(b.lead), list(b.trail)
+            lead[s] -= k
+            trail[s] -= k
+            saturated.append(Binomial(tuple(lead), tuple(trail)))
+        basis = saturated
+    return tuple(basis)
 
 
 @functools.lru_cache(maxsize=256)

@@ -81,6 +81,13 @@ def test_fp_general_23():
     assert pf.fp_general(S, 2) == pf.FrobeniusResult.finite((13,))
 
 
+def test_fp_general_toric_wall():
+    # q = 2, h = 6: its toric ideal ran for more than 7 minutes by elimination
+    W = pf.Semigroup(2, ((5, 0), (7, 0), (0, 4), (0, 9), (2, 3), (3, 1)))
+    expected = pf.FrobeniusResult.finite((4, 65))
+    assert pf.fp_general(W, 1, GRLEX) == pf.oracle_fp(W, 1, GRLEX).result == expected
+
+
 def test_fp_general_infinite():
     S = pf.minimalize_generators([(0, 1), (1, 1), (2, 0), (3, 0)])
     assert pf.fp_general(S, 1).is_infinite

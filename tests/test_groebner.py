@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -55,6 +56,14 @@ def test_toric_generators_example(example_S):
     assert frozenset({(4, 0, 0, 0, 0), (0, 3, 0, 0, 0)}) in pairs  # x1^4 - x2^3
 
 
+def test_toric_generators_overflow_guard():
+    # the kernel of these generators is spanned by a vector with an entry
+    # near 2^124; the row reduction must refuse it, not return it
+    S = pf.Semigroup(2, ((2**62, 1), (1, 2**62), (1, 2)))
+    with pytest.raises(pf.OverflowGuardError):
+        pf.toric_ideal_generators(S)
+
+
 def test_reduced_basis_matches_sympy_example(example_S):
     G = pf.reduced_basis(example_S, GRLEX)
     assert len(G) == 14
@@ -69,6 +78,27 @@ def test_reduced_basis_matches_sympy_random():
         S = random_semigroup(rng, q, h_max=4, coord_max=8)
         G = pf.reduced_basis(S, GRLEX)
         assert {(b.lead, b.trail) for b in G.elements} == sympy_reduced_grlex_basis(S)
+        checked += 1
+
+
+def test_reduced_basis_one_standard_monomial_per_fiber():
+    # Groebner-free check where sympy is too slow (q = 3, h = 5): a set of
+    # binomials in the semigroup ideal is its reduced basis only if every
+    # fiber Z_n(S) holds exactly one monomial that no lead divides
+    rng = random.Random(7)
+    checked = 0
+    while checked < 15:
+        S = random_semigroup(rng, 3, h_max=5, coord_max=4)
+        if S.h < 4:
+            continue
+        for order in (GRLEX, pf.OrderSpec("grevlex")):
+            leads = [b.lead for b in pf.reduced_basis(S, order).elements]
+            for lam in itertools.product(range(3), repeat=S.h):
+                fiber = pf.factorizations(S, pf.s_degree(S, lam)).factorizations
+                standard = [
+                    m for m in fiber if not any(all(l <= e for l, e in zip(lead, m)) for lead in leads)
+                ]
+                assert len(standard) == 1, (S, order, lam, standard)
         checked += 1
 
 

@@ -185,9 +185,8 @@ def factorize(input_path, order_flag, fmt, element) -> None:
 def fp_cmd(input_path, order_flag, fmt, p, verify, budget) -> None:
     """The p-Frobenius vector of the semigroup."""
     S, order = _load(input_path, order_flag)
-    stats: dict = {}
-    result = frobenius.fp_general(S, p, order, stats)
-    meta = dict(stats, order=order.kind)
+    result = frobenius.fp_general(S, p, order)
+    meta: dict = {"order": order.kind}
     if verify:
         report = oracle.oracle_fp(S, p, order, budget_seconds=budget)
         meta["oracle"] = _result_json(report.result)

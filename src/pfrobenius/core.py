@@ -135,10 +135,10 @@ def s_degree(S: Semigroup, lam: tuple[int, ...]) -> tuple[int, ...]:
 def minimalize_generators(gens, q: int | None = None) -> Semigroup:
     """Reduce a generating set to the unique minimal one.
 
-    Repeatedly drops any generator expressible over the remaining ones
-    (membership decided by the factorization search) until no drop applies.
-    Survivors keep their input order: the generator list fixes the variable
-    order of the polynomial ring, so callers control it.
+    Drops every generator expressible over the remaining ones (membership
+    decided by the factorization search).  Survivors keep their input order:
+    the generator list fixes the variable order of the polynomial ring, so
+    callers control it.
     """
     from . import factorization
 
@@ -158,15 +158,13 @@ def minimalize_generators(gens, q: int | None = None) -> Semigroup:
     for g in gens:
         if all(c == 0 for c in g):
             raise ValidationError("zero vector cannot be a generator")
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for i, g in enumerate(gens):
-            rest = gens[:i] + gens[i + 1 :]
-            if factorization.contains(Semigroup(q, tuple(rest)), g):
-                gens = rest
-                changed = True
-                break
+    if len(gens) > 1:
+        # S is positive: a generator lies in <others> iff it is no atom, and the atoms generate S
+        gens = [
+            g
+            for i, g in enumerate(gens)
+            if not factorization.contains(Semigroup(q, tuple(gens[:i] + gens[i + 1 :])), g)
+        ]
     return Semigroup(q, tuple(gens))
 
 

@@ -2,14 +2,15 @@
 p = 0 case of numerical semigroups.
 
 ``fp_general`` runs a finiteness gate on the cone, the reduced basis, the
-per-generator bounds Lambda read off it, and then one of two strategies:
-at p = 1 the staircase complement of the basis monomials, at p >= 2 a scan
-of the candidate box for the top element with at most p factorizations.
-An optional ``stats`` dict collects the intermediate cardinalities so
-callers can regression-check them.
+per-generator bounds Lambda read off it, and then one strategy for every p:
+a scan of the standard monomials in the Lambda-box by descending degree,
+counting each fiber by reverse rewriting until one has at most p
+factorizations.  ``candidate_degrees`` lists the degrees of the closed
+box, the paper's candidate set D.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,12 +26,13 @@ from .core import (
     checked,
     s_degree,
 )
-from .factorization import count_capped, factorizations
+from .factorization import factorizations
 from .groebner import (
     Binomial,
     GroebnerBasis,
     assert_s_homogeneous,
     buchberger_reduced,
+    fiber_size,
     in_ideal,
     reduced_basis,
     toric_ideal_generators,
@@ -92,20 +94,22 @@ def candidate_degrees(S: Semigroup, lam: LambdaBounds, p: int) -> set[tuple[int,
     return out
 
 
-def _scan_descending(S, degrees, order: OrderSpec, p: int) -> FrobeniusResult:
-    """Max under the order of the candidates with 0 < #Z <= p (early stop)."""
-    for n in sorted(degrees, key=order.key, reverse=True):
-        c = count_capped(S, n, p + 1)
-        if 0 < c <= p:
-            return FrobeniusResult.finite(n)
-    raise RuntimeError("no candidate with at most p factorizations; bad bounds")
+def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
+    """F_p(S) for any p >= 1 (p = 0 for q = 1).
 
-
-def fp_general(
-    S: Semigroup, p: int, order: OrderSpec = OrderSpec(), stats: dict | None = None
-) -> FrobeniusResult:
-    """F_p(S) for any p >= 1 (p = 0 for q = 1): the staircase at p = 1, the
-    candidate-box scan for p >= 2."""
+    Scans the standard monomials of the reduced basis G in the box
+    prod [0, p*lambda_i) by descending S-degree; the degree of the first
+    whose fiber holds at most p monomials (``fiber_size``) is F_p(S):
+    - the box holds every factorization of each n with #Z(n) <= p: were
+      gamma_i >= p*lambda_i, the basis element x_i^lambda_i - x^beta has beta
+      free of x_i (the monomials of a reduced toric basis element are
+      coprime), so gamma - j*lambda_i*e_i + j*beta, j = 0..p, would be p + 1
+      distinct factorizations;
+    - a fiber holds one standard monomial, so their degrees are distinct and
+      the first hit is the maximum (0 always qualifies);
+    - at p = 1 a fiber is a single point exactly when no trail divides its
+      standard monomial: the staircase of the basis monomials.
+    """
     if p < 0:
         raise ValidationError("p must be >= 0")
     if p == 0:
@@ -114,45 +118,18 @@ def fp_general(
         raise UnsupportedError("p = 0 with q >= 2 (gap sets) is out of scope")
     if not is_fp_finite(S):
         return INFINITE
-    if p == 1:
-        omega, _, degrees = staircase_data(S, order)
-        if stats is not None:
-            stats["omega"] = len(omega)
-            stats["complement_degrees"] = len(degrees)
-        return FrobeniusResult.finite(max(degrees, key=order.key))
-    lam = lambda_bounds(S, reduced_basis(S, order))
-    degrees = candidate_degrees(S, lam, p)
-    if stats is not None:
-        stats["lambda"] = list(lam.bounds)
-        stats["candidates"] = len(degrees)
-    return _scan_descending(S, degrees, order, p)
-
-
-def staircase_data(S: Semigroup, order: OrderSpec = OrderSpec()):
-    """Basis monomial exponents Omega and the finite complement of their staircase.
-
-    Returns (omega, complement, degrees): the complement is every tuple of
-    N^h not componentwise above any element of omega, and degrees is the set
-    of its semigroup images.  Those degrees are exactly the elements with a
-    single factorization, so F_1(S) is their maximum.
-    """
     G = reduced_basis(S, order)
-    omega = frozenset(m for b in G.elements for m in (b.lead, b.trail))
-    lam = lambda_bounds(S, G)
-    complement = frozenset(
-        gamma
-        for gamma in itertools.product(*(range(b) for b in lam.bounds))
-        if not any(all(w <= g for w, g in zip(om, gamma)) for om in omega)
-    )
-    degrees = frozenset(s_degree(S, gamma) for gamma in complement)
-    return omega, complement, degrees
+    leads = [b.lead for b in G.elements]
+    box = itertools.product(*(range(p * b) for b in lambda_bounds(S, G).bounds))
+    standard = [g for g in box if not any(all(l <= e for l, e in zip(lead, g)) for lead in leads)]
+    standard.sort(key=lambda g: order.key(s_degree(S, g)), reverse=True)
+    best = next(g for g in standard if fiber_size(g, G, p + 1) <= p)
+    return FrobeniusResult.finite(s_degree(S, best))
 
 
-def f1_staircase(
-    S: Semigroup, order: OrderSpec = OrderSpec(), stats: dict | None = None
-) -> FrobeniusResult:
-    """F_1(S) as the maximal semigroup image of the staircase complement."""
-    return fp_general(S, 1, order, stats)
+def f1_staircase(S: Semigroup, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
+    """F_1(S); an alias of fp_general(S, 1, order)."""
+    return fp_general(S, 1, order)
 
 
 def f1_normalform(S: Semigroup, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
@@ -238,22 +215,28 @@ def indispensable_binomials(S: Semigroup) -> list[Binomial]:
 
 
 def f0_numerical(S: Semigroup) -> FrobeniusResult:
-    """Frobenius number of a numerical semigroup (q = 1) by membership scan."""
-    from .factorization import contains
+    """Frobenius number of a numerical semigroup (q = 1) from its Apery set.
 
+    The least element of S in each residue class mod a_1 is the length of a
+    shortest path from 0 in the graph on residues with an edge r -> r + a
+    (mod a_1) of length a for each generator a (Nijenhuis, Amer. Math.
+    Monthly 86, 1979); the largest gap is the largest of them less a_1.
+    """
     if S.q != 1:
         raise UnsupportedError("f0_numerical requires q = 1")
     values = sorted(g[0] for g in S.generators)
     if math.gcd(*values) != 1:
         return INFINITE
-    if values[0] == 1:
-        return FrobeniusResult.finite((-1,))  # N itself has no gaps
-    # Schur's bound (a_1 - 1)(a_h - 1) - 1 (Brauer 1942); when a_1 and a_2 are
-    # coprime, S contains <a_1, a_2>, whose F_0 = a_1 a_2 - a_1 - a_2 is lower
-    bound = (values[0] - 1) * (values[-1] - 1) - 1
-    if math.gcd(values[0], values[1]) == 1:
-        bound = min(bound, values[0] * values[1] - values[0] - values[1])
-    for n in range(bound, -1, -1):
-        if not contains(S, (n,)):
-            return FrobeniusResult.finite((n,))
-    return FrobeniusResult.finite((-1,))
+    a1 = values[0]
+    dist = [0] + [math.inf] * (a1 - 1)
+    heap = [(0, 0)]
+    while heap:
+        d, r = heapq.heappop(heap)
+        if d > dist[r]:
+            continue
+        for a in values[1:]:
+            nd, nr = checked(d + a), (r + a) % a1
+            if nd < dist[nr]:
+                dist[nr] = nd
+                heapq.heappush(heap, (nd, nr))
+    return FrobeniusResult.finite((max(dist) - a1,))

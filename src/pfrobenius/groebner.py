@@ -253,6 +253,24 @@ def normal_form(m: tuple[int, ...], G: GroebnerBasis) -> tuple[int, ...]:
     return _reduce_monomial(tuple(m), G.elements)
 
 
+def fiber_size(m: tuple[int, ...], G: GroebnerBasis, cap: int) -> int:
+    """min(#monomials of the S-degree of X^m, cap), G a reduced basis of the
+    semigroup ideal.  Every monomial of a fiber rewrites to its one standard
+    monomial, the normal form (Sturmfels, Groebner Bases and Convex Polytopes,
+    1996), so reverse rewrites u -> u - trail + lead reach the whole fiber."""
+    start = normal_form(m, G)
+    seen, stack = {start}, [start]
+    while stack and len(seen) < cap:
+        u = stack.pop()
+        for b in G.elements:
+            if _divides(b.trail, u):
+                v = tuple(x - t + l for x, t, l in zip(u, b.trail, b.lead))
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return min(len(seen), cap)
+
+
 def in_ideal(b: Binomial, G: GroebnerBasis) -> bool:
     """Membership of a binomial in the ideal G generates (normal forms agree)."""
     return normal_form(b.lead, G) == normal_form(b.trail, G)

@@ -77,22 +77,28 @@ def test_criterion_1_reference_example_f1(S):
 
 
 def test_criterion_2_reference_example_staircase(S):
+    # Omega is the set of basis monomials; the elements with one factorization
+    # are the degrees of its staircase complement, all below the degree of the
+    # top corner lambda - 1, counted here by the oracle's grid DP
     t0 = time.perf_counter()
-    stats: dict = {}
-    result = pf.f1_staircase(S, GRLEX, stats)
+    G = pf.reduced_basis(S, GRLEX)
+    omega = {m for b in G.elements for m in (b.lead, b.trail)}
+    corner = pf.s_degree(S, tuple(b - 1 for b in pf.lambda_bounds(S, G).bounds))
+    n_single = sum(1 for c in _count_grid(S.generators, corner).values() if c == 1)
+    result = pf.f1_staircase(S, GRLEX)
     oracle_f1 = pf.oracle_fp(S, 1, GRLEX).result
     elapsed = time.perf_counter() - t0
-    ok = stats["omega"] == 28 and stats["complement_degrees"] == 179 and result == oracle_f1
+    ok = len(omega) == 28 and n_single == 179 and result == oracle_f1
     report(
         2,
         ok,
         elapsed,
-        f"|Omega| = {stats['omega']}, |degrees| = {stats['complement_degrees']}, "
+        f"|Omega| = {len(omega)}, |degrees| = {n_single}, "
         f"F_1 = {result.point} (reference states (21, 4); oracle confirms "
         f"the computed value)",
     )
-    assert stats["omega"] == 28
-    assert stats["complement_degrees"] == 179
+    assert len(omega) == 28
+    assert n_single == 179
     assert result == oracle_f1
 
 

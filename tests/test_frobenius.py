@@ -88,6 +88,12 @@ def test_fp_general_toric_wall():
     assert pf.fp_general(W, 1, GRLEX) == pf.oracle_fp(W, 1, GRLEX).result == expected
 
 
+def test_fp_general_example_p3(example_S):
+    expected = pf.FrobeniusResult.finite((2, 111))
+    assert pf.fp_general(example_S, 3, GRLEX) == expected
+    assert pf.oracle_fp(example_S, 3, GRLEX).result == expected
+
+
 def test_fp_general_infinite():
     S = pf.minimalize_generators([(0, 1), (1, 1), (2, 0), (3, 0)])
     assert pf.fp_general(S, 1).is_infinite
@@ -121,18 +127,13 @@ def test_f1_infinite_gate():
 
 
 def test_staircase_23():
+    # the basis monomials Omega, and the elements with one factorization are
+    # the degrees of their staircase complement, the F_1 candidates
     S = pf.numerical(2, 3)
-    omega, complement, degrees = pf.frobenius.staircase_data(S)
-    assert omega == {(3, 0), (0, 2)}
-    assert complement == {(a, b) for a in range(3) for b in range(2)}
-    assert {d[0] for d in degrees} == {0, 2, 3, 4, 5, 7}
-
-
-def test_staircase_example_cardinalities(example_S):
-    stats = {}
-    pf.f1_staircase(example_S, GRLEX, stats)
-    assert stats["omega"] == 28
-    assert stats["complement_degrees"] == 179
+    G = pf.reduced_basis(S, GRLEX)
+    assert {m for b in G.elements for m in (b.lead, b.trail)} == {(3, 0), (0, 2)}
+    assert {n for n in range(14) if pf.count_capped(S, (n,), 2) == 1} == {0, 2, 3, 4, 5, 7}
+    assert pf.f1_staircase(S) == pf.FrobeniusResult.finite((7,))
 
 
 def test_nabla_components():
@@ -257,6 +258,8 @@ def test_f0_numerical():
     # a_1 and a_2 share a factor, so a_1 * a_2 is no upper bound
     assert pf.f0_numerical(pf.numerical(4, 6, 101)) == pf.FrobeniusResult.finite((103,))
     assert f0_certified((4, 6, 101), 103)
+    assert pf.f0_numerical(pf.numerical(20, 30, 1001)) == pf.FrobeniusResult.finite((9019,))
+    assert f0_certified((20, 30, 1001), 9019)
     with pytest.raises(pf.UnsupportedError):
         pf.f0_numerical(pf.Semigroup(2, ((1, 1),)))
 

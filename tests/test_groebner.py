@@ -102,6 +102,19 @@ def test_reduced_basis_one_standard_monomial_per_fiber():
         checked += 1
 
 
+def test_fiber_size_matches_factorization_count():
+    # reverse rewriting from the normal form reaches the whole fiber
+    rng = random.Random(43)
+    for _ in range(15):
+        q = rng.choice([1, 2, 3])
+        S = random_semigroup(rng, q, h_max=5, coord_max=6)
+        for order in (GRLEX, pf.OrderSpec("grevlex")):
+            G = pf.reduced_basis(S, order)
+            for m in itertools.product(range(3), repeat=S.h):
+                expected = pf.count_capped(S, pf.s_degree(S, m), 4)
+                assert pf.groebner.fiber_size(m, G, 4) == expected, (S, order, m)
+
+
 def test_reduced_basis_properties(example_S):
     G = pf.reduced_basis(example_S, GRLEX)
     leads = [b.lead for b in G.elements]

@@ -30,9 +30,6 @@ from .frobenius import (
     LambdaBounds,
     candidate_degrees,
     f0_numerical,
-    f1_normalform,
-    f1_staircase,
-    f2_improved,
     fp_general,
     indispensable_binomials,
     lambda_bounds,

@@ -15,7 +15,6 @@ import click
 
 from . import cone, factorization, frobenius, gluing, groebner, oracle
 from .core import (
-    FrobeniusResult,
     OrderSpec,
     OverflowGuardError,
     Semigroup,
@@ -87,10 +86,6 @@ def _load(input_path: str, order_flag: str | None) -> tuple[Semigroup, OrderSpec
     if order_flag is not None:
         order = OrderSpec(order_flag)
     return S, order
-
-
-def _result_json(fp: FrobeniusResult):
-    return fp.to_json()
 
 
 def _binomial_json(b: groebner.Binomial) -> dict:
@@ -189,9 +184,9 @@ def fp_cmd(input_path, order_flag, fmt, p, verify, budget) -> None:
     meta: dict = {"order": order.kind}
     if verify:
         report = oracle.oracle_fp(S, p, order, budget_seconds=budget)
-        meta["oracle"] = _result_json(report.result)
+        meta["oracle"] = report.result.to_json()
         meta["oracle_agrees"] = report.result == result
-    _emit({"result": _result_json(result), "meta": meta}, fmt)
+    _emit({"result": result.to_json(), "meta": meta}, fmt)
 
 
 @main.command("indispensable")
@@ -251,7 +246,7 @@ def glue_cmd(input_path, order_flag, fmt, d, gamma, p, verify, budget) -> None:
         meta["verdict"] = gluing.gluing_equality(S, p, spec, order).value
     if verify:
         report = oracle.oracle_fp(glued, p, order, budget_seconds=budget)
-        meta["oracle"] = _result_json(report.result)
+        meta["oracle"] = report.result.to_json()
     _emit({"result": list(bound), "meta": meta}, fmt)
 
 
@@ -276,7 +271,7 @@ def oracle_cmd(input_path, order_flag, fmt, p, element, budget) -> None:
     report = oracle.oracle_fp(S, p, order, budget_seconds=budget)
     _emit(
         {
-            "result": _result_json(report.result),
+            "result": report.result.to_json(),
             "meta": {
                 "scanned_bound": report.scanned_bound,
                 "certificate": report.certificate,

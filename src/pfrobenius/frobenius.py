@@ -10,6 +10,7 @@ box, the paper's candidate set D.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -94,6 +95,7 @@ def candidate_degrees(S: Semigroup, lam: LambdaBounds, p: int) -> set[tuple[int,
     return out
 
 
+@functools.lru_cache(maxsize=256)
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
     """F_p(S) for any p >= 1 (p = 0 for q = 1).
 
@@ -109,6 +111,9 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
       the first hit is the maximum (0 always qualifies);
     - at p = 1 a fiber is a single point exactly when no trail divides its
       standard monomial: the staircase of the basis monomials.
+
+    Cached: the result is deterministic in (S, p, order), and a gluing asks
+    for the same F_p(S) twice, once for the bound and once for the verdict.
     """
     if p < 0:
         raise ValidationError("p must be >= 0")
@@ -125,21 +130,6 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     standard.sort(key=lambda g: order.key(s_degree(S, g)), reverse=True)
     best = next(g for g in standard if fiber_size(g, G, p + 1) <= p)
     return FrobeniusResult.finite(s_degree(S, best))
-
-
-def f1_staircase(S: Semigroup, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
-    """F_1(S); an alias of fp_general(S, 1, order)."""
-    return fp_general(S, 1, order)
-
-
-def f1_normalform(S: Semigroup, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
-    """F_1(S); an alias of fp_general(S, 1, order)."""
-    return fp_general(S, 1, order)
-
-
-def f2_improved(S: Semigroup, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
-    """F_2(S); an alias of fp_general(S, 2, order)."""
-    return fp_general(S, 2, order)
 
 
 def nabla_components(S: Semigroup, m) -> list[frozenset[tuple[int, ...]]]:
@@ -197,21 +187,16 @@ def verify_minimal_ideal_basis(S: Semigroup, B) -> bool:
 def indispensable_binomials(S: Semigroup) -> list[Binomial]:
     """Binomials present in every generating set of the semigroup ideal.
 
-    A reduced-basis binomial of S-degree m is indispensable iff m has exactly
-    two factorizations and they share no variable; every indispensable
-    binomial occurs in the reduced basis, so scanning it is complete.
+    A binomial of S-degree m is indispensable iff m has exactly two
+    factorizations and they share no variable (Charalambous, Katsabekis &
+    Thoma, Proc. AMS 135, 2007); every indispensable binomial occurs in the
+    reduced basis, so scanning it is complete.  Both monomials of a basis
+    element b lie in its fiber, and they are coprime: a common factor would
+    leave a smaller lead in the prime ideal.  So a fiber of size 2 is exactly
+    {lead, trail}, with disjoint supports.
     """
     G = reduced_basis(S, OrderSpec("grlex"))
-    out: list[Binomial] = []
-    for b in G.elements:
-        m = assert_s_homogeneous(S, b)
-        Z = factorizations(S, m).factorizations
-        if len(Z) != 2:
-            continue
-        lam, mu = tuple(Z)
-        if not any(a > 0 and c > 0 for a, c in zip(lam, mu)):
-            out.append(b)
-    return out
+    return [b for b in G.elements if fiber_size(b.lead, G, 3) == 2]
 
 
 def f0_numerical(S: Semigroup) -> FrobeniusResult:

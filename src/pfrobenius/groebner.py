@@ -159,13 +159,7 @@ def _interreduce(basis: list[Binomial], key: KeyFn) -> list[Binomial]:
 def buchberger_reduced(gens, order: OrderSpec) -> GroebnerBasis:
     """The unique reduced Groebner basis of the binomial ideal gens generate."""
     key = order.key
-    oriented: list[Binomial] = []
-    for b in gens:
-        nb = _orient(b.lead, b.trail, key)
-        if nb is not None and nb not in oriented:
-            oriented.append(nb)
-    basis = _buchberger(oriented, key)
-    return GroebnerBasis(order, tuple(_interreduce(basis, key)))
+    return GroebnerBasis(order, tuple(_interreduce(_buchberger(list(gens), key), key)))
 
 
 def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
@@ -226,7 +220,7 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     ]
     for s in range(1, S.h):
         key = _revlex_key(weights, s)
-        basis = _interreduce(_buchberger([_orient(b.lead, b.trail, key) for b in basis], key), key)
+        basis = _interreduce(_buchberger(basis, key), key)
         saturated = []
         for b in basis:
             k = min(b.lead[s], b.trail[s])

@@ -6,8 +6,8 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.groebner import Binomial
-from pfrobenius.oracle import _direct_lambda
-from conftest import f0_certified, random_finite_semigroup
+from pfrobenius.oracle import _count_grid, _direct_lambda
+from conftest import f0_certified, random_finite_semigroup, random_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
 GREVLEX = pf.OrderSpec("grevlex")
@@ -52,6 +52,21 @@ def test_lambda_bounds_requires_finite():
     S = pf.minimalize_generators([(0, 1), (1, 1), (2, 0), (3, 0)])
     with pytest.raises(pf.ValidationError):
         pf.lambda_bounds(S, pf.reduced_basis(S, GRLEX))
+    # the basis has a pure power of every variable iff the cone gate passes
+    rng = random.Random(11)
+    finite = 0
+    for i in range(120):
+        S = random_semigroup(rng, i % 3 + 1, coord_max=6)
+        gate = pf.is_fp_finite(S)
+        finite += gate
+        for order in (GRLEX, GREVLEX):
+            try:
+                pf.lambda_bounds(S, pf.reduced_basis(S, order))
+            except pf.ValidationError:
+                assert not gate, (S, order)
+            else:
+                assert gate, (S, order)
+    assert 0 < finite < 120
 
 
 def test_candidate_degrees_23():
@@ -105,25 +120,17 @@ def test_fp_general_p0():
         pf.fp_general(pf.Semigroup(2, ((1, 0), (0, 1))), 0)
 
 
-def test_f1_routes_agree_example(example_S):
-    expected = pf.fp_general(example_S, 1, GRLEX)
-    assert pf.f1_normalform(example_S, GRLEX) == expected
-    assert pf.f1_staircase(example_S, GRLEX) == expected
-    assert not expected.is_infinite
-
-
 def test_f1_23_all_routes():
     S = pf.numerical(2, 3)
     seven = pf.FrobeniusResult.finite((7,))
-    assert pf.f1_normalform(S) == seven
-    assert pf.f1_staircase(S) == seven
+    assert pf.fp_general(S, 1) == seven
+    assert pf.fp_general(S, 1, GREVLEX) == seven
 
 
 def test_f1_infinite_gate():
     S = pf.minimalize_generators([(0, 1), (1, 1), (2, 0), (3, 0)])
-    assert pf.f1_normalform(S).is_infinite
-    assert pf.f1_staircase(S).is_infinite
-    assert pf.f2_improved(S).is_infinite
+    assert pf.fp_general(S, 1).is_infinite
+    assert pf.fp_general(S, 2).is_infinite
 
 
 def test_staircase_23():
@@ -133,7 +140,7 @@ def test_staircase_23():
     G = pf.reduced_basis(S, GRLEX)
     assert {m for b in G.elements for m in (b.lead, b.trail)} == {(3, 0), (0, 2)}
     assert {n for n in range(14) if pf.count_capped(S, (n,), 2) == 1} == {0, 2, 3, 4, 5, 7}
-    assert pf.f1_staircase(S) == pf.FrobeniusResult.finite((7,))
+    assert pf.fp_general(S, 1) == pf.FrobeniusResult.finite((7,))
 
 
 def test_nabla_components():
@@ -196,6 +203,26 @@ def test_indispensable_characterization(example_S):
         assert not any(x > 0 and y > 0 for x, y in zip(*Z))
 
 
+def test_indispensable_matches_oracle_counts():
+    # a basis element is indispensable iff the oracle's grid DP, which shares
+    # no code with fiber_size, counts exactly two factorizations of its degree
+    rng = random.Random(11)
+    kinds = set()
+    for i in range(24):
+        q = i % 3 + 1
+        S = random_semigroup(rng, q, coord_max=6 if q < 3 else 3)
+        G = pf.reduced_basis(S, GRLEX)
+        expected = []
+        for b in G.elements:
+            m = pf.s_degree(S, b.lead)
+            two = _count_grid(S.generators, m)[m] == 2
+            kinds.add(two)
+            if two:
+                expected.append(b)
+        assert pf.indispensable_binomials(S) == expected, S
+    assert kinds == {True, False}
+
+
 def test_two_factorization_element_implies_indispensable():
     # some element with exactly two factorizations exists => indispensables exist
     for S in (pf.numerical(2, 3), pf.numerical(3, 4, 5)):
@@ -207,11 +234,7 @@ def test_two_factorization_element_implies_indispensable():
 
 
 def test_f2_23():
-    assert pf.f2_improved(pf.numerical(2, 3)) == pf.FrobeniusResult.finite((13,))
-
-
-def test_f2_agrees_with_general(example_S):
-    assert pf.f2_improved(example_S, GRLEX) == pf.fp_general(example_S, 2, GRLEX)
+    assert pf.fp_general(pf.numerical(2, 3), 2) == pf.FrobeniusResult.finite((13,))
 
 
 def test_f2_indispensable_free_falls_back_to_f1():

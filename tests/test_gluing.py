@@ -60,8 +60,11 @@ def test_glued_list_always_minimal():
 def test_bound_34_gamma15():
     S = pf.numerical(3, 4)
     spec = pf.GluingSpec(2, (15,))
+    pf.fp_general.cache_clear()
     assert pf.fp_glued_bound(S, 1, spec, GRLEX) == (49,)
     assert pf.gluing_equality(S, 1, spec, GRLEX) is GluingVerdict.EQUAL
+    # the bound and the verdict share one solve of F_1(S)
+    assert pf.fp_general.cache_info().misses == 1
     glued = pf.glue(S, spec)
     assert pf.fp_general(glued, 1, GRLEX) == pf.FrobeniusResult.finite((49,))
 

@@ -136,6 +136,9 @@ def test_buchberger_idempotent_cases():
     assert G.elements == (b,)
     G = pf.buchberger_reduced([b, b], GRLEX)
     assert G.elements == (b,)
+    # a multiple, a reversed copy and a duplicate, in one input
+    G = pf.buchberger_reduced([Binomial((0, 2), (3, 0)), b, Binomial((6, 0), (0, 4)), b], GRLEX)
+    assert G.elements == (b,)
 
 
 def test_determinism(example_S):

@@ -3,10 +3,10 @@ p = 0 case of numerical semigroups.
 
 ``fp_general`` runs a finiteness gate on the cone, the reduced basis, the
 per-generator bounds Lambda read off it, and then one strategy for every p:
-a scan of the standard monomials in the Lambda-box by descending degree,
-counting each fiber by reverse rewriting until one has at most p
-factorizations.  ``candidate_degrees`` lists the degrees of the closed
-box, the paper's candidate set D.
+a scan of the standard monomials grown from 0 inside prod [0, p*lambda_i)
+by descending degree, counting each fiber by reverse rewriting until one
+has at most p factorizations.  ``candidate_degrees`` lists the degrees of
+the closed box, the paper's candidate set D.
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from .groebner import (
     fiber_size,
     in_ideal,
     reduced_basis,
+    standard_monomials,
     toric_ideal_generators,
 )
 
@@ -99,9 +100,10 @@ def candidate_degrees(S: Semigroup, lam: LambdaBounds, p: int) -> set[tuple[int,
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
     """F_p(S) for any p >= 1 (p = 0 for q = 1).
 
-    Scans the standard monomials of the reduced basis G in the box
-    prod [0, p*lambda_i) by descending S-degree; the degree of the first
-    whose fiber holds at most p monomials (``fiber_size``) is F_p(S):
+    Grows the standard monomials of the reduced basis G in the box
+    prod [0, p*lambda_i) and scans them by descending S-degree; the degree
+    of the first whose fiber holds at most p monomials (``fiber_size``) is
+    F_p(S):
     - the box holds every factorization of each n with #Z(n) <= p: were
       gamma_i >= p*lambda_i, the basis element x_i^lambda_i - x^beta has beta
       free of x_i (the monomials of a reduced toric basis element are
@@ -110,7 +112,10 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     - a fiber holds one standard monomial, so their degrees are distinct and
       the first hit is the maximum (0 always qualifies);
     - at p = 1 a fiber is a single point exactly when no trail divides its
-      standard monomial: the staircase of the basis monomials.
+      standard monomial: the staircase of the basis monomials;
+    - the growth (``standard_monomials``) finds them all: a divisor of a
+      standard monomial is standard, so lowering the last nonzero coordinate
+      gives each one a unique standard parent, and each is reached once.
 
     Cached: the result is deterministic in (S, p, order), and a gluing asks
     for the same F_p(S) twice, once for the bound and once for the verdict.
@@ -124,9 +129,7 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     if not is_fp_finite(S):
         return INFINITE
     G = reduced_basis(S, order)
-    leads = [b.lead for b in G.elements]
-    box = itertools.product(*(range(p * b) for b in lambda_bounds(S, G).bounds))
-    standard = [g for g in box if not any(all(l <= e for l, e in zip(lead, g)) for lead in leads)]
+    standard = standard_monomials(G, tuple(p * b for b in lambda_bounds(S, G).bounds))
     standard.sort(key=lambda g: order.key(s_degree(S, g)), reverse=True)
     best = next(g for g in standard if fiber_size(g, G, p + 1) <= p)
     return FrobeniusResult.finite(s_degree(S, best))

@@ -265,6 +265,25 @@ def fiber_size(m: tuple[int, ...], G: GroebnerBasis, cap: int) -> int:
     return min(len(seen), cap)
 
 
+def standard_monomials(G: GroebnerBasis, top: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The monomials of prod [0, top_i) that no lead of G divides, grown from 0
+    as an order ideal: g steps +1 in each coordinate i at or after its last
+    nonzero one, and a lead that divides such a child c but not g has
+    lead_i = c_i (proof of completeness in ``frobenius.fp_general``)."""
+    leads_at: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for b in G.elements:
+        for i, e in enumerate(b.lead):
+            leads_at.setdefault((i, e), []).append(b.lead)
+    grown = [((0,) * len(top), 0)] if all(top) else []
+    for g, last in grown:  # the list grows while it is read
+        for i in range(last, len(top)):
+            if g[i] + 1 < top[i]:
+                c = g[:i] + (g[i] + 1,) + g[i + 1 :]
+                if not any(_divides(lead, c) for lead in leads_at.get((i, c[i]), ())):
+                    grown.append((c, i))
+    return [g for g, _ in grown]
+
+
 def in_ideal(b: Binomial, G: GroebnerBasis) -> bool:
     """Membership of a binomial in the ideal G generates (normal forms agree)."""
     return normal_form(b.lead, G) == normal_form(b.trail, G)

@@ -109,6 +109,22 @@ def test_fp_general_example_p3(example_S):
     assert pf.oracle_fp(example_S, 3, GRLEX).result == expected
 
 
+@pytest.mark.parametrize(
+    "gens, p, expected",
+    [
+        (((5, 0), (7, 0), (0, 4), (0, 9), (2, 3), (3, 1)), 3, (4, 137)),
+        (((4, 0), (7, 0), (0, 9), (0, 8), (7, 1), (3, 2), (1, 7)), 2, (2, 213)),
+    ],
+)
+def test_fp_general_box_filter_walls(gens, p, expected):
+    # pinned values: the box filter that computed them took 26 s and 33 s, and
+    # the oracle's closed box is too big to recompute them here
+    S = pf.Semigroup(2, gens)
+    assert pf.fp_general(S, p, GRLEX) == pf.FrobeniusResult.finite(expected)
+    # the factorization DFS, free of the Groebner engine, agrees on #Z(F_p) <= p
+    assert 1 <= pf.count_capped(S, expected, p + 1) <= p
+
+
 def test_fp_general_infinite():
     S = pf.minimalize_generators([(0, 1), (1, 1), (2, 0), (3, 0)])
     assert pf.fp_general(S, 1).is_infinite

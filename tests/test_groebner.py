@@ -115,6 +115,33 @@ def test_fiber_size_matches_factorization_count():
                 assert pf.groebner.fiber_size(m, G, 4) == expected, (S, order, m)
 
 
+def test_standard_monomials_match_box_filter():
+    # the growth from 0 keeps exactly the box points no lead divides, once each
+    rng = random.Random(29)
+    checked = 0
+    while checked < 9:
+        q = checked % 3 + 1
+        gens = random_semigroup(rng, q, h_max=4, coord_max=8 if q == 1 else 3).generators
+        if q > 1:  # two generators on every axis keep F_p finite; few others keep the box small
+            axes = [tuple(c * (j == i) for j in range(q)) for i in range(q) for c in (2, 3)]
+            gens = gens[: 4 - q] + tuple(axes)
+        S = pf.minimalize_generators(gens, q)
+        if not pf.is_fp_finite(S):
+            continue
+        for order in (GRLEX, pf.OrderSpec("grevlex")):
+            G = pf.reduced_basis(S, order)
+            leads = [b.lead for b in G.elements]
+            for p in (1, 2):
+                top = tuple(p * b for b in pf.lambda_bounds(S, G).bounds)
+                box = itertools.product(*(range(t) for t in top))
+                spec = {g for g in box if not any(all(l <= e for l, e in zip(lead, g)) for lead in leads)}
+                grown = pf.groebner.standard_monomials(G, top)
+                assert len(grown) == len(set(grown)), (S, order, p)
+                assert set(grown) == spec, (S, order, p)
+            assert pf.groebner.standard_monomials(G, (0,) + top[1:]) == []  # an empty box
+        checked += 1
+
+
 def test_reduced_basis_properties(example_S):
     G = pf.reduced_basis(example_S, GRLEX)
     leads = [b.lead for b in G.elements]

@@ -14,6 +14,7 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .cone import is_fp_finite
@@ -129,9 +130,19 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     if not is_fp_finite(S):
         return INFINITE
     G = reduced_basis(S, order)
-    standard = standard_monomials(G, tuple(p * b for b in lambda_bounds(S, G).bounds))
-    standard.sort(key=lambda g: order.key(s_degree(S, g)), reverse=True)
-    best = next(g for g in standard if fiber_size(g, G, p + 1) <= p)
+    top = tuple(p * b for b in lambda_bounds(S, G).bounds)
+    # total degree, the first key of a graded order, is linear in g: bucket
+    # by it and sort only the buckets the scan reaches
+    weights = [sum(a) for a in S.generators]
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for g in standard_monomials(G, top):
+        buckets.setdefault(sum(map(operator.mul, weights, g)), []).append(g)
+    best = next(
+        g
+        for d in sorted(buckets, reverse=True)
+        for g in sorted(buckets[d], key=lambda g: order.key(s_degree(S, g)), reverse=True)
+        if fiber_size(g, G, p + 1) <= p
+    )
     return FrobeniusResult.finite(s_degree(S, best))
 
 

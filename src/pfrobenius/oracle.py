@@ -1,26 +1,20 @@
 """Brute-force reference implementations, deliberately independent of the
-Groebner engine.
-
-Factorization counting here is a coin-counting dynamic program over a grid
-of points (no depth-first search, no normal forms, no bases), and the
-per-generator multiplier bounds are found by direct multiple search.  In any
-disagreement with the optimized algorithms, these routines are trusted.
+Groebner engine: factorizations are counted by a coin-counting dynamic
+program over a flat grid of points (no depth-first search, no normal forms,
+no bases), and each generator's multiplier bound is read off one grid of the
+other generators.  In any disagreement with the optimized algorithms, these
+routines are trusted.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
-from math import gcd
+from itertools import accumulate, product
+from math import gcd, prod
+from operator import add
 
 from .cone import is_fp_finite
-from .core import (
-    FrobeniusResult,
-    OrderSpec,
-    Semigroup,
-    ValidationError,
-    checked,
-)
+from .core import FrobeniusResult, OrderSpec, Semigroup, ValidationError, checked
 
 
 class OracleBudgetError(Exception):
@@ -43,42 +37,57 @@ class _Budget:
             raise OracleBudgetError("oracle time budget exhausted")
 
 
-def _count_grid(
-    generators, maxes: tuple[int, ...], budget: _Budget | None = None
-) -> dict[tuple[int, ...], int]:
+def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
     """Exact #Z_n for every n componentwise below maxes, by the standard
-    one-generator-at-a-time counting recurrence."""
-    points = sorted(
-        itertools.product(*(range(m + 1) for m in maxes)), key=lambda n: (sum(n), n)
-    )
-    ways = {n: 0 for n in points}
-    ways[(0,) * len(maxes)] = 1
+    one-generator-at-a-time counting recurrence ways[n] += ways[n - a], and
+    the strides: the grid is one flat list in row-major order, n at
+    sum(n_j * strides[j]), so n - a comes before n.  A row holds the points
+    that differ only in the last coordinate; each row of the sub-box
+    [a, maxes] adds its source row, shifted by a, in one slice operation.  A
+    generator on the last axis is its own source: its recurrence is a running
+    sum over each residue class mod a_last of the row, one slice each.
+    """
+    strides = tuple(prod(m + 1 for m in maxes[j + 1 :]) for j in range(len(maxes)))
+    width = maxes[-1] + 1
+    ways = [0] * prod(m + 1 for m in maxes)
+    ways[0] = 1
     for a in generators:
-        if budget is not None:
-            budget.check()
-        for n in points:
-            prev = tuple(c - ac for c, ac in zip(n, a))
-            if all(c >= 0 for c in prev):
-                ways[n] += ways[prev]
-    return ways
+        budget.check()
+        if any(c > m for c, m in zip(a, maxes)):
+            continue  # no point of the grid has a factorization using a
+        *head, al = a
+        rows = [0]
+        for c, m, s in zip(head, maxes, strides):
+            rows = [r + i * s for r in rows for i in range(c, m + 1)]
+        back = sum(c * s for c, s in zip(head, strides))
+        for r in rows:
+            end = r + width
+            if back:
+                src = ways[r - back : end - back - al]
+                ways[r + al : end] = map(add, ways[r + al : end], src)
+            else:
+                for i in range(r, r + al):
+                    ways[i:end:al] = accumulate(ways[i:end:al])
+    return ways, strides
 
 
-def _grid_contains(generators, n: tuple[int, ...]) -> bool:
-    return _count_grid(generators, n)[n] > 0
-
-
-def _direct_lambda(S: Semigroup, cap: int = 10_000) -> tuple[int, ...]:
-    """Smallest multiplier per generator whose multiple avoids that generator."""
+def _direct_lambda(S: Semigroup, cap=10_000, budget=_Budget(None)) -> tuple[int, ...]:
+    """Smallest multiplier per generator whose multiple avoids that generator:
+    one grid of the other generators up to top*a_k holds every j*a_k,
+    j <= top, and top doubles until one of them is reached."""
     out = []
     for k, a in enumerate(S.generators):
         others = [g for i, g in enumerate(S.generators) if i != k]
-        for lam in range(1, cap + 1):
-            target = tuple(checked(lam * c) for c in a)
-            if _grid_contains(others, target):
-                out.append(lam)
-                break
-        else:
-            raise RuntimeError(f"no own-free multiple of generator {k} up to {cap}")
+        top, hit = 1, None
+        while hit is None:
+            grid_top = tuple(checked(top * c) for c in a)
+            ways, strides = _count_grid(others, grid_top, budget)
+            step = sum(c * s for c, s in zip(a, strides))
+            hit = next((j for j in range(1, top + 1) if ways[j * step]), None)
+            if hit is None and top == cap:
+                raise RuntimeError(f"no own-free multiple of generator {k} up to {cap}")
+            top = min(2 * top, cap)
+        out.append(hit)
     return tuple(out)
 
 
@@ -88,10 +97,9 @@ def oracle_counts_up_to(
     """Exact #Z_n(S) for every n in N^q with coordinate sum <= degree_bound."""
     if degree_bound < 0:
         raise ValidationError("degree bound must be >= 0")
-    grid = _count_grid(
-        S.generators, (degree_bound,) * S.q, budget=_Budget(budget_seconds)
-    )
-    return {n: c for n, c in grid.items() if sum(n) <= degree_bound}
+    ways, _ = _count_grid(S.generators, (degree_bound,) * S.q, _Budget(budget_seconds))
+    box = product(range(degree_bound + 1), repeat=S.q)  # row-major
+    return {n: c for n, c in zip(box, ways) if sum(n) <= degree_bound}
 
 
 def oracle_fp(
@@ -108,33 +116,26 @@ def oracle_fp(
         return _oracle_f0(S, budget)
     if not is_fp_finite(S):
         raise ValidationError("oracle_fp requires finite F_p; check is_fp_finite")
-    lam = _direct_lambda(S)
-    candidates: set[tuple[int, ...]] = set()
-    for gamma in itertools.product(*(range(p * b + 1) for b in lam)):
-        pt = [0] * S.q
-        for gi, a in zip(gamma, S.generators):
-            for j in range(S.q):
-                pt[j] += gi * a[j]
-        candidates.add(tuple(checked(c) for c in pt))
+    lam = _direct_lambda(S, budget=budget)
+    # every term is non-negative, so the top corner bounds every candidate
+    corner = (sum(p * b * a[j] for b, a in zip(lam, S.generators)) for j in range(S.q))
+    maxes = tuple(map(checked, corner))
+    ways, strides = _count_grid(S.generators, maxes, budget=budget)
+    candidates = {0}  # flat indices of sum(gamma_i a_i), 0 <= gamma_i <= p*lambda_i
+    for b, a in zip(lam, S.generators):
+        step = sum(c * s for c, s in zip(a, strides))
+        candidates = {c + j * step for c in candidates for j in range(p * b + 1)}
     budget.check()
-    maxes = tuple(max(n[j] for n in candidates) for j in range(S.q))
-    counts = _count_grid(S.generators, maxes, budget=budget)
-    best = None
-    key = order.key
-    for n in candidates:
-        if 0 < counts[n] <= p:
-            if best is None or key(n) > key(best):
-                best = n
-    if best is None:
+    hits = [tuple(i // s % (m + 1) for s, m in zip(strides, maxes))
+            for i in candidates if 0 < ways[i] <= p]
+    if not hits:
         raise RuntimeError("no candidate qualified; inconsistent bounds")
-    bound = max(sum(n) for n in candidates)
+    best = max(hits, key=order.key)
     return OracleReport(
         FrobeniusResult.finite(best),
-        scanned_bound=bound,
-        certificate=(
-            f"all {len(candidates)} box elements (lambda = {lam}, p = {p}) "
-            f"counted exactly"
-        ),
+        scanned_bound=sum(maxes),
+        certificate=f"all {len(candidates)} box elements (lambda = {lam}, p = {p}) "
+        "counted exactly",
     )
 
 
@@ -147,10 +148,9 @@ def _oracle_f0(S: Semigroup, budget: _Budget) -> OracleReport:
     if values[0] == 1:
         return OracleReport(FrobeniusResult.finite((-1,)), 0, "no gaps: S = N")
     bound = (values[0] - 1) * (values[-1] - 1) - 1  # Schur (Brauer 1942)
-    counts = _count_grid(S.generators, (bound,), budget=budget)
-    gaps = [n for n in range(bound + 1) if counts[(n,)] == 0]
+    ways, _ = _count_grid(S.generators, (bound,), budget=budget)
     return OracleReport(
-        FrobeniusResult.finite((max(gaps),)),
+        FrobeniusResult.finite((max(n for n, c in enumerate(ways) if c == 0),)),
         scanned_bound=bound,
         certificate=f"all integers up to {bound} counted exactly",
     )

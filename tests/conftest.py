@@ -44,6 +44,18 @@ def random_finite_semigroup(rng: random.Random, q: int) -> pf.Semigroup:
             S = random_semigroup(rng, 1, h_max=4, coord_max=11)
             if S.h >= 2:
                 return S
+    if q == 3:
+        # two generators on each axis and one interior generator in [1,3]^3
+        while True:
+            gens = [
+                tuple(v if i == j else 0 for i in range(3))
+                for j in range(3)
+                for v in rng.sample(range(2, 6), 2)
+            ]
+            gens.append(tuple(rng.randint(1, 3) for _ in range(3)))
+            S = pf.minimalize_generators(gens, 3)
+            if pf.is_fp_finite(S):
+                return S
     # q == 2: anchor both axes with two generators each, then add interior noise
     while True:
         a, b = rng.sample(range(2, 8), 2)

@@ -83,7 +83,7 @@ def test_criterion_2_reference_example_staircase(S):
     G = pf.reduced_basis(S, GRLEX)
     omega = {m for b in G.elements for m in (b.lead, b.trail)}
     corner = pf.s_degree(S, tuple(b - 1 for b in pf.lambda_bounds(S, G).bounds))
-    n_single = sum(1 for c in _count_grid(S.generators, corner).values() if c == 1)
+    n_single = _count_grid(S.generators, corner)[0].count(1)
     result = pf.fp_general(S, 1, GRLEX)
     oracle_f1 = pf.oracle_fp(S, 1, GRLEX).result
     elapsed = time.perf_counter() - t0
@@ -129,7 +129,8 @@ def test_criterion_4_all_basis_binomials_indispensable(S):
     G = pf.reduced_basis(S, GRLEX)
     degrees = {b: pf.s_degree(S, b.lead) for b in G.elements}
     maxes = tuple(max(m[j] for m in degrees.values()) for j in range(S.q))
-    counts = _count_grid(S.generators, maxes)
+    box = itertools.product(*(range(m + 1) for m in maxes))  # the grid's order
+    counts = dict(zip(box, _count_grid(S.generators, maxes)[0]))
     expected = {(b.lead, b.trail) for b, m in degrees.items() if counts[m] == 2}
     dispensable = [b for b, m in degrees.items() if counts[m] != 2]
     ind = {(b.lead, b.trail) for b in pf.indispensable_binomials(S)}

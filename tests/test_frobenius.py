@@ -231,7 +231,7 @@ def test_indispensable_matches_oracle_counts():
         expected = []
         for b in G.elements:
             m = pf.s_degree(S, b.lead)
-            two = _count_grid(S.generators, m)[m] == 2
+            two = _count_grid(S.generators, m)[0][-1] == 2  # the top corner m
             kinds.add(two)
             if two:
                 expected.append(b)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 import pfrobenius as pf
 from conftest import f0_certified, random_finite_semigroup
+from pfrobenius.oracle import _Budget, _count_grid, _direct_lambda
 
 GRLEX = pf.OrderSpec("grlex")
 
@@ -63,9 +65,11 @@ def test_oracle_agrees_with_main_pipeline():
     for _ in range(8):
         q = rng.choice([1, 2])
         S = random_finite_semigroup(rng, q)
-        # the exhaustive p >= 2 box gets big in dimension 2; keep that to q = 1
-        for p in (1, 2, 3) if q == 1 else (1,):
+        for p in (1, 2, 3, 4) if q == 1 else (1, 2):
             assert pf.oracle_fp(S, p, GRLEX).result == pf.fp_general(S, p, GRLEX)
+    for _ in range(6):
+        S = random_finite_semigroup(rng, 3)
+        assert pf.oracle_fp(S, 1, GRLEX).result == pf.fp_general(S, 1, GRLEX), S
 
 
 def test_oracle_both_orders(example_S):
@@ -84,3 +88,63 @@ def test_budget_error(example_S):
 def test_budget_generous_succeeds():
     report = pf.oracle_fp(pf.numerical(3, 4), 1, GRLEX, budget_seconds=30.0)
     assert report.result.point == (17,)
+
+
+def _pointwise_counts(generators, maxes):
+    """#Z_n over the box [0, maxes], one point at a time, in row-major order
+    (n - a comes before n)."""
+    box = list(itertools.product(*(range(m + 1) for m in maxes)))
+    ways = {n: int(not any(n)) for n in box}
+    for a in generators:
+        for n in box:
+            prev = tuple(c - d for c, d in zip(n, a))
+            if min(prev) >= 0:
+                ways[n] += ways[prev]
+    return [ways[n] for n in box]
+
+
+def test_count_grid_matches_pointwise_recurrence():
+    rng = random.Random(8)
+    seen = set()
+    for i in range(60):
+        q = i % 3 + 1
+        maxes = [rng.randint(0, (40, 15, 6)[q - 1]) for _ in range(q)]
+        if rng.random() < 0.3:
+            maxes[rng.randrange(q)] = 0
+        h = rng.randint(1, 4)
+        gens = []
+        while len(gens) < h:
+            g = tuple(rng.randint(0, 7) for _ in range(q))
+            if any(g):
+                gens.append(g)
+        ways, strides = _count_grid(gens, tuple(maxes))
+        assert ways == _pointwise_counts(gens, maxes), (gens, maxes)
+        assert strides[-1] == 1
+        assert all(s == t * (m + 1) for s, t, m in zip(strides, strides[1:], maxes[1:]))
+        seen.update(
+            ("zero coordinate" for g in gens if 0 in g),
+            ("exceeds maxes" for g in gens if any(c > m for c, m in zip(g, maxes))),
+            ("zero in maxes" for m in maxes if m == 0),
+        )
+    assert seen == {"zero coordinate", "exceeds maxes", "zero in maxes"}
+
+
+def test_direct_lambda_matches_linear_search():
+    # the smallest lam with lam * a_k a sum of the other generators, trying
+    # lam = 1, 2, ... and counting the top corner of a box up to lam * a_k
+    rng = random.Random(31)
+    for i in range(18):
+        S = random_finite_semigroup(rng, i % 3 + 1)
+        linear = []
+        for k, a in enumerate(S.generators):
+            others = S.generators[:k] + S.generators[k + 1 :]
+            lam = 1
+            while _pointwise_counts(others, tuple(lam * c for c in a))[-1] == 0:
+                lam += 1
+            linear.append(lam)
+        assert _direct_lambda(S) == tuple(linear), S
+
+
+def test_direct_lambda_budget_error(example_S):
+    with pytest.raises(pf.OracleBudgetError):
+        _direct_lambda(example_S, budget=_Budget(-1.0))

@@ -17,7 +17,7 @@ from .core import (
     semigroup_to_json,
 )
 from .cone import extremal_ray_directions, is_fp_finite, primitive_direction
-from .factorization import FactorizationSet, contains, count_capped, factorizations
+from .factorization import contains, count_capped, factorizations
 from .groebner import (
     Binomial,
     GroebnerBasis,
@@ -27,7 +27,6 @@ from .groebner import (
     toric_ideal_generators,
 )
 from .frobenius import (
-    LambdaBounds,
     candidate_degrees,
     f0_numerical,
     fp_general,
@@ -44,7 +43,7 @@ from .gluing import (
     gluing_equality,
     validate_gluing,
 )
-from .oracle import OracleBudgetError, OracleReport, oracle_counts_up_to, oracle_fp
+from .oracle import OracleBudgetError, OracleReport, oracle_count, oracle_fp
 
 __version__ = "0.1.0"
 

@@ -20,6 +20,7 @@ from .core import (
     Semigroup,
     UnsupportedError,
     ValidationError,
+    _as_point,
     load_semigroup,
     semigroup_to_json,
 )
@@ -71,14 +72,10 @@ def handle_errors(fn):
 
 def _parse_element(text: str, q: int) -> tuple[int, ...]:
     try:
-        coords = tuple(int(part) for part in text.split(","))
+        coords = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"bad element {text!r}: {exc}") from exc
-    if len(coords) != q:
-        raise ValidationError(f"element {text!r} has {len(coords)} coordinates, expected {q}")
-    if any(c < 0 for c in coords):
-        raise ValidationError(f"element {text!r} has negative coordinates")
-    return coords
+    return _as_point(coords, q)
 
 
 def _load(input_path: str, order_flag: str | None) -> tuple[Semigroup, OrderSpec]:
@@ -117,12 +114,11 @@ def main() -> None:
 
 @main.command("check-finite")
 @input_option
-@order_option
 @format_option
 @handle_errors
-def check_finite(input_path, order_flag, fmt) -> None:
+def check_finite(input_path, fmt) -> None:
     """Decide finiteness of F_p(S) for all p >= 1."""
-    S, _ = _load(input_path, order_flag)
+    S, _ = load_semigroup(input_path)
     rays = sorted(cone.extremal_ray_directions(S))
     _emit(
         {
@@ -161,8 +157,7 @@ def factorize(input_path, order_flag, fmt, element) -> None:
     """All factorizations of an element over the minimal generators."""
     S, order = _load(input_path, order_flag)
     n = _parse_element(element, S.q)
-    fset = factorization.factorizations(S, n)
-    facs = sorted(fset.factorizations, key=order.key, reverse=True)
+    facs = sorted(factorization.factorizations(S, n), key=order.key, reverse=True)
     _emit(
         {"result": [list(f) for f in facs], "meta": {"count": len(facs)}},
         fmt,
@@ -191,12 +186,11 @@ def fp_cmd(input_path, order_flag, fmt, p, verify, budget) -> None:
 
 @main.command("indispensable")
 @input_option
-@order_option
 @format_option
 @handle_errors
-def indispensable(input_path, order_flag, fmt) -> None:
+def indispensable(input_path, fmt) -> None:
     """Indispensable binomials of the semigroup ideal."""
-    S, _ = _load(input_path, order_flag)
+    S, _ = load_semigroup(input_path)
     ind = frobenius.indispensable_binomials(S)
     _emit(
         {"result": [_binomial_json(b) for b in ind], "meta": {"count": len(ind)}},
@@ -206,13 +200,12 @@ def indispensable(input_path, order_flag, fmt) -> None:
 
 @main.command("nabla")
 @input_option
-@order_option
 @format_option
 @click.option("--element", required=True, help="Comma-separated coordinates.")
 @handle_errors
-def nabla(input_path, order_flag, fmt, element) -> None:
+def nabla(input_path, fmt, element) -> None:
     """Connected components of the factorization complex of an element."""
-    S, order = _load(input_path, order_flag)
+    S, _ = load_semigroup(input_path)
     n = _parse_element(element, S.q)
     comps = frobenius.nabla_components(S, n)
     comps_json = sorted(
@@ -263,8 +256,8 @@ def oracle_cmd(input_path, order_flag, fmt, p, element, budget) -> None:
     S, order = _load(input_path, order_flag)
     if element is not None:
         n = _parse_element(element, S.q)
-        counts = oracle.oracle_counts_up_to(S, sum(n), budget_seconds=budget)
-        _emit({"result": counts[n], "meta": {"element": list(n)}}, fmt)
+        count = oracle.oracle_count(S, n, budget_seconds=budget)
+        _emit({"result": count, "meta": {"element": list(n)}}, fmt)
         return
     if p is None:
         raise ValidationError("oracle needs --p or --element")

@@ -155,9 +155,7 @@ def minimalize_generators(gens, q: int | None = None) -> Semigroup:
             seen.add(pt)
             deduped.append(pt)
     gens = deduped
-    for g in gens:
-        if all(c == 0 for c in g):
-            raise ValidationError("zero vector cannot be a generator")
+    # a zero vector is refused by every Semigroup built below
     if len(gens) > 1:
         # S is positive: a generator lies in <others> iff it is no atom, and the atoms generate S
         gens = [

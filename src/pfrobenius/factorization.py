@@ -1,18 +1,7 @@
 """Factorization sets Z_n(S) by exact bounded depth-first search."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Semigroup, ValidationError
-
-
-@dataclass(frozen=True)
-class FactorizationSet:
-    element: tuple[int, ...]
-    factorizations: frozenset[tuple[int, ...]]
-
-    def __len__(self) -> int:
-        return len(self.factorizations)
+from .core import Semigroup, ValidationError, _as_point
 
 
 def _max_multiplicity(gen: tuple[int, ...], residual: tuple[int, ...]) -> int:
@@ -53,25 +42,19 @@ def _search(gens, idx, residual, prefix, out, cap):
             return
 
 
-def factorizations(S: Semigroup, n) -> FactorizationSet:
+def factorizations(S: Semigroup, n) -> frozenset[tuple[int, ...]]:
     """The complete set Z_n(S) of exponent vectors lam with sum(lam_i a_i) = n."""
-    n = tuple(int(c) for c in n)
-    if len(n) != S.q or any(c < 0 for c in n):
-        raise ValidationError(f"{n} is not a point of N^{S.q}")
     out: list[tuple[int, ...]] = []
-    _search(S.generators, 0, n, [], out, cap=None)
-    return FactorizationSet(n, frozenset(out))
+    _search(S.generators, 0, _as_point(n, S.q), [], out, cap=None)
+    return frozenset(out)
 
 
 def count_capped(S: Semigroup, n, cap: int) -> int:
     """min(#Z_n(S), cap); the search aborts once cap factorizations are found."""
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    n = tuple(int(c) for c in n)
-    if len(n) != S.q or any(c < 0 for c in n):
-        raise ValidationError(f"{n} is not a point of N^{S.q}")
     out: list[tuple[int, ...]] = []
-    _search(S.generators, 0, n, [], out, cap=cap)
+    _search(S.generators, 0, _as_point(n, S.q), [], out, cap=cap)
     return len(out)
 
 
@@ -83,4 +66,3 @@ def contains(S: Semigroup, n) -> bool:
     if any(c < 0 for c in n):
         return False
     return count_capped(S, n, 1) == 1
-

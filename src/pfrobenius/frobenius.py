@@ -15,7 +15,6 @@ import heapq
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 from .cone import is_fp_finite
 from .core import (
@@ -42,19 +41,9 @@ from .groebner import (
 )
 
 
-@dataclass(frozen=True)
-class LambdaBounds:
-    """Per-generator multipliers: bounds[k]*a_k factors over the other generators."""
-
-    bounds: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b < 1 for b in self.bounds):
-            raise ValidationError("lambda bounds must all be >= 1")
-
-
-def lambda_bounds(S: Semigroup, G: GroebnerBasis) -> LambdaBounds:
-    """Minimal pure-power exponent of each variable across the basis monomials.
+def lambda_bounds(S: Semigroup, G: GroebnerBasis) -> tuple[int, ...]:
+    """Minimal pure-power exponent of each variable across the basis monomials:
+    lambda_k * a_k factors over the other generators, minimally so.
 
     In the finite case a reduced basis holds a pure power of every variable:
     x_k^lambda_k - x^beta lies in the ideal, so x_k^lambda_k is divisible by a
@@ -73,10 +62,10 @@ def lambda_bounds(S: Semigroup, G: GroebnerBasis) -> LambdaBounds:
                     best[k] = e
     if None in best:
         raise ValidationError("lambda bounds only exist when F_p(S) is finite")
-    return LambdaBounds(tuple(best))
+    return tuple(best)
 
 
-def candidate_degrees(S: Semigroup, lam: LambdaBounds, p: int) -> set[tuple[int, ...]]:
+def candidate_degrees(S: Semigroup, lam: tuple[int, ...], p: int) -> set[tuple[int, ...]]:
     """Distinct semigroup elements sum(g_i a_i) with 0 <= g_i <= p*lambda_i."""
     if p < 1:
         raise ValidationError("p must be >= 1")
@@ -84,9 +73,9 @@ def candidate_degrees(S: Semigroup, lam: LambdaBounds, p: int) -> set[tuple[int,
     q = S.q
     # every term is non-negative, so the top corner bounds every point built
     for j in range(q):
-        checked(sum(p * b * a[j] for b, a in zip(lam.bounds, gens)))
+        checked(sum(p * b * a[j] for b, a in zip(lam, gens)))
     out: set[tuple[int, ...]] = set()
-    ranges = [range(p * b + 1) for b in lam.bounds]
+    ranges = [range(p * b + 1) for b in lam]
     for gamma in itertools.product(*ranges):
         pt = [0] * q
         for gi, a in zip(gamma, gens):
@@ -130,7 +119,7 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     if not is_fp_finite(S):
         return INFINITE
     G = reduced_basis(S, order)
-    top = tuple(p * b for b in lambda_bounds(S, G).bounds)
+    top = tuple(p * b for b in lambda_bounds(S, G))
     # total degree, the first key of a graded order, is linear in g: bucket
     # by it and sort only the buckets the scan reaches
     weights = [sum(a) for a in S.generators]
@@ -153,7 +142,7 @@ def nabla_components(S: Semigroup, m) -> list[frozenset[tuple[int, ...]]]:
     corresponding monomials share a variable); components of that graph
     coincide with the components of the simplicial complex.
     """
-    Z = sorted(factorizations(S, m).factorizations)
+    Z = sorted(factorizations(S, m))
     parent = list(range(len(Z)))
 
     def find(i):

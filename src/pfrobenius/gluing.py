@@ -106,10 +106,10 @@ def gluing_equality(
         raise ValidationError("the equality criterion needs p >= 1")
     validate_gluing(S, spec)
     fp = _finite_fp(S, p, order)
-    z_fp = factorizations(S, fp).factorizations
+    z_fp = factorizations(S, fp)
     if len(z_fp) != p:
         return GluingVerdict.PRECONDITION_FAILED
-    z_gamma = factorizations(S, spec.gamma).factorizations
+    z_gamma = factorizations(S, spec.gamma)
     for b in z_gamma:
         for c in z_fp:
             if all(bi <= ci for bi, ci in zip(b, c)):

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import accumulate, product
+from itertools import accumulate
 from math import gcd, prod
 from operator import add
 
 from .cone import is_fp_finite
-from .core import FrobeniusResult, OrderSpec, Semigroup, ValidationError, checked
+from .core import FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_point, checked
 
 
 class OracleBudgetError(Exception):
@@ -91,15 +91,10 @@ def _direct_lambda(S: Semigroup, cap=10_000, budget=_Budget(None)) -> tuple[int,
     return tuple(out)
 
 
-def oracle_counts_up_to(
-    S: Semigroup, degree_bound: int, budget_seconds: float | None = None
-) -> dict[tuple[int, ...], int]:
-    """Exact #Z_n(S) for every n in N^q with coordinate sum <= degree_bound."""
-    if degree_bound < 0:
-        raise ValidationError("degree bound must be >= 0")
-    ways, _ = _count_grid(S.generators, (degree_bound,) * S.q, _Budget(budget_seconds))
-    box = product(range(degree_bound + 1), repeat=S.q)  # row-major
-    return {n: c for n, c in zip(box, ways) if sum(n) <= degree_bound}
+def oracle_count(S: Semigroup, n, budget_seconds: float | None = None) -> int:
+    """Exact #Z_n(S): the top corner of one grid over the box [0, n]."""
+    ways, _ = _count_grid(S.generators, _as_point(n, S.q), _Budget(budget_seconds))
+    return ways[-1]
 
 
 def oracle_fp(

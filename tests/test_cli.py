@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import pfrobenius as pf
 from pfrobenius.cli import main
 
 BIG2D = {
@@ -69,6 +70,16 @@ def test_factorize_bad_element(runner, tmp_path):
     )
     assert res.exit_code == 4
     assert json.loads(res.output)["error"]["code"] == "VALIDATION"
+
+
+def test_factorize_overflow(runner, tmp_path):
+    doc = {"q": 2, "generators": [[1, 0], [0, 1]]}
+    res = runner.invoke(
+        main,
+        ["factorize", "--input", write(tmp_path, doc), "--element", f"0,{2**70}"],
+    )
+    assert res.exit_code == 3
+    assert json.loads(res.output)["error"]["code"] == "OVERFLOW"
 
 
 def test_fp_general(runner, tmp_path):
@@ -184,6 +195,27 @@ def test_oracle_element(runner, tmp_path):
         runner, ["oracle", "--input", write(tmp_path, NUM23), "--element", "12"]
     )
     assert out["result"] == 3
+
+
+def test_oracle_element_counts_on_its_box(runner, tmp_path):
+    # one grid over [0, n] (226 981 points), well inside the budget
+    gens = [[3, 0, 0], [5, 0, 0], [0, 3, 0], [0, 4, 0], [0, 0, 2], [0, 0, 5], [1, 2, 1]]
+    doc = {"q": 3, "generators": gens}
+    res, out = run_json(
+        runner,
+        ["oracle", "--input", write(tmp_path, doc), "--element", "60,60,60", "--budget", "1"],
+    )
+    assert res.exit_code == 0
+    assert out["result"] == 1806
+    # (1,2,1) is the one generator off the axes: fix its multiplicity k and
+    # the rest splits into three numerical semigroups, one per coordinate
+    def count(a, b, m):
+        return pf.count_capped(pf.numerical(a, b), (m,), m + 1)
+
+    assert sum(
+        count(3, 5, 60 - k) * count(3, 4, 60 - 2 * k) * count(2, 5, 60 - k)
+        for k in range(31)
+    ) == 1806
 
 
 def test_oracle_needs_p_or_element(runner, tmp_path):

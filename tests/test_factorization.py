@@ -27,15 +27,15 @@ def brute_force_factorizations(S: pf.Semigroup, n: tuple[int, ...]) -> set[tuple
 
 def test_z12_of_23():
     S = pf.numerical(2, 3)
-    assert pf.factorizations(S, (12,)).factorizations == {(6, 0), (3, 2), (0, 4)}
+    assert pf.factorizations(S, (12,)) == {(6, 0), (3, 2), (0, 4)}
 
 
 def test_unique_factorization_at_f1(example_S):
-    assert pf.factorizations(example_S, (21, 4)).factorizations == {(3, 2, 0, 0, 4)}
+    assert pf.factorizations(example_S, (21, 4)) == {(3, 2, 0, 0, 4)}
 
 
 def test_empty_below_generators():
-    assert not pf.factorizations(pf.numerical(2, 3), (1,)).factorizations
+    assert not pf.factorizations(pf.numerical(2, 3), (1,))
 
 
 def test_count_capped():
@@ -62,7 +62,22 @@ def test_contains():
 
 def test_contains_example(example_S):
     assert pf.contains(example_S, (2, 83))
-    assert (0, 0, 15, 1, 2) in pf.factorizations(example_S, (2, 83)).factorizations
+    assert (0, 0, 15, 1, 2) in pf.factorizations(example_S, (2, 83))
+
+
+def test_point_checks():
+    S = pf.numerical(2, 3)
+    for bad in ((5, 1), (-1,)):
+        assert not pf.contains(S, bad)
+        with pytest.raises(pf.ValidationError):
+            pf.count_capped(S, bad, 2)
+        with pytest.raises(pf.ValidationError):
+            pf.factorizations(S, bad)
+    # the 64-bit guard covers the factorization entry points
+    with pytest.raises(pf.OverflowGuardError):
+        pf.count_capped(S, (2**70,), 2)
+    with pytest.raises(pf.OverflowGuardError):
+        pf.factorizations(pf.Semigroup(2, ((1, 0), (0, 1))), (0, 2**70))
 
 
 def test_matches_independent_enumerator():
@@ -71,7 +86,7 @@ def test_matches_independent_enumerator():
         q = rng.choice([1, 2])
         S = random_semigroup(rng, q, h_max=5, coord_max=12)
         n = tuple(rng.randint(0, 30) for _ in range(q))
-        got = pf.factorizations(S, n).factorizations
+        got = pf.factorizations(S, n)
         assert got == brute_force_factorizations(S, n)
         for lam in got:
             assert pf.s_degree(S, lam) == n
@@ -82,7 +97,7 @@ def test_monotone_cap():
     S = pf.numerical(3, 4, 5)
     for _ in range(20):
         n = (rng.randint(0, 40),)
-        full = len(pf.factorizations(S, n).factorizations)
+        full = len(pf.factorizations(S, n))
         for cap in (1, 2, 4, 8):
             assert pf.count_capped(S, n, cap) == min(full, cap)
 
@@ -91,7 +106,7 @@ def test_pumping_gives_p_plus_one_factorizations():
     # once one exponent reaches p * lambda_k, at least p+1 factorizations exist
     S = pf.numerical(2, 3)
     G = pf.reduced_basis(S, pf.OrderSpec("grlex"))
-    lam = pf.lambda_bounds(S, G).bounds
+    lam = pf.lambda_bounds(S, G)
     for p in (1, 2, 3):
         for k in range(S.h):
             mult = p * lam[k] + 1

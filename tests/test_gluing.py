@@ -92,7 +92,7 @@ def test_equality_precondition():
     # F_2(<3,4>) = (14,)? whenever #Z != p, the criterion must decline
     S = pf.numerical(3, 4)
     f2 = pf.fp_general(S, 2, GRLEX).point
-    if len(pf.factorizations(S, f2).factorizations) != 2:
+    if len(pf.factorizations(S, f2)) != 2:
         assert (
             pf.gluing_equality(S, 2, pf.GluingSpec(2, (7,)), GRLEX)
             is GluingVerdict.PRECONDITION_FAILED
@@ -113,10 +113,10 @@ def test_gamma_coefficient_shift():
     rng = random.Random(41)
     for _ in range(10):
         n = (rng.randint(0, 60),)
-        zn = pf.factorizations(glued, n).factorizations
+        zn = pf.factorizations(glued, n)
         zshift = pf.factorizations(
             glued, tuple(a + g for a, g in zip(n, spec.gamma))
-        ).factorizations
+        )
         bumped = {z[:-1] + (z[-1] + 1,) for z in zn}
         assert bumped <= zshift
         assert bumped == {z for z in zshift if z[-1] >= 1}
@@ -156,6 +156,6 @@ def test_factorization_lift():
     glued = pf.glue(S, spec)
     f1 = pf.fp_general(S, 1, GRLEX).point
     bound = pf.fp_glued_bound(S, 1, spec, GRLEX)
-    for lam in pf.factorizations(S, f1).factorizations:
+    for lam in pf.factorizations(S, f1):
         lifted = lam + (spec.d - 1,)
-        assert lifted in pf.factorizations(glued, bound).factorizations
+        assert lifted in pf.factorizations(glued, bound)

@@ -13,12 +13,12 @@ GRLEX = pf.OrderSpec("grlex")
 
 
 def test_counts_up_to_23():
-    counts = pf.oracle_counts_up_to(pf.numerical(2, 3), 8)
-    assert counts[(0,)] == 1
-    assert counts[(1,)] == 0
-    assert counts[(6,)] == 2
-    assert counts[(8,)] == 2
-    assert counts[(5,)] == 1
+    S = pf.numerical(2, 3)
+    assert pf.oracle_count(S, (0,)) == 1
+    assert pf.oracle_count(S, (1,)) == 0
+    assert pf.oracle_count(S, (6,)) == 2
+    assert pf.oracle_count(S, (8,)) == 2
+    assert pf.oracle_count(S, (5,)) == 1
 
 
 def test_counts_match_factorization_module():
@@ -27,11 +27,24 @@ def test_counts_match_factorization_module():
         q = rng.choice([1, 2])
         S = random_finite_semigroup(rng, q)
         bound = rng.randint(5, 18)
-        for n, c in pf.oracle_counts_up_to(S, bound).items():
+        for n in itertools.product(range(bound + 1), repeat=q):
+            if sum(n) > bound:
+                continue
+            c = pf.oracle_count(S, n)
             if c == 0:
                 assert not pf.contains(S, n)
             else:
                 assert pf.count_capped(S, n, c + 1) == c
+
+
+def test_oracle_count_checks_point(example_S):
+    with pytest.raises(pf.ValidationError):
+        pf.oracle_count(example_S, (4,))
+    with pytest.raises(pf.ValidationError):
+        pf.oracle_count(example_S, (4, -1))
+    with pytest.raises(pf.OracleBudgetError):
+        pf.oracle_count(example_S, (9, 6), budget_seconds=-1.0)
+    assert pf.oracle_count(example_S, (9, 6)) == 3
 
 
 def test_oracle_f1_23():

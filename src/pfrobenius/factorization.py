@@ -14,48 +14,70 @@ def _max_multiplicity(gen: tuple[int, ...], residual: tuple[int, ...]) -> int:
     return bound if bound is not None else 0
 
 
-def _search(gens, idx, residual, prefix, out, cap):
-    """DFS over multiplicities of gens[idx:]; residual stays non-negative."""
+def _plan(gens):
+    """The search order of the generators and, for each step, the coordinates
+    no later step touches.
+
+    Generators with more nonzero coordinates go first, then those with the
+    same support together, larger first, so that each coordinate is closed
+    (its multiplicity forced) as early as possible."""
+    support = [tuple(j for j, a in enumerate(g) if a) for g in gens]
+    order = sorted(range(len(gens)), key=lambda i: (-len(support[i]), support[i], -sum(gens[i])))
+    last = {j: step for step, i in enumerate(order) for j in support[i]}
+    closes = [[] for _ in order]
+    for j, step in last.items():
+        closes[step].append(j)
+    return order, closes
+
+
+def _search(gens, closes, idx, residual, prefix, out, cap):
+    """DFS over multiplicities of gens[idx:]; residual stays non-negative.
+
+    At the step that closes coordinate j the multiplicity is forced to
+    residual_j / gen_j, so every coordinate is zero once all steps are taken."""
     if cap is not None and len(out) >= cap:
         return
-    g = gens[idx]
-    if idx == len(gens) - 1:
-        # last generator: the multiplicity is forced, solve directly
-        k = None
-        for a, r in zip(g, residual):
-            if a > 0:
-                if r % a:
-                    return
-                if k is None:
-                    k = r // a
-                elif k != r // a:
-                    return
-            elif r != 0:
-                return
-        out.append(tuple(prefix) + (k,))
+    if idx == len(gens):
+        out.append(tuple(prefix))
         return
+    g, closed = gens[idx], closes[idx]
     top = _max_multiplicity(g, residual)
-    for k in range(top + 1):
+    if closed:
+        k, left = divmod(residual[closed[0]], g[closed[0]])
+        if left or k > top or any(residual[j] != k * g[j] for j in closed[1:]):
+            return
+        ks = (k,)
+    else:
+        ks = range(top + 1)
+    for k in ks:
         rem = tuple(r - k * a for r, a in zip(residual, g))
-        _search(gens, idx + 1, rem, prefix + [k], out, cap)
+        _search(gens, closes, idx + 1, rem, prefix + [k], out, cap)
         if cap is not None and len(out) >= cap:
             return
 
 
+def _factor(S: Semigroup, n, cap: int | None) -> list[tuple[int, ...]]:
+    """Up to cap factorizations of n (all if cap is None), in generator order."""
+    n = _as_point(n, S.q)
+    order, closes = _plan(S.generators)
+    if any(c and not any(g[j] for g in S.generators) for j, c in enumerate(n)):
+        return []  # a coordinate no generator touches
+    out: list[tuple[int, ...]] = []
+    _search([S.generators[i] for i in order], closes, 0, n, [], out, cap)
+    position = sorted(range(len(order)), key=order.__getitem__)
+    return [tuple(lam[s] for s in position) for lam in out]
+
+
 def factorizations(S: Semigroup, n) -> frozenset[tuple[int, ...]]:
     """The complete set Z_n(S) of exponent vectors lam with sum(lam_i a_i) = n."""
-    out: list[tuple[int, ...]] = []
-    _search(S.generators, 0, _as_point(n, S.q), [], out, cap=None)
-    return frozenset(out)
+    return frozenset(_factor(S, n, None))
 
 
 def count_capped(S: Semigroup, n, cap: int) -> int:
     """min(#Z_n(S), cap); the search aborts once cap factorizations are found."""
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    out: list[tuple[int, ...]] = []
-    _search(S.generators, 0, _as_point(n, S.q), [], out, cap=cap)
-    return len(out)
+    return len(_factor(S, n, cap))
 
 
 def contains(S: Semigroup, n) -> bool:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
+from operator import add, le, sub
 from typing import Callable
 
 from .core import OrderSpec, Semigroup, ValidationError, checked, s_degree
@@ -46,11 +47,11 @@ class GroebnerBasis:
 
 
 def _divides(d: tuple[int, ...], m: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(d, m))
+    return all(map(le, d, m))
 
 
-def _rewrite(m: tuple[int, ...], b: Binomial) -> tuple[int, ...]:
-    return tuple(mi - li + ti for mi, li, ti in zip(m, b.lead, b.trail))
+def _lcm(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(max, u, v))
 
 
 def _reduce_monomial(m: tuple[int, ...], basis, skip: Binomial | None = None) -> tuple[int, ...]:
@@ -59,10 +60,8 @@ def _reduce_monomial(m: tuple[int, ...], basis, skip: Binomial | None = None) ->
     while changed:
         changed = False
         for b in basis:
-            if b is skip:
-                continue
-            if _divides(b.lead, m):
-                m = _rewrite(m, b)
+            if b is not skip and all(map(le, b.lead, m)):
+                m = tuple(map(add, map(sub, m, b.lead), b.trail))
                 changed = True
                 break
     return m
@@ -74,64 +73,67 @@ def _orient(u: tuple[int, ...], v: tuple[int, ...], key: KeyFn) -> Binomial | No
     return Binomial(u, v) if key(u) > key(v) else Binomial(v, u)
 
 
-def _spair(f: Binomial, g: Binomial, key: KeyFn) -> Binomial | None:
-    lcm = tuple(max(a, b) for a, b in zip(f.lead, g.lead))
-    u = tuple(l - a + b for l, a, b in zip(lcm, f.lead, f.trail))
-    v = tuple(l - a + b for l, a, b in zip(lcm, g.lead, g.trail))
-    return _orient(u, v, key)
-
-
 def _buchberger(gens: list[Binomial], key: KeyFn) -> list[Binomial]:
-    """Buchberger with normal pair selection (min-lcm heap), the coprime-lead
-    criterion, and the chain (lcm) criterion."""
+    """Buchberger with normal pair selection (min-lcm heap) and the
+    Gebauer-Moeller pair update ("A note on the Buchberger algorithm for
+    computing Groebner bases", JSC 6, 1988).
+
+    Each element that joins the basis is paired with the live elements;
+    queued pairs it makes redundant are pruned (B), and of its new pairs only
+    those with a minimal lcm (M), one per lcm (F) and no lcm shared with a
+    coprime-lead pair survive.  An element whose lead a later lead divides
+    stops being live: it forms no new pairs but still reduces."""
     basis: list[Binomial] = []
+    live: list[int] = []
+    queue: list[tuple[object, tuple[int, ...], int, int]] = []
+
+    def update(h: Binomial) -> None:
+        nonlocal queue, live
+        n, lh = len(basis), h.lead
+        # the new pairs by lcm: the first live partner, and the lcms of coprime leads
+        partner: dict[tuple[int, ...], int] = {}
+        coprime: set[tuple[int, ...]] = set()
+        for i in live:
+            lead = basis[i].lead
+            L = _lcm(lead, lh)
+            partner.setdefault(L, i)
+            if not any(map(min, lead, lh)):
+                coprime.add(L)
+        # a proper divisor has a smaller total degree, and divisibility is
+        # transitive, so each lcm is tested only against the minimal ones before it
+        minimal: list[tuple[int, ...]] = []
+        for L in sorted(partner, key=sum):
+            if not any(all(map(le, M, L)) for M in minimal):
+                minimal.append(L)
+        kept = [(key(L), L, partner[L], n) for L in minimal if L not in coprime]
+        queue = [
+            pair
+            for pair in queue
+            if not all(map(le, lh, pair[1]))
+            or _lcm(basis[pair[2]].lead, lh) == pair[1]
+            or _lcm(basis[pair[3]].lead, lh) == pair[1]
+        ]
+        queue.extend(kept)
+        heapq.heapify(queue)
+        live = [i for i in live if not all(map(le, lh, basis[i].lead))]
+        live.append(n)
+        basis.append(h)
+
+    def reduced(u: tuple[int, ...], v: tuple[int, ...]) -> Binomial | None:
+        return _orient(_reduce_monomial(u, basis), _reduce_monomial(v, basis), key)
+
     for b in gens:
-        u = _reduce_monomial(b.lead, basis)
-        v = _reduce_monomial(b.trail, basis)
-        nb = _orient(u, v, key)
-        if nb is not None and nb not in basis:
-            basis.append(nb)
-
-    def lcm(i: int, j: int) -> tuple[int, ...]:
-        return tuple(max(a, b) for a, b in zip(basis[i].lead, basis[j].lead))
-
-    heap: list[tuple[object, int, int]] = []
-    pending: set[frozenset[int]] = set()
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            heapq.heappush(heap, (key(lcm(i, j)), i, j))
-            pending.add(frozenset((i, j)))
-    while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard(frozenset((i, j)))
+        nb = reduced(b.lead, b.trail)
+        if nb is not None:
+            update(nb)
+    while queue:
+        _, L, i, j = heapq.heappop(queue)
         f, g = basis[i], basis[j]
-        if not any(a > 0 and b > 0 for a, b in zip(f.lead, g.lead)):
-            continue  # coprime leads: S-pair reduces to zero
-        L = lcm(i, j)
-        # chain criterion: a third lead divides the lcm and both side pairs
-        # were already handled
-        if any(
-            k != i
-            and k != j
-            and _divides(basis[k].lead, L)
-            and frozenset((i, k)) not in pending
-            and frozenset((j, k)) not in pending
-            for k in range(len(basis))
-        ):
-            continue
-        sp = _spair(f, g, key)
-        if sp is None:
-            continue
-        u = _reduce_monomial(sp.lead, basis)
-        v = _reduce_monomial(sp.trail, basis)
-        nb = _orient(u, v, key)
-        if nb is None:
-            continue
-        basis.append(nb)
-        n = len(basis) - 1
-        for k in range(n):
-            heapq.heappush(heap, (key(lcm(k, n)), k, n))
-            pending.add(frozenset((k, n)))
+        u = tuple(map(add, map(sub, L, f.lead), f.trail))
+        v = tuple(map(add, map(sub, L, g.lead), g.trail))
+        nb = reduced(u, v)
+        if nb is not None:
+            update(nb)
     return basis
 
 
@@ -257,8 +259,8 @@ def fiber_size(m: tuple[int, ...], G: GroebnerBasis, cap: int) -> int:
     while stack and len(seen) < cap:
         u = stack.pop()
         for b in G.elements:
-            if _divides(b.trail, u):
-                v = tuple(x - t + l for x, t, l in zip(u, b.trail, b.lead))
+            if all(map(le, b.trail, u)):
+                v = tuple(map(add, map(sub, u, b.trail), b.lead))
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -279,7 +281,7 @@ def standard_monomials(G: GroebnerBasis, top: tuple[int, ...]) -> list[tuple[int
         for i in range(last, len(top)):
             if g[i] + 1 < top[i]:
                 c = g[:i] + (g[i] + 1,) + g[i + 1 :]
-                if not any(_divides(lead, c) for lead in leads_at.get((i, c[i]), ())):
+                if not any(all(map(le, lead, c)) for lead in leads_at.get((i, c[i]), ())):
                     grown.append((c, i))
     return [g for g, _ in grown]
 

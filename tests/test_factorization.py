@@ -82,10 +82,13 @@ def test_point_checks():
 
 def test_matches_independent_enumerator():
     rng = random.Random(42)
-    for _ in range(50):
-        q = rng.choice([1, 2])
-        S = random_semigroup(rng, q, h_max=5, coord_max=12)
-        n = tuple(rng.randint(0, 30) for _ in range(q))
+    for i in range(60):
+        q = rng.choice([1, 2, 3])
+        S = random_semigroup(rng, q, h_max=5, coord_max=12 if q < 3 else 5)
+        if i % 2:
+            n = tuple(rng.randint(0, 30) for _ in range(q))
+        else:  # a point of S, so that q = 3 draws have factorizations
+            n = pf.s_degree(S, [rng.randint(0, 2) for _ in range(S.h)])
         got = pf.factorizations(S, n)
         assert got == brute_force_factorizations(S, n)
         for lam in got:
@@ -112,3 +115,12 @@ def test_pumping_gives_p_plus_one_factorizations():
             mult = p * lam[k] + 1
             b = tuple(mult * c for c in S.generators[k])
             assert pf.count_capped(S, b, p + 1) == p + 1
+
+
+def test_closes_each_coordinate_early():
+    # the interior generator touches every coordinate; each axis pair must
+    # still force its multiplicity, or the search walks every prefix
+    S = pf.Semigroup(3, ((3, 0, 0), (5, 0, 0), (0, 3, 0), (0, 4, 0), (0, 0, 2), (0, 0, 5), (1, 2, 1)))
+    assert pf.count_capped(S, (60, 60, 60), 10**6) == 1806 == pf.oracle_count(S, (60, 60, 60))
+    # a coordinate no generator touches
+    assert not pf.factorizations(pf.Semigroup(2, ((2, 0), (3, 0))), (5, 1))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
@@ -301,6 +302,23 @@ def test_f0_numerical():
     assert f0_certified((20, 30, 1001), 9019)
     with pytest.raises(pf.UnsupportedError):
         pf.f0_numerical(pf.Semigroup(2, ((1, 1),)))
+
+
+def test_f0_numerical_shared_factor_random():
+    # the known failure shape: the two smallest generators share a factor,
+    # so their product is no bound on F_0; the generators are coprime overall
+    rng = random.Random(23)
+    checked = 0
+    while checked < 25:
+        d = rng.randint(2, 6)
+        gens = [d * a for a in rng.sample(range(2, 9), 2)]
+        gens += [rng.randint(max(gens) + 1, 80) for _ in range(rng.randint(1, 2))]
+        S = pf.numerical(*gens)
+        values = sorted(g for (g,) in S.generators)
+        if gcd(*values[:2]) == 1 or gcd(*values) != 1:
+            continue
+        assert f0_certified(values, pf.f0_numerical(S).point[0]), S
+        checked += 1
 
 
 def test_monotone_in_p():

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import heapq
 import itertools
+import operator
 import random
 
 import pytest
 import sympy as sp
 
 import pfrobenius as pf
-from pfrobenius.groebner import Binomial, format_binomial
+from pfrobenius.groebner import Binomial, _buchberger, _interreduce, _revlex_key, format_binomial
 from conftest import random_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
@@ -155,6 +157,66 @@ def test_reduced_basis_properties(example_S):
             if other != b.lead:
                 assert not all(o <= m for o, m in zip(other, b.lead))
             assert not all(o <= m for o, m in zip(other, b.trail))
+
+
+def reference_reduced_basis(gens, key) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Second opinion without pair criteria: every S-pair is reduced, then the
+    basis is interreduced; binomials are (lead, trail) pairs."""
+
+    def reduce(m, basis):
+        while True:
+            for lead, trail in basis:
+                if all(l <= e for l, e in zip(lead, m)):
+                    m = tuple(e - l + t for e, l, t in zip(m, lead, trail))
+                    break
+            else:
+                return m
+
+    def orient(u, v):
+        return None if u == v else max((u, v), (v, u), key=lambda b: key(b[0]))
+
+    basis, pairs = [], []
+
+    def add(b):
+        if b is not None:
+            for c in basis:  # every pair, smallest lcm first
+                lcm = tuple(map(max, b[0], c[0]))
+                heapq.heappush(pairs, (key(lcm), lcm, b, c))
+            basis.append(b)
+
+    for u, v in gens:
+        add(orient(reduce(u, basis), reduce(v, basis)))
+    while pairs:
+        _, lcm, (f, ft), (g, gt) = heapq.heappop(pairs)
+        u = tuple(m - a + t for m, a, t in zip(lcm, f, ft))
+        v = tuple(m - a + t for m, a, t in zip(lcm, g, gt))
+        add(orient(reduce(u, basis), reduce(v, basis)))
+    # every lead is reduced when it joins, so no two are equal
+    minimal = [b for b in basis if not any(o is not b and all(map(operator.le, o[0], b[0])) for o in basis)]
+    out = [(lead, reduce(trail, [o for o in minimal if o[0] != lead])) for lead, trail in minimal]
+    return sorted(out, key=lambda b: key(b[0]))
+
+
+def test_pair_criteria_match_reference_buchberger():
+    # random binomial ideals that are no toric ideals: a criterion that drops
+    # a pair the basis needs leaves a different reduced basis
+    rng = random.Random(19)
+    for trial in range(40):
+        h = rng.choice([3, 4])
+        gens, size = [], rng.randint(2, 4)
+        while len(gens) < size:
+            u, v = (tuple(rng.randint(0, 3) for _ in range(h)) for _ in "uv")
+            if u != v:
+                gens.append(Binomial(u, v))
+        pairs = [(b.lead, b.trail) for b in gens]
+        for kind in ("grlex", "grevlex"):
+            got = pf.buchberger_reduced(gens, pf.OrderSpec(kind)).elements
+            expected = reference_reduced_basis(pairs, pf.OrderSpec(kind).key)
+            assert [(b.lead, b.trail) for b in got] == expected, (gens, kind)
+        # the weighted revlex orders of the saturation steps
+        key = _revlex_key(tuple(rng.randint(1, 3) for _ in range(h)), trial % h)
+        got = _interreduce(_buchberger(gens, key), key)
+        assert [(b.lead, b.trail) for b in got] == reference_reduced_basis(pairs, key), gens
 
 
 def test_buchberger_idempotent_cases():

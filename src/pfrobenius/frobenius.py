@@ -1,8 +1,9 @@
 """p-Frobenius vectors: one pipeline for every p >= 1, and the classical
 p = 0 case of numerical semigroups.
 
-``fp_general`` runs a finiteness gate on the cone, the reduced basis, the
-per-generator bounds Lambda read off it, and then one strategy for every p:
+``fp_general`` runs a finiteness gate on the cone, the toric engine's
+reduced basis, the per-generator bounds Lambda read off it, and then one
+strategy for every p and both orders:
 a scan of the standard monomials grown from 0 inside prod [0, p*lambda_i)
 by descending degree, counting each fiber by reverse rewriting until one
 has at most p factorizations.  ``candidate_degrees`` lists the degrees of
@@ -35,7 +36,6 @@ from .groebner import (
     buchberger_reduced,
     fiber_size,
     in_ideal,
-    reduced_basis,
     standard_monomials,
     toric_ideal_generators,
 )
@@ -90,10 +90,11 @@ def candidate_degrees(S: Semigroup, lam: tuple[int, ...], p: int) -> set[tuple[i
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
     """F_p(S) for any p >= 1 (p = 0 for q = 1).
 
-    Grows the standard monomials of the reduced basis G in the box
-    prod [0, p*lambda_i) and scans them by descending S-degree; the degree
-    of the first whose fiber holds at most p monomials (``fiber_size``) is
-    F_p(S):
+    Grows the standard monomials of the toric engine's reduced basis G in
+    the box prod [0, p*lambda_i) and scans them by descending S-degree under
+    ``order``; the degree of the first whose fiber holds at most p monomials
+    (``fiber_size``) is F_p(S).  The term order of G only picks the standard
+    monomial of each fiber, and nothing below depends on which:
     - the box holds every factorization of each n with #Z(n) <= p: were
       gamma_i >= p*lambda_i, the basis element x_i^lambda_i - x^beta has beta
       free of x_i (the monomials of a reduced toric basis element are
@@ -118,7 +119,7 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
         raise UnsupportedError("p = 0 with q >= 2 (gap sets) is out of scope")
     if not is_fp_finite(S):
         return INFINITE
-    G = reduced_basis(S, order)
+    G = GroebnerBasis(toric_ideal_generators(S))
     top = tuple(p * b for b in lambda_bounds(S, G))
     # total degree, the first key of a graded order, is linear in g: bucket
     # by it and sort only the buckets the scan reaches
@@ -192,14 +193,21 @@ def indispensable_binomials(S: Semigroup) -> list[Binomial]:
 
     A binomial of S-degree m is indispensable iff m has exactly two
     factorizations and they share no variable (Charalambous, Katsabekis &
-    Thoma, Proc. AMS 135, 2007); every indispensable binomial occurs in the
-    reduced basis, so scanning it is complete.  Both monomials of a basis
-    element b lie in its fiber, and they are coprime: a common factor would
-    leave a smaller lead in the prime ideal.  So a fiber of size 2 is exactly
-    {lead, trail}, with disjoint supports.
+    Thoma, Proc. AMS 135, 2007); every indispensable binomial occurs in
+    every reduced basis, so scanning the toric engine's is complete.  Both
+    monomials of a basis element b lie in its fiber, and they are coprime: a
+    common factor would leave a smaller lead in the prime ideal.  So a fiber
+    of size 2 is exactly {lead, trail}, with disjoint supports.  Each is
+    returned with its grlex lead first, sorted by that lead.
     """
-    G = reduced_basis(S, OrderSpec("grlex"))
-    return [b for b in G.elements if fiber_size(b.lead, G, 3) == 2]
+    G = GroebnerBasis(toric_ideal_generators(S))
+    key = OrderSpec("grlex").key
+    ind = [
+        Binomial(*sorted((b.lead, b.trail), key=key, reverse=True))
+        for b in G.elements
+        if fiber_size(b.lead, G, 3) == 2
+    ]
+    return sorted(ind, key=lambda b: key(b.lead))
 
 
 def f0_numerical(S: Semigroup) -> FrobeniusResult:

@@ -6,12 +6,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 
-from .core import (
-    OrderSpec,
-    Semigroup,
-    ValidationError,
-    checked,
-)
+from .core import OrderSpec, Semigroup, ValidationError, checked, minimalize_generators
 from .factorization import contains, factorizations
 from .frobenius import fp_general
 
@@ -56,8 +51,6 @@ def glue(S: Semigroup, spec: GluingSpec) -> Semigroup:
     error rather than a silent re-minimalization, because every statement
     about the glued semigroup presumes that list.
     """
-    from .core import minimalize_generators
-
     validate_gluing(S, spec)
     gens = tuple(
         tuple(checked(spec.d * c) for c in a) for a in S.generators

@@ -39,7 +39,6 @@ class Binomial:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    order: OrderSpec
     elements: tuple[Binomial, ...]
 
     def __len__(self) -> int:
@@ -161,7 +160,7 @@ def _interreduce(basis: list[Binomial], key: KeyFn) -> list[Binomial]:
 def buchberger_reduced(gens, order: OrderSpec) -> GroebnerBasis:
     """The unique reduced Groebner basis of the binomial ideal gens generate."""
     key = order.key
-    return GroebnerBasis(order, tuple(_interreduce(_buchberger(list(gens), key), key)))
+    return GroebnerBasis(tuple(_interreduce(_buchberger(list(gens), key), key)))
 
 
 def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
@@ -201,14 +200,16 @@ def _revlex_key(weights: tuple[int, ...], last: int) -> KeyFn:
 
 @functools.lru_cache(maxsize=256)
 def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
-    """A finite binomial generating set of the semigroup ideal of S.
+    """The reduced Groebner basis of the semigroup ideal of S under the
+    weighted revlex order with x_{h-1} last.
 
     Starts from the lattice ideal of a kernel basis and saturates it by
     x_1, ..., x_{h-1} in turn.  Each step is a Groebner basis under a
     weighted revlex order with x_s last; the weight sum(a_j) is positive and
     makes every lattice binomial homogeneous, so x_s divides a basis element
     exactly as often as it divides its lead, and dividing that power out
-    gives a Groebner basis of I : x_s^oo.
+    gives a Groebner basis of I : x_s^oo under the same order.  The last
+    step's basis only needs interreducing.
 
     x_0 needs no step: a path of kernel moves from x^v to x^u can take every
     move that raises the x_0 exponent before any that lowers it, so that
@@ -231,15 +232,15 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
             trail[s] -= k
             saturated.append(Binomial(tuple(lead), tuple(trail)))
         basis = saturated
-    return tuple(basis)
+    return tuple(_interreduce(basis, _revlex_key(weights, S.h - 1)))
 
 
 @functools.lru_cache(maxsize=256)
 def reduced_basis(S: Semigroup, order: OrderSpec) -> GroebnerBasis:
     """Reduced Groebner basis of the semigroup ideal under the given order.
 
-    Cached: the basis is deterministic in (S, order) and several Frobenius
-    routes share it.
+    ``fp_general`` needs no such basis: it counts on the toric engine's own.
+    Cached: the basis is deterministic in (S, order).
     """
     return buchberger_reduced(toric_ideal_generators(S), order)
 

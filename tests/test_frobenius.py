@@ -131,6 +131,59 @@ def test_fp_general_infinite():
     assert pf.fp_general(S, 1).is_infinite
 
 
+def test_fp_general_infinite_random_family():
+    # draws failing the cone gate, certified without the Groebner engine: an
+    # extremal ray holding a single minimal generator a, all of whose
+    # multiples k*a have the one factorization k*e_a
+    rng = random.Random(13)
+    found = 0
+    while found < 20:
+        q = 2 + found % 2
+        S = random_semigroup(rng, q, coord_max=12 if q == 2 else 5)
+        if pf.is_fp_finite(S):
+            continue
+        found += 1
+        for p in (1, 2):
+            for order in (GRLEX, GREVLEX):
+                assert pf.fp_general(S, p, order) == pf.INFINITE, (S, p, order)
+        directions = [pf.primitive_direction(a) for a in S.generators]
+        rays = pf.extremal_ray_directions(S)
+        lonely = [
+            a
+            for a, d in zip(S.generators, directions)
+            if directions.count(d) == 1 and d in rays
+        ]
+        assert lonely, S
+        a = lonely[0]
+        k = 40 // max(a) + 1
+        assert pf.oracle_count(S, tuple(k * c for c in a)) == 1, S
+
+
+def test_one_basis_for_both_orders(monkeypatch, example_S):
+    # grlex and grevlex count on the toric engine's own reduced basis:
+    # Buchberger runs once per saturation step, and nothing is re-based
+    calls = {"_buchberger": 0, "reduced_basis": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(pf.groebner, "_buchberger", counted("_buchberger", pf.groebner._buchberger))
+    reduced = counted("reduced_basis", pf.groebner.reduced_basis)
+    monkeypatch.setattr(pf.groebner, "reduced_basis", reduced)
+    monkeypatch.setattr(pf.frobenius, "reduced_basis", reduced, raising=False)
+    S = example_S
+    pf.toric_ideal_generators.cache_clear()
+    pf.reduced_basis.cache_clear()
+    pf.fp_general.cache_clear()
+    for order in (GRLEX, GREVLEX):
+        assert pf.fp_general(S, 2, order) == pf.oracle_fp(S, 2, order).result
+    assert calls == {"_buchberger": S.h - 1, "reduced_basis": 0}
+
+
 def test_fp_general_p0():
     assert pf.fp_general(pf.numerical(2, 3), 0) == pf.FrobeniusResult.finite((1,))
     with pytest.raises(pf.UnsupportedError):

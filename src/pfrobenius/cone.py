@@ -2,13 +2,15 @@
 
 The finiteness of the p-Frobenius vector (for p >= 1, any graded order) is
 equivalent to every extremal ray of the rational cone spanned by the
-generators containing at least two minimal generators.  Extremality is
-decided by exact-rational linear feasibility (Fourier-Motzkin elimination);
-no floating point is involved anywhere.
+generators containing at least two minimal generators.  A direction is
+extremal exactly when a linear form separates it from the other directions
+(Farkas' lemma); the form's existence is decided by Fourier-Motzkin
+elimination over its q coefficients, in integer arithmetic, so no floating
+point is involved anywhere.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
 from math import gcd
 
 from .core import Semigroup, ValidationError
@@ -23,58 +25,38 @@ def primitive_direction(v) -> tuple[int, ...]:
     return tuple(c // g for c in v)
 
 
-def _fourier_motzkin_feasible(constraints: list[tuple[list[Fraction], Fraction]], nvars: int) -> bool:
-    """Feasibility of {x : a.x <= b for all (a, b)} by eliminating all variables."""
-    for j in range(nvars):
-        pos, neg, zero = [], [], []
-        for a, b in constraints:
-            if a[j] > 0:
-                pos.append((a, b))
-            elif a[j] < 0:
-                neg.append((a, b))
-            else:
-                zero.append((a, b))
-        new = zero
-        for ap, bp in pos:
-            for an, bn in neg:
-                # cancel x_j: ap/ap[j] + an/(-an[j])
-                coeff = [ap[k] / ap[j] - an[k] / an[j] for k in range(nvars)]
-                rhs = bp / ap[j] - bn / an[j]
-                new.append((coeff, rhs))
-        constraints = new
-    return all(b >= 0 for _, b in constraints)
+def _separable(d: tuple[int, ...], others: list[tuple[int, ...]]) -> bool:
+    """Is there a rational c with c.e >= 0 for every e in others and c.d <= -1?
 
-
-def _is_nonneg_combination(target: tuple[int, ...], directions: list[tuple[int, ...]]) -> bool:
-    """Is target = sum x_i d_i solvable with rational x_i >= 0?"""
-    if not directions:
-        return False
-    m = len(directions)
-    q = len(target)
-    cons: list[tuple[list[Fraction], Fraction]] = []
-    for row in range(q):
-        coeffs = [Fraction(d[row]) for d in directions]
-        rhs = Fraction(target[row])
-        cons.append((coeffs, rhs))
-        cons.append(([-c for c in coeffs], -rhs))
-    for j in range(m):
-        a = [Fraction(0)] * m
-        a[j] = Fraction(-1)
-        cons.append((a, Fraction(0)))
-    return _fourier_motzkin_feasible(cons, m)
+    Fourier-Motzkin over the q unknowns of c, on integer rows (a, b) for
+    a.c <= b: each pair of rows of opposite sign in the eliminated unknown
+    combines with positive integer factors, then divides by its content.
+    """
+    rows = {(tuple(-x for x in e), 0) for e in others} | {(d, -1)}
+    for j in range(len(d)):
+        pos = [r for r in rows if r[0][j] > 0]
+        neg = [r for r in rows if r[0][j] < 0]
+        rows = {r for r in rows if r[0][j] == 0}
+        for (ap, bp), (an, bn) in itertools.product(pos, neg):
+            a = tuple(-an[j] * x + ap[j] * y for x, y in zip(ap, an))
+            b = -an[j] * bp + ap[j] * bn
+            g = gcd(*a, b) or 1  # 0 only for the trivial row 0 <= 0
+            rows.add((tuple(x // g for x in a), b // g))
+    return all(b >= 0 for _, b in rows)
 
 
 def extremal_ray_directions(S: Semigroup) -> frozenset[tuple[int, ...]]:
     """Primitive directions spanning the extremal rays of the generator cone.
 
-    A generator direction is extremal iff it is not a non-negative rational
-    combination of the other distinct generator directions.
+    A generator direction d is extremal iff it is not a non-negative rational
+    combination of the other distinct generator directions, that is (Farkas'
+    lemma) iff some linear form is >= 0 on all of them and negative on d.
     """
     directions = sorted({primitive_direction(g) for g in S.generators})
     extremal = set()
     for d in directions:
         others = [e for e in directions if e != d]
-        if not _is_nonneg_combination(d, others):
+        if _separable(d, others):
             extremal.add(d)
     return frozenset(extremal)
 

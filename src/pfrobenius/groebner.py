@@ -9,13 +9,17 @@ The semigroup ideal comes from the integer kernel of the generator matrix,
 with no auxiliary variables (Bigatti, La Scala & Robbiano, "Computing toric
 ideals", JSC 27, 1999; Hosten & Sturmfels, GRIN, IPCO 1995).  A basis of the
 kernel lattice L gives the binomials x^{v+} - x^{v-} of the lattice ideal
-I_L, which can be smaller than the semigroup ideal; saturating I_L by each
-variable in turn recovers it, because L is saturated.
+I_L, which can be smaller than the semigroup ideal; saturating I_L by the
+product of all variables recovers it, because L is saturated.  The kernel
+basis is size-reduced, and then the variables on which it is sign-consistent
+need no saturation step (see ``toric_ideal_generators``); the others are
+saturated one at a time.
 """
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 from dataclasses import dataclass
 from operator import add, le, sub
 from typing import Callable
@@ -168,6 +172,9 @@ def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
 
     Row reduction of [A^T | I_h] by unimodular steps, Euclid-style on each of
     the q columns; the rows left with zero in all q columns span the kernel.
+    A pairwise size-reduction pass (the size-reduction half of LLL) then
+    replaces b_i by b_i - r b_j, r the nearest integer to <b_i,b_j>/<b_j,b_j>,
+    while that lowers |b_i|^2; the steps are unimodular, so the lattice stays.
     """
     q, h = S.q, S.h
     rows = [list(a) + [int(k == j) for k in range(h)] for j, a in enumerate(S.generators)]
@@ -185,7 +192,18 @@ def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
             for i in range(r + 1, h):
                 f = rows[i][c] // rows[r][c]
                 rows[i] = [checked(x - f * y) for x, y in zip(rows[i], rows[r])]
-    return [tuple(row[q:]) for row in rows[r:]]
+    basis = [row[q:] for row in rows[r:]]
+    shorter = True
+    while shorter:
+        shorter = False
+        for i, j in itertools.permutations(range(len(basis)), 2):
+            bi, bj = basis[i], basis[j]
+            nj = sum(y * y for y in bj)
+            t = (2 * sum(x * y for x, y in zip(bi, bj)) + nj) // (2 * nj)
+            c = [checked(x - t * y) for x, y in zip(bi, bj)]
+            if sum(x * x for x in c) < sum(x * x for x in bi):
+                basis[i], shorter = c, True
+    return [tuple(b) for b in basis]
 
 
 def _revlex_key(weights: tuple[int, ...], last: int) -> KeyFn:
@@ -203,25 +221,32 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     """The reduced Groebner basis of the semigroup ideal of S under the
     weighted revlex order with x_{h-1} last.
 
-    Starts from the lattice ideal of a kernel basis and saturates it by
-    x_1, ..., x_{h-1} in turn.  Each step is a Groebner basis under a
+    Starts from the lattice ideal of a kernel basis and saturates it by the
+    variables outside a set C in turn.  Each step is a Groebner basis under a
     weighted revlex order with x_s last; the weight sum(a_j) is positive and
     makes every lattice binomial homogeneous, so x_s divides a basis element
     exactly as often as it divides its lead, and dividing that power out
     gives a Groebner basis of I : x_s^oo under the same order.  The last
     step's basis only needs interreducing.
 
-    x_0 needs no step: a path of kernel moves from x^v to x^u can take every
-    move that raises the x_0 exponent before any that lowers it, so that
-    exponent never drops below min(u_0, v_0), and a large enough power of
-    x_1 ... x_{h-1} keeps the others non-negative.
+    The variables of C need no step.  C holds, greedily in index order, the
+    columns 0 .. h-2 on which every kernel basis vector is sign-consistent
+    (all its entries there >= 0 or all <= 0), so every move of a kernel path
+    raises all C-exponents or lowers them.  A path from x^v to x^u can take
+    the raising moves first, so each C-exponent rises, then falls, and never
+    drops below min(u_j, v_j); a large enough power of the variables outside
+    C keeps the others non-negative.  Column 0 is always in C and x_{h-1}
+    never is, so the last step and its order are fixed.
     """
     weights = tuple(sum(a) for a in S.generators)
-    basis = [
-        Binomial(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v))
-        for v in _kernel_basis(S)
-    ]
-    for s in range(1, S.h):
+    kernel = _kernel_basis(S)
+    skip: list[int] = []
+    for c in range(S.h - 1):
+        cols = skip + [c]
+        if all(min(v[j] for j in cols) >= 0 or max(v[j] for j in cols) <= 0 for v in kernel):
+            skip.append(c)
+    basis = [Binomial(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in kernel]
+    for s in (s for s in range(1, S.h) if s not in skip):
         key = _revlex_key(weights, s)
         basis = _interreduce(_buchberger(basis, key), key)
         saturated = []

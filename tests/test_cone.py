@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -80,3 +82,54 @@ def test_finiteness_matches_own_free_multiples():
             ):
                 found_all = False
         assert found_all == expected
+
+
+def _solve(cols, d):
+    """The x with sum x_i cols_i = d over the rationals, or None when the cols
+    are linearly dependent or no such x exists (fraction-free Gauss-Jordan)."""
+    k = len(cols)
+    rows = [[c[r] for c in cols] + [d[r]] for r in range(len(d))]
+    for c in range(k):
+        p = next((r for r in range(c, len(rows)) if rows[r][c]), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        rows = [row if i == c else [pivot[c] * x - row[c] * y for x, y in zip(row, pivot)] for i, row in enumerate(rows)]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [Fraction(rows[i][k], rows[i][i]) for i in range(k)]
+
+
+def in_cone_reference(d, others) -> bool:
+    """Caratheodory: d lies in the cone of others iff it is a non-negative
+    combination of some linearly independent subset of at most q of them."""
+    return any(
+        x is not None and min(x) >= 0
+        for k in range(1, len(d) + 1)
+        for sub in itertools.combinations(others, k)
+        for x in [_solve(sub, d)]
+    )
+
+
+def test_extremal_rays_match_caratheodory_reference():
+    rng = random.Random(8)
+    for _ in range(320):
+        q, h = rng.randint(1, 4), rng.randint(2, 8)
+        gens = {tuple(rng.randint(0, 5) for _ in range(q)) for _ in range(h)} - {(0,) * q}
+        if not gens:
+            continue
+        S = pf.Semigroup(q, tuple(sorted(gens)))
+        directions = {pf.primitive_direction(g) for g in gens}
+        expected = {d for d in directions if not in_cone_reference(d, sorted(directions - {d}))}
+        assert set(pf.extremal_ray_directions(S)) == expected, S
+
+
+def test_all_directions_extremal_q4():
+    # eight directions in general position in 4-D, every one extremal; an
+    # elimination over the seven multipliers of the other directions ran for
+    # more than a minute here
+    gens = ((3, 1, 0, 2), (1, 4, 2, 0), (0, 2, 5, 1), (2, 0, 1, 3), (4, 4, 1, 1), (1, 1, 3, 3), (5, 0, 2, 2), (2, 3, 3, 0))
+    S = pf.Semigroup(4, gens)
+    assert pf.extremal_ray_directions(S) == frozenset(gens)
+    assert not pf.is_fp_finite(S)

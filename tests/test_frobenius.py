@@ -104,6 +104,21 @@ def test_fp_general_toric_wall():
     assert pf.fp_general(W, 1, GRLEX) == pf.oracle_fp(W, 1, GRLEX).result == expected
 
 
+@pytest.mark.parametrize(
+    "gens, expected, size",
+    [
+        (((7, 0), (9, 0), (0, 8), (0, 11), (2, 5), (5, 3), (4, 7), (6, 1)), (5, 160), 49),
+        (((5, 0), (11, 0), (0, 11), (0, 8), (1, 3), (3, 2), (6, 5), (2, 5), (2, 7)), (1, 160), 66),
+    ],
+)
+def test_fp_general_former_toric_walls(gens, expected, size):
+    # h = 8 and h = 9: their toric ideals took 10 s and 5 s when every
+    # variable was saturated from an unreduced kernel basis
+    S = pf.Semigroup(2, gens)
+    assert len(pf.toric_ideal_generators(S)) == size
+    assert pf.fp_general(S, 1, GRLEX) == pf.oracle_fp(S, 1, GRLEX).result == pf.FrobeniusResult.finite(expected)
+
+
 def test_fp_general_example_p3(example_S):
     expected = pf.FrobeniusResult.finite((2, 111))
     assert pf.fp_general(example_S, 3, GRLEX) == expected

@@ -120,7 +120,7 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     if not is_fp_finite(S):
         return INFINITE
     G = GroebnerBasis(toric_ideal_generators(S))
-    top = tuple(p * b for b in lambda_bounds(S, G))
+    top = tuple(checked(p * b) for b in lambda_bounds(S, G))
     # total degree, the first key of a graded order, is linear in g: bucket
     # by it and sort only the buckets the scan reaches
     weights = [sum(a) for a in S.generators]

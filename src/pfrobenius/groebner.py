@@ -14,6 +14,15 @@ product of all variables recovers it, because L is saturated.  The kernel
 basis is size-reduced, and then the variables on which it is sign-consistent
 need no saturation step (see ``toric_ideal_generators``); the others are
 saturated one at a time.
+
+Inside ``_buchberger`` and ``_interreduce`` an exponent vector is one int
+(Bachmann & Schoenemann, "Monomial representations for Groebner bases
+computations", ISSAC 1998): a 64-bit field per variable, 63 value bits under
+a guard bit, the variable the order compares first highest, and the weighted
+degree above them all.  Packing is linear, so a rewrite is one addition;
+divisibility, lcm and the coprime test read the guard bits of one
+subtraction.  A guard bit that an input, an S-pair or a rewrite sets raises
+OverflowGuardError.  Every other function here works on tuples.
 """
 from __future__ import annotations
 
@@ -21,12 +30,9 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from operator import add, le, sub
-from typing import Callable
+from operator import add, le, lshift, mul, sub
 
-from .core import OrderSpec, Semigroup, ValidationError, checked, s_degree
-
-KeyFn = Callable[[tuple[int, ...]], object]
+from .core import INT64_MAX, OrderSpec, OverflowGuardError, Semigroup, ValidationError, checked, s_degree
 
 
 @dataclass(frozen=True)
@@ -49,122 +55,170 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _divides(d: tuple[int, ...], m: tuple[int, ...]) -> bool:
-    return all(map(le, d, m))
-
-
-def _lcm(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, u, v))
-
-
-def _reduce_monomial(m: tuple[int, ...], basis, skip: Binomial | None = None) -> tuple[int, ...]:
+def _reduce_monomial(m: tuple[int, ...], basis) -> tuple[int, ...]:
     """Rewrite m by lead -> trail until no lead divides; strictly decreasing."""
     changed = True
     while changed:
         changed = False
         for b in basis:
-            if b is not skip and all(map(le, b.lead, m)):
+            if all(map(le, b.lead, m)):
                 m = tuple(map(add, map(sub, m, b.lead), b.trail))
                 changed = True
                 break
     return m
 
 
-def _orient(u: tuple[int, ...], v: tuple[int, ...], key: KeyFn) -> Binomial | None:
-    if u == v:
-        return None
-    return Binomial(u, v) if key(u) > key(v) else Binomial(v, u)
+class _Order:
+    """A monomial order on packed exponent vectors: weighted degree first,
+    then the variables in ``perm`` order, a larger exponent ranking higher
+    (sign +1) or lower (sign -1).  Calling it on a tuple gives its key."""
+
+    def __init__(self, weights: tuple[int, ...], perm, sign: int) -> None:
+        h = len(weights)
+        self.weights, self.shifts, self.top = weights, [0] * h, 64 * h
+        for k, j in enumerate(perm):
+            self.shifts[j] = 64 * (h - 1 - k)
+        self.guard = sum(1 << (64 * k + 63) for k in range(h))
+        self.values = self.guard - (self.guard >> 63)
+        self.flip = self.values if sign < 0 else 0
+
+    def pack(self, v: tuple[int, ...]) -> int:
+        if not all(0 <= e <= INT64_MAX for e in v):
+            raise OverflowGuardError(f"exponent vector {v} leaves the 63-bit fields")
+        return sum(map(lshift, v, self.shifts)) + (sum(map(mul, self.weights, v)) << self.top)
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        return tuple(m >> s & INT64_MAX for s in self.shifts)
+
+    def with_degree(self, m: int) -> int:
+        return m + (sum(map(mul, self.weights, self.unpack(m))) << self.top)
+
+    def __call__(self, v: tuple[int, ...]) -> int:
+        return self.pack(v) ^ self.flip
 
 
-def _buchberger(gens: list[Binomial], key: KeyFn) -> list[Binomial]:
-    """Buchberger with normal pair selection (min-lcm heap) and the
-    Gebauer-Moeller pair update ("A note on the Buchberger algorithm for
-    computing Groebner bases", JSC 6, 1988).
+def _reduce(m: int, leads: list[int], deltas: list[int], guard: int) -> int:
+    """Rewrite the packed m by lead -> trail until no lead divides it."""
+    while True:
+        mg = m | guard
+        for lead, delta in zip(leads, deltas):
+            if (mg - lead) & guard == guard:
+                m += delta
+                if m & guard:
+                    raise OverflowGuardError("a rewrite left the 63-bit exponent fields")
+                break
+        else:
+            return m
+
+
+def _buchberger(gens: list[Binomial], key: _Order) -> list[Binomial]:
+    """A minimal Groebner basis by Buchberger with normal pair selection
+    (min-lcm heap) and the Gebauer-Moeller pair update ("A note on the
+    Buchberger algorithm for computing Groebner bases", JSC 6, 1988).
 
     Each element that joins the basis is paired with the live elements;
     queued pairs it makes redundant are pruned (B), and of its new pairs only
     those with a minimal lcm (M), one per lcm (F) and no lcm shared with a
     coprime-lead pair survive.  An element whose lead a later lead divides
-    stops being live: it forms no new pairs but still reduces."""
-    basis: list[Binomial] = []
+    stops being live: it forms no new pairs but still reduces.  A joining
+    lead is reduced, so no earlier lead divides it, and the live elements
+    are a minimal basis; they are returned."""
+    G, V, flip, pack = key.guard, key.values, key.flip, key.pack
+    leads: list[int] = []
+    deltas: list[int] = []  # trail - lead, packed
+    nonzero: list[int] = []  # the guard bits of each lead's nonzero fields
     live: list[int] = []
-    queue: list[tuple[object, tuple[int, ...], int, int]] = []
+    queue: list[tuple[int, int, int]] = []  # (key of the lcm, i, j)
 
-    def update(h: Binomial) -> None:
+    def lcm(a: int, b: int) -> int:
+        ge = ((a | G) - b) & G
+        ge -= ge >> 63
+        return (a & ge) | (b & (V ^ ge))  # the fields only, no degree
+
+    def update(lead: int, trail: int) -> None:
         nonlocal queue, live
-        n, lh = len(basis), h.lead
+        n, nz = len(leads), ((lead & V) + V) & G
         # the new pairs by lcm: the first live partner, and the lcms of coprime leads
-        partner: dict[tuple[int, ...], int] = {}
-        coprime: set[tuple[int, ...]] = set()
+        partner: dict[int, int] = {}
+        coprime: set[int] = set()
         for i in live:
-            lead = basis[i].lead
-            L = _lcm(lead, lh)
+            L = lcm(leads[i], lead)
             partner.setdefault(L, i)
-            if not any(map(min, lead, lh)):
+            if not nonzero[i] & nz:
                 coprime.add(L)
-        # a proper divisor has a smaller total degree, and divisibility is
-        # transitive, so each lcm is tested only against the minimal ones before it
-        minimal: list[tuple[int, ...]] = []
-        for L in sorted(partner, key=sum):
-            if not any(all(map(le, M, L)) for M in minimal):
+        # int order extends divisibility, so each lcm is tested only against
+        # the minimal ones before it
+        minimal: list[int] = []
+        for L in sorted(partner):
+            LG = L | G
+            for M in minimal:
+                if (LG - M) & G == G:
+                    break
+            else:
                 minimal.append(L)
-        kept = [(key(L), L, partner[L], n) for L in minimal if L not in coprime]
-        queue = [
-            pair
-            for pair in queue
-            if not all(map(le, lh, pair[1]))
-            or _lcm(basis[pair[2]].lead, lh) == pair[1]
-            or _lcm(basis[pair[3]].lead, lh) == pair[1]
-        ]
-        queue.extend(kept)
+        kept = [(key.with_degree(L) ^ flip, partner[L], n) for L in minimal if L not in coprime]
+        for k, i, j in queue:
+            L = (k ^ flip) & V
+            if ((L | G) - lead) & G != G or lcm(leads[i], lead) == L or lcm(leads[j], lead) == L:
+                kept.append((k, i, j))
+        queue = kept
         heapq.heapify(queue)
-        live = [i for i in live if not all(map(le, lh, basis[i].lead))]
+        live = [i for i in live if ((leads[i] | G) - lead) & G != G]
         live.append(n)
-        basis.append(h)
+        leads.append(lead)
+        deltas.append(trail - lead)
+        nonzero.append(nz)
 
-    def reduced(u: tuple[int, ...], v: tuple[int, ...]) -> Binomial | None:
-        return _orient(_reduce_monomial(u, basis), _reduce_monomial(v, basis), key)
+    def join(u: int, v: int) -> None:
+        u, v = _reduce(u, leads, deltas, G), _reduce(v, leads, deltas, G)
+        if u != v:
+            update(*((u, v) if u ^ flip > v ^ flip else (v, u)))
 
     for b in gens:
-        nb = reduced(b.lead, b.trail)
-        if nb is not None:
-            update(nb)
+        join(pack(b.lead), pack(b.trail))
     while queue:
-        _, L, i, j = heapq.heappop(queue)
-        f, g = basis[i], basis[j]
-        u = tuple(map(add, map(sub, L, f.lead), f.trail))
-        v = tuple(map(add, map(sub, L, g.lead), g.trail))
-        nb = reduced(u, v)
-        if nb is not None:
-            update(nb)
-    return basis
+        k, i, j = heapq.heappop(queue)
+        u, v = (k ^ flip) + deltas[i], (k ^ flip) + deltas[j]
+        if (u | v) & G:
+            raise OverflowGuardError("an S-pair left the 63-bit exponent fields")
+        join(u, v)
+    return [Binomial(key.unpack(leads[i]), key.unpack(leads[i] + deltas[i])) for i in live]
 
 
-def _interreduce(basis: list[Binomial], key: KeyFn) -> list[Binomial]:
+def _interreduce(basis: list[Binomial], key: _Order) -> list[Binomial]:
     """Shrink a Groebner basis to the unique reduced one.
 
     A divisor of a lead always sorts before it under a monomial order, so a
     single ascending sweep keeps exactly the elements with minimal leads;
-    tail reduction against that set then pins each trail to its normal form.
+    tail reduction against that set then pins each trail to its normal form
+    (a lead never divides its own, smaller, trail).
     """
-    minimal: list[Binomial] = []
-    for b in sorted(set(basis), key=lambda b: (key(b.lead), key(b.trail))):
-        if not any(_divides(o.lead, b.lead) for o in minimal):
-            minimal.append(b)
-    out: list[Binomial] = []
-    for b in minimal:
-        trail = _reduce_monomial(b.trail, minimal, skip=b)
-        nb = _orient(b.lead, trail, key)
-        if nb is not None:
-            out.append(nb)
-    out.sort(key=lambda b: key(b.lead))
-    return out
+    G, flip = key.guard, key.flip
+    leads: list[int] = []
+    deltas: list[int] = []
+    for kl, kt in sorted({(key(b.lead), key(b.trail)) for b in basis}):
+        lead = kl ^ flip
+        if not any(((lead | G) - o) & G == G for o in leads):
+            leads.append(lead)
+            deltas.append((kt ^ flip) - lead)
+    return [
+        Binomial(key.unpack(lead), key.unpack(_reduce(lead + d, leads, deltas, G)))
+        for lead, d in zip(leads, deltas)
+    ]
+
+
+def _graded_key(order: OrderSpec, h: int) -> _Order:
+    """The packed form of a graded order on h variables."""
+    if order.kind == "grlex":
+        return _Order((1,) * h, range(h), 1)
+    return _Order((1,) * h, range(h - 1, -1, -1), -1)
 
 
 def buchberger_reduced(gens, order: OrderSpec) -> GroebnerBasis:
     """The unique reduced Groebner basis of the binomial ideal gens generate."""
-    key = order.key
-    return GroebnerBasis(tuple(_interreduce(_buchberger(list(gens), key), key)))
+    gens = list(gens)
+    key = _graded_key(order, len(gens[0].lead) if gens else 0)
+    return GroebnerBasis(tuple(_interreduce(_buchberger(gens, key), key)))
 
 
 def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
@@ -206,14 +260,9 @@ def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
     return [tuple(b) for b in basis]
 
 
-def _revlex_key(weights: tuple[int, ...], last: int) -> KeyFn:
+def _revlex_key(weights: tuple[int, ...], last: int) -> _Order:
     """Weighted reverse-lexicographic order with x_last the smallest variable."""
-    rest = [j for j in reversed(range(len(weights))) if j != last]
-
-    def key(v: tuple[int, ...]):
-        return (sum(w * e for w, e in zip(weights, v)), -v[last], tuple(-v[j] for j in rest))
-
-    return key
+    return _Order(weights, [last] + [j for j in reversed(range(len(weights))) if j != last], -1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -222,12 +271,12 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     weighted revlex order with x_{h-1} last.
 
     Starts from the lattice ideal of a kernel basis and saturates it by the
-    variables outside a set C in turn.  Each step is a Groebner basis under a
-    weighted revlex order with x_s last; the weight sum(a_j) is positive and
-    makes every lattice binomial homogeneous, so x_s divides a basis element
-    exactly as often as it divides its lead, and dividing that power out
-    gives a Groebner basis of I : x_s^oo under the same order.  The last
-    step's basis only needs interreducing.
+    variables outside a set C in turn.  Each step is a minimal Groebner basis
+    under a weighted revlex order with x_s last; the weight sum(a_j) is
+    positive and makes every lattice binomial homogeneous, so x_s divides a
+    basis element exactly as often as it divides its lead, and dividing that
+    power out of any Groebner basis gives one of I : x_s^oo under the same
+    order (Bayer & Stillman).  Only the last step's basis is interreduced.
 
     The variables of C need no step.  C holds, greedily in index order, the
     columns 0 .. h-2 on which every kernel basis vector is sign-consistent
@@ -247,16 +296,10 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
             skip.append(c)
     basis = [Binomial(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in kernel]
     for s in (s for s in range(1, S.h) if s not in skip):
-        key = _revlex_key(weights, s)
-        basis = _interreduce(_buchberger(basis, key), key)
-        saturated = []
-        for b in basis:
-            k = min(b.lead[s], b.trail[s])
-            lead, trail = list(b.lead), list(b.trail)
-            lead[s] -= k
-            trail[s] -= k
-            saturated.append(Binomial(tuple(lead), tuple(trail)))
-        basis = saturated
+        basis = [
+            Binomial(*(m[:s] + (m[s] - min(b.lead[s], b.trail[s]),) + m[s + 1 :] for m in (b.lead, b.trail)))
+            for b in _buchberger(basis, _revlex_key(weights, s))
+        ]
     return tuple(_interreduce(basis, _revlex_key(weights, S.h - 1)))
 
 

@@ -91,6 +91,12 @@ def test_fp_general(runner, tmp_path):
     assert out["meta"]["order"] == "grlex"
 
 
+def test_fp_overflow(runner, tmp_path):
+    res = runner.invoke(main, ["fp", "--input", write(tmp_path, BIG2D), "--p", str(2**62)])
+    assert res.exit_code == 3
+    assert json.loads(res.output)["error"]["code"] == "OVERFLOW"
+
+
 def test_fp_infinite_encoding(runner, tmp_path):
     res, out = run_json(
         runner, ["fp", "--input", write(tmp_path, INFINITE_CASE), "--p", "1"]

@@ -91,6 +91,14 @@ def test_candidate_degrees_overflow_guard():
         pf.candidate_degrees(S, (1, 1), 1)
 
 
+def test_fp_general_box_corner_overflow_guard(example_S):
+    # every lambda_i is >= 2, so the corner p * lambda leaves the 64-bit
+    # range at p = 2^62 and must be refused before the box is grown
+    pf.fp_general.cache_clear()
+    with pytest.raises(pf.OverflowGuardError):
+        pf.fp_general(example_S, 2**62)
+
+
 def test_fp_general_23():
     S = pf.numerical(2, 3)
     assert pf.fp_general(S, 1) == pf.FrobeniusResult.finite((7,))

@@ -9,7 +9,15 @@ import pytest
 import sympy as sp
 
 import pfrobenius as pf
-from pfrobenius.groebner import Binomial, _buchberger, _interreduce, _kernel_basis, _revlex_key, format_binomial
+from pfrobenius.groebner import (
+    Binomial,
+    _buchberger,
+    _graded_key,
+    _interreduce,
+    _kernel_basis,
+    _revlex_key,
+    format_binomial,
+)
 from conftest import random_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
@@ -235,9 +243,9 @@ def reference_reduced_basis(gens, key) -> list[tuple[tuple[int, ...], tuple[int,
     return sorted(out, key=lambda b: key(b[0]))
 
 
-def test_pair_criteria_match_reference_buchberger():
-    # random binomial ideals that are no toric ideals: a criterion that drops
-    # a pair the basis needs leaves a different reduced basis
+def random_binomial_ideals():
+    """40 random binomial ideals that are no toric ideals (seed 19), each with
+    one of the weighted revlex orders of the saturation steps."""
     rng = random.Random(19)
     for trial in range(40):
         h = rng.choice([3, 4])
@@ -246,15 +254,88 @@ def test_pair_criteria_match_reference_buchberger():
             u, v = (tuple(rng.randint(0, 3) for _ in range(h)) for _ in "uv")
             if u != v:
                 gens.append(Binomial(u, v))
+        yield gens, _revlex_key(tuple(rng.randint(1, 3) for _ in range(h)), trial % h)
+
+
+def test_pair_criteria_match_reference_buchberger():
+    # a criterion that drops a pair the basis needs leaves a different reduced basis
+    for gens, key in random_binomial_ideals():
         pairs = [(b.lead, b.trail) for b in gens]
         for kind in ("grlex", "grevlex"):
             got = pf.buchberger_reduced(gens, pf.OrderSpec(kind)).elements
             expected = reference_reduced_basis(pairs, pf.OrderSpec(kind).key)
             assert [(b.lead, b.trail) for b in got] == expected, (gens, kind)
-        # the weighted revlex orders of the saturation steps
-        key = _revlex_key(tuple(rng.randint(1, 3) for _ in range(h)), trial % h)
         got = _interreduce(_buchberger(gens, key), key)
         assert [(b.lead, b.trail) for b in got] == reference_reduced_basis(pairs, key), gens
+
+
+def test_scaled_exponents_scale_the_basis():
+    # x_i -> x_i^c maps every step of a run to a step of the scaled run, so
+    # the scaled ideal's reduced basis is the scaled basis; c has low and high
+    # bits, so packed sums and differences borrow and carry inside each field
+    c = 2**40 + 3
+
+    def scaled(basis):
+        return [(tuple(c * e for e in b.lead), tuple(c * e for e in b.trail)) for b in basis]
+
+    def pairs(basis):
+        return [(b.lead, b.trail) for b in basis]
+
+    for gens, key in random_binomial_ideals():
+        big = [Binomial(*b) for b in scaled(gens)]
+        for kind in ("grlex", "grevlex"):
+            order = pf.OrderSpec(kind)
+            assert pairs(pf.buchberger_reduced(big, order).elements) == scaled(pf.buchberger_reduced(gens, order).elements)
+        assert pairs(_interreduce(_buchberger(big, key), key)) == scaled(_interreduce(_buchberger(gens, key), key))
+
+
+def revlex_reference(weights, last):
+    """Weighted revlex as a tuple key: weighted degree, then -v[last], then
+    the other coordinates from the right, negated."""
+    rest = [j for j in reversed(range(len(weights))) if j != last]
+    return lambda v: (sum(w * e for w, e in zip(weights, v)), -v[last], tuple(-v[j] for j in rest))
+
+
+def test_packed_keys_agree_with_tuple_keys():
+    # packed keys order vectors as the tuple keys do, also with entries near
+    # 2^62 and with ties in the (weighted) degree
+    rng = random.Random(23)
+    cmp = lambda a, b: (a > b) - (a < b)
+    for trial in range(200):
+        h = rng.randint(2, 5)
+        weights = tuple(rng.randint(1, 4) for _ in range(h))
+        last = trial % h
+        refs = [(revlex_reference(weights, last), _revlex_key(weights, last))]
+        refs += [(pf.OrderSpec(kind).key, _graded_key(pf.OrderSpec(kind), h)) for kind in ("grlex", "grevlex")]
+        draw = lambda: tuple(rng.choice([rng.randint(0, 9), 2**62 + rng.randint(-9, 9)]) for _ in range(h))
+        v = draw()
+        i, j = rng.sample(range(h), 2)
+        moved = list(v)
+        moved[i] += weights[j]  # same weighted degree as v
+        moved[j] -= weights[i]
+        # a random vector, a permutation of v (same total degree) and the move
+        for u in (draw(), tuple(rng.sample(v, h)), tuple(moved) if moved[j] >= 0 else draw()):
+            for ref, key in refs:
+                assert cmp(key(u), key(v)) == cmp(ref(u), ref(v)), (u, v, weights, last)
+
+
+def test_buchberger_overflow_guard():
+    # an S-pair, an input and a rewrite whose exponent reaches 2^63 are
+    # refused, not returned
+    with pytest.raises(pf.OverflowGuardError):
+        _graded_key(GRLEX, 2)((2**63, 0))
+    for gens in (
+        [Binomial((2**62, 0, 1), (0, 2**62, 0)), Binomial((0, 2**62, 1), (1, 0, 0))],
+        [Binomial((2**63, 0), (0, 1))],
+        [Binomial((2, 0), (0, 1)), Binomial((2, 2**63 - 1), (0, 0))],
+    ):
+        with pytest.raises(pf.OverflowGuardError):
+            pf.buchberger_reduced(gens, GRLEX)
+    # the S-pair y^(2^63) - x z^(2^62) is irreducible: unchecked, its lead
+    # would read 0 below the guard bit and no later step would notice
+    a = 2**62
+    with pytest.raises(pf.OverflowGuardError):
+        _buchberger([Binomial((0, 0, a + 1), (0, a, 0)), Binomial((0, a, 1), (1, 0, 0))], _graded_key(GRLEX, 3))
 
 
 def test_buchberger_idempotent_cases():

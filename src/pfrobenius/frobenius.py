@@ -15,7 +15,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 
 from .cone import is_fp_finite
 from .core import (
@@ -35,8 +34,8 @@ from .groebner import (
     assert_s_homogeneous,
     buchberger_reduced,
     fiber_size,
+    first_small_fiber,
     in_ideal,
-    standard_monomials,
     toric_ideal_generators,
 )
 
@@ -86,15 +85,31 @@ def candidate_degrees(S: Semigroup, lam: tuple[int, ...], p: int) -> set[tuple[i
     return out
 
 
+def _degree_ranks(S: Semigroup, order: OrderSpec) -> list[int]:
+    """An int K_i per generator a_i such that sum(g_i * K_i) orders exponent
+    vectors g as ``order.key(s_degree(S, g))`` does: sum(a_i) in the top
+    64-bit field, then the a_ij as signed digits, +a_ij in field q-1-j under
+    grlex and -a_ij in field j under grevlex.  The digits of the sum are the
+    S-degree's coordinates, below 2^63 in absolute value, so however they
+    borrow from each other the int order is the key's lexicographic order."""
+    q = S.q
+    if order.kind == "grlex":
+        return [(sum(a) << 64 * q) + sum(c << 64 * (q - 1 - j) for j, c in enumerate(a)) for a in S.generators]
+    return [(sum(a) << 64 * q) - sum(c << 64 * j for j, c in enumerate(a)) for a in S.generators]
+
+
 @functools.lru_cache(maxsize=256)
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
     """F_p(S) for any p >= 1 (p = 0 for q = 1).
 
     Grows the standard monomials of the toric engine's reduced basis G in
-    the box prod [0, p*lambda_i) and scans them by descending S-degree under
-    ``order``; the degree of the first whose fiber holds at most p monomials
-    (``fiber_size``) is F_p(S).  The term order of G only picks the standard
-    monomial of each fiber, and nothing below depends on which:
+    the box prod [0, p*lambda_i), sorts them once by descending S-degree
+    under ``order`` and counts their fibers in that order
+    (``first_small_fiber``); the degree of the first whose fiber holds at
+    most p monomials is F_p(S).  Each monomial is one packed int with its
+    rank, ``_degree_ranks`` summed over its exponents, above its exponent
+    fields.  The term order of G only picks the standard monomial of each
+    fiber, and nothing below depends on which:
     - the box holds every factorization of each n with #Z(n) <= p: were
       gamma_i >= p*lambda_i, the basis element x_i^lambda_i - x^beta has beta
       free of x_i (the monomials of a reduced toric basis element are
@@ -104,9 +119,10 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
       the first hit is the maximum (0 always qualifies);
     - at p = 1 a fiber is a single point exactly when no trail divides its
       standard monomial: the staircase of the basis monomials;
-    - the growth (``standard_monomials``) finds them all: a divisor of a
-      standard monomial is standard, so lowering the last nonzero coordinate
-      gives each one a unique standard parent, and each is reached once.
+    - the growth finds them all, each once: a divisor of a standard monomial
+      is standard, so the standard monomials with support in x_0 .. x_i are
+      those with support in x_0 .. x_{i-1} times the powers of x_i that keep
+      them standard, and those powers stop at the first non-standard one.
 
     Cached: the result is deterministic in (S, p, order), and a gluing asks
     for the same F_p(S) twice, once for the bound and once for the verdict.
@@ -121,18 +137,9 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
         return INFINITE
     G = GroebnerBasis(toric_ideal_generators(S))
     top = tuple(checked(p * b) for b in lambda_bounds(S, G))
-    # total degree, the first key of a graded order, is linear in g: bucket
-    # by it and sort only the buckets the scan reaches
-    weights = [sum(a) for a in S.generators]
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for g in standard_monomials(G, top):
-        buckets.setdefault(sum(map(operator.mul, weights, g)), []).append(g)
-    best = next(
-        g
-        for d in sorted(buckets, reverse=True)
-        for g in sorted(buckets[d], key=lambda g: order.key(s_degree(S, g)), reverse=True)
-        if fiber_size(g, G, p + 1) <= p
-    )
+    for j in range(S.q):  # the rank's digits are the S-degree coordinates of the box
+        checked(sum((t - 1) * a[j] for t, a in zip(top, S.generators)))
+    best = first_small_fiber(G, top, _degree_ranks(S, order), p + 1)
     return FrobeniusResult.finite(s_degree(S, best))
 
 

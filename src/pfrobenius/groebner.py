@@ -15,14 +15,17 @@ basis is size-reduced, and then the variables on which it is sign-consistent
 need no saturation step (see ``toric_ideal_generators``); the others are
 saturated one at a time.
 
-Inside ``_buchberger`` and ``_interreduce`` an exponent vector is one int
-(Bachmann & Schoenemann, "Monomial representations for Groebner bases
-computations", ISSAC 1998): a 64-bit field per variable, 63 value bits under
-a guard bit, the variable the order compares first highest, and the weighted
-degree above them all.  Packing is linear, so a rewrite is one addition;
-divisibility, lcm and the coprime test read the guard bits of one
-subtraction.  A guard bit that an input, an S-pair or a rewrite sets raises
-OverflowGuardError.  Every other function here works on tuples.
+Inside the engine an exponent vector is one int (Bachmann & Schoenemann,
+"Monomial representations for Groebner bases computations", ISSAC 1998): a
+64-bit field per variable, 63 value bits under a guard bit, the variable the
+order compares first highest, and the weighted degree above them all.
+Packing is linear, so a rewrite is one addition; divisibility, lcm and the
+coprime test read the guard bits of one subtraction.  A guard bit that an
+input, an S-pair or a rewrite sets raises OverflowGuardError.  Past the
+basis, normal forms, fiber counts and the growth of the standard monomials
+run on the same fields with no degree above them, or, in
+``first_small_fiber``, with a linear rank there instead; only the public
+functions' inputs and outputs are tuples.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import functools
 import heapq
 import itertools
 from dataclasses import dataclass
-from operator import add, le, lshift, mul, sub
+from operator import lshift, mul, sub
 
 from .core import INT64_MAX, OrderSpec, OverflowGuardError, Semigroup, ValidationError, checked, s_degree
 
@@ -53,19 +56,6 @@ class GroebnerBasis:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def _reduce_monomial(m: tuple[int, ...], basis) -> tuple[int, ...]:
-    """Rewrite m by lead -> trail until no lead divides; strictly decreasing."""
-    changed = True
-    while changed:
-        changed = False
-        for b in basis:
-            if all(map(le, b.lead, m)):
-                m = tuple(map(add, map(sub, m, b.lead), b.trail))
-                changed = True
-                break
-    return m
 
 
 class _Order:
@@ -284,8 +274,9 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     raises all C-exponents or lowers them.  A path from x^v to x^u can take
     the raising moves first, so each C-exponent rises, then falls, and never
     drops below min(u_j, v_j); a large enough power of the variables outside
-    C keeps the others non-negative.  Column 0 is always in C and x_{h-1}
-    never is, so the last step and its order are fixed.
+    C keeps the others non-negative.  Every variable outside C is saturated,
+    whichever they are; x_{h-1} is never in C, so the last step and its
+    order are fixed.
     """
     weights = tuple(sum(a) for a in S.generators)
     kernel = _kernel_basis(S)
@@ -295,7 +286,7 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
         if all(min(v[j] for j in cols) >= 0 or max(v[j] for j in cols) <= 0 for v in kernel):
             skip.append(c)
     basis = [Binomial(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in kernel]
-    for s in (s for s in range(1, S.h) if s not in skip):
+    for s in (s for s in range(S.h) if s not in skip):
         basis = [
             Binomial(*(m[:s] + (m[s] - min(b.lead[s], b.trail[s]),) + m[s + 1 :] for m in (b.lead, b.trail)))
             for b in _buchberger(basis, _revlex_key(weights, s))
@@ -313,9 +304,70 @@ def reduced_basis(S: Semigroup, order: OrderSpec) -> GroebnerBasis:
     return buchberger_reduced(toric_ideal_generators(S), order)
 
 
+def _packed(G: GroebnerBasis, h: int) -> tuple[_Order, list[int], list[int]]:
+    """A layout of h fields with x_0 highest and no degree above them, and
+    the leads and trails of G packed in it: divisibility and addition do not
+    depend on the layout."""
+    key = _Order((0,) * h, range(h), 1)
+    return key, [key.pack(b.lead) for b in G.elements], [key.pack(b.trail) for b in G.elements]
+
+
+def _fiber(u: int, trails: list[int], ups: list[int], guard: int, cap: int) -> int:
+    """min(#monomials of the fiber of the packed standard monomial u, cap):
+    reverse rewrites u -> u - trail + lead (``ups``) reach the whole fiber."""
+    seen, stack = {u}, [u]
+    while stack:
+        u = stack.pop()
+        ug = u | guard
+        for trail, up in zip(trails, ups):
+            if (ug - trail) & guard == guard:
+                v = u + up
+                if v & guard:
+                    raise OverflowGuardError("a rewrite left the 63-bit exponent fields")
+                if v not in seen:
+                    seen.add(v)
+                    if len(seen) >= cap:
+                        return cap
+                    stack.append(v)
+    return min(len(seen), cap)
+
+
+def _grow(leads: list[int], top: tuple[int, ...], key: _Order, units: list[int]) -> list[int]:
+    """The packed standard monomials of prod [0, top_i), grown from 0 one
+    variable at a time: at step i each monomial found so far, free of x_i,
+    is raised by ``units[i]`` (the field of x_i plus 1, and anything above
+    the fields) while no lead divides it.  A lead that divides the child c
+    of a standard monomial has lead_i = c_i, so only those leads are tried."""
+    guard = key.guard
+    grown = [0] if all(top) else []
+    for i, s in enumerate(key.shifts):
+        at: dict[int, list[int]] = {}  # the leads by their exponent of x_i
+        for lead in leads:
+            at.setdefault(lead >> s & INT64_MAX, []).append(lead)
+        # past the largest such exponent no lead can divide a child
+        unit, n = units[i], top[i]
+        rows = [at.get(e, ()) for e in range(1, min(n, max(at, default=0) + 1))]
+        for c in grown[:]:
+            for row in rows:
+                c += unit
+                cg = c | guard
+                for lead in row:
+                    if (cg - lead) & guard == guard:
+                        break
+                else:
+                    grown.append(c)
+                    continue
+                break
+            else:
+                grown.extend(range(c + unit, c + (n - len(rows)) * unit, unit))
+    return grown
+
+
 def normal_form(m: tuple[int, ...], G: GroebnerBasis) -> tuple[int, ...]:
-    """Unique normal form of the monomial X^m modulo the reduced basis G."""
-    return _reduce_monomial(tuple(m), G.elements)
+    """Unique normal form of the monomial X^m modulo the Groebner basis G.
+    An exponent past 2^63 - 1, given or reached, raises OverflowGuardError."""
+    key, leads, trails = _packed(G, len(m))
+    return key.unpack(_reduce(key.pack(tuple(m)), leads, list(map(sub, trails, leads)), key.guard))
 
 
 def fiber_size(m: tuple[int, ...], G: GroebnerBasis, cap: int) -> int:
@@ -323,36 +375,32 @@ def fiber_size(m: tuple[int, ...], G: GroebnerBasis, cap: int) -> int:
     semigroup ideal.  Every monomial of a fiber rewrites to its one standard
     monomial, the normal form (Sturmfels, Groebner Bases and Convex Polytopes,
     1996), so reverse rewrites u -> u - trail + lead reach the whole fiber."""
-    start = normal_form(m, G)
-    seen, stack = {start}, [start]
-    while stack and len(seen) < cap:
-        u = stack.pop()
-        for b in G.elements:
-            if all(map(le, b.trail, u)):
-                v = tuple(map(add, map(sub, u, b.trail), b.lead))
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return min(len(seen), cap)
+    key, leads, trails = _packed(G, len(m))
+    u = _reduce(key.pack(tuple(m)), leads, list(map(sub, trails, leads)), key.guard)
+    return _fiber(u, trails, list(map(sub, leads, trails)), key.guard, cap)
 
 
 def standard_monomials(G: GroebnerBasis, top: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The monomials of prod [0, top_i) that no lead of G divides, grown from 0
-    as an order ideal: g steps +1 in each coordinate i at or after its last
-    nonzero one, and a lead that divides such a child c but not g has
-    lead_i = c_i (proof of completeness in ``frobenius.fp_general``)."""
-    leads_at: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for b in G.elements:
-        for i, e in enumerate(b.lead):
-            leads_at.setdefault((i, e), []).append(b.lead)
-    grown = [((0,) * len(top), 0)] if all(top) else []
-    for g, last in grown:  # the list grows while it is read
-        for i in range(last, len(top)):
-            if g[i] + 1 < top[i]:
-                c = g[:i] + (g[i] + 1,) + g[i + 1 :]
-                if not any(all(map(le, lead, c)) for lead in leads_at.get((i, c[i]), ())):
-                    grown.append((c, i))
-    return [g for g, _ in grown]
+    """The monomials of prod [0, top_i) that no lead of G divides, each once
+    (proof of completeness in ``frobenius.fp_general``)."""
+    key, leads, _ = _packed(G, len(top))
+    return [key.unpack(m) for m in _grow(leads, top, key, [1 << s for s in key.shifts])]
+
+
+def first_small_fiber(G: GroebnerBasis, top: tuple[int, ...], ranks: list[int], cap: int) -> tuple[int, ...]:
+    """The standard monomial g of prod [0, top_i) whose fiber holds fewer than
+    cap monomials and that comes first by descending sum(g_i * ranks_i), G a
+    reduced basis of the semigroup ideal; ties go to the larger g under lex.
+
+    Each grown monomial is one int, its rank above its exponent fields, so a
+    child's is its parent's plus one precomputed unit, and one descending
+    sort of the ints orders the scan.  A standard monomial is its own normal
+    form, so its fiber is counted from it directly."""
+    key, leads, trails = _packed(G, len(top))
+    grown = _grow(leads, top, key, [(r << key.top) + (1 << s) for r, s in zip(ranks, key.shifts)])
+    grown.sort(reverse=True)
+    ups, fields = list(map(sub, leads, trails)), (1 << key.top) - 1
+    return key.unpack(next(m for m in grown if _fiber(m & fields, trails, ups, key.guard, cap) < cap))
 
 
 def in_ideal(b: Binomial, G: GroebnerBasis) -> bool:

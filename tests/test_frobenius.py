@@ -2,16 +2,25 @@ from __future__ import annotations
 
 import random
 from math import gcd
+from operator import le
 
 import pytest
 
 import pfrobenius as pf
-from pfrobenius.groebner import Binomial
+from pfrobenius.frobenius import _degree_ranks
+from pfrobenius.groebner import Binomial, GroebnerBasis
 from pfrobenius.oracle import _direct_lambda
 from conftest import f0_certified, random_finite_semigroup, random_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
 GREVLEX = pf.OrderSpec("grevlex")
+Q3 = ((4, 0, 0), (7, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (4, 1, 1))
+NAMED_H6 = ((5, 0), (7, 0), (0, 4), (0, 9), (2, 3), (3, 1))
+BOX_SCAN = (
+    ((3, 0), (4, 0), (0, 5), (0, 6), (1, 1)),
+    ((2, 0), (3, 0), (0, 2), (0, 3), (1, 2)),
+    ((2, 0), (3, 0), (0, 2), (0, 3), (2, 1)),
+)
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +106,15 @@ def test_fp_general_box_corner_overflow_guard(example_S):
     pf.fp_general.cache_clear()
     with pytest.raises(pf.OverflowGuardError):
         pf.fp_general(example_S, 2**62)
+
+
+def test_fp_general_box_degree_overflow_guard():
+    # the box corner p * lambda fits, but its S-degree leaves the 64-bit range
+    c = 2**61
+    S = pf.Semigroup(2, ((2 * c, 0), (3 * c, 0), (0, 2 * c), (0, 3 * c), (c, c)))
+    for order in (GRLEX, GREVLEX):
+        with pytest.raises(pf.OverflowGuardError):
+            pf.fp_general(S, 1, order)
 
 
 def test_fp_general_23():
@@ -451,3 +469,100 @@ def test_finiteness_verdict_invariance():
             for order in (GRLEX, GREVLEX)
         }
         assert len(verdicts) == 1
+
+
+def tuple_scan_reference(S: pf.Semigroup, p: int, order: pf.OrderSpec) -> pf.FrobeniusResult:
+    """F_p(S) by the scan on tuples: the standard monomials of the toric basis
+    grown in prod [0, p*lambda_i) (each child c of g raises a coordinate i at
+    or after g's last nonzero one, and only leads with lead_i = c_i can
+    divide c but not g), bucketed by total degree, each bucket sorted
+    by order.key(s_degree) when the scan reaches it, and each fiber counted
+    by tuple reverse rewrites u -> u - trail + lead."""
+    G = GroebnerBasis(pf.toric_ideal_generators(S))
+    top = tuple(p * b for b in pf.lambda_bounds(S, G))
+    leads_at: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    for b in G.elements:
+        for i, e in enumerate(b.lead):
+            leads_at.setdefault((i, e), []).append(b.lead)
+    grown = [((0,) * S.h, 0)]
+    for g, last in grown:  # the list grows while it is read
+        for i in range(last, S.h):
+            c = g[:i] + (g[i] + 1,) + g[i + 1 :]
+            if c[i] < top[i] and not any(all(map(le, lead, c)) for lead in leads_at.get((i, c[i]), ())):
+                grown.append((c, i))
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for g, _ in grown:
+        buckets.setdefault(sum(pf.s_degree(S, g)), []).append(g)
+
+    def fiber(u):
+        seen, stack = {u}, [u]
+        while stack and len(seen) <= p:
+            u = stack.pop()
+            for b in G.elements:
+                if all(map(le, b.trail, u)):
+                    v = tuple(x - t + l for x, t, l in zip(u, b.trail, b.lead))
+                    if v not in seen:
+                        seen.add(v)
+                        stack.append(v)
+        return len(seen)
+
+    for d in sorted(buckets, reverse=True):
+        for g in sorted(buckets[d], key=lambda g: order.key(pf.s_degree(S, g)), reverse=True):
+            if fiber(g) <= p:
+                return pf.FrobeniusResult.finite(pf.s_degree(S, g))
+    raise AssertionError("0 always has a fiber of one")
+
+
+def test_fp_general_matches_tuple_scan_random_family():
+    # seed 37: q = 1, 2, 3 in turn, up to 7 generators, both orders, p = 1..3
+    # (q = 3 at p <= 2: the tuple scan takes up to 6 s at p = 3)
+    rng = random.Random(37)
+    for trial in range(12):
+        S = random_finite_semigroup(rng, trial % 3 + 1)
+        for p in (1, 2, 3) if S.q < 3 else (1, 2):
+            for order in (GRLEX, GREVLEX):
+                assert pf.fp_general(S, p, order) == tuple_scan_reference(S, p, order), (S, p, order)
+
+
+@pytest.mark.parametrize("gens, p", [(g, 2) for g in BOX_SCAN] + [(NAMED_H6, 3)])
+def test_fp_general_matches_tuple_scan_named(gens, p):
+    S = pf.Semigroup(2, gens)
+    for order in (GRLEX, GREVLEX):
+        assert pf.fp_general(S, p, order) == tuple_scan_reference(S, p, order), order
+
+
+def test_degree_ranks_order_as_tuple_keys():
+    # sum(g_i * K_i) orders g as order.key(s_degree(S, g)), also with
+    # S-degree coordinates near 2^62, where the signed digits borrow from
+    # each other, and with ties in the total degree
+    rng = random.Random(41)
+    cmp = lambda a, b: (a > b) - (a < b)
+    for trial in range(300):
+        q = trial % 3 + 1
+        units = [tuple(int(i == j) for j in range(q)) for i in range(q)]
+        extra = {tuple(rng.choice([rng.randint(0, 9), 2**60 + rng.randint(0, 9)]) for _ in range(q)) for _ in range(2)}
+        S = pf.Semigroup(q, tuple(units) + tuple(e for e in extra - set(units) if any(e)))
+        near = lambda: rng.choice([rng.randint(0, 9), 2**62 + rng.randint(-9, 9)])
+        g = [near() for _ in range(q)] + [rng.randint(0, 1) for _ in range(S.h - q)]
+        i, j = rng.randrange(q), rng.randrange(q)
+        moved = list(g)
+        moved[i] += 1
+        moved[j] -= 1
+        swapped = rng.sample(g[:q], q) + g[q:]  # the same total degree
+        others = [[near() for _ in range(q)] + g[q:], swapped, moved if moved[j] >= 0 else swapped]
+        for order in (GRLEX, GREVLEX):
+            ranks = _degree_ranks(S, order)
+            key = lambda g: order.key(pf.s_degree(S, g))
+            rank = lambda g: sum(c * r for c, r in zip(g, ranks))
+            for u in others:
+                assert cmp(rank(u), rank(g)) == cmp(key(u), key(g)), (S, order, u, g)
+
+
+def test_fp_general_q3_p1():
+    # the q = 3 semigroup with an interior generator, which no bench workload
+    # has; p = 2 ((21, 45, 93), several seconds in the oracle) runs in CI
+    S = pf.Semigroup(3, Q3)
+    expected = pf.FrobeniusResult.finite((21, 45, 58))
+    assert pf.oracle_fp(S, 1, GRLEX).result == expected
+    for order in (GRLEX, GREVLEX):
+        assert pf.fp_general(S, 1, order) == expected

@@ -338,6 +338,26 @@ def test_buchberger_overflow_guard():
         _buchberger([Binomial((0, 0, a + 1), (0, a, 0)), Binomial((0, a, 1), (1, 0, 0))], _graded_key(GRLEX, 3))
 
 
+def test_past_basis_overflow_guard():
+    # normal forms, fiber counts and membership rewrite on guarded fields: an
+    # exponent past 2^63 - 1, given or reached by a rewrite, raises
+    G = pf.buchberger_reduced([Binomial((3, 0), (0, 2))], GRLEX)
+    big = (3, 2**63 - 1)  # x1^3 -> x2^2 reaches x2^(2^63 + 1)
+    for call in (
+        lambda: pf.normal_form(big, G),
+        lambda: pf.normal_form((2**63, 0), G),
+        lambda: pf.groebner.fiber_size(big, G, 2),
+        lambda: pf.groebner.in_ideal(Binomial(big, (0, 0)), G),
+    ):
+        with pytest.raises(pf.OverflowGuardError):
+            call()
+    # a standard monomial whose reverse rewrite x3^2 -> x1*x2 overflows
+    H = pf.buchberger_reduced([Binomial((1, 1, 0), (0, 0, 2))], GRLEX)
+    assert pf.normal_form((2**63 - 1, 0, 2), H) == (2**63 - 1, 0, 2)
+    with pytest.raises(pf.OverflowGuardError):
+        pf.groebner.fiber_size((2**63 - 1, 0, 2), H, 3)
+
+
 def test_buchberger_idempotent_cases():
     b = Binomial((3, 0), (0, 2))
     G = pf.buchberger_reduced([b], GRLEX)

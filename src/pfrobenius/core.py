@@ -155,14 +155,14 @@ def minimalize_generators(gens, q: int | None = None) -> Semigroup:
             seen.add(pt)
             deduped.append(pt)
     gens = deduped
-    # a zero vector is refused by every Semigroup built below
-    if len(gens) > 1:
-        # S is positive: a generator lies in <others> iff it is no atom, and the atoms generate S
-        gens = [
-            g
-            for i, g in enumerate(gens)
-            if not factorization.contains(Semigroup(q, tuple(gens[:i] + gens[i + 1 :])), g)
-        ]
+    if not all(map(any, gens)):
+        raise ValidationError("zero vector cannot be a generator")
+    # S is positive: a generator lies in <others> iff it is no atom, and the atoms generate S
+    gens = [
+        g
+        for i, g in enumerate(gens)
+        if not factorization.factor_tuples(gens[:i] + gens[i + 1 :], g, 1)
+    ]
     return Semigroup(q, tuple(gens))
 
 

@@ -56,16 +56,22 @@ def _search(gens, closes, idx, residual, prefix, out, cap):
             return
 
 
-def _factor(S: Semigroup, n, cap: int | None) -> list[tuple[int, ...]]:
-    """Up to cap factorizations of n (all if cap is None), in generator order."""
-    n = _as_point(n, S.q)
-    order, closes = _plan(S.generators)
-    if any(c and not any(g[j] for g in S.generators) for j, c in enumerate(n)):
+def factor_tuples(gens, n, cap: int | None) -> list[tuple[int, ...]]:
+    """Up to cap factorizations of n over the plain tuples gens (all if cap
+    is None), in generator order.  Nothing is checked: n must be a point of
+    the generators' dimension."""
+    if any(c and not any(g[j] for g in gens) for j, c in enumerate(n)):
         return []  # a coordinate no generator touches
+    order, closes = _plan(gens)
     out: list[tuple[int, ...]] = []
-    _search([S.generators[i] for i in order], closes, 0, n, [], out, cap)
+    _search([gens[i] for i in order], closes, 0, n, [], out, cap)
     position = sorted(range(len(order)), key=order.__getitem__)
     return [tuple(lam[s] for s in position) for lam in out]
+
+
+def _factor(S: Semigroup, n, cap: int | None) -> list[tuple[int, ...]]:
+    """Up to cap factorizations of n (all if cap is None), in generator order."""
+    return factor_tuples(S.generators, _as_point(n, S.q), cap)
 
 
 def factorizations(S: Semigroup, n) -> frozenset[tuple[int, ...]]:

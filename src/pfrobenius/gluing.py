@@ -3,6 +3,7 @@ bound d*F_p(S) + (d-1)*gamma, and the exact equality criterion."""
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from math import gcd
 
@@ -35,7 +36,14 @@ class GluingSpec:
             )
 
 
+@functools.lru_cache(maxsize=256)
 def validate_gluing(S: Semigroup, spec: GluingSpec) -> None:
+    """Raise ValidationError unless gamma is a non-generator element of S.
+
+    Cached, so the public functions below each validate for a direct caller
+    while a command that calls several of them runs the membership search
+    once; a failure raises anew on every call.
+    """
     if len(spec.gamma) != S.q:
         raise ValidationError("gamma dimension does not match the semigroup")
     if spec.gamma in S.generators:

@@ -1,9 +1,10 @@
 """Brute-force reference implementations, deliberately independent of the
 Groebner engine: factorizations are counted by a coin-counting dynamic
 program over a flat grid of points (no depth-first search, no normal forms,
-no bases), and each generator's multiplier bound is read off one grid of the
-other generators.  In any disagreement with the optimized algorithms, these
-routines are trusted.
+no bases), each generator's multiplier bound is read off a grid of the other
+generators on its support, and F_p is read off one grid over the tight box.
+In any disagreement with the optimized algorithms, these routines are
+trusted.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from itertools import accumulate
 from math import gcd, prod
 from operator import add
 
-from .cone import is_fp_finite
+from .cone import is_fp_finite, primitive_direction
 from .core import FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_point, checked
 
 
@@ -72,13 +73,31 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
 
 
 def _direct_lambda(S: Semigroup, cap=10_000, budget=_Budget(None)) -> tuple[int, ...]:
-    """Smallest multiplier per generator whose multiple avoids that generator:
-    one grid of the other generators up to top*a_k holds every j*a_k,
-    j <= top, and top doubles until one of them is reached."""
+    """Smallest multiplier per generator whose multiple avoids that generator.
+
+    A multiple j*a_k is a sum of those other generators whose support lies in
+    a_k's, so the grid spans only a_k's support and holds them projected onto
+    it: an axis generator gets one row.  One grid up to top*a_k holds every
+    j*a_k, j <= top, and top doubles until one of them is reached.  It starts
+    at the multiplier a generator on the ray of a_k guarantees: with
+    a_k = g_k*d and a_m = g_m*d, (g_m / gcd(g_k, g_m))*a_k lies in <a_m>, so
+    that first grid holds a hit.
+    """
     out = []
     for k, a in enumerate(S.generators):
-        others = [g for i, g in enumerate(S.generators) if i != k]
-        top, hit = 1, None
+        support = [j for j, c in enumerate(a) if c]
+        outside = [j for j, c in enumerate(a) if not c]
+        a = tuple(a[j] for j in support)
+        others = [
+            tuple(g[j] for j in support)
+            for i, g in enumerate(S.generators)
+            if i != k and not any(g[j] for j in outside)
+        ]
+        d = primitive_direction(a)
+        gk = a[0] // d[0]  # a is positive on its support
+        ray = [g[0] // d[0] for g in others if primitive_direction(g) == d]
+        top = min([gm // gcd(gk, gm) for gm in ray] + [cap]) if ray else 1
+        hit = None
         while hit is None:
             grid_top = tuple(checked(top * c) for c in a)
             ways, strides = _count_grid(others, grid_top, budget)
@@ -103,7 +122,13 @@ def oracle_fp(
     order: OrderSpec = OrderSpec(),
     budget_seconds: float | None = None,
 ) -> OracleReport:
-    """F_p(S) by exhaustive scan of the full candidate box with exact counts."""
+    """F_p(S) by an exact count of every point of one box.
+
+    If a factorization gamma of n has gamma_i >= p*lam_i, n has p + 1
+    distinct ones (see fp_general), so every n with 1 <= #Z_n <= p lies in
+    the box [0, sum((p*lam_i - 1)*a_i)].  F_p is the order-maximum of the
+    points of that box with 0 < #Z_n <= p; 0 is one of them.
+    """
     budget = _Budget(budget_seconds)
     if p < 0:
         raise ValidationError("p must be >= 0")
@@ -112,25 +137,24 @@ def oracle_fp(
     if not is_fp_finite(S):
         raise ValidationError("oracle_fp requires finite F_p; check is_fp_finite")
     lam = _direct_lambda(S, budget=budget)
-    # every term is non-negative, so the top corner bounds every candidate
-    corner = (sum(p * b * a[j] for b, a in zip(lam, S.generators)) for j in range(S.q))
+    corner = (sum((p * b - 1) * a[j] for b, a in zip(lam, S.generators)) for j in range(S.q))
     maxes = tuple(map(checked, corner))
     ways, strides = _count_grid(S.generators, maxes, budget=budget)
-    candidates = {0}  # flat indices of sum(gamma_i a_i), 0 <= gamma_i <= p*lambda_i
-    for b, a in zip(lam, S.generators):
-        step = sum(c * s for c, s in zip(a, strides))
-        candidates = {c + j * step for c in candidates for j in range(p * b + 1)}
     budget.check()
-    hits = [tuple(i // s % (m + 1) for s, m in zip(strides, maxes))
-            for i in candidates if 0 < ways[i] <= p]
-    if not hits:
-        raise RuntimeError("no candidate qualified; inconsistent bounds")
-    best = max(hits, key=order.key)
+    # only the last coordinate moves along a row, so under a graded order the
+    # row's last point with 0 < #Z_n <= p outranks its others
+    qualifies = bytes(map(range(1, p + 1).__contains__, ways))
+    width = maxes[-1] + 1
+    lasts = (qualifies.rfind(1, r, r + width) for r in range(0, len(ways), width))
+    best = max(
+        (tuple(i // s % (m + 1) for s, m in zip(strides, maxes)) for i in lasts if i >= 0),
+        key=order.key,
+    )
     return OracleReport(
         FrobeniusResult.finite(best),
         scanned_bound=sum(maxes),
-        certificate=f"all {len(candidates)} box elements (lambda = {lam}, p = {p}) "
-        "counted exactly",
+        certificate=f"all {len(ways)} points of the box [0, {maxes}] (lambda = {lam}, "
+        f"p = {p}) counted exactly",
     )
 
 

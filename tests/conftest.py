@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
@@ -75,3 +76,39 @@ def f0_certified(gens, f: int) -> bool:
     for n in range(1, len(reach)):
         reach[n] = any(n >= a and reach[n - a] for a in gens)
     return not reach[f] and all(reach[f + 1 :])
+
+
+def criterion6_gluings(rng: random.Random):
+    """30 valid gluing instances, 20 numerical and 10 two-dimensional;
+    acceptance criterion 6 draws them with seed 6."""
+    out = []
+    while len(out) < 20:
+        a = rng.randint(2, 9)
+        b = rng.randint(2, 9)
+        if gcd(a, b) != 1:
+            continue
+        S = pf.numerical(a, b)
+        gamma = (a * rng.randint(1, 3) + b * rng.randint(1, 3),)
+        d = rng.choice([2, 3, 5])
+        if gcd(d, gamma[0]) != 1 or gamma in S.generators:
+            continue
+        out.append((S, pf.GluingSpec(d, gamma)))
+    while len(out) < 30:
+        S = random_finite_semigroup(rng, 2)
+        coeffs = [rng.randint(0, 2) for _ in S.generators]
+        if sum(coeffs) < 2:
+            continue
+        gamma = tuple(
+            sum(c * g[j] for c, g in zip(coeffs, S.generators)) for j in range(2)
+        )
+        d = rng.choice([2, 3])
+        if any(c == 0 for c in gamma):
+            continue
+        if gcd(d, gcd(*gamma)) != 1 or gamma in S.generators:
+            continue
+        try:
+            pf.validate_gluing(S, spec := pf.GluingSpec(d, gamma))
+        except pf.ValidationError:
+            continue
+        out.append((S, spec))
+    return out

@@ -24,7 +24,7 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.oracle import _count_grid, _direct_lambda
-from conftest import EXAMPLE_GENS, random_finite_semigroup, random_semigroup
+from conftest import EXAMPLE_GENS, criterion6_gluings, random_finite_semigroup, random_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
 
@@ -188,47 +188,12 @@ def test_criterion_5_numerical_baselines():
     assert ok
 
 
-def _gen_gluings(rng: random.Random):
-    """30 valid gluing instances, 20 numerical and 10 two-dimensional."""
-    out = []
-    while len(out) < 20:
-        a = rng.randint(2, 9)
-        b = rng.randint(2, 9)
-        if gcd(a, b) != 1:
-            continue
-        S = pf.numerical(a, b)
-        gamma = (a * rng.randint(1, 3) + b * rng.randint(1, 3),)
-        d = rng.choice([2, 3, 5])
-        if gcd(d, gamma[0]) != 1 or gamma in S.generators:
-            continue
-        out.append((S, pf.GluingSpec(d, gamma)))
-    while len(out) < 30:
-        S = random_finite_semigroup(rng, 2)
-        coeffs = [rng.randint(0, 2) for _ in S.generators]
-        if sum(coeffs) < 2:
-            continue
-        gamma = tuple(
-            sum(c * g[j] for c, g in zip(coeffs, S.generators)) for j in range(2)
-        )
-        d = rng.choice([2, 3])
-        if any(c == 0 for c in gamma):
-            continue
-        if gcd(d, gcd(*gamma)) != 1 or gamma in S.generators:
-            continue
-        try:
-            pf.validate_gluing(S, spec := pf.GluingSpec(d, gamma))
-        except pf.ValidationError:
-            continue
-        out.append((S, spec))
-    return out
-
-
 def test_criterion_6_gluing_suite():
     t0 = time.perf_counter()
     rng = random.Random(6)
     ok = True
     checked_verdicts = 0
-    for S, spec in _gen_gluings(rng):
+    for S, spec in criterion6_gluings(rng):
         glued = pf.glue(S, spec)
         if S.q == 1:
             # classical equality for the 0-Frobenius number

@@ -178,6 +178,27 @@ def test_glue(runner, tmp_path):
     assert out["meta"]["glued"]["generators"] == [[6], [8], [15]]
 
 
+def test_glue_validates_once(runner, tmp_path, monkeypatch):
+    # glue, fp_glued_bound and gluing_equality each validate the gluing, and
+    # a glue command calls all three: the membership search runs once
+    calls = []
+
+    def contains(S, n):
+        calls.append(n)
+        return pf.factorization.contains(S, n)
+
+    monkeypatch.setattr(pf.gluing, "contains", contains)
+    pf.validate_gluing.cache_clear()
+    path = write(tmp_path, {"q": 1, "generators": [[3], [4]]})
+    for gamma in ("15", "7"):
+        before = len(calls)
+        _, out = run_json(
+            runner, ["glue", "--input", path, "--d", "2", "--gamma", gamma, "--p", "1", "--verify"]
+        )
+        assert {"verdict", "oracle"} <= out["meta"].keys()
+        assert calls[before:] == [(int(gamma),)]
+
+
 def test_glue_invalid_gamma(runner, tmp_path):
     doc = {"q": 1, "generators": [[3], [4]]}
     res = runner.invoke(

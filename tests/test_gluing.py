@@ -28,6 +28,19 @@ def test_validate_gluing():
     pf.validate_gluing(S, pf.GluingSpec(2, (7,)))
 
 
+def test_public_functions_validate():
+    # validate_gluing caches successes only: a bad gamma fails every time
+    S = pf.numerical(3, 4)
+    bad = pf.GluingSpec(2, (5,))
+    for _ in range(2):
+        with pytest.raises(pf.ValidationError):
+            pf.glue(S, bad)
+        with pytest.raises(pf.ValidationError):
+            pf.fp_glued_bound(S, 1, bad, GRLEX)
+        with pytest.raises(pf.ValidationError):
+            pf.gluing_equality(S, 1, bad, GRLEX)
+
+
 def test_glue_34():
     S = pf.numerical(3, 4)
     glued = pf.glue(S, pf.GluingSpec(2, (15,)))

@@ -1,16 +1,62 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import random
+from math import gcd
+from operator import le
+from pathlib import Path
 
 import pytest
 
 import pfrobenius as pf
-from conftest import f0_certified, random_finite_semigroup
+from conftest import criterion6_gluings, f0_certified, random_finite_semigroup
+from pfrobenius.core import checked
 from pfrobenius.oracle import _Budget, _count_grid, _direct_lambda
 
 GRLEX = pf.OrderSpec("grlex")
 GREVLEX = pf.OrderSpec("grevlex")
+
+
+def reference_direct_lambda(S: pf.Semigroup, cap=10_000, budget=_Budget(None)) -> tuple[int, ...]:
+    """The multiplier search before the support projection and the ray start:
+    one grid of all other generators up to top*a_k, top = 1, 2, 4, ..."""
+    out = []
+    for k, a in enumerate(S.generators):
+        others = [g for i, g in enumerate(S.generators) if i != k]
+        top, hit = 1, None
+        while hit is None:
+            grid_top = tuple(checked(top * c) for c in a)
+            ways, strides = _count_grid(others, grid_top, budget)
+            step = sum(c * s for c, s in zip(a, strides))
+            hit = next((j for j in range(1, top + 1) if ways[j * step]), None)
+            if hit is None and top == cap:
+                raise RuntimeError(f"no own-free multiple of generator {k} up to {cap}")
+            top = min(2 * top, cap)
+        out.append(hit)
+    return tuple(out)
+
+
+def reference_oracle_fp(S: pf.Semigroup, p: int, order: pf.OrderSpec) -> pf.FrobeniusResult:
+    """F_p(S), p >= 1, the way the oracle found it before the tight box: one
+    grid up to sum(p*lam_i*a_i), read only at the candidate set
+    {sum(gamma_i a_i) : 0 <= gamma_i <= p*lam_i}."""
+    budget = _Budget(None)
+    lam = reference_direct_lambda(S, budget=budget)
+    # every term is non-negative, so the top corner bounds every candidate
+    corner = (sum(p * b * a[j] for b, a in zip(lam, S.generators)) for j in range(S.q))
+    maxes = tuple(map(checked, corner))
+    ways, strides = _count_grid(S.generators, maxes, budget=budget)
+    candidates = {0}  # flat indices of sum(gamma_i a_i), 0 <= gamma_i <= p*lambda_i
+    for b, a in zip(lam, S.generators):
+        step = sum(c * s for c, s in zip(a, strides))
+        candidates = {c + j * step for c in candidates for j in range(p * b + 1)}
+    budget.check()
+    hits = [tuple(i // s % (m + 1) for s, m in zip(strides, maxes))
+            for i in candidates if 0 < ways[i] <= p]
+    if not hits:
+        raise RuntimeError("no candidate qualified; inconsistent bounds")
+    return pf.FrobeniusResult.finite(max(hits, key=order.key))
 
 
 def test_counts_up_to_23():
@@ -154,12 +200,32 @@ def test_count_grid_matches_pointwise_recurrence():
     assert seen == {"zero coordinate", "exceeds maxes", "zero in maxes"}
 
 
+def _parallel_draw(rng: random.Random, q: int) -> pf.Semigroup:
+    """A finite-F_p semigroup with two generators of different gcd on one ray
+    off the axes: two generators on each axis, g1*d and g2*d for a primitive
+    d with at least two nonzero coordinates, and maybe one more generator."""
+    while True:
+        gens = [tuple(v if i == j else 0 for i in range(q)) for j in range(q) for v in rng.sample(range(2, 6), 2)]
+        support = rng.sample(range(q), rng.randint(2, q))
+        d = [rng.randint(1, 3) if j in support else 0 for j in range(q)]
+        d = tuple(c // gcd(*d) for c in d)
+        ray = [tuple(g * c for c in d) for g in rng.sample(range(1, 5), 2)]
+        gens += ray
+        if rng.random() < 0.5:
+            gens.append(tuple(rng.randint(0, 4) for _ in range(q)))
+        S = pf.minimalize_generators([g for g in gens if any(g)], q)
+        if set(ray) <= set(S.generators) and pf.is_fp_finite(S):
+            return S
+
+
 def test_direct_lambda_matches_linear_search():
     # the smallest lam with lam * a_k a sum of the other generators, trying
-    # lam = 1, 2, ... and counting the top corner of a box up to lam * a_k
+    # lam = 1, 2, ... and counting the top corner of a box up to lam * a_k;
+    # the parallel draws start the search at a ray multiplier off the axes
     rng = random.Random(31)
-    for i in range(18):
-        S = random_finite_semigroup(rng, i % 3 + 1)
+    draws = [random_finite_semigroup(rng, i % 3 + 1) for i in range(18)]
+    draws += [_parallel_draw(rng, i % 2 + 2) for i in range(18)]
+    for S in draws:
         linear = []
         for k, a in enumerate(S.generators):
             others = S.generators[:k] + S.generators[k + 1 :]
@@ -170,6 +236,97 @@ def test_direct_lambda_matches_linear_search():
         assert _direct_lambda(S) == tuple(linear), S
 
 
+def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
+    # a generator with another on its ray starts at a multiplier that ray
+    # guarantees, so its first grid holds the hit: here every generator has one
+    grids = []
+
+    def counted(*args):
+        grids.append(args[1])
+        return _count_grid(*args)
+
+    monkeypatch.setattr(pf.oracle, "_count_grid", counted)
+    rng = random.Random(37)
+    draws = [random_finite_semigroup(rng, 1) for _ in range(10)]
+    draws += [
+        pf.Semigroup(2, ((7, 0), (4, 0), (0, 6), (0, 7), (3, 6), (4, 8))),
+        pf.Semigroup(3, ((7, 0, 0), (6, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (10, 10, 5), (4, 4, 2))),
+        pf.Semigroup(3, ((3, 0, 0), (7, 0, 0), (0, 5, 0), (0, 6, 0), (0, 0, 5), (0, 0, 6), (4, 8, 4), (5, 10, 5))),
+    ]
+    for S in draws:
+        assert pf.minimalize_generators(S.generators) == S
+        grids.clear()
+        lam = _direct_lambda(S)
+        assert len(grids) == S.h, S
+        assert lam == reference_direct_lambda(S)
+        # each grid spans only its generator's support
+        assert [len(m) for m in grids] == [sum(map(bool, a)) for a in S.generators]
+
+
 def test_direct_lambda_budget_error(example_S):
     with pytest.raises(pf.OracleBudgetError):
         _direct_lambda(example_S, budget=_Budget(-1.0))
+
+
+def test_oracle_matches_reference():
+    # the tight box, the whole-grid read and the ray start of the multiplier
+    # search give the answers of the candidate-set oracle
+    rng = random.Random(59)
+    for i in range(300):
+        # 165 numerical draws at p = 1, 2, 3; 120 planar ones, 15 of them at
+        # p = 3; 15 with q = 3, one of them at p = 2
+        slot = i % 20
+        if slot < 11:
+            q, ps = 1, (1, 2, 3)
+        elif slot < 19:
+            q, ps = 2, ((1, 1, 2, 1, 2, 1, 2, 3)[slot - 11],)
+        else:
+            q, ps = 3, (1 + (i == 19),)
+        S = random_finite_semigroup(rng, q)
+        assert _direct_lambda(S) == reference_direct_lambda(S), S
+        for p in ps:
+            for order in (GRLEX, GREVLEX):
+                assert pf.oracle_fp(S, p, order).result == reference_oracle_fp(S, p, order), (S, p, order)
+
+
+def test_oracle_matches_reference_on_gluings():
+    for S, spec in criterion6_gluings(random.Random(6)):
+        glued = pf.glue(S, spec)
+        for p in (1, 2) if S.q == 1 else (1,):
+            for order in (GRLEX, GREVLEX):
+                assert pf.oracle_fp(glued, p, order).result == reference_oracle_fp(glued, p, order), (glued, p)
+
+
+def test_few_factorizations_lie_in_tight_box():
+    # a factorization gamma with gamma_i >= p*lam_i gives p + 1 of them, so
+    # every n with 1 <= #Z_n <= p lies within sum((p*lam_i - 1)*a_i); the
+    # counts run over the box up to twice that corner
+    rng = random.Random(53)
+    for i in range(36):
+        q = i % 3 + 1
+        S = random_finite_semigroup(rng, q)
+        lam = _direct_lambda(S)
+        for p in (1, 2, 3) if q < 3 else (1,):
+            corner = tuple(sum((p * b - 1) * a[j] for b, a in zip(lam, S.generators)) for j in range(q))
+            maxes = tuple(2 * c for c in corner)
+            ways, strides = _count_grid(S.generators, maxes)
+            for idx, w in enumerate(ways):
+                if 1 <= w <= p:
+                    n = tuple(idx // s % (m + 1) for s, m in zip(strides, maxes))
+                    assert all(map(le, n, corner)), (S, p, n)
+
+
+def test_oracle_imports_no_engine():
+    # the oracle is the independent reference: the domain types and the cone
+    # gate only, no Groebner, F_p or factorization code
+    tree = ast.parse(Path(pf.oracle.__file__).read_text(encoding="utf-8"))
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            relative.update([node.module] if node.module else (a.name for a in node.names))
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(a.name for a in node.names)
+    assert relative == {"core", "cone"}
+    assert not any(m.split(".")[0] == "pfrobenius" for m in absolute)

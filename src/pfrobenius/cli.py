@@ -3,15 +3,16 @@
 Every subcommand loads a semigroup description from ``--input``, dispatches
 to the library, and prints a single JSON object ``{"result": ..., "meta":
 {...}}``.  Errors exit non-zero with ``{"error": {"code": ..., "message":
-...}}``; an infinite Frobenius vector is a result, never an error.
+...}}``; an infinite Frobenius vector is a result, never an error.  Usage
+errors (unknown command or option, missing or invalid option value) exit 2
+with a message on stderr.
 """
 from __future__ import annotations
 
-import functools
+import argparse
 import json
+import os
 import sys
-
-import click
 
 from . import cone, factorization, frobenius, gluing, groebner, oracle
 from .core import (
@@ -36,7 +37,7 @@ _ERROR_CODES = [
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        click.echo(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload, sort_keys=True))
         return
     # text rendering: one "key: value" line per entry
     def lines(obj, prefix=""):
@@ -47,27 +48,7 @@ def _emit(payload: dict, fmt: str) -> None:
             yield f"{prefix.rstrip('.')}: {obj}"
 
     for line in lines(payload):
-        click.echo(line)
-
-
-def _fail(exc: Exception, code: str, status: int, fmt: str) -> None:
-    _emit({"error": {"code": code, "message": str(exc)}}, fmt)
-    sys.exit(status)
-
-
-def handle_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        fmt = kwargs.get("fmt", "json")
-        try:
-            return fn(*args, **kwargs)
-        except tuple(t for t, _, _ in _ERROR_CODES) as exc:
-            for etype, code, status in _ERROR_CODES:
-                if isinstance(exc, etype):
-                    _fail(exc, code, status, fmt)
-            raise
-
-    return wrapper
+        print(line)
 
 
 def _parse_element(text: str, q: int) -> tuple[int, ...]:
@@ -93,199 +74,197 @@ def _binomial_json(b: groebner.Binomial) -> dict:
     }
 
 
-input_option = click.option(
-    "--input", "input_path", required=True, type=click.Path(exists=True),
-    help="Path to the semigroup JSON file.",
+def _existing_path(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _parser(**kwargs) -> argparse.ArgumentParser:
+    # options are spelled out in full, and --help is the only help flag
+    return argparse.ArgumentParser(add_help=False, allow_abbrev=False, **kwargs)
+
+
+_PARSER = _parser(prog="pfrobenius", description="p-Frobenius vectors of affine semigroups, exactly.")
+_PARSER.add_argument("--help", action="help", help="Show this message and exit.")
+_COMMANDS = _PARSER.add_subparsers(
+    dest="cmd", metavar="COMMAND", required=True, parser_class=_parser
 )
-order_option = click.option(
-    "--order", "order_flag", type=click.Choice(["grlex", "grevlex"]), default=None,
-    help="Override the graded order from the input file.",
-)
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "text"]), default="json",
-    help="Output format.",
-)
+# the options that take a value; see _bind_values
+_VALUED = {"--input", "--format"}
+
+_ORDER = ("--order", dict(dest="order_flag", choices=["grlex", "grevlex"],
+                         help="Override the graded order from the input file."))
+_ELEMENT = ("--element", dict(required=True, help="Comma-separated coordinates."))
+_BUDGET = ("--budget", dict(type=float, help="Oracle budget in seconds."))
 
 
-@click.group()
-def main() -> None:
-    """p-Frobenius vectors of affine semigroups, exactly."""
+def _command(name: str, *options):
+    """Register fn(args) -> payload as subcommand name, with --input,
+    --format and the given (flag, add_argument keywords) options."""
+
+    def register(fn):
+        sub = _COMMANDS.add_parser(name, help=fn.__doc__, description=fn.__doc__)
+        sub.add_argument("--input", dest="input_path", metavar="PATH", required=True,
+                         type=_existing_path, help="Path to the semigroup JSON file.")
+        sub.add_argument("--format", dest="fmt", choices=["json", "text"], default="json",
+                         help="Output format.")
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+            if kwargs.get("action") != "store_true":
+                _VALUED.add(flag)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        sub.set_defaults(run=fn)
+        return fn
+
+    return register
 
 
-@main.command("check-finite")
-@input_option
-@format_option
-@handle_errors
-def check_finite(input_path, fmt) -> None:
+@_command("check-finite")
+def check_finite(args) -> dict:
     """Decide finiteness of F_p(S) for all p >= 1."""
-    S, _ = load_semigroup(input_path)
+    S, _ = load_semigroup(args.input_path)
     rays = sorted(cone.extremal_ray_directions(S))
-    _emit(
-        {
-            "result": cone.is_fp_finite(S),
-            "meta": {"extremal_rays": [list(r) for r in rays]},
-        },
-        fmt,
-    )
+    return {
+        "result": cone.is_fp_finite(S),
+        "meta": {"extremal_rays": [list(r) for r in rays]},
+    }
 
 
-@main.command("groebner")
-@input_option
-@order_option
-@format_option
-@handle_errors
-def groebner_cmd(input_path, order_flag, fmt) -> None:
+@_command("groebner", _ORDER)
+def groebner_cmd(args) -> dict:
     """Reduced Groebner basis of the semigroup ideal."""
-    S, order = _load(input_path, order_flag)
+    S, order = _load(args.input_path, args.order_flag)
     G = groebner.reduced_basis(S, order)
-    _emit(
-        {
-            "result": [_binomial_json(b) for b in G.elements],
-            "meta": {"size": len(G), "order": order.kind},
-        },
-        fmt,
-    )
+    return {
+        "result": [_binomial_json(b) for b in G.elements],
+        "meta": {"size": len(G), "order": order.kind},
+    }
 
 
-@main.command("factorize")
-@input_option
-@order_option
-@format_option
-@click.option("--element", required=True, help="Comma-separated coordinates.")
-@handle_errors
-def factorize(input_path, order_flag, fmt, element) -> None:
+@_command("factorize", _ORDER, _ELEMENT)
+def factorize(args) -> dict:
     """All factorizations of an element over the minimal generators."""
-    S, order = _load(input_path, order_flag)
-    n = _parse_element(element, S.q)
+    S, order = _load(args.input_path, args.order_flag)
+    n = _parse_element(args.element, S.q)
     facs = sorted(factorization.factorizations(S, n), key=order.key, reverse=True)
-    _emit(
-        {"result": [list(f) for f in facs], "meta": {"count": len(facs)}},
-        fmt,
-    )
+    return {"result": [list(f) for f in facs], "meta": {"count": len(facs)}}
 
 
-@main.command("fp")
-@input_option
-@order_option
-@format_option
-@click.option("--p", "p", type=int, required=True)
-@click.option("--verify", is_flag=True, help="Cross-check against the oracle.")
-@click.option("--budget", type=float, default=None, help="Oracle budget in seconds.")
-@handle_errors
-def fp_cmd(input_path, order_flag, fmt, p, verify, budget) -> None:
+@_command(
+    "fp", _ORDER, ("--p", dict(type=int, required=True)),
+    ("--verify", dict(action="store_true", help="Cross-check against the oracle.")), _BUDGET,
+)
+def fp_cmd(args) -> dict:
     """The p-Frobenius vector of the semigroup."""
-    S, order = _load(input_path, order_flag)
-    result = frobenius.fp_general(S, p, order)
+    S, order = _load(args.input_path, args.order_flag)
+    result = frobenius.fp_general(S, args.p, order)
     meta: dict = {"order": order.kind}
-    if verify:
-        report = oracle.oracle_fp(S, p, order, budget_seconds=budget)
+    if args.verify:
+        report = oracle.oracle_fp(S, args.p, order, budget_seconds=args.budget)
         meta["oracle"] = report.result.to_json()
         meta["oracle_agrees"] = report.result == result
-    _emit({"result": result.to_json(), "meta": meta}, fmt)
+    return {"result": result.to_json(), "meta": meta}
 
 
-@main.command("indispensable")
-@input_option
-@format_option
-@handle_errors
-def indispensable(input_path, fmt) -> None:
+@_command("indispensable")
+def indispensable(args) -> dict:
     """Indispensable binomials of the semigroup ideal."""
-    S, _ = load_semigroup(input_path)
+    S, _ = load_semigroup(args.input_path)
     ind = frobenius.indispensable_binomials(S)
-    _emit(
-        {"result": [_binomial_json(b) for b in ind], "meta": {"count": len(ind)}},
-        fmt,
-    )
+    return {"result": [_binomial_json(b) for b in ind], "meta": {"count": len(ind)}}
 
 
-@main.command("nabla")
-@input_option
-@format_option
-@click.option("--element", required=True, help="Comma-separated coordinates.")
-@handle_errors
-def nabla(input_path, fmt, element) -> None:
+@_command("nabla", _ELEMENT)
+def nabla(args) -> dict:
     """Connected components of the factorization complex of an element."""
-    S, _ = load_semigroup(input_path)
-    n = _parse_element(element, S.q)
+    S, _ = load_semigroup(args.input_path)
+    n = _parse_element(args.element, S.q)
     comps = frobenius.nabla_components(S, n)
     comps_json = sorted(
         (sorted((list(f) for f in comp), reverse=True) for comp in comps),
         reverse=True,
     )
-    _emit(
-        {"result": comps_json, "meta": {"components": len(comps)}},
-        fmt,
-    )
+    return {"result": comps_json, "meta": {"components": len(comps)}}
 
 
-@main.command("glue")
-@input_option
-@order_option
-@format_option
-@click.option("--d", "d", type=int, required=True)
-@click.option("--gamma", required=True, help="Comma-separated coordinates.")
-@click.option("--p", "p", type=int, default=1)
-@click.option("--verify", is_flag=True, help="Oracle value of F_p of the gluing.")
-@click.option("--budget", type=float, default=None)
-@handle_errors
-def glue_cmd(input_path, order_flag, fmt, d, gamma, p, verify, budget) -> None:
+@_command(
+    "glue", _ORDER, ("--d", dict(type=int, required=True)),
+    ("--gamma", dict(required=True, help="Comma-separated coordinates.")),
+    ("--p", dict(type=int, default=1)),
+    ("--verify", dict(action="store_true", help="Oracle value of F_p of the gluing.")), _BUDGET,
+)
+def glue_cmd(args) -> dict:
     """Glue with N^q and report the F_p bound and the equality verdict."""
-    S, order = _load(input_path, order_flag)
-    spec = gluing.GluingSpec(d, _parse_element(gamma, S.q))
+    S, order = _load(args.input_path, args.order_flag)
+    p = args.p
+    spec = gluing.GluingSpec(args.d, _parse_element(args.gamma, S.q))
     glued = gluing.glue(S, spec)
     bound = gluing.fp_glued_bound(S, p, spec, order)
     meta: dict = {"glued": semigroup_to_json(glued), "bound": list(bound)}
     if p >= 1:
         meta["verdict"] = gluing.gluing_equality(S, p, spec, order).value
-    if verify:
-        report = oracle.oracle_fp(glued, p, order, budget_seconds=budget)
+    if args.verify:
+        report = oracle.oracle_fp(glued, p, order, budget_seconds=args.budget)
         meta["oracle"] = report.result.to_json()
-    _emit({"result": list(bound), "meta": meta}, fmt)
+    return {"result": list(bound), "meta": meta}
 
 
-@main.command("oracle")
-@input_option
-@order_option
-@format_option
-@click.option("--p", "p", type=int, default=None)
-@click.option("--element", default=None, help="Count factorizations of one element.")
-@click.option("--budget", type=float, default=None)
-@handle_errors
-def oracle_cmd(input_path, order_flag, fmt, p, element, budget) -> None:
+@_command(
+    "oracle", _ORDER, ("--p", dict(type=int)),
+    ("--element", dict(help="Count factorizations of one element.")), _BUDGET,
+)
+def oracle_cmd(args) -> dict:
     """Brute-force reference answers (slow, trusted)."""
-    S, order = _load(input_path, order_flag)
-    if element is not None:
-        n = _parse_element(element, S.q)
-        count = oracle.oracle_count(S, n, budget_seconds=budget)
-        _emit({"result": count, "meta": {"element": list(n)}}, fmt)
-        return
-    if p is None:
+    S, order = _load(args.input_path, args.order_flag)
+    if args.element is not None:
+        n = _parse_element(args.element, S.q)
+        count = oracle.oracle_count(S, n, budget_seconds=args.budget)
+        return {"result": count, "meta": {"element": list(n)}}
+    if args.p is None:
         raise ValidationError("oracle needs --p or --element")
-    report = oracle.oracle_fp(S, p, order, budget_seconds=budget)
-    _emit(
-        {
-            "result": report.result.to_json(),
-            "meta": {
-                "scanned_bound": report.scanned_bound,
-                "certificate": report.certificate,
-            },
+    report = oracle.oracle_fp(S, args.p, order, budget_seconds=args.budget)
+    return {
+        "result": report.result.to_json(),
+        "meta": {
+            "scanned_bound": report.scanned_bound,
+            "certificate": report.certificate,
         },
-        fmt,
-    )
+    }
+
+
+def _bind_values(argv: list[str]) -> list[str]:
+    """Join each valued option to the token after it, as --opt=value: the
+    next token is its value even where it starts with "-" (--gamma -3,4)."""
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in _VALUED and i + 1 < len(argv):
+            i += 1
+            tok = f"{tok}={argv[i]}"
+        out.append(tok)
+        i += 1
+    return out
 
 
 def parse_and_dispatch(argv: list[str]) -> int:
     """Programmatic entry point; returns the process exit status."""
     try:
-        main.main(args=argv, standalone_mode=False)
-    except SystemExit as exc:
+        args = _PARSER.parse_args(_bind_values(argv))
+    except SystemExit as exc:  # a usage error (2) or --help (0)
         return int(exc.code or 0)
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except click.exceptions.Abort:
-        return 1
-    return 0
+    try:
+        payload, status = args.run(args), 0
+    except tuple(t for t, _, _ in _ERROR_CODES) as exc:
+        code, status = next((c, s) for t, c, s in _ERROR_CODES if isinstance(exc, t))
+        payload = {"error": {"code": code, "message": str(exc)}}
+    _emit(payload, args.fmt)
+    return status
+
+
+def main() -> None:
+    """Console entry point."""
+    sys.exit(parse_and_dispatch(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 INT64_MAX = 2**63 - 1
 
@@ -140,30 +141,30 @@ def minimalize_generators(gens, q: int | None = None) -> Semigroup:
     the generator list fixes the variable order of the polynomial ring, so
     callers control it.
     """
-    from . import factorization
-
     gens = [tuple(int(c) for c in g) if not isinstance(g, tuple) else g for g in gens]
     if not gens:
         raise ValidationError("empty generating set")
     if q is None:
         q = len(gens[0])
-    seen: set[tuple[int, ...]] = set()
-    deduped: list[tuple[int, ...]] = []
-    for g in gens:
-        pt = _as_point(g, q)
-        if pt not in seen:
-            seen.add(pt)
-            deduped.append(pt)
-    gens = deduped
+    gens = tuple(dict.fromkeys(_as_point(g, q) for g in gens))
     if not all(map(any, gens)):
         raise ValidationError("zero vector cannot be a generator")
+    return _minimal(gens)
+
+
+@lru_cache(maxsize=256)
+def _minimal(gens: tuple[tuple[int, ...], ...]) -> Semigroup:
+    """The semigroup of the atoms of distinct nonzero generators.  Cached:
+    a file loaded again, or a semigroup glued again, finds its atoms here."""
+    from . import factorization
+
     # S is positive: a generator lies in <others> iff it is no atom, and the atoms generate S
-    gens = [
+    atoms = (
         g
         for i, g in enumerate(gens)
         if not factorization.factor_tuples(gens[:i] + gens[i + 1 :], g, 1)
-    ]
-    return Semigroup(q, tuple(gens))
+    )
+    return Semigroup(len(gens[0]), tuple(atoms))
 
 
 @dataclass(frozen=True)
@@ -215,9 +216,13 @@ def semigroup_from_json(doc: dict) -> tuple[Semigroup, OrderSpec]:
         raw = [tuple(int(c) for c in g) for g in doc["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed semigroup JSON: {exc}") from exc
-    order = OrderSpec(**doc.get("order", {"kind": "grlex"}))
+    try:
+        order = OrderSpec(**doc.get("order", {"kind": "grlex"}))
+    except TypeError as exc:
+        raise ValidationError(f"malformed order in semigroup JSON: {exc}") from exc
     S = minimalize_generators(raw, q)
-    if set(S.generators) != {_as_point(g, q) for g in raw}:
+    # the atoms are a subset of the distinct generators
+    if S.h != len(set(raw)):
         warnings.warn(
             "input generators were not a minimal generating set; minimalized",
             stacklevel=2,
@@ -226,11 +231,13 @@ def semigroup_from_json(doc: dict) -> tuple[Semigroup, OrderSpec]:
 
 
 def load_semigroup(path) -> tuple[Semigroup, OrderSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read semigroup JSON from {path}: {exc}") from exc
     return semigroup_from_json(doc)
 
 

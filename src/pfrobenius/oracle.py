@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, prod
 from operator import add
@@ -36,6 +37,14 @@ class _Budget:
     def check(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise OracleBudgetError("oracle time budget exhausted")
+
+    # a budget bounds a call's time, not its answer: every budget is one
+    # cache key, so _direct_lambda's cache keys on S (and cap) alone
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Budget)
+
+    def __hash__(self) -> int:
+        return 0
 
 
 def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
@@ -72,6 +81,7 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
     return ways, strides
 
 
+@lru_cache(maxsize=256)
 def _direct_lambda(S: Semigroup, cap=10_000, budget=_Budget(None)) -> tuple[int, ...]:
     """Smallest multiplier per generator whose multiple avoids that generator.
 
@@ -81,7 +91,8 @@ def _direct_lambda(S: Semigroup, cap=10_000, budget=_Budget(None)) -> tuple[int,
     j*a_k, j <= top, and top doubles until one of them is reached.  It starts
     at the multiplier a generator on the ray of a_k guarantees: with
     a_k = g_k*d and a_m = g_m*d, (g_m / gcd(g_k, g_m))*a_k lies in <a_m>, so
-    that first grid holds a hit.
+    that first grid holds a hit.  The multipliers do not depend on p, so they
+    are cached per semigroup; a call that raises caches nothing.
     """
     out = []
     for k, a in enumerate(S.generators):

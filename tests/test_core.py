@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,6 +126,18 @@ def test_minimalize_idempotent():
             assert pf.contains(S, g)
 
 
+def test_minimalize_list_and_tuple_input_agree():
+    # the atom test is cached on the deduplicated tuple; the input's container
+    # type, a repeat or a list-valued generator must not change the answer
+    for gens in ([(2,), (3,), (4,)], [(6, 0), (0, 4), (3, 2), (9, 2), (3, 2)]):
+        S = pf.minimalize_generators(gens)
+        assert pf.minimalize_generators(tuple(gens)) == S
+        assert pf.minimalize_generators([list(g) for g in gens]) == S
+        assert pf.minimalize_generators(gens[::-1]).generators == tuple(
+            g for g in dict.fromkeys(gens[::-1]) if g in S.generators
+        )
+
+
 def test_minimalize_rejects_bad_input():
     with pytest.raises(pf.ValidationError):
         pf.minimalize_generators([], 1)
@@ -156,6 +171,16 @@ def test_json_minimalizes_with_warning(tmp_path):
     assert S.generators == ((2,), (3,))
 
 
+def test_json_warning_on_every_load(tmp_path):
+    # the second load of the same file reaches the cached atoms and still warns
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"q": 1, "generators": [[2], [3], [4]]}))
+    for _ in range(2):
+        with pytest.warns(UserWarning):
+            S, _ = pf.load_semigroup(path)
+        assert S.generators == ((2,), (3,))
+
+
 def test_json_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
@@ -166,3 +191,21 @@ def test_json_malformed(tmp_path):
 def test_frobenius_result_json():
     assert pf.INFINITE.to_json() == "infinite"
     assert pf.FrobeniusResult.finite((21, 4)).to_json() == [21, 4]
+
+
+def test_package_imports_stdlib_only():
+    # no runtime dependencies: every module imports the standard library or
+    # its own package, nothing else
+    package = Path(pf.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "pfrobenius", (module.name, name)

@@ -256,6 +256,7 @@ def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
     for S in draws:
         assert pf.minimalize_generators(S.generators) == S
         grids.clear()
+        _direct_lambda.cache_clear()
         lam = _direct_lambda(S)
         assert len(grids) == S.h, S
         assert lam == reference_direct_lambda(S)
@@ -266,6 +267,34 @@ def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
 def test_direct_lambda_budget_error(example_S):
     with pytest.raises(pf.OracleBudgetError):
         _direct_lambda(example_S, budget=_Budget(-1.0))
+
+
+def test_oracle_multipliers_once_per_semigroup(example_S, monkeypatch):
+    # the multipliers do not depend on p: a second call on S at another p
+    # counts only the grid of its box
+    grids = []
+
+    def counted(*args, **kwargs):
+        grids.append(args[1])
+        return _count_grid(*args, **kwargs)
+
+    monkeypatch.setattr(pf.oracle, "_count_grid", counted)
+    _direct_lambda.cache_clear()
+    assert pf.oracle_fp(example_S, 1).result == reference_oracle_fp(example_S, 1, GRLEX)
+    assert len(grids) > 1
+    grids.clear()
+    assert pf.oracle_fp(example_S, 2, GREVLEX).result == reference_oracle_fp(example_S, 2, GREVLEX)
+    assert len(grids) == 1
+
+
+def test_oracle_budget_error_caches_nothing(example_S):
+    _direct_lambda.cache_clear()
+    with pytest.raises(pf.OracleBudgetError):
+        pf.oracle_fp(example_S, 1, budget_seconds=-1.0)
+    assert _direct_lambda.cache_info().currsize == 0
+    # the next call, without a budget, computes the multipliers afresh
+    assert pf.oracle_fp(example_S, 1).result == reference_oracle_fp(example_S, 1, GRLEX)
+    assert _direct_lambda(example_S) == reference_direct_lambda(example_S)
 
 
 def test_oracle_matches_reference():

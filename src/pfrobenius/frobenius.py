@@ -33,6 +33,7 @@ from .groebner import (
     GroebnerBasis,
     assert_s_homogeneous,
     buchberger_reduced,
+    fiber,
     fiber_size,
     first_small_fiber,
     in_ideal,
@@ -143,14 +144,15 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     return FrobeniusResult.finite(s_degree(S, best))
 
 
-def nabla_components(S: Semigroup, m) -> list[frozenset[tuple[int, ...]]]:
-    """Partition of Z_m(S) into connected components of the degree-m complex.
+def _components(Z) -> list[frozenset[tuple[int, ...]]]:
+    """Partition of the factorizations Z of one degree into the connected
+    components of its simplicial complex.
 
     Two factorizations are adjacent when their supports intersect (the
     corresponding monomials share a variable); components of that graph
     coincide with the components of the simplicial complex.
     """
-    Z = sorted(factorizations(S, m))
+    Z = sorted(Z)
     parent = list(range(len(Z)))
 
     def find(i):
@@ -169,14 +171,23 @@ def nabla_components(S: Semigroup, m) -> list[frozenset[tuple[int, ...]]]:
     return [frozenset(c) for c in comps.values()]
 
 
+def nabla_components(S: Semigroup, m) -> list[frozenset[tuple[int, ...]]]:
+    """Partition of Z_m(S) into connected components of the degree-m complex."""
+    return _components(factorizations(S, m))
+
+
 def verify_minimal_ideal_basis(S: Semigroup, B) -> bool:
-    """Check that B is a minimal binomial generating set of the semigroup ideal."""
+    """Check that B is a minimal binomial generating set of the semigroup ideal.
+
+    The factorizations of each degree are the fiber of its first binomial's
+    lead over the toric engine's basis, walked by reverse rewriting."""
     by_degree: dict[tuple[int, ...], list[Binomial]] = {}
     for b in B:
         m = assert_s_homogeneous(S, b)
         by_degree.setdefault(m, []).append(b)
-    for m, bm in by_degree.items():
-        comps = nabla_components(S, m)
+    G = GroebnerBasis(toric_ideal_generators(S))
+    for bm in by_degree.values():
+        comps = _components(fiber(bm[0].lead, G))
         if len(comps) < 2:
             return False
         if len(bm) != len(comps) - 1:
@@ -192,7 +203,7 @@ def verify_minimal_ideal_basis(S: Semigroup, B) -> bool:
             return False
     # B must actually generate: every toric generator reduces to zero mod <B>
     GB = buchberger_reduced(list(B), OrderSpec("grlex"))
-    return all(in_ideal(t, GB) for t in toric_ideal_generators(S))
+    return all(in_ideal(t, GB) for t in G.elements)
 
 
 def indispensable_binomials(S: Semigroup) -> list[Binomial]:

@@ -8,12 +8,12 @@ binomials rewrites single monomials.  General polynomials never appear.
 The semigroup ideal comes from the integer kernel of the generator matrix,
 with no auxiliary variables (Bigatti, La Scala & Robbiano, "Computing toric
 ideals", JSC 27, 1999; Hosten & Sturmfels, GRIN, IPCO 1995).  A basis of the
-kernel lattice L gives the binomials x^{v+} - x^{v-} of the lattice ideal
-I_L, which can be smaller than the semigroup ideal; saturating I_L by the
-product of all variables recovers it, because L is saturated.  The kernel
-basis is size-reduced, and then the variables on which it is sign-consistent
-need no saturation step (see ``toric_ideal_generators``); the others are
-saturated one at a time.
+kernel lattice L gives binomials x^{v+} - x^{v-} whose ideal can be smaller
+than the semigroup ideal; saturating it by the product of all variables
+recovers the semigroup ideal, because L is saturated.  The kernel basis is
+size-reduced, and the variables are saturated one at a time; after every
+step, the binomials found so far decide which of the others need no step
+(see ``toric_ideal_generators``).
 
 Inside the engine an exponent vector is one int (Bachmann & Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998): a
@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from operator import lshift, mul, sub
 
@@ -48,6 +49,9 @@ class Binomial:
     def __post_init__(self) -> None:
         if self.lead == self.trail:
             raise ValidationError("zero binomial (lead == trail)")
+
+
+Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (lead, trail) of a binomial
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ def _reduce(m: int, leads: list[int], deltas: list[int], guard: int) -> int:
             return m
 
 
-def _buchberger(gens: list[Binomial], key: _Order) -> list[Binomial]:
+def _buchberger(gens: list[Pair], key: _Order) -> list[Pair]:
     """A minimal Groebner basis by Buchberger with normal pair selection
     (min-lcm heap) and the Gebauer-Moeller pair update ("A note on the
     Buchberger algorithm for computing Groebner bases", JSC 6, 1988).
@@ -112,7 +116,7 @@ def _buchberger(gens: list[Binomial], key: _Order) -> list[Binomial]:
     coprime-lead pair survive.  An element whose lead a later lead divides
     stops being live: it forms no new pairs but still reduces.  A joining
     lead is reduced, so no earlier lead divides it, and the live elements
-    are a minimal basis; they are returned."""
+    are a minimal basis; they are returned as (lead, trail) pairs."""
     G, V, flip, pack = key.guard, key.values, key.flip, key.pack
     leads: list[int] = []
     deltas: list[int] = []  # trail - lead, packed
@@ -120,19 +124,19 @@ def _buchberger(gens: list[Binomial], key: _Order) -> list[Binomial]:
     live: list[int] = []
     queue: list[tuple[int, int, int]] = []  # (key of the lcm, i, j)
 
-    def lcm(a: int, b: int) -> int:
-        ge = ((a | G) - b) & G
-        ge -= ge >> 63
-        return (a & ge) | (b & (V ^ ge))  # the fields only, no degree
-
     def update(lead: int, trail: int) -> None:
         nonlocal queue, live
         n, nz = len(leads), ((lead & V) + V) & G
+        lcms = []  # the fields of lcm(leads[i], lead), no degree
+        for a in leads:
+            ge = ((a | G) - lead) & G
+            ge -= ge >> 63
+            lcms.append((a & ge) | (lead & (V ^ ge)))
         # the new pairs by lcm: the first live partner, and the lcms of coprime leads
         partner: dict[int, int] = {}
         coprime: set[int] = set()
         for i in live:
-            L = lcm(leads[i], lead)
+            L = lcms[i]
             partner.setdefault(L, i)
             if not nonzero[i] & nz:
                 coprime.add(L)
@@ -149,7 +153,7 @@ def _buchberger(gens: list[Binomial], key: _Order) -> list[Binomial]:
         kept = [(key.with_degree(L) ^ flip, partner[L], n) for L in minimal if L not in coprime]
         for k, i, j in queue:
             L = (k ^ flip) & V
-            if ((L | G) - lead) & G != G or lcm(leads[i], lead) == L or lcm(leads[j], lead) == L:
+            if ((L | G) - lead) & G != G or lcms[i] == L or lcms[j] == L:
                 kept.append((k, i, j))
         queue = kept
         heapq.heapify(queue)
@@ -164,18 +168,18 @@ def _buchberger(gens: list[Binomial], key: _Order) -> list[Binomial]:
         if u != v:
             update(*((u, v) if u ^ flip > v ^ flip else (v, u)))
 
-    for b in gens:
-        join(pack(b.lead), pack(b.trail))
+    for u, v in gens:
+        join(pack(u), pack(v))
     while queue:
         k, i, j = heapq.heappop(queue)
         u, v = (k ^ flip) + deltas[i], (k ^ flip) + deltas[j]
         if (u | v) & G:
             raise OverflowGuardError("an S-pair left the 63-bit exponent fields")
         join(u, v)
-    return [Binomial(key.unpack(leads[i]), key.unpack(leads[i] + deltas[i])) for i in live]
+    return [(key.unpack(leads[i]), key.unpack(leads[i] + deltas[i])) for i in live]
 
 
-def _interreduce(basis: list[Binomial], key: _Order) -> list[Binomial]:
+def _interreduce(basis: list[Pair], key: _Order) -> list[Binomial]:
     """Shrink a Groebner basis to the unique reduced one.
 
     A divisor of a lead always sorts before it under a monomial order, so a
@@ -186,7 +190,7 @@ def _interreduce(basis: list[Binomial], key: _Order) -> list[Binomial]:
     G, flip = key.guard, key.flip
     leads: list[int] = []
     deltas: list[int] = []
-    for kl, kt in sorted({(key(b.lead), key(b.trail)) for b in basis}):
+    for kl, kt in sorted({(key(u), key(v)) for u, v in basis}):
         lead = kl ^ flip
         if not any(((lead | G) - o) & G == G for o in leads):
             leads.append(lead)
@@ -206,8 +210,8 @@ def _graded_key(order: OrderSpec, h: int) -> _Order:
 
 def buchberger_reduced(gens, order: OrderSpec) -> GroebnerBasis:
     """The unique reduced Groebner basis of the binomial ideal gens generate."""
-    gens = list(gens)
-    key = _graded_key(order, len(gens[0].lead) if gens else 0)
+    gens = [(b.lead, b.trail) for b in gens]
+    key = _graded_key(order, len(gens[0][0]) if gens else 0)
     return GroebnerBasis(tuple(_interreduce(_buchberger(gens, key), key)))
 
 
@@ -219,6 +223,7 @@ def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
     A pairwise size-reduction pass (the size-reduction half of LLL) then
     replaces b_i by b_i - r b_j, r the nearest integer to <b_i,b_j>/<b_j,b_j>,
     while that lowers |b_i|^2; the steps are unimodular, so the lattice stays.
+    The squared norms are kept, so a step is built only when it shortens.
     """
     q, h = S.q, S.h
     rows = [list(a) + [int(k == j) for k in range(h)] for j, a in enumerate(S.generators)]
@@ -237,16 +242,17 @@ def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
                 f = rows[i][c] // rows[r][c]
                 rows[i] = [checked(x - f * y) for x, y in zip(rows[i], rows[r])]
     basis = [row[q:] for row in rows[r:]]
+    norms = [sum(map(mul, b, b)) for b in basis]
     shorter = True
     while shorter:
         shorter = False
         for i, j in itertools.permutations(range(len(basis)), 2):
-            bi, bj = basis[i], basis[j]
-            nj = sum(y * y for y in bj)
-            t = (2 * sum(x * y for x, y in zip(bi, bj)) + nj) // (2 * nj)
-            c = [checked(x - t * y) for x, y in zip(bi, bj)]
-            if sum(x * x for x in c) < sum(x * x for x in bi):
-                basis[i], shorter = c, True
+            dot, nj = sum(map(mul, basis[i], basis[j])), norms[j]
+            t = (2 * dot + nj) // (2 * nj)
+            n = norms[i] - 2 * t * dot + t * t * nj  # |b_i - t b_j|^2
+            if n < norms[i]:
+                basis[i] = [checked(x - t * y) for x, y in zip(basis[i], basis[j])]
+                norms[i], shorter = n, True
     return [tuple(b) for b in basis]
 
 
@@ -255,41 +261,90 @@ def _revlex_key(weights: tuple[int, ...], last: int) -> _Order:
     return _Order(weights, [last] + [j for j in reversed(range(len(weights))) if j != last], -1)
 
 
+def _pivots(vectors, stop: dict[int, int] | None = None) -> dict[int, int]:
+    """{column: |pivot|} of an integer row echelon form of the lattice the
+    vectors span.  They depend on the lattice alone: the pivot in column c
+    generates the c-th entries of the lattice vectors that vanish before c.
+    Each vector is inserted by Euclid's steps against the rows of its
+    nonzero columns.  Returns as soon as the pivots equal ``stop``."""
+    rows: dict[int, list[int]] = {}
+    for v in vectors:
+        for c in range(len(v)):
+            if v[c]:
+                r = rows.setdefault(c, v)
+                if r is v:
+                    break
+                while v[c]:
+                    f = r[c] // v[c]
+                    r, v = v, [x - f * y for x, y in zip(r, v)]
+                rows[c] = r
+        if stop is not None and len(rows) == len(stop) and all(abs(rows[c][c]) == p for c, p in stop.items()):
+            return stop
+    return {c: abs(r[c]) for c, r in rows.items()}
+
+
 @functools.lru_cache(maxsize=256)
 def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
-    """The reduced Groebner basis of the semigroup ideal of S under the
+    """The reduced Groebner basis of the semigroup ideal I_A of S under the
     weighted revlex order with x_{h-1} last.
 
-    Starts from the lattice ideal of a kernel basis and saturates it by the
-    variables outside a set C in turn.  Each step is a minimal Groebner basis
-    under a weighted revlex order with x_s last; the weight sum(a_j) is
+    Starts from the ideal of the binomials of a kernel basis of L and
+    saturates it one variable x_s at a time.  Each step is a minimal Groebner
+    basis under a weighted revlex order with x_s last; the weight sum(a_j) is
     positive and makes every lattice binomial homogeneous, so x_s divides a
     basis element exactly as often as it divides its lead, and dividing that
-    power out of any Groebner basis gives one of I : x_s^oo under the same
+    power out of any Groebner basis gives one of J : x_s^oo under the same
     order (Bayer & Stillman).  Only the last step's basis is interreduced.
 
-    The variables of C need no step.  C holds, greedily in index order, the
-    columns 0 .. h-2 on which every kernel basis vector is sign-consistent
-    (all its entries there >= 0 or all <= 0), so every move of a kernel path
-    raises all C-exponents or lowers them.  A path from x^v to x^u can take
-    the raising moves first, so each C-exponent rises, then falls, and never
-    drops below min(u_j, v_j); a large enough power of the variables outside
-    C keeps the others non-negative.  Every variable outside C is saturated,
-    whichever they are; x_{h-1} is never in C, so the last step and its
-    order are fixed.
+    Not every variable needs a step.  Let J be the ideal saturated by the
+    variables done so far, and C a set of the others.  A binomial x^a - x^b
+    of J is usable on C when a - b is sign-consistent on C and gcd(x^a, x^b)
+    involves no variable of C, that is, when a or b involves none.  Lemma: if
+    usable binomials generate L, then I_A is J saturated by the variables
+    outside C and the done set.  For x^u - x^v in I_A, u - v is a sum of
+    their moves m -> m - a + b, and each move raises every C-exponent or
+    lowers every one.  Taking the raising moves first, a C-exponent rises,
+    then falls, and never drops below min(u_j, v_j); a large enough power of
+    the variables outside C covers the other exponents, a shared factor
+    included, and J is already saturated by the done ones.  A shared factor
+    in C would break the path: its exponent can fall below both ends, and a
+    basis that counts such binomials can come out unsaturated.
+
+    The usable binomials are drawn from the kernel basis and every basis
+    computed so far, all of which lie in J.  Whether they generate L is
+    decided by comparing the absolute pivots of an integer echelon form of
+    their exponent differences with those of the kernel basis.  After every
+    step, C is picked again, greedily in index order among the variables not
+    yet done, and the next step saturates the first variable outside C.
+    x_{h-1} is never in C and is always saturated last, so the last step and
+    its order, and with them the returned basis, are fixed.
     """
     weights = tuple(sum(a) for a in S.generators)
-    kernel = _kernel_basis(S)
-    skip: list[int] = []
-    for c in range(S.h - 1):
-        cols = skip + [c]
-        if all(min(v[j] for j in cols) >= 0 or max(v[j] for j in cols) <= 0 for v in kernel):
-            skip.append(c)
-    basis = [Binomial(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in kernel]
-    for s in (s for s in range(S.h) if s not in skip):
+    kernel = [(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in _kernel_basis(S)]
+
+    def moves(pairs: list[Pair]) -> list[tuple[int, int, list[int]]]:
+        """(support of lead, support of trail, lead - trail), supports as bitmasks."""
+        return [
+            (sum(1 << j for j, e in enumerate(u) if e), sum(1 << j for j, e in enumerate(v) if e), list(map(sub, u, v)))
+            for u, v in pairs
+        ]
+
+    pool = moves(kernel)
+    lattice = _pivots(d for _, _, d in pool)
+    basis, todo, s = kernel, list(range(S.h)), -1
+    while s != S.h - 1:
+        if basis is not kernel:
+            pool += moves(basis)
+        free = 0  # C as a bitmask
+        for c in todo[:-1]:
+            C = free | 1 << c
+            if _pivots((d for a, b, d in pool if not a & C or not b & C), lattice) == lattice:
+                free = C
+        s = next(c for c in todo if not free >> c & 1)
+        todo.remove(s)
         basis = [
-            Binomial(*(m[:s] + (m[s] - min(b.lead[s], b.trail[s]),) + m[s + 1 :] for m in (b.lead, b.trail)))
-            for b in _buchberger(basis, _revlex_key(weights, s))
+            (u[:s] + (0,) + u[s + 1 :], v[:s] + (v[s] - u[s],) + v[s + 1 :])
+            for u, v in _buchberger(basis, _revlex_key(weights, s))
         ]
     return tuple(_interreduce(basis, _revlex_key(weights, S.h - 1)))
 
@@ -312,9 +367,10 @@ def _packed(G: GroebnerBasis, h: int) -> tuple[_Order, list[int], list[int]]:
     return key, [key.pack(b.lead) for b in G.elements], [key.pack(b.trail) for b in G.elements]
 
 
-def _fiber(u: int, trails: list[int], ups: list[int], guard: int, cap: int) -> int:
-    """min(#monomials of the fiber of the packed standard monomial u, cap):
-    reverse rewrites u -> u - trail + lead (``ups``) reach the whole fiber."""
+def _fiber(u: int, trails: list[int], ups: list[int], guard: int, cap: float) -> set[int]:
+    """The packed monomials of the fiber of the packed standard monomial u,
+    up to cap of them: reverse rewrites u -> u - trail + lead (``ups``)
+    reach the whole fiber."""
     seen, stack = {u}, [u]
     while stack:
         u = stack.pop()
@@ -327,9 +383,9 @@ def _fiber(u: int, trails: list[int], ups: list[int], guard: int, cap: int) -> i
                 if v not in seen:
                     seen.add(v)
                     if len(seen) >= cap:
-                        return cap
+                        return seen
                     stack.append(v)
-    return min(len(seen), cap)
+    return seen
 
 
 def _grow(leads: list[int], top: tuple[int, ...], key: _Order, units: list[int]) -> list[int]:
@@ -370,14 +426,30 @@ def normal_form(m: tuple[int, ...], G: GroebnerBasis) -> tuple[int, ...]:
     return key.unpack(_reduce(key.pack(tuple(m)), leads, list(map(sub, trails, leads)), key.guard))
 
 
-def fiber_size(m: tuple[int, ...], G: GroebnerBasis, cap: int) -> int:
-    """min(#monomials of the S-degree of X^m, cap), G a reduced basis of the
-    semigroup ideal.  Every monomial of a fiber rewrites to its one standard
-    monomial, the normal form (Sturmfels, Groebner Bases and Convex Polytopes,
-    1996), so reverse rewrites u -> u - trail + lead reach the whole fiber."""
+def _fiber_of(m: tuple[int, ...], G: GroebnerBasis, cap: float) -> tuple[_Order, set[int]]:
+    """The layout of G and up to cap packed monomials of the S-degree of
+    X^m, G a reduced basis of the semigroup ideal.  Every monomial of a
+    fiber rewrites to its one standard monomial, the normal form (Sturmfels,
+    Groebner Bases and Convex Polytopes, 1996), so reverse rewrites
+    u -> u - trail + lead from it reach the whole fiber."""
     key, leads, trails = _packed(G, len(m))
     u = _reduce(key.pack(tuple(m)), leads, list(map(sub, trails, leads)), key.guard)
-    return _fiber(u, trails, list(map(sub, leads, trails)), key.guard, cap)
+    return key, _fiber(u, trails, list(map(sub, leads, trails)), key.guard, cap)
+
+
+def fiber_size(m: tuple[int, ...], G: GroebnerBasis, cap: int) -> int:
+    """min(#monomials of the S-degree of X^m, cap), G a reduced basis of the
+    semigroup ideal."""
+    return min(len(_fiber_of(m, G, cap)[1]), cap)
+
+
+def fiber(m: tuple[int, ...], G: GroebnerBasis) -> frozenset[tuple[int, ...]]:
+    """The monomials of the S-degree of X^m, that is its factorizations, G a
+    reduced basis of the semigroup ideal: about |fiber| * |G| divisibility
+    tests, where a search over the generators' multiplicities can take far
+    longer."""
+    key, seen = _fiber_of(m, G, math.inf)
+    return frozenset(map(key.unpack, seen))
 
 
 def standard_monomials(G: GroebnerBasis, top: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -400,7 +472,7 @@ def first_small_fiber(G: GroebnerBasis, top: tuple[int, ...], ranks: list[int], 
     grown = _grow(leads, top, key, [(r << key.top) + (1 << s) for r, s in zip(ranks, key.shifts)])
     grown.sort(reverse=True)
     ups, fields = list(map(sub, leads, trails)), (1 << key.top) - 1
-    return key.unpack(next(m for m in grown if _fiber(m & fields, trails, ups, key.guard, cap) < cap))
+    return key.unpack(next(m for m in grown if len(_fiber(m & fields, trails, ups, key.guard, cap)) < cap))
 
 
 def in_ideal(b: Binomial, G: GroebnerBasis) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from math import gcd
 from operator import le
 
@@ -202,7 +203,9 @@ def test_fp_general_infinite_random_family():
 
 def test_one_basis_for_both_orders(monkeypatch, example_S):
     # grlex and grevlex count on the toric engine's own reduced basis:
-    # Buchberger runs once per saturation step, and nothing is re-based
+    # Buchberger runs once per saturation step, and nothing is re-based; the
+    # running example saturates x_1, x_3 and x_4: x_0 needs no step, and
+    # after the first one neither does x_2
     calls = {"_buchberger": 0, "reduced_basis": 0}
 
     def counted(name, fn):
@@ -222,7 +225,7 @@ def test_one_basis_for_both_orders(monkeypatch, example_S):
     pf.fp_general.cache_clear()
     for order in (GRLEX, GREVLEX):
         assert pf.fp_general(S, 2, order) == pf.oracle_fp(S, 2, order).result
-    assert calls == {"_buchberger": S.h - 1, "reduced_basis": 0}
+    assert calls == {"_buchberger": 3, "reduced_basis": 0}
 
 
 def test_fp_general_p0():
@@ -292,6 +295,21 @@ def test_verify_minimal_basis_345():
 def test_verify_minimal_basis_rejects_inhomogeneous():
     with pytest.raises(pf.ValidationError):
         pf.verify_minimal_ideal_basis(pf.numerical(2, 3), [Binomial((1, 0), (0, 1))])
+
+
+def test_verify_minimal_basis_walks_fibers():
+    # the degree (2790, 837, 3348) of the second basis element has 21
+    # factorizations: the search over multiplicities ran past 20 s on it,
+    # the fiber walk over the toric basis takes about 0.1 ms.  Two binomials
+    # that generate an ideal of height h - q = 2 are a minimal basis
+    S = pf.Semigroup(3, ((6, 11, 6), (6, 1, 9), (10, 3, 12), (10, 4, 5), (1, 4, 5)))
+    B = pf.toric_ideal_generators(S)
+    assert [pf.s_degree(S, b.lead) for b in B] == [(12, 12, 15), (2790, 837, 3348)]
+    t0 = time.perf_counter()
+    assert pf.verify_minimal_ideal_basis(S, B)
+    assert time.perf_counter() - t0 < 2.0
+    Z = pf.groebner.fiber(B[1].lead, GroebnerBasis(B))
+    assert len(Z) == 21 and all(pf.s_degree(S, lam) == (2790, 837, 3348) for lam in Z)
 
 
 def test_indispensable_23():

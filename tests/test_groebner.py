@@ -78,11 +78,11 @@ def full_saturation_reference(S: pf.Semigroup) -> list[Binomial]:
     """The toric engine with no step skipped: the lattice ideal of the kernel
     basis saturated by every variable x_1, ..., x_{h-1} in turn."""
     weights = tuple(sum(a) for a in S.generators)
-    basis = [Binomial(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in _kernel_basis(S)]
+    basis = [(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in _kernel_basis(S)]
     for s in range(1, S.h):
         key = _revlex_key(weights, s)
         basis = [
-            Binomial(*(m[:s] + (m[s] - min(b.lead[s], b.trail[s]),) + m[s + 1 :] for m in (b.lead, b.trail)))
+            tuple(m[:s] + (m[s] - min(b.lead[s], b.trail[s]),) + m[s + 1 :] for m in (b.lead, b.trail))
             for b in _interreduce(_buchberger(basis, key), key)
         ]
     return _interreduce(basis, _revlex_key(weights, S.h - 1))
@@ -91,7 +91,8 @@ def full_saturation_reference(S: pf.Semigroup) -> list[Binomial]:
 def test_toric_generators_skip_rule_random_family():
     # h >= 6, where the size-reduced kernel basis lets variables skip their
     # saturation step: the result must match saturating by every variable.
-    # Seed 11: 7 of the 12 draws skip a variable besides x_0, in about 2 s
+    # Seed 11: 7 of the 12 draws skip a variable besides x_0 by the kernel
+    # alone, and all 12 with the skip set re-derived; about 1-2 s
     rng = random.Random(11)
     checked = 0
     while checked < 12:
@@ -110,6 +111,57 @@ def test_toric_generators_skip_rule_random_family():
             assert not any(sum(e * a[i] for e, a in zip(v, S.generators)) for i in range(q)), (S, v)
         assert list(pf.toric_ideal_generators(S)) == full_saturation_reference(S), S
         checked += 1
+
+
+def test_toric_generators_rederived_skip_random_family():
+    # q = 1 and q = 3, h >= 5: with the skip set re-derived after every step,
+    # each of these 12 draws (seed 11) saturates fewer variables than with a
+    # skip set fixed from the kernel, in about 0.5 s
+    rng = random.Random(11)
+    checked = 0
+    while checked < 12:
+        q = (1, 3)[checked % 2]
+        gens, h = set(), rng.choice([5, 6, 7])
+        while len(gens) < h:
+            g = tuple(rng.randint(0, 30 if q == 1 else 5) for _ in range(q))
+            if any(g):
+                gens.add(g)
+        S = pf.minimalize_generators(sorted(gens), q)
+        if S.h < 5:
+            continue
+        assert list(pf.toric_ideal_generators(S)) == full_saturation_reference(S), S
+        checked += 1
+
+
+@pytest.mark.parametrize(
+    "gens, size, runs",
+    [
+        (((5, 0), (7, 0), (0, 4), (0, 9), (2, 3), (3, 1)), 23, 3),
+        (((4, 0), (7, 0), (0, 9), (0, 8), (7, 1), (3, 2), (1, 7)), 30, 3),
+        (((7, 0), (8, 0), (0, 9), (0, 5), (3, 3), (1, 4), (7, 1)), 33, 3),
+        (((7, 0), (9, 0), (0, 8), (0, 11), (2, 5), (5, 3), (4, 7), (6, 1)), 49, 3),
+        (((5, 0), (11, 0), (0, 11), (0, 8), (1, 3), (3, 2), (6, 5), (2, 5), (2, 7)), 66, 3),
+        (((4, 0, 0), (7, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (4, 1, 1)), 25, 4),
+        # a binomial whose lead and trail share a variable of C is not
+        # usable: counted as usable, it left a 15-element basis that holds
+        # x_4 (x_2^3 - x_3^2) but not x_2^3 - x_3^2, unsaturated in x_4
+        (((2, 0), (3, 0), (0, 2), (0, 3), (2, 1), (3, 1)), 13, 4),
+    ],
+    ids=["h6-named", "h7-draw", "h7-wall", "h8-draw", "h9-wall", "q3", "shared-factor"],
+)
+def test_toric_generators_pinned_cases(monkeypatch, gens, size, runs):
+    # the scale cases of ROADMAP.md, then one more: the basis and its size,
+    # and the exact number of Buchberger runs (7 each for the h = 8 draw and
+    # the h = 9 wall, 6 for the q = 3 semigroup, when the skip set came from
+    # the kernel alone)
+    calls = []
+    monkeypatch.setattr(pf.groebner, "_buchberger", lambda *args: calls.append(1) or _buchberger(*args))
+    S = pf.Semigroup(len(gens[0]), gens)
+    pf.toric_ideal_generators.cache_clear()
+    got = list(pf.toric_ideal_generators(S))
+    assert len(calls) == runs
+    assert len(got) == size
+    assert got == full_saturation_reference(S)
 
 
 def test_reduced_basis_matches_sympy_example(example_S):
@@ -161,6 +213,7 @@ def test_fiber_size_matches_factorization_count():
             for m in itertools.product(range(3), repeat=S.h):
                 expected = pf.count_capped(S, pf.s_degree(S, m), 4)
                 assert pf.groebner.fiber_size(m, G, 4) == expected, (S, order, m)
+                assert pf.groebner.fiber(m, G) == pf.factorizations(S, pf.s_degree(S, m)), (S, order, m)
 
 
 def test_standard_monomials_match_box_filter():
@@ -265,7 +318,7 @@ def test_pair_criteria_match_reference_buchberger():
             got = pf.buchberger_reduced(gens, pf.OrderSpec(kind)).elements
             expected = reference_reduced_basis(pairs, pf.OrderSpec(kind).key)
             assert [(b.lead, b.trail) for b in got] == expected, (gens, kind)
-        got = _interreduce(_buchberger(gens, key), key)
+        got = _interreduce(_buchberger(pairs, key), key)
         assert [(b.lead, b.trail) for b in got] == reference_reduced_basis(pairs, key), gens
 
 
@@ -286,7 +339,7 @@ def test_scaled_exponents_scale_the_basis():
         for kind in ("grlex", "grevlex"):
             order = pf.OrderSpec(kind)
             assert pairs(pf.buchberger_reduced(big, order).elements) == scaled(pf.buchberger_reduced(gens, order).elements)
-        assert pairs(_interreduce(_buchberger(big, key), key)) == scaled(_interreduce(_buchberger(gens, key), key))
+        assert pairs(_interreduce(_buchberger(pairs(big), key), key)) == scaled(_interreduce(_buchberger(pairs(gens), key), key))
 
 
 def revlex_reference(weights, last):
@@ -335,7 +388,7 @@ def test_buchberger_overflow_guard():
     # would read 0 below the guard bit and no later step would notice
     a = 2**62
     with pytest.raises(pf.OverflowGuardError):
-        _buchberger([Binomial((0, 0, a + 1), (0, a, 0)), Binomial((0, a, 1), (1, 0, 0))], _graded_key(GRLEX, 3))
+        _buchberger([((0, 0, a + 1), (0, a, 0)), ((0, a, 1), (1, 0, 0))], _graded_key(GRLEX, 3))
 
 
 def test_past_basis_overflow_guard():

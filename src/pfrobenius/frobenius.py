@@ -27,7 +27,7 @@ from .core import (
     checked,
     s_degree,
 )
-from .factorization import factorizations
+from .factorization import _factor
 from .groebner import (
     Binomial,
     GroebnerBasis,
@@ -172,8 +172,14 @@ def _components(Z) -> list[frozenset[tuple[int, ...]]]:
 
 
 def nabla_components(S: Semigroup, m) -> list[frozenset[tuple[int, ...]]]:
-    """Partition of Z_m(S) into connected components of the degree-m complex."""
-    return _components(factorizations(S, m))
+    """Partition of Z_m(S) into connected components of the degree-m complex.
+
+    One factorization comes from the search with cap 1; Z_m(S) is its fiber
+    over the toric engine's basis, walked by reverse rewriting."""
+    first = _factor(S, m, 1)
+    if not first:
+        return []
+    return _components(fiber(first[0], GroebnerBasis(toric_ideal_generators(S))))
 
 
 def verify_minimal_ideal_basis(S: Semigroup, B) -> bool:

@@ -11,7 +11,8 @@ ideals", JSC 27, 1999; Hosten & Sturmfels, GRIN, IPCO 1995).  A basis of the
 kernel lattice L gives binomials x^{v+} - x^{v-} whose ideal can be smaller
 than the semigroup ideal; saturating it by the product of all variables
 recovers the semigroup ideal, because L is saturated.  The kernel basis is
-size-reduced, and the variables are saturated one at a time; after every
+size-reduced, seeded with circuits of the generator matrix where they spare
+saturation steps, and the variables are saturated one at a time; after every
 step, the binomials found so far decide which of the others need no step
 (see ``toric_ideal_generators``).
 
@@ -116,8 +117,13 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Pair]:
     coprime-lead pair survive.  An element whose lead a later lead divides
     stops being live: it forms no new pairs but still reduces.  A joining
     lead is reduced, so no earlier lead divides it, and the live elements
-    are a minimal basis; they are returned as (lead, trail) pairs."""
-    G, V, flip, pack = key.guard, key.values, key.flip, key.pack
+    are a minimal basis; they are returned as (lead, trail) pairs.
+
+    The inputs join in degree order, interleaved with the pairs: each step
+    takes the next input if its lead's key is at most the smallest queued
+    lcm's, and the top pair otherwise, so a large input meets a basis that
+    already reduces it."""
+    G, V, flip = key.guard, key.values, key.flip
     leads: list[int] = []
     deltas: list[int] = []  # trail - lead, packed
     nonzero: list[int] = []  # the guard bits of each lead's nonzero fields
@@ -168,9 +174,13 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Pair]:
         if u != v:
             update(*((u, v) if u ^ flip > v ^ flip else (v, u)))
 
-    for u, v in gens:
-        join(pack(u), pack(v))
-    while queue:
+    # the inputs as (key of the lead, key of the trail), the smallest last
+    inputs = sorted(((max(ku, kv), min(ku, kv)) for ku, kv in ((key(u), key(v)) for u, v in gens)), reverse=True)
+    while inputs or queue:
+        if inputs and (not queue or inputs[-1][0] <= queue[0][0]):
+            kl, kt = inputs.pop()
+            join(kl ^ flip, kt ^ flip)
+            continue
         k, i, j = heapq.heappop(queue)
         u, v = (k ^ flip) + deltas[i], (k ^ flip) + deltas[j]
         if (u | v) & G:
@@ -283,18 +293,82 @@ def _pivots(vectors, stop: dict[int, int] | None = None) -> dict[int, int]:
     return {c: abs(r[c]) for c, r in rows.items()}
 
 
+def _circuits(S: Semigroup) -> list[tuple[int, ...]]:
+    """The circuits of A, the kernel vectors of minimal support, each once
+    and with its first nonzero entry positive.
+
+    On q + 1 columns of rank q, entry t of the circuit is (-1)^t times the
+    minor of A without column t, divided by the gcd (Cramer's rule; Sturmfels,
+    Groebner Bases and Convex Polytopes, 1996, ch. 4).  The minors on the
+    first k rows are built for k = 1, ..., q by Laplace expansion along row
+    k - 1, each once, keyed by their columns.  A circuit with an entry past
+    2^63 - 1 is left out: the packed fields could not hold it.
+    """
+    A, q = S.generators, S.q
+    minor: dict[tuple[int, ...], int] = {(): 1}
+    for k in range(1, q + 1):
+        for cols in itertools.combinations(range(S.h), k):
+            minor[cols] = sum(
+                (-1) ** (k - 1 + t) * A[c][k - 1] * minor[cols[:t] + cols[t + 1 :]]
+                for t, c in enumerate(cols)
+                if A[c][k - 1]
+            )
+    out: dict[tuple[int, ...], None] = {}
+    for cols in itertools.combinations(range(S.h), q + 1):
+        entries = [(-1) ** t * minor[cols[:t] + cols[t + 1 :]] for t in range(q + 1)]
+        g = math.gcd(*entries)
+        if not g:
+            continue
+        g = g if next(e for e in entries if e) > 0 else -g
+        if max(map(abs, entries)) // abs(g) > INT64_MAX:
+            continue
+        v = [0] * S.h
+        for c, e in zip(cols, entries):
+            v[c] = e // g
+        out[tuple(v)] = None
+    return list(out)
+
+
+def _binomials(vectors) -> list[Pair]:
+    """x^{v+} - x^{v-} of each lattice vector v."""
+    return [(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in vectors]
+
+
+def _moves(pairs: list[Pair]) -> list[tuple[int, int, list[int]]]:
+    """(support of lead, support of trail, lead - trail), supports as bitmasks."""
+    return [
+        (sum(1 << j for j, e in enumerate(u) if e), sum(1 << j for j, e in enumerate(v) if e), list(map(sub, u, v)))
+        for u, v in pairs
+    ]
+
+
+def _free_set(pool, lattice: dict[int, int], todo: list[int]) -> int:
+    """C as a bitmask: greedily in index order, each variable of todo but the
+    last joins C while the moves of the pool usable on C (lead or trail free
+    of C) generate L, that is, while the pivots of their differences stay
+    those of ``lattice``."""
+    free = 0
+    for c in todo[:-1]:
+        C = free | 1 << c
+        if _pivots((d for a, b, d in pool if not a & C or not b & C), lattice) == lattice:
+            free = C
+    return free
+
+
 @functools.lru_cache(maxsize=256)
 def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     """The reduced Groebner basis of the semigroup ideal I_A of S under the
     weighted revlex order with x_{h-1} last.
 
-    Starts from the ideal of the binomials of a kernel basis of L and
-    saturates it one variable x_s at a time.  Each step is a minimal Groebner
-    basis under a weighted revlex order with x_s last; the weight sum(a_j) is
-    positive and makes every lattice binomial homogeneous, so x_s divides a
-    basis element exactly as often as it divides its lead, and dividing that
-    power out of any Groebner basis gives one of J : x_s^oo under the same
-    order (Bayer & Stillman).  Only the last step's basis is interreduced.
+    Starts from an ideal J_0 of binomials with I_B <= J_0 <= I_A, I_B the
+    ideal of the binomials x^{v+} - x^{v-} of a kernel basis B of L, and
+    saturates it one variable x_s at a time.  Each step is a minimal
+    Groebner basis under a weighted revlex order with x_s last; the weight
+    sum(a_j) is positive and makes every lattice binomial homogeneous, so
+    x_s divides a basis element exactly as often as it divides its lead,
+    and dividing that power out of any Groebner basis gives one of
+    J : x_s^oo under the same order (Bayer & Stillman).  Only the last
+    step's basis is interreduced.
 
     Not every variable needs a step.  Let J be the ideal saturated by the
     variables done so far, and C a set of the others.  A binomial x^a - x^b
@@ -308,45 +382,56 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     the variables outside C covers the other exponents, a shared factor
     included, and J is already saturated by the done ones.  A shared factor
     in C would break the path: its exponent can fall below both ends, and a
-    basis that counts such binomials can come out unsaturated.
+    basis that counts such binomials can come out unsaturated.  The lemma
+    asks of J only that it lie in I_A, so J_0 may hold any binomials of I_A.
 
-    The usable binomials are drawn from the kernel basis and every basis
-    computed so far, all of which lie in J.  Whether they generate L is
-    decided by comparing the absolute pivots of an integer echelon form of
-    their exponent differences with those of the kernel basis.  After every
-    step, C is picked again, greedily in index order among the variables not
-    yet done, and the next step saturates the first variable outside C.
-    x_{h-1} is never in C and is always saturated last, so the last step and
-    its order, and with them the returned basis, are fixed.
+    Whether usable binomials generate L is decided by comparing the absolute
+    pivots of an integer echelon form of their exponent differences with
+    those of the kernel basis.  C is picked greedily in index order among
+    the variables not yet done (``_free_set``), and the next step saturates
+    the first variable outside C.  x_{h-1} is never in C and is always
+    saturated last, so the last step and its order, and with them the
+    returned basis, are fixed.
+
+    J_0 is the kernel basis, seeded with circuits of A (``_circuits``) when
+    that frees more variables: if C picked from the kernel basis leaves a
+    variable besides x_{h-1} to saturate, C is picked again with the
+    circuits' moves in the pool, and if the new C is larger, J_0 also holds
+    the circuits usable on it.  Circuits lie in I_A, so the lemma still
+    holds, and few of them touch many variables on both sides, so most
+    semigroups then need the single step by x_{h-1}.  A seeded run starts
+    with more inputs than the kernel basis; ``_buchberger`` joins them in
+    degree order, interleaved with the S-pairs, so that each meets a basis
+    that already reduces it.  The usable binomials drawn on later are those
+    of J_0 and of every basis computed so far, all of which lie in J, and C
+    is picked again after every step.
     """
     weights = tuple(sum(a) for a in S.generators)
-    kernel = [(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in _kernel_basis(S)]
-
-    def moves(pairs: list[Pair]) -> list[tuple[int, int, list[int]]]:
-        """(support of lead, support of trail, lead - trail), supports as bitmasks."""
-        return [
-            (sum(1 << j for j, e in enumerate(u) if e), sum(1 << j for j, e in enumerate(v) if e), list(map(sub, u, v)))
-            for u, v in pairs
-        ]
-
-    pool = moves(kernel)
-    lattice = _pivots(d for _, _, d in pool)
-    basis, todo, s = kernel, list(range(S.h)), -1
-    while s != S.h - 1:
-        if basis is not kernel:
-            pool += moves(basis)
-        free = 0  # C as a bitmask
-        for c in todo[:-1]:
-            C = free | 1 << c
-            if _pivots((d for a, b, d in pool if not a & C or not b & C), lattice) == lattice:
-                free = C
+    basis = _binomials(_kernel_basis(S))
+    pool = _moves(basis)
+    lattice = _pivots(d for *_, d in pool)
+    todo = list(range(S.h))
+    free = _free_set(pool, lattice, todo)
+    if free.bit_count() < S.h - 1:
+        circuits = _binomials(_circuits(S))
+        seeds = _moves(circuits)
+        wider = _free_set(pool + seeds, lattice, todo)
+        if wider.bit_count() > free.bit_count():
+            used = [not a & wider or not b & wider for a, b, _ in seeds]
+            basis += itertools.compress(circuits, used)
+            pool += itertools.compress(seeds, used)
+            free = wider
+    while True:
         s = next(c for c in todo if not free >> c & 1)
         todo.remove(s)
         basis = [
             (u[:s] + (0,) + u[s + 1 :], v[:s] + (v[s] - u[s],) + v[s + 1 :])
             for u, v in _buchberger(basis, _revlex_key(weights, s))
         ]
-    return tuple(_interreduce(basis, _revlex_key(weights, S.h - 1)))
+        if s == S.h - 1:
+            return tuple(_interreduce(basis, _revlex_key(weights, s)))
+        pool += _moves(basis)
+        free = _free_set(pool, lattice, todo)
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from math import gcd
@@ -204,8 +205,8 @@ def test_fp_general_infinite_random_family():
 def test_one_basis_for_both_orders(monkeypatch, example_S):
     # grlex and grevlex count on the toric engine's own reduced basis:
     # Buchberger runs once per saturation step, and nothing is re-based; the
-    # running example saturates x_1, x_3 and x_4: x_0 needs no step, and
-    # after the first one neither does x_2
+    # running example's ideal, seeded with circuits, needs the one step by
+    # x_4
     calls = {"_buchberger": 0, "reduced_basis": 0}
 
     def counted(name, fn):
@@ -225,7 +226,7 @@ def test_one_basis_for_both_orders(monkeypatch, example_S):
     pf.fp_general.cache_clear()
     for order in (GRLEX, GREVLEX):
         assert pf.fp_general(S, 2, order) == pf.oracle_fp(S, 2, order).result
-    assert calls == {"_buchberger": 3, "reduced_basis": 0}
+    assert calls == {"_buchberger": 1, "reduced_basis": 0}
 
 
 def test_fp_general_p0():
@@ -268,6 +269,39 @@ def test_nabla_components():
 def test_nabla_singleton(example_S):
     comps = pf.nabla_components(example_S, (21, 4))
     assert comps == [frozenset({(3, 2, 0, 0, 4)})]
+
+
+def test_nabla_walks_fibers():
+    # the degree (2790, 837, 3348) has 21 factorizations in two components:
+    # a search for all of them ran past 20 s, one search with cap 1 and the
+    # fiber walk over the toric basis take about 0.1 s
+    S = pf.Semigroup(3, ((6, 11, 6), (6, 1, 9), (10, 3, 12), (10, 4, 5), (1, 4, 5)))
+    pf.toric_ideal_generators(S)
+    t0 = time.perf_counter()
+    comps = pf.nabla_components(S, (2790, 837, 3348))
+    assert time.perf_counter() - t0 < 2.0
+    assert sorted(map(len, comps)) == [1, 20]
+    assert frozenset({(0, 0, 279, 0, 0)}) in comps
+    assert all(pf.s_degree(S, lam) == (2790, 837, 3348) for c in comps for lam in c)
+
+
+def test_nabla_matches_search(example_S):
+    # the fiber walk partitions the same Z_m as the search over
+    # multiplicities: every degree of the running example below (12, 12),
+    # and random draws with q = 1-3, elements not in S included
+    def by_search(S, m):
+        return sorted(map(sorted, pf.frobenius._components(pf.factorizations(S, m))))
+
+    for m in itertools.product(range(13), repeat=2):
+        assert sorted(map(sorted, pf.nabla_components(example_S, m))) == by_search(example_S, m), m
+    rng = random.Random(47)
+    for trial in range(30):
+        q = trial % 3 + 1
+        S = random_semigroup(rng, q, h_max=5, coord_max=6)
+        for _ in range(5):
+            lam = tuple(rng.randint(0, 3) for _ in range(S.h))
+            m = tuple(c + rng.randint(0, 1) for c in pf.s_degree(S, lam))
+            assert sorted(map(sorted, pf.nabla_components(S, m))) == by_search(S, m), (S, m)
 
 
 def test_verify_minimal_basis_23():

@@ -10,11 +10,17 @@ import sympy as sp
 
 import pfrobenius as pf
 from pfrobenius.groebner import (
+    INT64_MAX,
     Binomial,
+    _binomials,
     _buchberger,
+    _circuits,
+    _free_set,
     _graded_key,
     _interreduce,
     _kernel_basis,
+    _moves,
+    _pivots,
     _revlex_key,
     format_binomial,
 )
@@ -136,24 +142,24 @@ def test_toric_generators_rederived_skip_random_family():
 @pytest.mark.parametrize(
     "gens, size, runs",
     [
-        (((5, 0), (7, 0), (0, 4), (0, 9), (2, 3), (3, 1)), 23, 3),
-        (((4, 0), (7, 0), (0, 9), (0, 8), (7, 1), (3, 2), (1, 7)), 30, 3),
-        (((7, 0), (8, 0), (0, 9), (0, 5), (3, 3), (1, 4), (7, 1)), 33, 3),
-        (((7, 0), (9, 0), (0, 8), (0, 11), (2, 5), (5, 3), (4, 7), (6, 1)), 49, 3),
-        (((5, 0), (11, 0), (0, 11), (0, 8), (1, 3), (3, 2), (6, 5), (2, 5), (2, 7)), 66, 3),
-        (((4, 0, 0), (7, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (4, 1, 1)), 25, 4),
-        # a binomial whose lead and trail share a variable of C is not
-        # usable: counted as usable, it left a 15-element basis that holds
-        # x_4 (x_2^3 - x_3^2) but not x_2^3 - x_3^2, unsaturated in x_4
-        (((2, 0), (3, 0), (0, 2), (0, 3), (2, 1), (3, 1)), 13, 4),
+        (((5, 0), (7, 0), (0, 4), (0, 9), (2, 3), (3, 1)), 23, 1),
+        (((4, 0), (7, 0), (0, 9), (0, 8), (7, 1), (3, 2), (1, 7)), 30, 1),
+        (((7, 0), (8, 0), (0, 9), (0, 5), (3, 3), (1, 4), (7, 1)), 33, 1),
+        (((7, 0), (9, 0), (0, 8), (0, 11), (2, 5), (5, 3), (4, 7), (6, 1)), 49, 1),
+        (((5, 0), (11, 0), (0, 11), (0, 8), (1, 3), (3, 2), (6, 5), (2, 5), (2, 7)), 66, 2),
+        (((4, 0, 0), (7, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (4, 1, 1)), 25, 1),
+        # from its kernel basis alone, a step's binomials share a factor
+        # that must keep out of C: see test_free_set_needs_no_shared_factor
+        (((2, 0), (3, 0), (0, 2), (0, 3), (2, 1), (3, 1)), 13, 1),
+        # box-scan's: the size-reduced kernel basis is sign-consistent
+        # only on x_0 and x_3, so the circuits free x_1 and x_2
+        (((2, 0), (3, 0), (0, 2), (0, 3), (1, 2)), 7, 1),
     ],
-    ids=["h6-named", "h7-draw", "h7-wall", "h8-draw", "h9-wall", "q3", "shared-factor"],
+    ids=["h6-named", "h7-draw", "h7-wall", "h8-draw", "h9-wall", "q3", "shared-factor", "box-scan"],
 )
 def test_toric_generators_pinned_cases(monkeypatch, gens, size, runs):
-    # the scale cases of ROADMAP.md, then one more: the basis and its size,
-    # and the exact number of Buchberger runs (7 each for the h = 8 draw and
-    # the h = 9 wall, 6 for the q = 3 semigroup, when the skip set came from
-    # the kernel alone)
+    # the scale cases of ROADMAP.md, then two more: the basis and its size,
+    # and the exact number of Buchberger runs
     calls = []
     monkeypatch.setattr(pf.groebner, "_buchberger", lambda *args: calls.append(1) or _buchberger(*args))
     S = pf.Semigroup(len(gens[0]), gens)
@@ -162,6 +168,113 @@ def test_toric_generators_pinned_cases(monkeypatch, gens, size, runs):
     assert len(calls) == runs
     assert len(got) == size
     assert got == full_saturation_reference(S)
+
+
+def test_free_set_needs_no_shared_factor():
+    # the shared-factor case on the kernel basis alone, no circuits: after
+    # the steps by x_1 and x_3, binomials such as x_4 x_2^3 - x_4 x_3^2 are
+    # sign-consistent on {x_0, x_2, x_4}, and sign consistency alone would
+    # free x_4 too; counted as usable, they left a 15-element basis that
+    # holds x_4 (x_2^3 - x_3^2) but not x_2^3 - x_3^2, unsaturated in x_4
+    S = pf.Semigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (2, 1), (3, 1)))
+    weights = tuple(sum(a) for a in S.generators)
+    basis = _binomials(_kernel_basis(S))
+    pool = _moves(basis)
+    lattice = _pivots(d for *_, d in pool)
+
+    def sign_consistent(C):
+        return [d for *_, d in pool if all(e >= 0 for j, e in enumerate(d) if C >> j & 1)
+                or all(e <= 0 for j, e in enumerate(d) if C >> j & 1)]
+
+    todo = list(range(S.h))
+    for s, free in ((1, 0b1), (3, 0b101)):
+        assert _free_set(pool, lattice, todo) == free
+        todo.remove(s)
+        basis = [
+            (u[:s] + (0,) + u[s + 1 :], v[:s] + (v[s] - u[s],) + v[s + 1 :])
+            for u, v in _buchberger(basis, _revlex_key(weights, s))
+        ]
+        pool += _moves(basis)
+    assert _free_set(pool, lattice, todo) == 0b101
+    assert _pivots(sign_consistent(0b10101), lattice) == lattice
+
+
+def primitive_nullspace_circuits(S: pf.Semigroup) -> set[tuple[int, ...]]:
+    """Brute force: the nullspace of each q + 1 columns of A, where it is a
+    line, as a primitive integer vector with its first nonzero entry positive."""
+    out = set()
+    for cols in itertools.combinations(range(S.h), S.q + 1):
+        null = sp.Matrix([[S.generators[c][i] for c in cols] for i in range(S.q)]).nullspace()
+        if len(null) != 1:
+            continue
+        v = null[0] * sp.ilcm(*(x.q for x in null[0]))
+        v = [int(x) for x in v / sp.igcd(*(int(x) for x in v))]
+        v = [-x for x in v] if next(x for x in v if x) < 0 else v
+        full = [0] * S.h
+        for c, x in zip(cols, v):
+            full[c] = x
+        out.add(tuple(full))
+    return out
+
+
+def test_circuits_match_nullspaces():
+    # q = 1-3, with repeated directions and rank-deficient column sets
+    rng = random.Random(31)
+    for trial in range(45):
+        q = trial % 3 + 1
+        gens = set()
+        while len(gens) < rng.randint(q + 1, q + 4):
+            g = tuple(rng.randint(0, 4) for _ in range(q))
+            if any(g):
+                gens.add(g)
+        S = pf.Semigroup(q, tuple(sorted(gens)))
+        got = _circuits(S)
+        assert len(got) == len(set(got)), S
+        assert set(got) == primitive_nullspace_circuits(S), S
+        for v in got:
+            assert not any(sum(e * a[i] for e, a in zip(v, S.generators)) for i in range(q)), (S, v)
+
+
+def test_circuits_past_63_bits_are_left_out(monkeypatch):
+    # the kernel basis fits in 63 bits, but two circuits carry the minor
+    # 2^64 - 1 of the last two generators: they are left out, not packed,
+    # and the ideal comes out as with no step skipped
+    N = 2**32
+    S = pf.Semigroup(2, ((N, 1), (0, 1), (1, 0), (1, N)))
+    assert all(abs(e) <= INT64_MAX for v in _kernel_basis(S) for e in v)
+    every = primitive_nullspace_circuits(S)
+    assert len(every) == 4
+    assert set(_circuits(S)) == {v for v in every if max(map(abs, v)) <= INT64_MAX}
+    assert len(_circuits(S)) == 2
+    calls = []
+    monkeypatch.setattr(pf.groebner, "_circuits", lambda S: calls.append(S) or _circuits(S))
+    pf.toric_ideal_generators.cache_clear()
+    assert list(pf.toric_ideal_generators(S)) == full_saturation_reference(S)
+    assert calls == [S]
+
+
+def test_toric_generators_circuit_seeded_family(monkeypatch):
+    # q = 2 and q = 3, h = 5-7 (seed 37): 18 of these 20 draws are seeded
+    # with circuits, seen as a first Buchberger run with more inputs than
+    # the kernel basis; every result must match saturating by every variable
+    inputs = []
+    monkeypatch.setattr(pf.groebner, "_buchberger", lambda gens, key: inputs.append(len(gens)) or _buchberger(gens, key))
+    rng = random.Random(37)
+    seeded = 0
+    for _ in range(20):
+        q = rng.choice([2, 3])
+        gens = set()
+        while len(gens) < rng.randint(5, 7):
+            g = tuple(rng.randint(0, 7 if q == 2 else 4) for _ in range(q))
+            if any(g):
+                gens.add(g)
+        S = pf.minimalize_generators(sorted(gens), q)
+        inputs.clear()
+        pf.toric_ideal_generators.cache_clear()
+        got = list(pf.toric_ideal_generators(S))
+        seeded += inputs[0] > len(_kernel_basis(S))
+        assert got == full_saturation_reference(S), S
+    assert seeded >= 15
 
 
 def test_reduced_basis_matches_sympy_example(example_S):

@@ -1,7 +1,9 @@
-"""Factorization sets Z_n(S) by exact bounded depth-first search."""
+"""Factorization sets Z_n(S): membership and capped counts by exact bounded
+depth-first search, the whole set as a fiber of the toric ideal."""
 from __future__ import annotations
 
 from .core import Semigroup, ValidationError, _as_point
+from .groebner import GroebnerBasis, fiber, toric_ideal_generators
 
 
 def _max_multiplicity(gen: tuple[int, ...], residual: tuple[int, ...]) -> int:
@@ -75,8 +77,15 @@ def _factor(S: Semigroup, n, cap: int | None) -> list[tuple[int, ...]]:
 
 
 def factorizations(S: Semigroup, n) -> frozenset[tuple[int, ...]]:
-    """The complete set Z_n(S) of exponent vectors lam with sum(lam_i a_i) = n."""
-    return frozenset(_factor(S, n, None))
+    """The complete set Z_n(S) of exponent vectors lam with sum(lam_i a_i) = n.
+
+    One factorization comes from the search with cap 1; Z_n(S) is its fiber
+    over the toric engine's basis, walked by reverse rewriting, where the
+    uncapped search can take far longer."""
+    first = _factor(S, n, 1)
+    if not first:
+        return frozenset()
+    return fiber(first[0], GroebnerBasis(toric_ideal_generators(S)))
 
 
 def count_capped(S: Semigroup, n, cap: int) -> int:

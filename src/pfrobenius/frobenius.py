@@ -27,7 +27,7 @@ from .core import (
     checked,
     s_degree,
 )
-from .factorization import _factor
+from .factorization import factorizations
 from .groebner import (
     Binomial,
     GroebnerBasis,
@@ -172,41 +172,25 @@ def _components(Z) -> list[frozenset[tuple[int, ...]]]:
 
 
 def nabla_components(S: Semigroup, m) -> list[frozenset[tuple[int, ...]]]:
-    """Partition of Z_m(S) into connected components of the degree-m complex.
-
-    One factorization comes from the search with cap 1; Z_m(S) is its fiber
-    over the toric engine's basis, walked by reverse rewriting."""
-    first = _factor(S, m, 1)
-    if not first:
-        return []
-    return _components(fiber(first[0], GroebnerBasis(toric_ideal_generators(S))))
+    """Partition of Z_m(S) into connected components of the degree-m complex."""
+    return _components(factorizations(S, m))
 
 
 def verify_minimal_ideal_basis(S: Semigroup, B) -> bool:
     """Check that B is a minimal binomial generating set of the semigroup ideal.
 
-    The factorizations of each degree are the fiber of its first binomial's
-    lead over the toric engine's basis, walked by reverse rewriting."""
+    By graded Nakayama, every homogeneous generating set holds at least
+    beta_m = #components of the degree-m complex - 1 binomials of each
+    S-degree m, and it is minimal iff it holds exactly beta_m in every
+    degree.  So B is one iff it has beta_m binomials in each of its degrees
+    and generates (a degree B misses with beta_m > 0 fails the latter)."""
     by_degree: dict[tuple[int, ...], list[Binomial]] = {}
     for b in B:
         m = assert_s_homogeneous(S, b)
         by_degree.setdefault(m, []).append(b)
     G = GroebnerBasis(toric_ideal_generators(S))
-    for bm in by_degree.values():
-        comps = _components(fiber(bm[0].lead, G))
-        if len(comps) < 2:
-            return False
-        if len(bm) != len(comps) - 1:
-            return False
-        comp_of = {lam: i for i, c in enumerate(comps) for lam in c}
-        touched = set()
-        for b in bm:
-            ci, cj = comp_of.get(b.lead), comp_of.get(b.trail)
-            if ci is None or cj is None or ci == cj:
-                return False
-            touched.update((ci, cj))
-        if touched != set(range(len(comps))):
-            return False
+    if any(len(bm) != len(_components(fiber(bm[0].lead, G))) - 1 for bm in by_degree.values()):
+        return False
     # B must actually generate: every toric generator reduces to zero mod <B>
     GB = buchberger_reduced(list(B), OrderSpec("grlex"))
     return all(in_ideal(t, GB) for t in G.elements)

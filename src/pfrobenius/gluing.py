@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .core import OrderSpec, Semigroup, ValidationError, checked, minimalize_generators
-from .factorization import contains, factorizations
+from .factorization import contains, count_capped
 from .frobenius import fp_general
 
 
@@ -101,18 +101,18 @@ def gluing_equality(
 
     Applies only when F_p(S) has exactly p factorizations; equality holds
     iff no factorization of gamma is componentwise below a factorization of
-    F_p(S).
+    F_p(S), that is iff F_p(S) - gamma is not in S:
+    - if b in Z(gamma) lies below c in Z(F_p(S)), c - b factors F_p(S) - gamma;
+    - if e factors F_p(S) - gamma, e + b factors F_p(S) for any b in Z(gamma),
+      and lies above b.
     """
     if p < 1:
         raise ValidationError("the equality criterion needs p >= 1")
     validate_gluing(S, spec)
     fp = _finite_fp(S, p, order)
-    z_fp = factorizations(S, fp)
-    if len(z_fp) != p:
+    if count_capped(S, fp, p + 1) != p:
         return GluingVerdict.PRECONDITION_FAILED
-    z_gamma = factorizations(S, spec.gamma)
-    for b in z_gamma:
-        for c in z_fp:
-            if all(bi <= ci for bi, ci in zip(b, c)):
-                return GluingVerdict.STRICTLY_LESS
+    rest = tuple(f - g for f, g in zip(fp, spec.gamma))
+    if min(rest) >= 0 and count_capped(S, rest, 1) == 1:
+        return GluingVerdict.STRICTLY_LESS
     return GluingVerdict.EQUAL

@@ -177,7 +177,7 @@ def _oracle_f0(S: Semigroup, budget: _Budget) -> OracleReport:
         raise ValidationError("oracle p = 0 needs gcd 1 (finite gap set)")
     if values[0] == 1:
         return OracleReport(FrobeniusResult.finite((-1,)), 0, "no gaps: S = N")
-    bound = (values[0] - 1) * (values[-1] - 1) - 1  # Schur (Brauer 1942)
+    bound = checked((values[0] - 1) * (values[-1] - 1) - 1)  # Schur (Brauer 1942)
     ways, _ = _count_grid(S.generators, (bound,), budget=budget)
     return OracleReport(
         FrobeniusResult.finite((max(n for n, c in enumerate(ways) if c == 0),)),

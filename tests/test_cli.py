@@ -247,6 +247,15 @@ def test_oracle_element_counts_on_its_box(capsys, tmp_path):
     ) == 1806
 
 
+def test_oracle_f0_overflow(capsys, tmp_path):
+    # the Schur bound (a_1 - 1)(a_h - 1) - 1 is about 2^80: refused before
+    # the grid over [0, bound] is sized
+    doc = {"q": 1, "generators": [[2**40 + 1], [2**40 + 3]]}
+    status, out = run_json(capsys, ["oracle", "--input", write(tmp_path, doc), "--p", "0"])
+    assert status == 3
+    assert out["error"]["code"] == "OVERFLOW"
+
+
 def test_oracle_needs_p_or_element(capsys, tmp_path):
     status, _ = run(capsys, ["oracle", "--input", write(tmp_path, NUM23)])
     assert status == 4

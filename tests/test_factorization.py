@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -124,3 +125,27 @@ def test_closes_each_coordinate_early():
     assert pf.count_capped(S, (60, 60, 60), 10**6) == 1806 == pf.oracle_count(S, (60, 60, 60))
     # a coordinate no generator touches
     assert not pf.factorizations(pf.Semigroup(2, ((2, 0), (3, 0))), (5, 1))
+
+
+def test_fiber_walk_matches_search():
+    # Z_n(S) is the fiber of one factorization over the toric basis: the
+    # same set as the uncapped search, for elements in and out of S
+    rng = random.Random(53)
+    for trial in range(45):
+        q = trial % 3 + 1
+        S = random_semigroup(rng, q, h_max=5, coord_max=8 if q < 3 else 5)
+        for _ in range(4):
+            n = tuple(c + rng.randint(0, 1) for c in pf.s_degree(S, [rng.randint(0, 3) for _ in range(S.h)]))
+            assert pf.factorizations(S, n) == set(pf.factorization.factor_tuples(S.generators, n, None)), (S, n)
+
+
+def test_walks_the_fiber():
+    # the degree (2790, 837, 3348) has 21 factorizations: the search for all
+    # of them ran past 20 s, one search with cap 1 and the fiber walk over
+    # the toric basis take about 0.15 s
+    S = pf.Semigroup(3, ((6, 11, 6), (6, 1, 9), (10, 3, 12), (10, 4, 5), (1, 4, 5)))
+    t0 = time.perf_counter()
+    Z = pf.factorizations(S, (2790, 837, 3348))
+    assert time.perf_counter() - t0 < 2.0
+    assert len(Z) == 21 and (0, 0, 279, 0, 0) in Z
+    assert all(pf.s_degree(S, lam) == (2790, 837, 3348) for lam in Z)

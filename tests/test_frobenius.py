@@ -290,7 +290,7 @@ def test_nabla_matches_search(example_S):
     # multiplicities: every degree of the running example below (12, 12),
     # and random draws with q = 1-3, elements not in S included
     def by_search(S, m):
-        return sorted(map(sorted, pf.frobenius._components(pf.factorizations(S, m))))
+        return sorted(map(sorted, pf.frobenius._components(pf.factorization.factor_tuples(S.generators, m, None))))
 
     for m in itertools.product(range(13), repeat=2):
         assert sorted(map(sorted, pf.nabla_components(example_S, m))) == by_search(example_S, m), m
@@ -344,6 +344,77 @@ def test_verify_minimal_basis_walks_fibers():
     assert time.perf_counter() - t0 < 2.0
     Z = pf.groebner.fiber(B[1].lead, GroebnerBasis(B))
     assert len(Z) == 21 and all(pf.s_degree(S, lam) == (2790, 837, 3348) for lam in Z)
+
+
+def minimal_by_components(S, B):
+    """Minimality by component tracking, with the complexes from the
+    uncapped search: in each degree the binomials number one fewer than the
+    components of the complex, each joins two components, and together they
+    touch all of them; then B must generate."""
+    by_degree = {}
+    for b in B:
+        by_degree.setdefault(pf.s_degree(S, b.lead), []).append(b)
+    for m, bm in by_degree.items():
+        comps = pf.frobenius._components(pf.factorization.factor_tuples(S.generators, m, None))
+        if len(comps) < 2 or len(bm) != len(comps) - 1:
+            return False
+        comp_of = {lam: i for i, c in enumerate(comps) for lam in c}
+        touched = set()
+        for b in bm:
+            ci, cj = comp_of.get(b.lead), comp_of.get(b.trail)
+            if ci is None or cj is None or ci == cj:
+                return False
+            touched.update((ci, cj))
+        if touched != set(range(len(comps))):
+            return False
+    GB = pf.buchberger_reduced(list(B), GRLEX)
+    return all(pf.groebner.in_ideal(t, GB) for t in pf.toric_ideal_generators(S))
+
+
+def binomial_sets(rng, S):
+    """Candidate bases of the semigroup ideal: the toric and grlex bases, a
+    greedy minimal subset, random subsets, a duplicate, a scaled copy, a
+    binomial inside one component, and a reversed one."""
+    T = list(pf.toric_ideal_generators(S))
+    R = list(pf.reduced_basis(S, GRLEX).elements)
+    minimal = T + R
+    rng.shuffle(minimal)
+    for b in list(minimal):
+        rest = [c for c in minimal if c is not b]
+        if rest and pf.groebner.in_ideal(b, pf.buchberger_reduced(rest, GRLEX)):
+            minimal = rest
+    sets = [T, R, minimal, minimal + [rng.choice(minimal)]]
+    sets += [rng.sample(T + R, rng.randint(1, len(T + R))) for _ in range(3)]
+    b = rng.choice(minimal)
+    i = rng.randrange(S.h)
+    e = tuple(int(j == i) for j in range(S.h))
+    scaled = Binomial(tuple(map(sum, zip(b.lead, e))), tuple(map(sum, zip(b.trail, e))))
+    sets += [minimal + [scaled], [scaled if c is b else c for c in minimal]]
+    sets.append([Binomial(c.trail, c.lead) if c is b else c for c in minimal])
+    for m in (pf.s_degree(S, b.lead), pf.s_degree(S, scaled.lead)):
+        for comp in pf.frobenius._components(pf.factorization.factor_tuples(S.generators, m, None)):
+            if len(comp) > 1:
+                inside = Binomial(*sorted(comp)[:2])
+                sets += [minimal + [inside], [inside if c is b else c for c in minimal]]
+                break
+    return sets
+
+
+def test_verify_minimal_basis_matches_component_tracking():
+    # counting components per degree and the generation check decide what
+    # tracking which components each binomial joins decides, on seeded
+    # semigroups with q = 1-3
+    rng = random.Random(71)
+    verdicts = []
+    for trial in range(36):
+        S = random_semigroup(rng, trial % 3 + 1, h_max=5, coord_max=5)
+        if not pf.toric_ideal_generators(S):
+            continue
+        for B in binomial_sets(rng, S):
+            verdict = pf.verify_minimal_ideal_basis(S, B)
+            assert verdict == minimal_by_components(S, B), (S, B)
+            verdicts.append(verdict)
+    assert len(verdicts) > 250 and 0.2 < sum(verdicts) / len(verdicts) < 0.8
 
 
 def test_indispensable_23():

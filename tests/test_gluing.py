@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+from math import gcd
+from operator import le
 
 import pytest
 
 import pfrobenius as pf
+from pfrobenius.factorization import factor_tuples
 from pfrobenius.gluing import GluingVerdict
+from conftest import random_finite_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
 
@@ -101,15 +105,58 @@ def test_frobenius_number_formula():
     assert pf.f0_numerical(pf.glue(S, spec)) == pf.FrobeniusResult.finite((17,))
 
 
+# F_2(<6,10,15>) = 59 has one factorization, F_3(<10,12,15>) = 113 has two
+PRECONDITION_FAILS = (
+    (pf.numerical(6, 10, 15), 2, pf.GluingSpec(7, (16,))),
+    (pf.numerical(10, 12, 15), 3, pf.GluingSpec(3, (22,))),
+)
+
+
 def test_equality_precondition():
-    # F_2(<3,4>) = (14,)? whenever #Z != p, the criterion must decline
-    S = pf.numerical(3, 4)
-    f2 = pf.fp_general(S, 2, GRLEX).point
-    if len(pf.factorizations(S, f2)) != 2:
-        assert (
-            pf.gluing_equality(S, 2, pf.GluingSpec(2, (7,)), GRLEX)
-            is GluingVerdict.PRECONDITION_FAILED
-        )
+    # the criterion declines unless F_p(S) has exactly p factorizations
+    for (S, p, spec), fp, count in zip(PRECONDITION_FAILS, (59, 113), (1, 2)):
+        assert pf.fp_general(S, p, GRLEX).point == (fp,)
+        assert len(factor_tuples(S.generators, (fp,), None)) == count
+        assert pf.gluing_equality(S, p, spec, GRLEX) is GluingVerdict.PRECONDITION_FAILED
+
+
+def double_loop_verdict(S, p, spec, order):
+    """The criterion as stated: list Z(F_p(S)) and Z(gamma) with the uncapped
+    search and compare every pair."""
+    z_fp = factor_tuples(S.generators, pf.fp_general(S, p, order).point, None)
+    if len(z_fp) != p:
+        return GluingVerdict.PRECONDITION_FAILED
+    z_gamma = factor_tuples(S.generators, spec.gamma, None)
+    if any(all(map(le, b, c)) for b in z_gamma for c in z_fp):
+        return GluingVerdict.STRICTLY_LESS
+    return GluingVerdict.EQUAL
+
+
+def test_equality_matches_double_loop():
+    # one membership test of F_p(S) - gamma decides what the double loop
+    # over Z(gamma) x Z(F_p(S)) decides: seeded gluings with q = 1-3 and
+    # p = 1-3 under both orders, and both precondition cases above
+    rng = random.Random(67)
+    cases = list(PRECONDITION_FAILS)
+    while len(cases) < 40:
+        q = rng.randint(1, 3)
+        S = random_finite_semigroup(rng, q)
+        p = rng.randint(1, 3 if q < 3 else 2)
+        coeffs = [rng.randint(0, 2) for _ in S.generators]
+        gamma = pf.s_degree(S, coeffs)
+        d = rng.choice([2, 3, 5])
+        if sum(coeffs) < 2 or gcd(d, gcd(*gamma)) != 1 or gamma in S.generators:
+            continue
+        if pf.fp_general(S, p, GRLEX).is_infinite:
+            continue
+        cases.append((S, p, pf.GluingSpec(d, gamma)))
+    seen = set()
+    for S, p, spec in cases:
+        for order in (GRLEX, pf.OrderSpec("grevlex")):
+            verdict = pf.gluing_equality(S, p, spec, order)
+            assert verdict is double_loop_verdict(S, p, spec, order), (S, p, spec, order)
+            seen.add(verdict)
+    assert seen == set(GluingVerdict)
 
 
 def test_equality_requires_positive_p():

@@ -307,7 +307,7 @@ def test_reduced_basis_one_standard_monomial_per_fiber():
         for order in (GRLEX, pf.OrderSpec("grevlex")):
             leads = [b.lead for b in pf.reduced_basis(S, order).elements]
             for lam in itertools.product(range(3), repeat=S.h):
-                fiber = pf.factorizations(S, pf.s_degree(S, lam))
+                fiber = pf.factorization.factor_tuples(S.generators, pf.s_degree(S, lam), None)
                 standard = [
                     m for m in fiber if not any(all(l <= e for l, e in zip(lead, m)) for lead in leads)
                 ]
@@ -326,7 +326,8 @@ def test_fiber_size_matches_factorization_count():
             for m in itertools.product(range(3), repeat=S.h):
                 expected = pf.count_capped(S, pf.s_degree(S, m), 4)
                 assert pf.groebner.fiber_size(m, G, 4) == expected, (S, order, m)
-                assert pf.groebner.fiber(m, G) == pf.factorizations(S, pf.s_degree(S, m)), (S, order, m)
+                search = pf.factorization.factor_tuples(S.generators, pf.s_degree(S, m), None)
+                assert pf.groebner.fiber(m, G) == set(search), (S, order, m)
 
 
 def test_standard_monomials_match_box_filter():

@@ -131,9 +131,7 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     if p < 0:
         raise ValidationError("p must be >= 0")
     if p == 0:
-        if S.q == 1:
-            return f0_numerical(S)
-        raise UnsupportedError("p = 0 with q >= 2 (gap sets) is out of scope")
+        return f0_numerical(S)
     if not is_fp_finite(S):
         return INFINITE
     G = GroebnerBasis(toric_ideal_generators(S))
@@ -146,29 +144,24 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
 
 def _components(Z) -> list[frozenset[tuple[int, ...]]]:
     """Partition of the factorizations Z of one degree into the connected
-    components of its simplicial complex.
-
-    Two factorizations are adjacent when their supports intersect (the
-    corresponding monomials share a variable); components of that graph
-    coincide with the components of the simplicial complex.
-    """
-    Z = sorted(Z)
-    parent = list(range(len(Z)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(Z)):
-        for j in range(i + 1, len(Z)):
-            if any(a > 0 and b > 0 for a, b in zip(Z[i], Z[j])):
-                parent[find(i)] = find(j)
-    comps: dict[int, set[tuple[int, ...]]] = {}
-    for i, lam in enumerate(Z):
-        comps.setdefault(find(i), set()).add(lam)
-    return [frozenset(c) for c in comps.values()]
+    components of its simplicial complex, in one pass over Z.  Two are
+    adjacent when their supports meet, so one is adjacent to a member of a
+    component iff its support meets the union of the members' supports, kept
+    as a bitmask: each factorization merges the components whose masks it
+    meets, the smaller set into the larger, and joins them."""
+    comps: list[tuple[int, set[tuple[int, ...]]]] = []
+    for lam in Z:
+        mask, members = sum(1 << i for i, e in enumerate(lam) if e), {lam}
+        apart = []
+        for m, c in comps:
+            if m & mask:
+                mask |= m
+                small, members = sorted((c, members), key=len)
+                members |= small
+            else:
+                apart.append((m, c))
+        comps = apart + [(mask, members)]
+    return [frozenset(c) for _, c in comps]
 
 
 def nabla_components(S: Semigroup, m) -> list[frozenset[tuple[int, ...]]]:
@@ -227,7 +220,7 @@ def f0_numerical(S: Semigroup) -> FrobeniusResult:
     Monthly 86, 1979); the largest gap is the largest of them less a_1.
     """
     if S.q != 1:
-        raise UnsupportedError("f0_numerical requires q = 1")
+        raise UnsupportedError("p = 0 needs q = 1: gap sets of q >= 2 are out of scope")
     values = sorted(g[0] for g in S.generators)
     if math.gcd(*values) != 1:
         return INFINITE

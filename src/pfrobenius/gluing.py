@@ -63,9 +63,9 @@ def glue(S: Semigroup, spec: GluingSpec) -> Semigroup:
     gens = tuple(
         tuple(checked(spec.d * c) for c in a) for a in S.generators
     ) + (spec.gamma,)
-    glued = Semigroup(S.q, gens)
-    minimal = minimalize_generators(gens, S.q)
-    if set(minimal.generators) != set(gens):
+    # the atoms keep their input order, and gcd(d, gcd(gamma)) = 1 leaves no duplicate
+    glued = minimalize_generators(gens, S.q)
+    if glued.generators != gens:
         raise ValidationError(
             "glued generator list is not minimal; not a valid gluing"
         )

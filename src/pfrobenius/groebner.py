@@ -574,7 +574,7 @@ def assert_s_homogeneous(S: Semigroup, b: Binomial) -> tuple[int, ...]:
     return dl
 
 
-def format_binomial(b: Binomial, names: list[str] | None = None) -> str:
+def format_binomial(b: Binomial) -> str:
     """Human-readable form like 'x1^3*x2 - x3^2'."""
 
     def mono(v):
@@ -582,8 +582,7 @@ def format_binomial(b: Binomial, names: list[str] | None = None) -> str:
         for i, e in enumerate(v):
             if e == 0:
                 continue
-            name = names[i] if names else f"x{i + 1}"
-            parts.append(name if e == 1 else f"{name}^{e}")
+            parts.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
         return "*".join(parts) if parts else "1"
 
     return f"{mono(b.lead)} - {mono(b.trail)}"

@@ -20,7 +20,7 @@ from .core import FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_po
 
 
 class OracleBudgetError(Exception):
-    """The configured oracle time budget was exhausted."""
+    """The oracle's time budget ran out, or the allocator refused its grid."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class _Budget:
             raise OracleBudgetError("oracle time budget exhausted")
 
     # a budget bounds a call's time, not its answer: every budget is one
-    # cache key, so _direct_lambda's cache keys on S (and cap) alone
+    # cache key, so _direct_lambda's cache keys on S alone
     def __eq__(self, other) -> bool:
         return isinstance(other, _Budget)
 
@@ -59,7 +59,10 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
     """
     strides = tuple(prod(m + 1 for m in maxes[j + 1 :]) for j in range(len(maxes)))
     width = maxes[-1] + 1
-    ways = [0] * prod(m + 1 for m in maxes)
+    try:
+        ways = [0] * prod(m + 1 for m in maxes)
+    except MemoryError:
+        raise OracleBudgetError(f"the allocator refused the grid over [0, {maxes}]") from None
     ways[0] = 1
     for a in generators:
         budget.check()
@@ -82,7 +85,7 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
 
 
 @lru_cache(maxsize=256)
-def _direct_lambda(S: Semigroup, cap=10_000, budget=_Budget(None)) -> tuple[int, ...]:
+def _direct_lambda(S: Semigroup, budget=_Budget(None)) -> tuple[int, ...]:
     """Smallest multiplier per generator whose multiple avoids that generator.
 
     A multiple j*a_k is a sum of those other generators whose support lies in
@@ -93,6 +96,11 @@ def _direct_lambda(S: Semigroup, cap=10_000, budget=_Budget(None)) -> tuple[int,
     a_k = g_k*d and a_m = g_m*d, (g_m / gcd(g_k, g_m))*a_k lies in <a_m>, so
     that first grid holds a hit.  The multipliers do not depend on p, so they
     are cached per semigroup; a call that raises caches nothing.
+
+    Past the finite gate every search ends, so only the budget bounds it: a
+    generator on an extremal ray shares it, so has the hit above, and any
+    other is a non-negative rational combination of others inside its
+    support, so some multiple of it factors over them.
     """
     out = []
     for k, a in enumerate(S.generators):
@@ -107,16 +115,14 @@ def _direct_lambda(S: Semigroup, cap=10_000, budget=_Budget(None)) -> tuple[int,
         d = primitive_direction(a)
         gk = a[0] // d[0]  # a is positive on its support
         ray = [g[0] // d[0] for g in others if primitive_direction(g) == d]
-        top = min([gm // gcd(gk, gm) for gm in ray] + [cap]) if ray else 1
+        top = min(gm // gcd(gk, gm) for gm in ray) if ray else 1
         hit = None
         while hit is None:
             grid_top = tuple(checked(top * c) for c in a)
             ways, strides = _count_grid(others, grid_top, budget)
             step = sum(c * s for c, s in zip(a, strides))
             hit = next((j for j in range(1, top + 1) if ways[j * step]), None)
-            if hit is None and top == cap:
-                raise RuntimeError(f"no own-free multiple of generator {k} up to {cap}")
-            top = min(2 * top, cap)
+            top *= 2
         out.append(hit)
     return tuple(out)
 

@@ -256,6 +256,18 @@ def test_oracle_f0_overflow(capsys, tmp_path):
     assert out["error"]["code"] == "OVERFLOW"
 
 
+def test_oracle_grid_refused_by_allocator(capsys, tmp_path):
+    # the grid over [0, 2^62] needs 8 * (2^62 + 1) bytes of list: refused
+    # before any memory is touched, and reported as the budget's error
+    status, out = run_json(
+        capsys,
+        ["oracle", "--input", write(tmp_path, {"q": 1, "generators": [[3], [5]]}),
+         "--element", str(2**62), "--budget", "1"],
+    )
+    assert status == 5
+    assert out["error"]["code"] == "ORACLE_BUDGET"
+
+
 def test_oracle_needs_p_or_element(capsys, tmp_path):
     status, _ = run(capsys, ["oracle", "--input", write(tmp_path, NUM23)])
     assert status == 4

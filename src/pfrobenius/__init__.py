@@ -20,7 +20,6 @@ from .cone import extremal_ray_directions, is_fp_finite, primitive_direction
 from .factorization import contains, count_capped, factorizations
 from .groebner import (
     Binomial,
-    GroebnerBasis,
     buchberger_reduced,
     normal_form,
     reduced_basis,

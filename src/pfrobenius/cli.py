@@ -137,7 +137,7 @@ def groebner_cmd(args) -> dict:
     S, order = _load(args.input_path, args.order_flag)
     G = groebner.reduced_basis(S, order)
     return {
-        "result": [_binomial_json(b) for b in G.elements],
+        "result": [_binomial_json(b) for b in G],
         "meta": {"size": len(G), "order": order.kind},
     }
 

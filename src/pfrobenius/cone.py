@@ -13,12 +13,12 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .core import Semigroup, ValidationError
+from .core import Semigroup, ValidationError, _as_point
 
 
 def primitive_direction(v) -> tuple[int, ...]:
     """v divided by the gcd of its coordinates."""
-    v = tuple(int(c) for c in v)
+    v = _as_point(v)
     g = gcd(*v) if len(v) > 1 else v[0]
     if g == 0:
         raise ValidationError("zero vector has no direction")

@@ -77,9 +77,16 @@ def compare_graded(order: OrderSpec, u: tuple[int, ...], v: tuple[int, ...]) -> 
 
 
 def _as_point(coords, q: int | None = None) -> tuple[int, ...]:
-    pt = tuple(int(c) for c in coords)
+    """coords as a point of N^q, with q coordinates if q is given: the one
+    check every incoming point, and every dimension q, passes.  Only an int
+    is a coordinate; a float, a string or a bool raises, never truncated."""
+    pt = tuple(coords)
+    if q is not None and type(q) is not int:
+        raise ValidationError(f"the dimension q must be an int, got {q!r}")
     if q is not None and len(pt) != q:
         raise ValidationError(f"expected {q} coordinates, got {len(pt)}")
+    if not all(type(c) is int for c in pt):  # a bool is an int subclass, not an int
+        raise ValidationError(f"coordinates must be ints, got {pt}")
     if any(c < 0 for c in pt):
         raise ValidationError(f"negative coordinate in {pt}")
     for c in pt:
@@ -102,15 +109,13 @@ class Semigroup:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.q < 1:
-            raise ValidationError("ambient dimension q must be >= 1")
         if not self.generators:
             raise ValidationError("at least one generator required")
+        # each generator has q coordinates and one nonzero, so q >= 1
         gens = tuple(_as_point(g, self.q) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if all(c == 0 for c in g):
-                raise ValidationError("zero vector cannot be a generator")
+        if not all(map(any, gens)):
+            raise ValidationError("zero vector cannot be a generator")
         if len(set(gens)) != len(gens):
             raise ValidationError("generators must be pairwise distinct")
 
@@ -141,7 +146,7 @@ def minimalize_generators(gens, q: int | None = None) -> Semigroup:
     the generator list fixes the variable order of the polynomial ring, so
     callers control it.
     """
-    gens = [tuple(int(c) for c in g) if not isinstance(g, tuple) else g for g in gens]
+    gens = [tuple(g) for g in gens]
     if not gens:
         raise ValidationError("empty generating set")
     if q is None:
@@ -212,9 +217,8 @@ def semigroup_from_json(doc: dict) -> tuple[Semigroup, OrderSpec]:
     if not isinstance(doc, dict):
         raise ValidationError("semigroup JSON must be an object")
     try:
-        q = int(doc["q"])
-        raw = [tuple(int(c) for c in g) for g in doc["generators"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        q, raw = doc["q"], [tuple(g) for g in doc["generators"]]
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed semigroup JSON: {exc}") from exc
     try:
         order = OrderSpec(**doc.get("order", {"kind": "grlex"}))
@@ -236,7 +240,7 @@ def load_semigroup(path) -> tuple[Semigroup, OrderSpec]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read semigroup JSON from {path}: {exc}") from exc
     return semigroup_from_json(doc)
 

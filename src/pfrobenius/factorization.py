@@ -3,7 +3,7 @@ depth-first search, the whole set as a fiber of the toric ideal."""
 from __future__ import annotations
 
 from .core import Semigroup, ValidationError, _as_point
-from .groebner import GroebnerBasis, fiber, toric_ideal_generators
+from .groebner import fiber, toric_ideal_generators
 
 
 def _max_multiplicity(gen: tuple[int, ...], residual: tuple[int, ...]) -> int:
@@ -85,7 +85,7 @@ def factorizations(S: Semigroup, n) -> frozenset[tuple[int, ...]]:
     first = _factor(S, n, 1)
     if not first:
         return frozenset()
-    return fiber(first[0], GroebnerBasis(toric_ideal_generators(S)))
+    return fiber(first[0], toric_ideal_generators(S))
 
 
 def count_capped(S: Semigroup, n, cap: int) -> int:
@@ -96,10 +96,9 @@ def count_capped(S: Semigroup, n, cap: int) -> int:
 
 
 def contains(S: Semigroup, n) -> bool:
-    """Semigroup membership: n has at least one factorization."""
-    n = tuple(int(c) for c in n)
-    if len(n) != S.q:
+    """Semigroup membership: n is a point of N^q with a factorization."""
+    try:
+        n = _as_point(n, S.q)
+    except ValidationError:  # of the wrong length, negative or not ints
         return False
-    if any(c < 0 for c in n):
-        return False
-    return count_capped(S, n, 1) == 1
+    return bool(factor_tuples(S.generators, n, 1))

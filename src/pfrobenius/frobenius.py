@@ -30,7 +30,6 @@ from .core import (
 from .factorization import factorizations
 from .groebner import (
     Binomial,
-    GroebnerBasis,
     assert_s_homogeneous,
     buchberger_reduced,
     fiber,
@@ -41,7 +40,7 @@ from .groebner import (
 )
 
 
-def lambda_bounds(S: Semigroup, G: GroebnerBasis) -> tuple[int, ...]:
+def lambda_bounds(S: Semigroup, G: tuple[Binomial, ...]) -> tuple[int, ...]:
     """Minimal pure-power exponent of each variable across the basis monomials:
     lambda_k * a_k factors over the other generators, minimally so.
 
@@ -52,7 +51,7 @@ def lambda_bounds(S: Semigroup, G: GroebnerBasis) -> tuple[int, ...]:
     reduced basis), and raises.
     """
     best: list[int | None] = [None] * S.h
-    for b in G.elements:
+    for b in G:
         for mono in (b.lead, b.trail):
             support = [i for i, e in enumerate(mono) if e > 0]
             if len(support) == 1:
@@ -134,7 +133,7 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
         return f0_numerical(S)
     if not is_fp_finite(S):
         return INFINITE
-    G = GroebnerBasis(toric_ideal_generators(S))
+    G = toric_ideal_generators(S)
     top = tuple(checked(p * b) for b in lambda_bounds(S, G))
     for j in range(S.q):  # the rank's digits are the S-degree coordinates of the box
         checked(sum((t - 1) * a[j] for t, a in zip(top, S.generators)))
@@ -181,12 +180,12 @@ def verify_minimal_ideal_basis(S: Semigroup, B) -> bool:
     for b in B:
         m = assert_s_homogeneous(S, b)
         by_degree.setdefault(m, []).append(b)
-    G = GroebnerBasis(toric_ideal_generators(S))
+    G = toric_ideal_generators(S)
     if any(len(bm) != len(_components(fiber(bm[0].lead, G))) - 1 for bm in by_degree.values()):
         return False
     # B must actually generate: every toric generator reduces to zero mod <B>
     GB = buchberger_reduced(list(B), OrderSpec("grlex"))
-    return all(in_ideal(t, GB) for t in G.elements)
+    return all(in_ideal(t, GB) for t in G)
 
 
 def indispensable_binomials(S: Semigroup) -> list[Binomial]:
@@ -201,11 +200,11 @@ def indispensable_binomials(S: Semigroup) -> list[Binomial]:
     of size 2 is exactly {lead, trail}, with disjoint supports.  Each is
     returned with its grlex lead first, sorted by that lead.
     """
-    G = GroebnerBasis(toric_ideal_generators(S))
+    G = toric_ideal_generators(S)
     key = OrderSpec("grlex").key
     ind = [
         Binomial(*sorted((b.lead, b.trail), key=key, reverse=True))
-        for b in G.elements
+        for b in G
         if fiber_size(b.lead, G, 3) == 2
     ]
     return sorted(ind, key=lambda b: key(b.lead))

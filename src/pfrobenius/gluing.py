@@ -7,7 +7,7 @@ import functools
 from dataclasses import dataclass
 from math import gcd
 
-from .core import OrderSpec, Semigroup, ValidationError, checked, minimalize_generators
+from .core import OrderSpec, Semigroup, ValidationError, _as_point, checked, minimalize_generators
 from .factorization import contains, count_capped
 from .frobenius import fp_general
 
@@ -24,7 +24,8 @@ class GluingSpec:
     gamma: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gamma", tuple(int(c) for c in self.gamma))
+        _as_point((self.d,))  # an int, as a coordinate is
+        object.__setattr__(self, "gamma", _as_point(self.gamma))
         if self.d < 2:
             raise ValidationError("gluing factor d must be >= 2")
         if all(c == 0 for c in self.gamma):
@@ -112,7 +113,6 @@ def gluing_equality(
     fp = _finite_fp(S, p, order)
     if count_capped(S, fp, p + 1) != p:
         return GluingVerdict.PRECONDITION_FAILED
-    rest = tuple(f - g for f, g in zip(fp, spec.gamma))
-    if min(rest) >= 0 and count_capped(S, rest, 1) == 1:
+    if contains(S, tuple(f - g for f, g in zip(fp, spec.gamma))):
         return GluingVerdict.STRICTLY_LESS
     return GluingVerdict.EQUAL

@@ -55,14 +55,6 @@ class Binomial:
 Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (lead, trail) of a binomial
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    elements: tuple[Binomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 class _Order:
     """A monomial order on packed exponent vectors: weighted degree first,
     then the variables in ``perm`` order, a larger exponent ranking higher
@@ -218,11 +210,11 @@ def _graded_key(order: OrderSpec, h: int) -> _Order:
     return _Order((1,) * h, range(h - 1, -1, -1), -1)
 
 
-def buchberger_reduced(gens, order: OrderSpec) -> GroebnerBasis:
+def buchberger_reduced(gens, order: OrderSpec) -> tuple[Binomial, ...]:
     """The unique reduced Groebner basis of the binomial ideal gens generate."""
     gens = [(b.lead, b.trail) for b in gens]
     key = _graded_key(order, len(gens[0][0]) if gens else 0)
-    return GroebnerBasis(tuple(_interreduce(_buchberger(gens, key), key)))
+    return tuple(_interreduce(_buchberger(gens, key), key))
 
 
 def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
@@ -435,7 +427,7 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def reduced_basis(S: Semigroup, order: OrderSpec) -> GroebnerBasis:
+def reduced_basis(S: Semigroup, order: OrderSpec) -> tuple[Binomial, ...]:
     """Reduced Groebner basis of the semigroup ideal under the given order.
 
     ``fp_general`` needs no such basis: it counts on the toric engine's own.
@@ -444,12 +436,12 @@ def reduced_basis(S: Semigroup, order: OrderSpec) -> GroebnerBasis:
     return buchberger_reduced(toric_ideal_generators(S), order)
 
 
-def _packed(G: GroebnerBasis, h: int) -> tuple[_Order, list[int], list[int]]:
+def _packed(G: tuple[Binomial, ...], h: int) -> tuple[_Order, list[int], list[int]]:
     """A layout of h fields with x_0 highest and no degree above them, and
     the leads and trails of G packed in it: divisibility and addition do not
     depend on the layout."""
     key = _Order((0,) * h, range(h), 1)
-    return key, [key.pack(b.lead) for b in G.elements], [key.pack(b.trail) for b in G.elements]
+    return key, [key.pack(b.lead) for b in G], [key.pack(b.trail) for b in G]
 
 
 def _fiber(u: int, trails: list[int], ups: list[int], guard: int, cap: float) -> set[int]:
@@ -504,14 +496,14 @@ def _grow(leads: list[int], top: tuple[int, ...], key: _Order, units: list[int])
     return grown
 
 
-def normal_form(m: tuple[int, ...], G: GroebnerBasis) -> tuple[int, ...]:
+def normal_form(m: tuple[int, ...], G: tuple[Binomial, ...]) -> tuple[int, ...]:
     """Unique normal form of the monomial X^m modulo the Groebner basis G.
     An exponent past 2^63 - 1, given or reached, raises OverflowGuardError."""
     key, leads, trails = _packed(G, len(m))
     return key.unpack(_reduce(key.pack(tuple(m)), leads, list(map(sub, trails, leads)), key.guard))
 
 
-def _fiber_of(m: tuple[int, ...], G: GroebnerBasis, cap: float) -> tuple[_Order, set[int]]:
+def _fiber_of(m: tuple[int, ...], G: tuple[Binomial, ...], cap: float) -> tuple[_Order, set[int]]:
     """The layout of G and up to cap packed monomials of the S-degree of
     X^m, G a reduced basis of the semigroup ideal.  Every monomial of a
     fiber rewrites to its one standard monomial, the normal form (Sturmfels,
@@ -522,13 +514,13 @@ def _fiber_of(m: tuple[int, ...], G: GroebnerBasis, cap: float) -> tuple[_Order,
     return key, _fiber(u, trails, list(map(sub, leads, trails)), key.guard, cap)
 
 
-def fiber_size(m: tuple[int, ...], G: GroebnerBasis, cap: int) -> int:
+def fiber_size(m: tuple[int, ...], G: tuple[Binomial, ...], cap: int) -> int:
     """min(#monomials of the S-degree of X^m, cap), G a reduced basis of the
     semigroup ideal."""
     return min(len(_fiber_of(m, G, cap)[1]), cap)
 
 
-def fiber(m: tuple[int, ...], G: GroebnerBasis) -> frozenset[tuple[int, ...]]:
+def fiber(m: tuple[int, ...], G: tuple[Binomial, ...]) -> frozenset[tuple[int, ...]]:
     """The monomials of the S-degree of X^m, that is its factorizations, G a
     reduced basis of the semigroup ideal: about |fiber| * |G| divisibility
     tests, where a search over the generators' multiplicities can take far
@@ -537,14 +529,14 @@ def fiber(m: tuple[int, ...], G: GroebnerBasis) -> frozenset[tuple[int, ...]]:
     return frozenset(map(key.unpack, seen))
 
 
-def standard_monomials(G: GroebnerBasis, top: tuple[int, ...]) -> list[tuple[int, ...]]:
+def standard_monomials(G: tuple[Binomial, ...], top: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The monomials of prod [0, top_i) that no lead of G divides, each once
     (proof of completeness in ``frobenius.fp_general``)."""
     key, leads, _ = _packed(G, len(top))
     return [key.unpack(m) for m in _grow(leads, top, key, [1 << s for s in key.shifts])]
 
 
-def first_small_fiber(G: GroebnerBasis, top: tuple[int, ...], ranks: list[int], cap: int) -> tuple[int, ...]:
+def first_small_fiber(G: tuple[Binomial, ...], top: tuple[int, ...], ranks: list[int], cap: int) -> tuple[int, ...]:
     """The standard monomial g of prod [0, top_i) whose fiber holds fewer than
     cap monomials and that comes first by descending sum(g_i * ranks_i), G a
     reduced basis of the semigroup ideal; ties go to the larger g under lex.
@@ -560,7 +552,7 @@ def first_small_fiber(G: GroebnerBasis, top: tuple[int, ...], ranks: list[int], 
     return key.unpack(next(m for m in grown if len(_fiber(m & fields, trails, ups, key.guard, cap)) < cap))
 
 
-def in_ideal(b: Binomial, G: GroebnerBasis) -> bool:
+def in_ideal(b: Binomial, G: tuple[Binomial, ...]) -> bool:
     """Membership of a binomial in the ideal G generates (normal forms agree)."""
     return normal_form(b.lead, G) == normal_form(b.trail, G)
 

@@ -81,7 +81,7 @@ def test_criterion_2_reference_example_staircase(S):
     # top corner lambda - 1, counted here by the oracle's grid DP
     t0 = time.perf_counter()
     G = pf.reduced_basis(S, GRLEX)
-    omega = {m for b in G.elements for m in (b.lead, b.trail)}
+    omega = {m for b in G for m in (b.lead, b.trail)}
     corner = pf.s_degree(S, tuple(b - 1 for b in pf.lambda_bounds(S, G)))
     n_single = _count_grid(S.generators, corner)[0].count(1)
     result = pf.fp_general(S, 1, GRLEX)
@@ -127,7 +127,7 @@ def test_criterion_4_all_basis_binomials_indispensable(S):
     # grid DP, which shares no code with the factorization module.
     t0 = time.perf_counter()
     G = pf.reduced_basis(S, GRLEX)
-    degrees = {b: pf.s_degree(S, b.lead) for b in G.elements}
+    degrees = {b: pf.s_degree(S, b.lead) for b in G}
     maxes = tuple(max(m[j] for m in degrees.values()) for j in range(S.q))
     box = itertools.product(*(range(m + 1) for m in maxes))  # the grid's order
     counts = dict(zip(box, _count_grid(S.generators, maxes)[0]))
@@ -136,7 +136,7 @@ def test_criterion_4_all_basis_binomials_indispensable(S):
     ind = {(b.lead, b.trail) for b in pf.indispensable_binomials(S)}
     grevlex_basis = {
         frozenset((b.lead, b.trail))
-        for b in pf.reduced_basis(S, pf.OrderSpec("grevlex")).elements
+        for b in pf.reduced_basis(S, pf.OrderSpec("grevlex"))
     }
     elapsed = time.perf_counter() - t0
     ok = (
@@ -273,7 +273,7 @@ def test_criterion_7_property_suites():
         T = random_finite_semigroup(rng, 1)
         G = pf.reduced_basis(T, GRLEX)
         lam = pf.lambda_bounds(T, G)
-        trails = [b.trail for b in G.elements]
+        trails = [b.trail for b in G]
         for gamma in itertools.product(*(range(b + 1) for b in lam)):
             if pf.normal_form(gamma, G) != gamma:
                 continue

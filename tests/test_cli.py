@@ -182,7 +182,8 @@ def test_glue(capsys, tmp_path):
 
 def test_glue_validates_once(capsys, tmp_path, monkeypatch):
     # glue, fp_glued_bound and gluing_equality each validate the gluing, and
-    # a glue command calls all three: the membership search runs once
+    # a glue command calls all three: the membership search for gamma runs
+    # once, and the equality criterion asks once for F_1(S) - gamma = 17 - gamma
     calls = []
 
     def contains(S, n):
@@ -198,7 +199,7 @@ def test_glue_validates_once(capsys, tmp_path, monkeypatch):
             capsys, ["glue", "--input", path, "--d", "2", "--gamma", gamma, "--p", "1", "--verify"]
         )
         assert {"verdict", "oracle"} <= out["meta"].keys()
-        assert calls[before:] == [(int(gamma),)]
+        assert calls[before:] == [(int(gamma),), (17 - int(gamma),)]
 
 
 def test_glue_invalid_gamma(capsys, tmp_path):
@@ -386,6 +387,12 @@ def test_last_option_value_wins(capsys, tmp_path):
         pytest.param(b'{"q": 1, "generators": [[2], [3]], "x": "\xff"}', id="not-utf8"),
         pytest.param(b'{"q": 1, "generators": [[2], [3]], "order": {"foo": 1}}', id="order-key"),
         pytest.param(b'{"q": 1, "generators": [[2], [3]], "order": "grlex"}', id="order-string"),
+        # a coordinate or a dimension that is not an int is refused, not truncated
+        pytest.param(b'{"q": 1, "generators": [[2.9], [3]]}', id="float-generator"),
+        pytest.param(b'{"q": 1.7, "generators": [[2], [3]]}', id="float-q"),
+        pytest.param(b'{"q": 1, "generators": [["2"], [3]]}', id="string-generator"),
+        pytest.param(b'{"q": 1, "generators": [[true], [3]]}', id="bool-generator"),
+        pytest.param(b'{"q": 1, "generators": [[Infinity], [3]]}', id="infinite-generator"),
     ],
 )
 def test_bad_input_file_is_validation(capsys, tmp_path, content):
@@ -395,5 +402,19 @@ def test_bad_input_file_is_validation(capsys, tmp_path, content):
     else:
         path.write_bytes(content)
     status, out = run_json(capsys, ["fp", "--input", str(path), "--p", "1"])
+    assert status == 4
+    assert out["error"]["code"] == "VALIDATION"
+
+
+def test_unreadable_input_file_is_validation(capsys, tmp_path, monkeypatch):
+    # root reads any file, so the loader's open fails as it would for a file
+    # its user may not read
+    path = write(tmp_path, NUM23)
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(pf.core, "open", refuse, raising=False)
+    status, out = run_json(capsys, ["fp", "--input", path, "--p", "1"])
     assert status == 4
     assert out["error"]["code"] == "VALIDATION"

@@ -152,6 +152,16 @@ def test_semigroup_invariants():
         pf.Semigroup(2, ((1, -2),))
     with pytest.raises(pf.ValidationError):
         pf.Semigroup(0, ((1,),))
+    # a float, a string or a bool is no coordinate and no dimension
+    for q, gens in (
+        (1, ((2.9,), (3,))),
+        (1, (("2",), (3,))),
+        (1, ((True,), (3,))),
+        (1.0, ((2,), (3,))),
+        (True, ((2,), (3,))),
+    ):
+        with pytest.raises(pf.ValidationError):
+            pf.Semigroup(q, gens)
 
 
 def test_json_round_trip(example_S, tmp_path):

@@ -68,12 +68,15 @@ def test_contains_example(example_S):
 
 def test_point_checks():
     S = pf.numerical(2, 3)
-    for bad in ((5, 1), (-1,)):
+    # only ints are coordinates: 5.9 is not truncated to 5, nor True read as 1
+    for bad in ((5, 1), (-1,), (5.9,), ("5",), (True,)):
         assert not pf.contains(S, bad)
         with pytest.raises(pf.ValidationError):
             pf.count_capped(S, bad, 2)
         with pytest.raises(pf.ValidationError):
             pf.factorizations(S, bad)
+    with pytest.raises(pf.ValidationError):
+        pf.oracle_count(S, (8.5,))
     # the 64-bit guard covers the factorization entry points
     with pytest.raises(pf.OverflowGuardError):
         pf.count_capped(S, (2**70,), 2)

@@ -21,6 +21,10 @@ def test_spec_validation():
         pf.GluingSpec(2, (0,))
     with pytest.raises(pf.ValidationError):
         pf.GluingSpec(2, (4,))  # gcd(d, gamma) != 1
+    with pytest.raises(pf.ValidationError):
+        pf.GluingSpec(2, (15.7,))
+    with pytest.raises(pf.ValidationError):
+        pf.GluingSpec(2.5, (15,))
 
 
 def test_validate_gluing():

@@ -94,6 +94,15 @@ def _as_point(coords, q: int | None = None) -> tuple[int, ...]:
     return pt
 
 
+def _as_int(value, name: str, least: int) -> None:
+    """Check that value is an int parameter of at least ``least``, by the rule
+    of ``_as_point``: a float, a string or a bool raises, never truncated."""
+    if type(value) is not int:
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class Semigroup:
     """A finitely generated affine semigroup of N^q.
@@ -126,12 +135,8 @@ class Semigroup:
 
 def s_degree(S: Semigroup, lam: tuple[int, ...]) -> tuple[int, ...]:
     """The semigroup element sum(lam_i * a_i) of an exponent vector."""
-    if len(lam) != S.h:
-        raise ValidationError(f"exponent vector length {len(lam)} != h = {S.h}")
     out = [0] * S.q
-    for li, a in zip(lam, S.generators):
-        if li < 0:
-            raise ValidationError("negative exponent")
+    for li, a in zip(_as_point(lam, S.h), S.generators):
         if li:
             for j in range(S.q):
                 out[j] = checked(out[j] + checked(li * a[j]))

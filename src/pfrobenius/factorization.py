@@ -2,7 +2,7 @@
 depth-first search, the whole set as a fiber of the toric ideal."""
 from __future__ import annotations
 
-from .core import Semigroup, ValidationError, _as_point
+from .core import Semigroup, ValidationError, _as_int, _as_point
 from .groebner import fiber, toric_ideal_generators
 
 
@@ -90,8 +90,7 @@ def factorizations(S: Semigroup, n) -> frozenset[tuple[int, ...]]:
 
 def count_capped(S: Semigroup, n, cap: int) -> int:
     """min(#Z_n(S), cap); the search aborts once cap factorizations are found."""
-    if cap < 1:
-        raise ValidationError("cap must be >= 1")
+    _as_int(cap, "cap", 1)
     return len(_factor(S, n, cap))
 
 

@@ -1,9 +1,12 @@
-"""p-Frobenius vectors: one pipeline for every p >= 1, and the classical
-p = 0 case of numerical semigroups.
+"""p-Frobenius vectors: one pipeline for every p >= 1, and numerical
+semigroups by their p-Apery sets.
 
-``fp_general`` runs a finiteness gate on the cone, the toric engine's
-reduced basis, the per-generator bounds Lambda read off it, and then one
-strategy for every p and both orders:
+``fp_general`` sends a numerical semigroup (q = 1) at every p >= 0 to
+``_fp_numerical``, which needs no Groebner basis: a Dijkstra over the
+residues mod the smallest generator.  ``f0_numerical`` is its p = 0 case.  For
+q >= 2 it runs a finiteness gate on the cone, the toric engine's reduced
+basis, the per-generator bounds Lambda read off it, and then one strategy
+for every p and both orders:
 a scan of the standard monomials grown from 0 inside prod [0, p*lambda_i)
 by descending degree, counting each fiber by reverse rewriting until one
 has at most p factorizations.  ``candidate_degrees`` lists the degrees of
@@ -24,6 +27,8 @@ from .core import (
     Semigroup,
     UnsupportedError,
     ValidationError,
+    _as_int,
+    _as_point,
     checked,
     s_degree,
 )
@@ -66,8 +71,8 @@ def lambda_bounds(S: Semigroup, G: tuple[Binomial, ...]) -> tuple[int, ...]:
 
 def candidate_degrees(S: Semigroup, lam: tuple[int, ...], p: int) -> set[tuple[int, ...]]:
     """Distinct semigroup elements sum(g_i a_i) with 0 <= g_i <= p*lambda_i."""
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    _as_int(p, "p", 1)
+    lam = _as_point(lam, S.h)
     gens = S.generators
     q = S.q
     # every term is non-negative, so the top corner bounds every point built
@@ -98,11 +103,13 @@ def _degree_ranks(S: Semigroup, order: OrderSpec) -> list[int]:
     return [(sum(a) << 64 * q) - sum(c << 64 * j for j, c in enumerate(a)) for a in S.generators]
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=256, typed=True)
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
-    """F_p(S) for any p >= 1 (p = 0 for q = 1).
+    """F_p(S) for any p >= 1, and for p = 0 when q = 1.
 
-    Grows the standard monomials of the toric engine's reduced basis G in
+    A numerical semigroup (q = 1) takes ``_fp_numerical`` at every p, with
+    no Groebner basis.  For q >= 2 the cone gate decides finiteness, then
+    this grows the standard monomials of the toric engine's reduced basis G in
     the box prod [0, p*lambda_i), sorts them once by descending S-degree
     under ``order`` and counts their fibers in that order
     (``first_small_fiber``); the degree of the first whose fiber holds at
@@ -126,11 +133,13 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
 
     Cached: the result is deterministic in (S, p, order), and a gluing asks
     for the same F_p(S) twice, once for the bound and once for the verdict.
+    The cache is typed, so p = True misses p = 1 and reaches the check on p.
     """
-    if p < 0:
-        raise ValidationError("p must be >= 0")
+    _as_int(p, "p", 0)
+    if S.q == 1:
+        return _fp_numerical(S, p)
     if p == 0:
-        return f0_numerical(S)
+        return f0_numerical(S)  # refuses q >= 2
     if not is_fp_finite(S):
         return INFINITE
     G = toric_ideal_generators(S)
@@ -210,29 +219,67 @@ def indispensable_binomials(S: Semigroup) -> list[Binomial]:
     return sorted(ind, key=lambda b: key(b.lead))
 
 
-def f0_numerical(S: Semigroup) -> FrobeniusResult:
-    """Frobenius number of a numerical semigroup (q = 1) from its Apery set.
+def _fp_numerical(S: Semigroup, p: int) -> FrobeniusResult:
+    """F_p of a numerical semigroup (q = 1) from its p-Apery sets, for any p >= 0.
 
-    The least element of S in each residue class mod a_1 is the length of a
-    shortest path from 0 in the graph on residues with an edge r -> r + a
-    (mod a_1) of length a for each generator a (Nijenhuis, Amer. Math.
-    Monthly 86, 1979); the largest gap is the largest of them less a_1.
+    If the generators share a factor d, S = d*S' with the same
+    factorizations, so F_p(S) = d*F_p(S') for p >= 1 and F_0(S) is infinite.
+    Otherwise let a be the smallest generator and L(c) = sum(c_i b_i) over
+    the others.  The factorizations of n are the c with L(c) <= n and
+    L(c) = n mod a, each completed by (n - L(c)) / a copies of a, so in the
+    residue class r of n, #Z(n) >= k exactly when n >= L_r^(k), the k-th
+    smallest L of the class (counted with repeats).  The elements of class r
+    with 1 <= #Z(n) <= p are those from L_r^(1) up to below L_r^(p+1), so
+    for p >= 1 F_p is the largest L_r^(p+1) - a over the classes with
+    L_r^(p+1) > L_r^(1); it is infinite when class 0 has no p + 1 values
+    (h = 1).  The gaps of class r lie below L_r^(1), so F_0 is the largest
+    L_r^(1) - a (Nijenhuis, Amer. Math. Monthly 86, 1979).
+
+    Each c is one monotone walk from 0 over the b_i, so the p + 1 smallest
+    L of each class are the shortest walks to the states (L mod a, index of
+    the last b_i used): a Dijkstra that pops each state up to p + 1 times.
+    These are the p-Apery sets of Komatsu's p-numerical semigroups.
     """
+    values = sorted(g for (g,) in S.generators)
+    d = math.gcd(*values)
+    if p == 0 and d > 1:
+        return INFINITE
+    a, *others = (v // d for v in values)
+    # L_r^(p+1) <= L_r^(1) + p*a*b for any other generator b (add a*b, p times):
+    # refuse, as the box corner does for q >= 2, a p that takes the L past 64 bits
+    checked(p * a * min(others, default=0))
+    k, m = p + 1, len(others)
+    pops = [0] * (a * max(m, 1))  # per state (L mod a, index of the last b_i)
+    found, first, kth = [0] * a, [0] * a, [0] * a  # per class: how many L, L^(1), L^(k)
+    full = 0  # classes with all k: once every class is, the rest is moot
+    heap = [(0, 0)]
+    while heap and full < a:
+        L, j = heapq.heappop(heap)
+        r = L % a
+        if pops[r * m + j] == k:
+            continue
+        pops[r * m + j] += 1
+        if found[r] < k:
+            found[r] += 1
+            if found[r] == 1:
+                first[r] = L
+            kth[r] = L
+            full += found[r] == k
+        for i in range(j, m):
+            step = checked(L + others[i])
+            if pops[step % a * m + i] < k:
+                heapq.heappush(heap, (step, i))
+    if p == 0:  # gcd 1: every class is reached
+        return FrobeniusResult.finite((max(first) - a,))
+    if found[0] < k:  # h = 1: every multiple of a has one factorization
+        return INFINITE
+    # h >= 2 and gcd 1: every class is reached, and holds its k smallest L
+    return FrobeniusResult.finite((checked(d * (max(y for x, y in zip(first, kth) if y > x) - a)),))
+
+
+def f0_numerical(S: Semigroup) -> FrobeniusResult:
+    """Frobenius number of a numerical semigroup (q = 1): the p = 0 case of
+    ``_fp_numerical``, from the Apery set of the smallest generator."""
     if S.q != 1:
         raise UnsupportedError("p = 0 needs q = 1: gap sets of q >= 2 are out of scope")
-    values = sorted(g[0] for g in S.generators)
-    if math.gcd(*values) != 1:
-        return INFINITE
-    a1 = values[0]
-    dist = [0] + [math.inf] * (a1 - 1)
-    heap = [(0, 0)]
-    while heap:
-        d, r = heapq.heappop(heap)
-        if d > dist[r]:
-            continue
-        for a in values[1:]:
-            nd, nr = checked(d + a), (r + a) % a1
-            if nd < dist[nr]:
-                dist[nr] = nd
-                heapq.heappush(heap, (nd, nr))
-    return FrobeniusResult.finite((max(dist) - a1,))
+    return _fp_numerical(S, 0)

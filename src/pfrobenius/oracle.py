@@ -16,7 +16,7 @@ from math import gcd, prod
 from operator import add
 
 from .cone import is_fp_finite, primitive_direction
-from .core import FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_point, checked
+from .core import FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_int, _as_point, checked
 
 
 class OracleBudgetError(Exception):
@@ -147,8 +147,7 @@ def oracle_fp(
     points of that box with 0 < #Z_n <= p; 0 is one of them.
     """
     budget = _Budget(budget_seconds)
-    if p < 0:
-        raise ValidationError("p must be >= 0")
+    _as_int(p, "p", 0)
     if p == 0:
         return _oracle_f0(S, budget)
     if not is_fp_finite(S):

@@ -102,6 +102,13 @@ def test_s_degree_overflow_guard():
         pf.s_degree(S, (2**62, 0))
 
 
+def test_s_degree_rejects_non_int_exponents():
+    S = pf.numerical(3, 5)
+    for lam in ((1.5, 0), (True, 0), ("1", 0), (-1, 2), (1,)):
+        with pytest.raises(pf.ValidationError):
+            pf.s_degree(S, lam)
+
+
 def test_minimalize_drops_redundant():
     assert pf.minimalize_generators([(2,), (3,), (4,)]).generators == ((2,), (3,))
     assert pf.minimalize_generators([(2,), (4,)]).generators == ((2,),)

@@ -55,6 +55,13 @@ def test_cap_validation():
         pf.count_capped(pf.numerical(2, 3), (5,), 0)
 
 
+def test_cap_must_be_an_int():
+    S = pf.numerical(3, 5)
+    for cap in (1.5, True, "2"):
+        with pytest.raises(pf.ValidationError):
+            pf.count_capped(S, (8,), cap)
+
+
 def test_contains():
     S = pf.numerical(2, 3)
     assert pf.contains(S, (5,))

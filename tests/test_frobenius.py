@@ -3,13 +3,14 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
 from math import gcd
 from operator import le
 
 import pytest
 
 import pfrobenius as pf
-from pfrobenius.frobenius import _degree_ranks
+from pfrobenius.frobenius import _degree_ranks, _fp_numerical
 from pfrobenius.groebner import Binomial
 from pfrobenius.oracle import _direct_lambda
 from conftest import f0_certified, random_finite_semigroup, random_semigroup
@@ -94,6 +95,14 @@ def test_candidate_degrees_contains_origin():
 def test_candidate_degrees_example_cardinality(example_S, example_G):
     lam = pf.lambda_bounds(example_S, example_G)
     assert len(pf.candidate_degrees(example_S, lam, 1)) == 1835
+
+
+def test_candidate_degrees_rejects_non_int():
+    # p = True was answered as p = 1, and a float p or bound raised a raw TypeError
+    S = pf.numerical(3, 5)
+    for lam, p in (((5, 3), True), ((5, 3), 1.5), ((2.5, 1), 1), ((5,), 1)):
+        with pytest.raises(pf.ValidationError):
+            pf.candidate_degrees(S, lam, p)
 
 
 def test_candidate_degrees_overflow_guard():
@@ -587,6 +596,119 @@ def test_f0_numerical_shared_factor_random():
             continue
         assert f0_certified(values, pf.f0_numerical(S).point[0]), S
         checked += 1
+
+
+def test_fp_numerical_matches_references():
+    # the p-Apery route against the tuple scan on the toric basis and the
+    # oracle's exact count, on seeded draws that hold the known hard shapes:
+    # h = 1 after minimalization, an overall gcd above 1, and a factor shared
+    # by the two smallest generators only
+    rng = random.Random(1)
+    shapes = Counter()
+    for _ in range(80):
+        S = random_semigroup(rng, 1, coord_max=30)
+        values = sorted(g for (g,) in S.generators)
+        shape = "h = 1" if S.h == 1 else "gcd > 1" if gcd(*values) > 1 else "shared" if gcd(*values[:2]) > 1 else "coprime"
+        shapes[shape] += 1
+        for p in (1, 2, 3, 5):
+            got = _fp_numerical(S, p)
+            if S.h == 1:  # every multiple of the one generator has one factorization
+                assert got == pf.INFINITE and not pf.is_fp_finite(S), S
+                continue
+            assert got == tuple_scan_reference(S, p, GRLEX) == pf.oracle_fp(S, p).result, (S, p)
+    assert len(shapes) == 4 and min(shapes.values()) >= 5, shapes
+
+
+@pytest.mark.parametrize("gens, f1", [((18, 19, 20, 27, 28), 88), ((10, 11, 24, 28, 29), 46)])
+def test_fp_numerical_tied_class(gens, f1):
+    # F_0 + a, the largest L_r^(1), has two factorizations, so its class
+    # holds no element with one and F_1 lies below F_0
+    S = pf.numerical(*gens)
+    assert pf.fp_general(S, 1) == pf.oracle_fp(S, 1).result == pf.FrobeniusResult.finite((f1,))
+    assert f1 < pf.f0_numerical(S).point[0]
+
+
+def test_fp_numerical_common_factor():
+    # S = d*S' has the factorizations of S', so F_p(S) = d*F_p(S') and F_0(S)
+    # is infinite: the Dijkstra runs over the 2 residues of S' = <2, 3>, not
+    # over 2*10^9, and the scaled answer passes the 64-bit guard
+    d = 10**9
+    S = pf.numerical(2 * d, 3 * d)
+    assert [pf.fp_general(S, p) for p in (0, 1, 2)] == [
+        pf.INFINITE, pf.FrobeniusResult.finite((7 * d,)), pf.FrobeniusResult.finite((13 * d,))
+    ]
+    with pytest.raises(pf.OverflowGuardError):
+        pf.fp_general(pf.numerical(2**62, 3 * 2**61), 1)
+
+
+def test_fp_numerical_p0_matches_certificate():
+    # p = 0 is F_0: infinite exactly when the gcd is above 1, otherwise
+    # certified by plain reachability and equal to the oracle's count
+    rng = random.Random(2)
+    infinite = 0
+    for _ in range(80):
+        S = random_semigroup(rng, 1, coord_max=30)
+        values = sorted(g for (g,) in S.generators)
+        f0 = _fp_numerical(S, 0)
+        assert f0.is_infinite == (gcd(*values) > 1), S
+        if f0.is_infinite:
+            infinite += 1
+            continue
+        assert f0 == pf.oracle_fp(S, 0).result, S
+        assert f0.point == (-1,) if values == [1] else f0_certified(values, f0.point[0]), S
+    assert infinite >= 5
+
+
+def test_numerical_route_needs_no_basis(monkeypatch):
+    # q = 1 reaches neither the cone gate nor the toric ideal, at any p
+    calls = []
+    for name in ("is_fp_finite", "toric_ideal_generators"):
+        fn = getattr(pf.frobenius, name)
+        monkeypatch.setattr(pf.frobenius, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    pf.fp_general.cache_clear()
+    S = pf.numerical(6, 7, 8)
+    for p, expected in ((0, 17), (1, 25), (2, 33)):
+        for order in (GRLEX, GREVLEX):
+            assert pf.fp_general(S, p, order) == pf.FrobeniusResult.finite((expected,))
+    assert calls == []
+    pf.fp_general(pf.Semigroup(2, BOX_SCAN[1]), 1)  # the counters see a q = 2 call
+    assert calls == ["is_fp_finite", "toric_ideal_generators"]
+
+
+def test_fp_numerical_huge_p_refused():
+    # the box corner refused p = 2^62 at once; the p-Apery loop would pop
+    # each state 2^62 + 1 times, so its guard must refuse it up front
+    S = pf.numerical(3, 4, 5)
+    t0 = time.perf_counter()
+    with pytest.raises(pf.OverflowGuardError):
+        pf.fp_general(S, 2**62)
+    assert time.perf_counter() - t0 < 1
+
+
+@pytest.mark.parametrize("gens, expected", [((1001, 1234, 1777), 237757), ((3001, 4567, 5003, 6011), 317626)])
+def test_fp_numerical_large_p(gens, expected):
+    # F_10 of large numerical semigroups: the scan of the box prod [0, p*lambda_i)
+    # took 4.0 s and 5.6 s on them
+    S = pf.numerical(*gens)
+    pf.fp_general.cache_clear()
+    t0 = time.perf_counter()
+    assert pf.fp_general(S, 10) == pf.FrobeniusResult.finite((expected,))
+    assert time.perf_counter() - t0 < 2
+
+
+def test_fp_general_bool_p_misses_cache():
+    # True equals 1 and hashes like it, so an untyped cache answered it as p = 1
+    S = pf.numerical(3, 5)
+    assert pf.fp_general(S, 1) == pf.FrobeniusResult.finite((22,))
+    with pytest.raises(pf.ValidationError):
+        pf.fp_general(S, True)
+
+
+def test_fp_general_rejects_float_and_str_p():
+    S = pf.numerical(3, 5)
+    for p in (1.5, 1.0, "1"):
+        with pytest.raises(pf.ValidationError):
+            pf.fp_general(S, p)
 
 
 def test_monotone_in_p():

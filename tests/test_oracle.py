@@ -114,6 +114,13 @@ def test_oracle_f0():
         pf.oracle_fp(pf.numerical(2, 4), 0)
 
 
+def test_oracle_rejects_non_int_p():
+    S = pf.numerical(3, 5)
+    for p in (1.5, True, "1"):
+        with pytest.raises(pf.ValidationError):
+            pf.oracle_fp(S, p)
+
+
 def test_oracle_rejects_infinite_case():
     S = pf.minimalize_generators([(0, 1), (1, 1), (2, 0), (3, 0)])
     with pytest.raises(pf.ValidationError):

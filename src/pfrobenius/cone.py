@@ -11,6 +11,8 @@ point is involved anywhere.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from functools import lru_cache
 from math import gcd
 
 from .core import Semigroup, ValidationError, _as_point
@@ -61,14 +63,19 @@ def extremal_ray_directions(S: Semigroup) -> frozenset[tuple[int, ...]]:
     return frozenset(extremal)
 
 
+def unpaired_rays(S: Semigroup) -> list[tuple[int, ...]]:
+    """The extremal ray directions, sorted, that carry only one of the
+    minimal generators (each extremal direction carries at least one)."""
+    dir_count = Counter(map(primitive_direction, S.generators))
+    return sorted(d for d in extremal_ray_directions(S) if dir_count[d] < 2)
+
+
+@lru_cache(maxsize=256)
 def is_fp_finite(S: Semigroup) -> bool:
     """True iff F_p(S) is finite for every p >= 1 and every graded order.
 
     Holds exactly when each extremal ray direction is shared by at least two
-    distinct minimal generators.
+    distinct minimal generators.  Cached per semigroup: the F_p solver and
+    the oracle each ask it, once per p, of the semigroup they solve.
     """
-    dir_count: dict[tuple[int, ...], int] = {}
-    for g in S.generators:
-        d = primitive_direction(g)
-        dir_count[d] = dir_count.get(d, 0) + 1
-    return all(dir_count[d] >= 2 for d in extremal_ray_directions(S))
+    return not unpaired_rays(S)

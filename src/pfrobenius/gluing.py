@@ -58,19 +58,25 @@ def glue(S: Semigroup, spec: GluingSpec) -> Semigroup:
 
     The defining generator list must itself be minimal; a violation is an
     error rather than a silent re-minimalization, because every statement
-    about the glued semigroup presumes that list.
+    about the glued semigroup presumes that list.  It is minimal iff S's list
+    is, so only S's list is checked.  A relation among the a_i scales by d.
+    Conversely, with gamma in S, not a generator, and gcd(d, gcd(gamma)) = 1:
+    - gamma in d*S would force d | gcd(gamma);
+    - d*a_k = sum(c_i*d*a_i, i != k) + c*gamma forces d | c*gcd(gamma), so
+      d | c; then a_k = sum(c_i*a_i) + (c/d)*gamma, and gamma = sum(e_i*a_i)
+      gives a factorization of a_k over S that is not a_k itself (gamma is
+      not a_k), so one over the others.
     """
     validate_gluing(S, spec)
+    if minimalize_generators(S.generators, S.q).generators != S.generators:
+        raise ValidationError(
+            "S's generator list is not minimal, so neither is the glued one; "
+            "not a valid gluing"
+        )
     gens = tuple(
         tuple(checked(spec.d * c) for c in a) for a in S.generators
     ) + (spec.gamma,)
-    # the atoms keep their input order, and gcd(d, gcd(gamma)) = 1 leaves no duplicate
-    glued = minimalize_generators(gens, S.q)
-    if glued.generators != gens:
-        raise ValidationError(
-            "glued generator list is not minimal; not a valid gluing"
-        )
-    return glued
+    return Semigroup(S.q, gens)
 
 
 def _finite_fp(S: Semigroup, p: int, order: OrderSpec) -> tuple[int, ...]:

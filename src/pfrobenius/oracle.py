@@ -15,8 +15,8 @@ from itertools import accumulate
 from math import gcd, prod
 from operator import add
 
-from .cone import is_fp_finite, primitive_direction
-from .core import FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_int, _as_point, checked
+from .cone import is_fp_finite, primitive_direction, unpaired_rays
+from .core import INFINITE, FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_int, _as_point, checked
 
 
 class OracleBudgetError(Exception):
@@ -54,8 +54,11 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
     sum(n_j * strides[j]), so n - a comes before n.  A row holds the points
     that differ only in the last coordinate; each row of the sub-box
     [a, maxes] adds its source row, shifted by a, in one slice operation.  A
-    generator on the last axis is its own source: its recurrence is a running
-    sum over each residue class mod a_last of the row, one slice each.
+    generator on the last axis moves no row, so it is its own source, by
+    whichever of two paths takes fewer slices: one strided slice per column
+    c >= a_last across every row, in increasing c (column c - a_last is
+    final when column c reads it), or a running sum over each residue class
+    mod a_last of each row.
     """
     strides = tuple(prod(m + 1 for m in maxes[j + 1 :]) for j in range(len(maxes)))
     width = maxes[-1] + 1
@@ -69,6 +72,10 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
         if any(c > m for c, m in zip(a, maxes)):
             continue  # no point of the grid has a factorization using a
         *head, al = a
+        if not any(head) and width - al < len(ways) // width * al:
+            for c in range(al, width):
+                ways[c::width] = map(add, ways[c::width], ways[c - al :: width])
+            continue
         rows = [0]
         for c, m, s in zip(head, maxes, strides):
             rows = [r + i * s for r in rows for i in range(c, m + 1)]
@@ -144,14 +151,19 @@ def oracle_fp(
     If a factorization gamma of n has gamma_i >= p*lam_i, n has p + 1
     distinct ones (see fp_general), so every n with 1 <= #Z_n <= p lies in
     the box [0, sum((p*lam_i - 1)*a_i)].  F_p is the order-maximum of the
-    points of that box with 0 < #Z_n <= p; 0 is one of them.
+    points of that box with 0 < #Z_n <= p; 0 is one of them.  An infinite
+    F_p is an answer too, certified by an extremal ray that carries only one
+    generator (p >= 1) or by the gcd the generators share (p = 0).
     """
     budget = _Budget(budget_seconds)
     _as_int(p, "p", 0)
     if p == 0:
         return _oracle_f0(S, budget)
     if not is_fp_finite(S):
-        raise ValidationError("oracle_fp requires finite F_p; check is_fp_finite")
+        ray = unpaired_rays(S)[0]
+        return OracleReport(
+            INFINITE, 0, f"the extremal ray {ray} carries only one generator"
+        )
     lam = _direct_lambda(S, budget=budget)
     corner = (sum((p * b - 1) * a[j] for b, a in zip(lam, S.generators)) for j in range(S.q))
     maxes = tuple(map(checked, corner))
@@ -178,8 +190,8 @@ def _oracle_f0(S: Semigroup, budget: _Budget) -> OracleReport:
     if S.q != 1:
         raise ValidationError("oracle p = 0 supports numerical semigroups only")
     values = sorted(g[0] for g in S.generators)
-    if gcd(*values) != 1:
-        raise ValidationError("oracle p = 0 needs gcd 1 (finite gap set)")
+    if (g := gcd(*values)) != 1:
+        return OracleReport(INFINITE, 0, f"every generator is a multiple of {g}")
     if values[0] == 1:
         return OracleReport(FrobeniusResult.finite((-1,)), 0, "no gaps: S = N")
     bound = checked((values[0] - 1) * (values[-1] - 1) - 1)  # Schur (Brauer 1942)

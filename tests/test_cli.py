@@ -117,6 +117,21 @@ def test_fp_verify(capsys, tmp_path):
     assert out["meta"]["oracle_agrees"] is True
 
 
+@pytest.mark.parametrize(
+    "doc, p",
+    [
+        pytest.param({"q": 2, "generators": [[2, 0], [3, 0], [0, 2], [1, 1]]}, "1", id="unpaired-ray"),
+        pytest.param({"q": 1, "generators": [[4], [6]]}, "0", id="shared-gcd"),
+    ],
+)
+def test_fp_verify_infinite(capsys, tmp_path, doc, p):
+    # an infinite F_p is a result under --verify too, and the oracle agrees
+    status, out = run_json(capsys, ["fp", "--input", write(tmp_path, doc), "--p", p, "--verify"])
+    assert status == 0
+    assert out["result"] == out["meta"]["oracle"] == "infinite"
+    assert out["meta"]["oracle_agrees"] is True
+
+
 def test_fp_p0_unsupported_in_dim2(capsys, tmp_path):
     status, out = run_json(
         capsys, ["fp", "--input", write(tmp_path, BIG2D), "--p", "0"]

@@ -9,7 +9,7 @@ import pytest
 import pfrobenius as pf
 from pfrobenius.factorization import factor_tuples
 from pfrobenius.gluing import GluingVerdict
-from conftest import random_finite_semigroup
+from conftest import criterion6_gluings, random_finite_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
 
@@ -76,6 +76,13 @@ def test_glued_list_always_minimal():
             == glued.generators
         )
         built += 1
+    # glue checks S's list alone; the planar gluings of criterion 6 too
+    for S, spec in criterion6_gluings(random.Random(6)):
+        T = [tuple(spec.d * c for c in a) for a in S.generators] + [spec.gamma]
+        assert pf.glue(S, spec) == pf.minimalize_generators(T)
+    # a redundant generator of S (7 = 3 + 4) leaves the glued list redundant
+    with pytest.raises(pf.ValidationError):
+        pf.glue(pf.Semigroup(1, ((3,), (4,), (7,))), pf.GluingSpec(2, (15,)))
 
 
 def test_bound_34_gamma15():

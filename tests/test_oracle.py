@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 from operator import le
 from pathlib import Path
 
@@ -110,8 +111,9 @@ def test_oracle_f0():
     assert pf.oracle_fp(pf.numerical(1, 5), 0).result.point == (-1,)
     assert pf.oracle_fp(pf.numerical(4, 6, 101), 0).result.point == (103,)
     assert f0_certified((4, 6, 101), 103)
-    with pytest.raises(pf.ValidationError):
-        pf.oracle_fp(pf.numerical(2, 4), 0)
+    report = pf.oracle_fp(pf.numerical(2, 4), 0)
+    assert report.result == pf.INFINITE
+    assert report.certificate == "every generator is a multiple of 2"
 
 
 def test_oracle_rejects_non_int_p():
@@ -122,9 +124,11 @@ def test_oracle_rejects_non_int_p():
 
 
 def test_oracle_rejects_infinite_case():
+    # answered, not raised: the ray (0, 1) carries (0, 1) alone
     S = pf.minimalize_generators([(0, 1), (1, 1), (2, 0), (3, 0)])
-    with pytest.raises(pf.ValidationError):
-        pf.oracle_fp(S, 1, GRLEX)
+    report = pf.oracle_fp(S, 1, GRLEX)
+    assert report.result == pf.INFINITE
+    assert report.certificate == "the extremal ray (0, 1) carries only one generator"
 
 
 def test_oracle_agrees_with_main_pipeline():
@@ -205,6 +209,62 @@ def test_count_grid_matches_pointwise_recurrence():
             ("zero in maxes" for m in maxes if m == 0),
         )
     assert seen == {"zero coordinate", "exceeds maxes", "zero in maxes"}
+
+
+def test_count_grid_last_axis_paths():
+    # a generator on the last axis takes one slice per column across every
+    # row, or one running sum per residue class of each row, whichever is
+    # fewer slices: both paths, at q = 1, 2 and 3, among other generators
+    rng = random.Random(12)
+    seen = set()
+    for i in range(90):
+        q = i % 3 + 1
+        maxes = tuple(rng.randint(0, (12, 4)[q - 2]) for _ in range(q - 1)) + (rng.randint(1, 30),)
+        gens = [(0,) * (q - 1) + (rng.randint(1, maxes[-1]),) for _ in range(rng.randint(1, 2))]
+        while len(gens) < 4:
+            g = tuple(rng.randint(0, 4) for _ in range(q))
+            if any(g):
+                gens.append(g)
+        rng.shuffle(gens)
+        ways, _ = _count_grid(gens, maxes)
+        assert ways == _pointwise_counts(gens, maxes), (gens, maxes)
+        width, rows = maxes[-1] + 1, prod(m + 1 for m in maxes[:-1])
+        seen.update((q, width - g[-1] < rows * g[-1]) for g in gens if not any(g[:-1]))
+    assert seen == {(q, columns) for q in (1, 2, 3) for columns in (False, True)}
+
+
+def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
+    # every grid the oracle counts for the 2-D gluings of the glue-verify
+    # workload, multiplier searches included, holds the exact counts
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.glue_verify(0, tmp_path)
+    gluings = {
+        (tuple(map(tuple, op["gens"])), op["d"], tuple(op["gamma"]))
+        for op in ops
+        if op["cmd"] == "glue" and len(op["gamma"]) == 2
+    }
+    assert len(gluings) == workloads.GLUE_ROUNDS
+    grids, wrong = [], []
+
+    def counted(gens, maxes, budget=_Budget(None)):
+        # the oracle reads the reference counts, so a wrong grid cannot
+        # send a multiplier search past its hit
+        ways, strides = _count_grid(gens, maxes, budget)
+        want = _pointwise_counts(gens, maxes)
+        grids.append(maxes)
+        if ways != want:
+            wrong.append((gens, maxes))
+        return want, strides
+
+    monkeypatch.setattr(pf.oracle, "_count_grid", counted)
+    _direct_lambda.cache_clear()
+    for gens, d, gamma in gluings:
+        pf.oracle_fp(pf.glue(pf.Semigroup(2, gens), pf.GluingSpec(d, gamma)), 1)
+    assert len(grids) > 2 * len(gluings)
+    assert wrong == []
 
 
 def _parallel_draw(rng: random.Random, q: int) -> pf.Semigroup:

@@ -21,9 +21,15 @@ from .core import Semigroup, ValidationError, _as_point
 def primitive_direction(v) -> tuple[int, ...]:
     """v divided by the gcd of its coordinates."""
     v = _as_point(v)
-    g = gcd(*v) if len(v) > 1 else v[0]
-    if g == 0:
+    if not any(v):
         raise ValidationError("zero vector has no direction")
+    return _direction(v)
+
+
+def _direction(v: tuple[int, ...]) -> tuple[int, ...]:
+    """The nonzero point v divided by the gcd of its coordinates, unchecked:
+    for points that passed ``_as_point`` already, such as generators."""
+    g = gcd(*v)
     return tuple(c // g for c in v)
 
 
@@ -54,7 +60,7 @@ def extremal_ray_directions(S: Semigroup) -> frozenset[tuple[int, ...]]:
     combination of the other distinct generator directions, that is (Farkas'
     lemma) iff some linear form is >= 0 on all of them and negative on d.
     """
-    directions = sorted({primitive_direction(g) for g in S.generators})
+    directions = sorted(set(map(_direction, S.generators)))
     extremal = set()
     for d in directions:
         others = [e for e in directions if e != d]
@@ -66,7 +72,7 @@ def extremal_ray_directions(S: Semigroup) -> frozenset[tuple[int, ...]]:
 def unpaired_rays(S: Semigroup) -> list[tuple[int, ...]]:
     """The extremal ray directions, sorted, that carry only one of the
     minimal generators (each extremal direction carries at least one)."""
-    dir_count = Counter(map(primitive_direction, S.generators))
+    dir_count = Counter(map(_direction, S.generators))
     return sorted(d for d in extremal_ray_directions(S) if dir_count[d] < 2)
 
 

@@ -53,6 +53,9 @@ class Binomial:
 
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (lead, trail) of a binomial
+Packed = tuple[int, int]  # (lead, trail - lead) of a binomial, packed under one _Order
+Move = tuple[int, int, tuple[int, ...]]  # (support of lead, support of trail, lead - trail)
+_FIELD = (1 << 64) - 1
 
 
 class _Order:
@@ -68,6 +71,15 @@ class _Order:
         self.guard = sum(1 << (64 * k + 63) for k in range(h))
         self.values = self.guard - (self.guard >> 63)
         self.flip = self.values if sign < 0 else 0
+        # the field of x_j plus w_j in the degree: subtracting e of them
+        # divides x_j^e out of a packed monomial, degree included
+        self.units = [(1 << s) + (w << self.top) for w, s in zip(weights, self.shifts)]
+        # fields times ``dot`` put sum(w_j e_j) in the field at top - 64; below
+        # ``limit`` no column of the product reaches 2^64, so none carries, and
+        # a field reaches it exactly when adding ``past`` sets its guard bit
+        self.dot = sum(w << (self.top - 64 - s) for w, s in zip(weights, self.shifts))
+        self.limit = (1 << 64) // max(sum(weights), 1)
+        self.past = max((1 << 63) - self.limit, 0) * (self.guard >> 63)
 
     def pack(self, v: tuple[int, ...]) -> int:
         if not all(0 <= e <= INT64_MAX for e in v):
@@ -78,7 +90,10 @@ class _Order:
         return tuple(m >> s & INT64_MAX for s in self.shifts)
 
     def with_degree(self, m: int) -> int:
-        return m + (sum(map(mul, self.weights, self.unpack(m))) << self.top)
+        """The fields m with their weighted degree above them."""
+        if (m + self.past) & self.guard:
+            return m + (sum(map(mul, self.weights, self.unpack(m))) << self.top)
+        return m + ((m * self.dot >> self.top - 64 & _FIELD) << self.top)
 
     def __call__(self, v: tuple[int, ...]) -> int:
         return self.pack(v) ^ self.flip
@@ -98,7 +113,7 @@ def _reduce(m: int, leads: list[int], deltas: list[int], guard: int) -> int:
             return m
 
 
-def _buchberger(gens: list[Pair], key: _Order) -> list[Pair]:
+def _buchberger(gens: list[Pair], key: _Order) -> list[Packed]:
     """A minimal Groebner basis by Buchberger with normal pair selection
     (min-lcm heap) and the Gebauer-Moeller pair update ("A note on the
     Buchberger algorithm for computing Groebner bases", JSC 6, 1988).
@@ -109,7 +124,8 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Pair]:
     coprime-lead pair survive.  An element whose lead a later lead divides
     stops being live: it forms no new pairs but still reduces.  A joining
     lead is reduced, so no earlier lead divides it, and the live elements
-    are a minimal basis; they are returned as (lead, trail) pairs.
+    are a minimal basis; they are returned packed under ``key``, as
+    (lead, trail - lead) with the lead's degree above its fields.
 
     The inputs join in degree order, interleaved with the pairs: each step
     takes the next input if its lead's key is at most the smallest queued
@@ -120,24 +136,18 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Pair]:
     deltas: list[int] = []  # trail - lead, packed
     nonzero: list[int] = []  # the guard bits of each lead's nonzero fields
     live: list[int] = []
-    queue: list[tuple[int, int, int]] = []  # (key of the lcm, i, j)
+    queue: list[tuple[int, int, int, int]] = []  # (key of the lcm, its fields, i, j)
 
     def update(lead: int, trail: int) -> None:
         nonlocal queue, live
-        n, nz = len(leads), ((lead & V) + V) & G
-        lcms = []  # the fields of lcm(leads[i], lead), no degree
-        for a in leads:
-            ge = ((a | G) - lead) & G
-            ge -= ge >> 63
-            lcms.append((a & ge) | (lead & (V ^ ge)))
+        n, fields = len(leads), lead & V
+        nz = (fields + V) & G
+        # the fields of lcm(leads[i], lead): a field of leads[i] minus the
+        # lead's keeps its guard bit where it is not smaller, and is added back
+        lcms = [fields + (d & ((ge := d & G) - (ge >> 63))) for d in [(a | G) - fields for a in leads]]
         # the new pairs by lcm: the first live partner, and the lcms of coprime leads
-        partner: dict[int, int] = {}
-        coprime: set[int] = set()
-        for i in live:
-            L = lcms[i]
-            partner.setdefault(L, i)
-            if not nonzero[i] & nz:
-                coprime.add(L)
+        partner = {lcms[i]: i for i in reversed(live)}
+        coprime = {lcms[i] for i in live if not nonzero[i] & nz}
         # int order extends divisibility, so each lcm is tested only against
         # the minimal ones before it
         minimal: list[int] = []
@@ -148,11 +158,10 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Pair]:
                     break
             else:
                 minimal.append(L)
-        kept = [(key.with_degree(L) ^ flip, partner[L], n) for L in minimal if L not in coprime]
-        for k, i, j in queue:
-            L = (k ^ flip) & V
-            if ((L | G) - lead) & G != G or lcms[i] == L or lcms[j] == L:
-                kept.append((k, i, j))
+        kept = [(key.with_degree(L) ^ flip, L, partner[L], n) for L in minimal if L not in coprime]
+        kept += [
+            e for e in queue if ((e[1] | G) - fields) & G != G or lcms[e[2]] == e[1] or lcms[e[3]] == e[1]
+        ]
         queue = kept
         heapq.heapify(queue)
         live = [i for i in live if ((leads[i] | G) - lead) & G != G]
@@ -162,9 +171,23 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Pair]:
         nonzero.append(nz)
 
     def join(u: int, v: int) -> None:
-        u, v = _reduce(u, leads, deltas, G), _reduce(v, leads, deltas, G)
-        if u != v:
-            update(*((u, v) if u ^ flip > v ^ flip else (v, u)))
+        # rewrite the larger side until the two meet, and the binomial
+        # reduces to zero, or it is irreducible: both sides descend their
+        # own rewrite paths, so it is then the larger normal form, the lead
+        # that reducing both sides in full gives, and only the trail is left
+        while u != v:
+            if u ^ flip < v ^ flip:
+                u, v = v, u
+            ug = u | G
+            for lead, delta in zip(leads, deltas):
+                if (ug - lead) & G == G:
+                    u += delta
+                    if u & G:
+                        raise OverflowGuardError("a rewrite left the 63-bit exponent fields")
+                    break
+            else:
+                update(u, _reduce(v, leads, deltas, G))
+                return
 
     # the inputs as (key of the lead, key of the trail), the smallest last
     inputs = sorted(((max(ku, kv), min(ku, kv)) for ku, kv in ((key(u), key(v)) for u, v in gens)), reverse=True)
@@ -173,30 +196,31 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Pair]:
             kl, kt = inputs.pop()
             join(kl ^ flip, kt ^ flip)
             continue
-        k, i, j = heapq.heappop(queue)
+        k, _, i, j = heapq.heappop(queue)
         u, v = (k ^ flip) + deltas[i], (k ^ flip) + deltas[j]
         if (u | v) & G:
             raise OverflowGuardError("an S-pair left the 63-bit exponent fields")
         join(u, v)
-    return [(key.unpack(leads[i]), key.unpack(leads[i] + deltas[i])) for i in live]
+    return [(leads[i], deltas[i]) for i in live]
 
 
-def _interreduce(basis: list[Pair], key: _Order) -> list[Binomial]:
-    """Shrink a Groebner basis to the unique reduced one.
+def _interreduce(basis: list[Packed], key: _Order) -> list[Binomial]:
+    """Shrink a Groebner basis, packed under ``key``, to the unique reduced
+    one.
 
     A divisor of a lead always sorts before it under a monomial order, so a
-    single ascending sweep keeps exactly the elements with minimal leads;
-    tail reduction against that set then pins each trail to its normal form
-    (a lead never divides its own, smaller, trail).
+    single ascending sweep keeps exactly the elements with minimal leads, the
+    first of equal ones; tail reduction against that set then pins each
+    trail to its normal form (a lead never divides its own, smaller, trail),
+    the same whichever of equal leads was kept.
     """
     G, flip = key.guard, key.flip
     leads: list[int] = []
     deltas: list[int] = []
-    for kl, kt in sorted({(key(u), key(v)) for u, v in basis}):
-        lead = kl ^ flip
+    for lead, delta in sorted(basis, key=lambda b: b[0] ^ flip):
         if not any(((lead | G) - o) & G == G for o in leads):
             leads.append(lead)
-            deltas.append((kt ^ flip) - lead)
+            deltas.append(delta)
     return [
         Binomial(key.unpack(lead), key.unpack(_reduce(lead + d, leads, deltas, G)))
         for lead, d in zip(leads, deltas)
@@ -242,7 +266,9 @@ def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
                 break
             for i in range(r + 1, h):
                 f = rows[i][c] // rows[r][c]
-                rows[i] = [checked(x - f * y) for x, y in zip(rows[i], rows[r])]
+                if f:  # the pivot's entry is the smallest nonzero one
+                    rows[i] = row = [x - f * y for x, y in zip(rows[i], rows[r])]
+                    checked(max(row, key=abs))
     basis = [row[q:] for row in rows[r:]]
     norms = [sum(map(mul, b, b)) for b in basis]
     shorter = True
@@ -253,7 +279,8 @@ def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
             t = (2 * dot + nj) // (2 * nj)
             n = norms[i] - 2 * t * dot + t * t * nj  # |b_i - t b_j|^2
             if n < norms[i]:
-                basis[i] = [checked(x - t * y) for x, y in zip(basis[i], basis[j])]
+                basis[i] = b = [x - t * y for x, y in zip(basis[i], basis[j])]
+                checked(max(b, key=abs))
                 norms[i], shorter = n, True
     return [tuple(b) for b in basis]
 
@@ -263,13 +290,15 @@ def _revlex_key(weights: tuple[int, ...], last: int) -> _Order:
     return _Order(weights, [last] + [j for j in reversed(range(len(weights))) if j != last], -1)
 
 
-def _pivots(vectors, stop: dict[int, int] | None = None) -> dict[int, int]:
+def _pivots(vectors, stop: dict[int, int] | None = None, rows: dict | None = None) -> dict[int, int]:
     """{column: |pivot|} of an integer row echelon form of the lattice the
     vectors span.  They depend on the lattice alone: the pivot in column c
     generates the c-th entries of the lattice vectors that vanish before c.
     Each vector is inserted by Euclid's steps against the rows of its
-    nonzero columns.  Returns as soon as the pivots equal ``stop``."""
-    rows: dict[int, list[int]] = {}
+    nonzero columns, into ``rows`` ({column: row}) when it is given, so that
+    a later call can add more vectors.  Returns as soon as the pivots equal
+    ``stop``."""
+    rows = {} if rows is None else rows
     for v in vectors:
         for c in range(len(v)):
             if v[c]:
@@ -293,31 +322,38 @@ def _circuits(S: Semigroup) -> list[tuple[int, ...]]:
     minor of A without column t, divided by the gcd (Cramer's rule; Sturmfels,
     Groebner Bases and Convex Polytopes, 1996, ch. 4).  The minors on the
     first k rows are built for k = 1, ..., q by Laplace expansion along row
-    k - 1, each once, keyed by their columns.  A circuit with an entry past
-    2^63 - 1 is left out: the packed fields could not hold it.
+    k - 1, keyed by their columns: each nonzero minor on k - 1 rows adds its
+    product with every nonzero entry of row k - 1 outside its columns.  A
+    circuit with an entry past 2^63 - 1 is left out: the packed fields could
+    not hold it.
     """
-    A, q = S.generators, S.q
-    minor: dict[tuple[int, ...], int] = {(): 1}
-    for k in range(1, q + 1):
-        for cols in itertools.combinations(range(S.h), k):
-            minor[cols] = sum(
-                (-1) ** (k - 1 + t) * A[c][k - 1] * minor[cols[:t] + cols[t + 1 :]]
-                for t, c in enumerate(cols)
-                if A[c][k - 1]
-            )
+    A, q, h = S.generators, S.q, S.h
+    minor = {0: 1}  # the minors on the first k rows, keyed by their columns' bitmask
+    for k in range(q):
+        grown: dict[int, int] = {}
+        for mask, m in minor.items():
+            for c in range(h) if m else ():
+                bit = 1 << c
+                if A[c][k] and not mask & bit:
+                    # column c is the t-th of mask | bit, t the columns of mask below it
+                    sign = -1 if (k + (mask & (bit - 1)).bit_count()) & 1 else 1
+                    grown[mask | bit] = grown.get(mask | bit, 0) + sign * A[c][k] * m
+        minor = grown
     out: dict[tuple[int, ...], None] = {}
-    for cols in itertools.combinations(range(S.h), q + 1):
-        entries = [(-1) ** t * minor[cols[:t] + cols[t + 1 :]] for t in range(q + 1)]
+    for cols in itertools.combinations(range(h), q + 1):
+        mask = sum(1 << c for c in cols)
+        entries = [minor.get(mask ^ 1 << c, 0) for c in cols]
         g = math.gcd(*entries)
         if not g:
             continue
-        g = g if next(e for e in entries if e) > 0 else -g
-        if max(map(abs, entries)) // abs(g) > INT64_MAX:
-            continue
-        v = [0] * S.h
+        entries[1::2] = [-e for e in entries[1::2]]
+        if next(filter(None, entries)) < 0:
+            g = -g
+        v = [0] * h
         for c, e in zip(cols, entries):
             v[c] = e // g
-        out[tuple(v)] = None
+        if max(map(abs, v)) <= INT64_MAX:
+            out[tuple(v)] = None
     return list(out)
 
 
@@ -326,25 +362,64 @@ def _binomials(vectors) -> list[Pair]:
     return [(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in vectors]
 
 
-def _moves(pairs: list[Pair]) -> list[tuple[int, int, list[int]]]:
-    """(support of lead, support of trail, lead - trail), supports as bitmasks."""
-    return [
-        (sum(1 << j for j, e in enumerate(u) if e), sum(1 << j for j, e in enumerate(v) if e), list(map(sub, u, v)))
-        for u, v in pairs
-    ]
+def _support(v) -> int:
+    return sum(1 << j for j, e in enumerate(v) if e)
 
 
-def _free_set(pool, lattice: dict[int, int], todo: list[int]) -> int:
+def _moves(pairs) -> list[Move]:
+    """(support of lead, support of trail, lead - trail), supports as
+    bitmasks, of each binomial, turned so that lead - trail has its first
+    nonzero entry positive: a binomial and its negative give one move."""
+    out = []
+    for u, v in pairs:
+        d = tuple(map(sub, u, v))
+        if next(filter(None, d)) < 0:
+            u, v, d = v, u, tuple(-e for e in d)
+        out.append((_support(u), _support(v), d))
+    return out
+
+
+def _vector_moves(vectors) -> list[Move]:
+    """The move of x^{v+} - x^{v-}, straight from each lattice vector v."""
+    out = []
+    for v in vectors:
+        if next(filter(None, v)) < 0:
+            v = tuple(-e for e in v)
+        out.append((sum(1 << j for j, e in enumerate(v) if e > 0), sum(1 << j for j, e in enumerate(v) if e < 0), v))
+    return out
+
+
+def _free_set(pool: list[Move], lattice: dict[int, int], todo: list[int]) -> int:
     """C as a bitmask: greedily in index order, each variable of todo but the
     last joins C while the moves of the pool usable on C (lead or trail free
     of C) generate L, that is, while the pivots of their differences stay
-    those of ``lattice``."""
-    free = 0
+    those of ``lattice``.
+
+    Every C still to try lies in U, C so far and the variables left to try,
+    and a move usable on U is usable on each such C; U only shrinks, so the
+    moves usable on U join one echelon form once, and each C starts from a
+    copy of it with the other moves usable on C."""
+    free, rest = 0, sum(1 << c for c in todo[:-1])
+    base: dict[int, list[int]] = {}
+    outside, done = pool, False
     for c in todo[:-1]:
-        C = free | 1 << c
-        if _pivots((d for a, b, d in pool if not a & C or not b & C), lattice) == lattice:
+        U, C = free | rest, free | 1 << c
+        rest ^= 1 << c
+        if not done:
+            inner = [d for a, b, d in outside if not a & U or not b & U]
+            if inner:
+                outside = [m for m in outside if m[0] & U and m[1] & U]
+                done = _pivots(inner, lattice, base) == lattice
+        if done or _pivots((d for a, b, d in outside if not a & C or not b & C), lattice, dict(base)) == lattice:
             free = C
     return free
+
+
+def _divide_out(basis: list[Packed], key: _Order, s: int) -> list[Packed]:
+    """Each packed binomial of basis divided by x_s^e, e the exponent of x_s
+    in its lead: e units of x_s come off the lead, and trail - lead stays."""
+    shift, unit = key.shifts[s], key.units[s]
+    return [(lead - (lead >> shift & INT64_MAX) * unit, delta) for lead, delta in basis]
 
 
 @functools.lru_cache(maxsize=256)
@@ -399,31 +474,30 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     is picked again after every step.
     """
     weights = tuple(sum(a) for a in S.generators)
-    basis = _binomials(_kernel_basis(S))
-    pool = _moves(basis)
+    kernel = _kernel_basis(S)
+    gens = _binomials(kernel)
+    pool = dict.fromkeys(_vector_moves(kernel))
     lattice = _pivots(d for *_, d in pool)
     todo = list(range(S.h))
-    free = _free_set(pool, lattice, todo)
+    free = _free_set(list(pool), lattice, todo)
     if free.bit_count() < S.h - 1:
-        circuits = _binomials(_circuits(S))
-        seeds = _moves(circuits)
-        wider = _free_set(pool + seeds, lattice, todo)
+        seeds = [m for m in dict.fromkeys(_vector_moves(_circuits(S))) if m not in pool]
+        wider = _free_set(list(pool) + seeds, lattice, todo)
         if wider.bit_count() > free.bit_count():
-            used = [not a & wider or not b & wider for a, b, _ in seeds]
-            basis += itertools.compress(circuits, used)
-            pool += itertools.compress(seeds, used)
+            used = [m for m in seeds if not m[0] & wider or not m[1] & wider]
+            gens += _binomials(d for *_, d in used)
+            pool.update(dict.fromkeys(used))
             free = wider
     while True:
         s = next(c for c in todo if not free >> c & 1)
         todo.remove(s)
-        basis = [
-            (u[:s] + (0,) + u[s + 1 :], v[:s] + (v[s] - u[s],) + v[s + 1 :])
-            for u, v in _buchberger(basis, _revlex_key(weights, s))
-        ]
+        key = _revlex_key(weights, s)
+        basis = _divide_out(_buchberger(gens, key), key, s)
         if s == S.h - 1:
-            return tuple(_interreduce(basis, _revlex_key(weights, s)))
-        pool += _moves(basis)
-        free = _free_set(pool, lattice, todo)
+            return tuple(_interreduce(basis, key))
+        gens = [(key.unpack(lead), key.unpack(lead + delta)) for lead, delta in basis]
+        pool.update(dict.fromkeys(_moves(gens)))
+        free = _free_set(list(pool), lattice, todo)
 
 
 @functools.lru_cache(maxsize=256)

@@ -15,7 +15,7 @@ from itertools import accumulate
 from math import gcd, prod
 from operator import add
 
-from .cone import is_fp_finite, primitive_direction, unpaired_rays
+from .cone import _direction, is_fp_finite, unpaired_rays
 from .core import INFINITE, FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_int, _as_point, checked
 
 
@@ -119,9 +119,9 @@ def _direct_lambda(S: Semigroup, budget=_Budget(None)) -> tuple[int, ...]:
             for i, g in enumerate(S.generators)
             if i != k and not any(g[j] for j in outside)
         ]
-        d = primitive_direction(a)
+        d = _direction(a)
         gk = a[0] // d[0]  # a is positive on its support
-        ray = [g[0] // d[0] for g in others if primitive_direction(g) == d]
+        ray = [g[0] // d[0] for g in others if _direction(g) == d]
         top = min(gm // gcd(gk, gm) for gm in ray) if ray else 1
         hit = None
         while hit is None:

@@ -17,6 +17,14 @@ def test_primitive_direction():
         pf.primitive_direction((0, 0))
 
 
+@pytest.mark.parametrize("v", [(2.0, 4), (True, 2), (3, -6), (-4,)])
+def test_primitive_direction_checks_its_point(v):
+    # the public function checks its input; the cone code divides the
+    # generators of a Semigroup, checked when it was built, with no check
+    with pytest.raises(pf.ValidationError):
+        pf.primitive_direction(v)
+
+
 def test_extremal_rays_example(example_S):
     assert set(pf.extremal_ray_directions(example_S)) == {(1, 0), (0, 1)}
 

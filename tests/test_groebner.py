@@ -15,6 +15,7 @@ from pfrobenius.groebner import (
     _binomials,
     _buchberger,
     _circuits,
+    _divide_out,
     _free_set,
     _graded_key,
     _interreduce,
@@ -80,18 +81,26 @@ def test_toric_generators_overflow_guard():
         pf.toric_ideal_generators(S)
 
 
+def unpacked(basis, key) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Packed (lead, trail - lead) binomials under key, as (lead, trail) tuples."""
+    return [(key.unpack(lead), key.unpack(lead + delta)) for lead, delta in basis]
+
+
 def full_saturation_reference(S: pf.Semigroup) -> list[Binomial]:
     """The toric engine with no step skipped: the lattice ideal of the kernel
-    basis saturated by every variable x_1, ..., x_{h-1} in turn."""
+    basis saturated by every variable x_1, ..., x_{h-1} in turn, each step's
+    reduced basis divided by tuples; the last divided basis is a Groebner
+    basis, so one more run leaves it as it is and interreduces it."""
     weights = tuple(sum(a) for a in S.generators)
     basis = [(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in _kernel_basis(S)]
     for s in range(1, S.h):
         key = _revlex_key(weights, s)
         basis = [
-            tuple(m[:s] + (m[s] - min(b.lead[s], b.trail[s]),) + m[s + 1 :] for m in (b.lead, b.trail))
-            for b in _interreduce(_buchberger(basis, key), key)
+            tuple(m[:s] + (m[s] - min(u[s], t[s]),) + m[s + 1 :] for m in (u, t))
+            for u, t in unpacked(_buchberger(basis, key), key)
         ]
-    return _interreduce(basis, _revlex_key(weights, S.h - 1))
+    key = _revlex_key(weights, S.h - 1)
+    return _interreduce(_buchberger(basis, key), key)
 
 
 def test_toric_generators_skip_rule_random_family():
@@ -190,13 +199,69 @@ def test_free_set_needs_no_shared_factor():
     for s, free in ((1, 0b1), (3, 0b101)):
         assert _free_set(pool, lattice, todo) == free
         todo.remove(s)
+        key = _revlex_key(weights, s)
         basis = [
             (u[:s] + (0,) + u[s + 1 :], v[:s] + (v[s] - u[s],) + v[s + 1 :])
-            for u, v in _buchberger(basis, _revlex_key(weights, s))
+            for u, v in unpacked(_buchberger(basis, key), key)
         ]
         pool += _moves(basis)
     assert _free_set(pool, lattice, todo) == 0b101
     assert _pivots(sign_consistent(0b10101), lattice) == lattice
+
+
+def test_divide_out_matches_tuple_formula():
+    # x_s^e, e the lead's exponent of x_s, comes off a packed lead and trail
+    # as the tuple formula says, the degree field included, for h = 1-8 and
+    # with fields near 2^62; trail - lead stays as it was
+    rng = random.Random(41)
+    for trial in range(400):
+        h = trial % 8 + 1
+        weights = tuple(rng.randint(1, 9) for _ in range(h))
+        s = rng.randrange(h)
+        key = _revlex_key(weights, s)
+        field = lambda: rng.choice([rng.randint(0, 9), 2**62 + rng.randint(-9, 9)])
+        lead = tuple(field() for _ in range(h))
+        trail = [field() for _ in range(h)]
+        trail[s] = lead[s] + rng.choice([0, rng.randint(1, 9), 2**61])
+        u = lead[:s] + (0,) + lead[s + 1 :]
+        t = tuple(trail[:s]) + (trail[s] - lead[s],) + tuple(trail[s + 1 :])
+        packed = (key.pack(lead), key.pack(tuple(trail)) - key.pack(lead))
+        assert _divide_out([packed], key, s) == [(key.pack(u), key.pack(t) - key.pack(u))], (lead, trail, s)
+
+
+def test_divide_out_coinciding_leads(example_S):
+    # next to each g of a minimal basis, x_s g: after the divide both leads
+    # are the same, and the interreduced basis is the one without the
+    # multiples
+    S = example_S
+    weights = tuple(sum(a) for a in S.generators)
+    for s in range(S.h):
+        key = _revlex_key(weights, s)
+        basis = unpacked(_buchberger(_binomials(_kernel_basis(S)), key), key)
+        up = tuple(int(j == s) for j in range(S.h))
+        more = basis + [(tuple(map(operator.add, u, up)), tuple(map(operator.add, t, up))) for u, t in basis]
+        packed = [(key.pack(u), key.pack(t) - key.pack(u)) for u, t in more]
+        divided = _divide_out(packed, key, s)
+        assert len({lead for lead, _ in divided}) == len(basis)
+        assert _interreduce(divided, key) == _interreduce(divided[: len(basis)], key)
+
+
+def test_lcm_degree_on_both_sides_of_the_carry_limit():
+    # with_degree reads sum(w_j e_j) off one product while every field is
+    # below key.limit, where no column of the product carries, and sums the
+    # fields from the limit on: both give the weighted degree
+    rng = random.Random(47)
+    for trial in range(300):
+        h = trial % 8 + 1
+        weights = tuple(rng.choice([rng.randint(1, 9), rng.randint(1, 2**40)]) for _ in range(h))
+        key = _revlex_key(weights, rng.randrange(h))
+        for top in (key.limit - 1, key.limit):
+            if top > INT64_MAX:
+                continue
+            v = tuple(rng.choice([top, rng.randint(0, top)]) for _ in range(h))
+            m = sum(e << s for e, s in zip(v, key.shifts))
+            assert ((m + key.past) & key.guard == 0) == (max(v) < key.limit), (v, weights)
+            assert key.with_degree(m) == m + (sum(map(operator.mul, weights, v)) << key.top), (v, weights)
 
 
 def primitive_nullspace_circuits(S: pf.Semigroup) -> set[tuple[int, ...]]:

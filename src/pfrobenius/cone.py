@@ -71,9 +71,10 @@ def extremal_ray_directions(S: Semigroup) -> frozenset[tuple[int, ...]]:
 
 def unpaired_rays(S: Semigroup) -> list[tuple[int, ...]]:
     """The extremal ray directions, sorted, that carry only one of the
-    minimal generators (each extremal direction carries at least one)."""
+    minimal generators (each extremal direction carries at least one): only
+    those directions are tested for extremality."""
     dir_count = Counter(map(_direction, S.generators))
-    return sorted(d for d in extremal_ray_directions(S) if dir_count[d] < 2)
+    return sorted(d for d, n in dir_count.items() if n < 2 and _separable(d, [e for e in dir_count if e != d]))
 
 
 @lru_cache(maxsize=256)

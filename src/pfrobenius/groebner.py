@@ -34,8 +34,9 @@ import functools
 import heapq
 import itertools
 import math
+import struct
 from dataclasses import dataclass
-from operator import lshift, mul, sub
+from operator import itemgetter, lshift, mul, sub
 
 from .core import INT64_MAX, OrderSpec, OverflowGuardError, Semigroup, ValidationError, checked, s_degree
 
@@ -80,14 +81,18 @@ class _Order:
         self.dot = sum(w << (self.top - 64 - s) for w, s in zip(weights, self.shifts))
         self.limit = (1 << 64) // max(sum(weights), 1)
         self.past = max((1 << 63) - self.limit, 0) * (self.guard >> 63)
+        # the value bits as bytes read 64-bit fields, lowest first: x_j's is
+        # the one at shifts[j] // 64
+        self.fields = struct.Struct(f"<{h}Q").unpack
+        self.order = itemgetter(*(s // 64 for s in self.shifts)) if h > 1 else tuple
 
     def pack(self, v: tuple[int, ...]) -> int:
-        if not all(0 <= e <= INT64_MAX for e in v):
+        if v and (min(v) < 0 or max(v) > INT64_MAX):
             raise OverflowGuardError(f"exponent vector {v} leaves the 63-bit fields")
         return sum(map(lshift, v, self.shifts)) + (sum(map(mul, self.weights, v)) << self.top)
 
     def unpack(self, m: int) -> tuple[int, ...]:
-        return tuple(m >> s & INT64_MAX for s in self.shifts)
+        return self.order(self.fields((m & self.values).to_bytes(self.top >> 3, "little")))
 
     def with_degree(self, m: int) -> int:
         """The fields m with their weighted degree above them."""
@@ -99,11 +104,11 @@ class _Order:
         return self.pack(v) ^ self.flip
 
 
-def _reduce(m: int, leads: list[int], deltas: list[int], guard: int) -> int:
+def _reduce(m: int, rules: list[Packed], guard: int) -> int:
     """Rewrite the packed m by lead -> trail until no lead divides it."""
     while True:
         mg = m | guard
-        for lead, delta in zip(leads, deltas):
+        for lead, delta in rules:
             if (mg - lead) & guard == guard:
                 m += delta
                 if m & guard:
@@ -133,7 +138,7 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Packed]:
     already reduces it."""
     G, V, flip = key.guard, key.values, key.flip
     leads: list[int] = []
-    deltas: list[int] = []  # trail - lead, packed
+    rules: list[Packed] = []  # (lead, trail - lead)
     nonzero: list[int] = []  # the guard bits of each lead's nonzero fields
     live: list[int] = []
     queue: list[tuple[int, int, int, int]] = []  # (key of the lcm, its fields, i, j)
@@ -167,7 +172,7 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Packed]:
         live = [i for i in live if ((leads[i] | G) - lead) & G != G]
         live.append(n)
         leads.append(lead)
-        deltas.append(trail - lead)
+        rules.append((lead, trail - lead))
         nonzero.append(nz)
 
     def join(u: int, v: int) -> None:
@@ -179,14 +184,14 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Packed]:
             if u ^ flip < v ^ flip:
                 u, v = v, u
             ug = u | G
-            for lead, delta in zip(leads, deltas):
+            for lead, delta in rules:
                 if (ug - lead) & G == G:
                     u += delta
                     if u & G:
                         raise OverflowGuardError("a rewrite left the 63-bit exponent fields")
                     break
             else:
-                update(u, _reduce(v, leads, deltas, G))
+                update(u, _reduce(v, rules, G))
                 return
 
     # the inputs as (key of the lead, key of the trail), the smallest last
@@ -197,11 +202,11 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Packed]:
             join(kl ^ flip, kt ^ flip)
             continue
         k, _, i, j = heapq.heappop(queue)
-        u, v = (k ^ flip) + deltas[i], (k ^ flip) + deltas[j]
+        u, v = (k ^ flip) + rules[i][1], (k ^ flip) + rules[j][1]
         if (u | v) & G:
             raise OverflowGuardError("an S-pair left the 63-bit exponent fields")
         join(u, v)
-    return [(leads[i], deltas[i]) for i in live]
+    return [rules[i] for i in live]
 
 
 def _interreduce(basis: list[Packed], key: _Order) -> list[Binomial]:
@@ -215,16 +220,15 @@ def _interreduce(basis: list[Packed], key: _Order) -> list[Binomial]:
     the same whichever of equal leads was kept.
     """
     G, flip = key.guard, key.flip
-    leads: list[int] = []
-    deltas: list[int] = []
+    kept: list[Packed] = []
     for lead, delta in sorted(basis, key=lambda b: b[0] ^ flip):
-        if not any(((lead | G) - o) & G == G for o in leads):
-            leads.append(lead)
-            deltas.append(delta)
-    return [
-        Binomial(key.unpack(lead), key.unpack(_reduce(lead + d, leads, deltas, G)))
-        for lead, d in zip(leads, deltas)
-    ]
+        lg = lead | G
+        for o, _ in kept:
+            if (lg - o) & G == G:
+                break
+        else:
+            kept.append((lead, delta))
+    return [Binomial(key.unpack(lead), key.unpack(_reduce(lead + d, kept, G))) for lead, d in kept]
 
 
 def _graded_key(order: OrderSpec, h: int) -> _Order:
@@ -359,7 +363,7 @@ def _circuits(S: Semigroup) -> list[tuple[int, ...]]:
 
 def _binomials(vectors) -> list[Pair]:
     """x^{v+} - x^{v-} of each lattice vector v."""
-    return [(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in vectors]
+    return [(tuple([e if e > 0 else 0 for e in v]), tuple([-e if e < 0 else 0 for e in v])) for v in vectors]
 
 
 def _support(v) -> int:
@@ -574,7 +578,7 @@ def normal_form(m: tuple[int, ...], G: tuple[Binomial, ...]) -> tuple[int, ...]:
     """Unique normal form of the monomial X^m modulo the Groebner basis G.
     An exponent past 2^63 - 1, given or reached, raises OverflowGuardError."""
     key, leads, trails = _packed(G, len(m))
-    return key.unpack(_reduce(key.pack(tuple(m)), leads, list(map(sub, trails, leads)), key.guard))
+    return key.unpack(_reduce(key.pack(tuple(m)), list(zip(leads, map(sub, trails, leads))), key.guard))
 
 
 def _fiber_of(m: tuple[int, ...], G: tuple[Binomial, ...], cap: float) -> tuple[_Order, set[int]]:
@@ -584,7 +588,7 @@ def _fiber_of(m: tuple[int, ...], G: tuple[Binomial, ...], cap: float) -> tuple[
     Groebner Bases and Convex Polytopes, 1996), so reverse rewrites
     u -> u - trail + lead from it reach the whole fiber."""
     key, leads, trails = _packed(G, len(m))
-    u = _reduce(key.pack(tuple(m)), leads, list(map(sub, trails, leads)), key.guard)
+    u = _reduce(key.pack(tuple(m)), list(zip(leads, map(sub, trails, leads))), key.guard)
     return key, _fiber(u, trails, list(map(sub, leads, trails)), key.guard, cap)
 
 

@@ -344,9 +344,10 @@ def _circuits(S: Semigroup) -> list[tuple[int, ...]]:
                     grown[mask | bit] = grown.get(mask | bit, 0) + sign * A[c][k] * m
         minor = grown
     out: dict[tuple[int, ...], None] = {}
-    for cols in itertools.combinations(range(h), q + 1):
-        mask = sum(1 << c for c in cols)
-        entries = [minor.get(mask ^ 1 << c, 0) for c in cols]
+    bits = [1 << c for c in range(h)]
+    for cols, cbits in zip(itertools.combinations(range(h), q + 1), itertools.combinations(bits, q + 1)):
+        mask = sum(cbits)
+        entries = [minor.get(mask ^ b, 0) for b in cbits]
         g = math.gcd(*entries)
         if not g:
             continue
@@ -366,10 +367,6 @@ def _binomials(vectors) -> list[Pair]:
     return [(tuple([e if e > 0 else 0 for e in v]), tuple([-e if e < 0 else 0 for e in v])) for v in vectors]
 
 
-def _support(v) -> int:
-    return sum(1 << j for j, e in enumerate(v) if e)
-
-
 def _moves(pairs) -> list[Move]:
     """(support of lead, support of trail, lead - trail), supports as
     bitmasks, of each binomial, turned so that lead - trail has its first
@@ -379,7 +376,7 @@ def _moves(pairs) -> list[Move]:
         d = tuple(map(sub, u, v))
         if next(filter(None, d)) < 0:
             u, v, d = v, u, tuple(-e for e in d)
-        out.append((_support(u), _support(v), d))
+        out.append((sum(1 << j for j, e in enumerate(u) if e), sum(1 << j for j, e in enumerate(v) if e), d))
     return out
 
 
@@ -438,8 +435,11 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     sum(a_j) is positive and makes every lattice binomial homogeneous, so
     x_s divides a basis element exactly as often as it divides its lead,
     and dividing that power out of any Groebner basis gives one of
-    J : x_s^oo under the same order (Bayer & Stillman).  Only the last
-    step's basis is interreduced.
+    J : x_s^oo under the same order (Bayer & Stillman).  The division is
+    done on the packed basis ``_buchberger`` returns (``_divide_out``), and
+    only the last step's basis is interreduced, as it comes; an
+    intermediate step unpacks each element once, for the next order and
+    for the moves below.
 
     Not every variable needs a step.  Let J be the ideal saturated by the
     variables done so far, and C a set of the others.  A binomial x^a - x^b

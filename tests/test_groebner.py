@@ -89,15 +89,16 @@ def unpacked(basis, key) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
 def full_saturation_reference(S: pf.Semigroup) -> list[Binomial]:
     """The toric engine with no step skipped: the lattice ideal of the kernel
     basis saturated by every variable x_1, ..., x_{h-1} in turn, each step's
-    reduced basis divided by tuples; the last divided basis is a Groebner
-    basis, so one more run leaves it as it is and interreduces it."""
+    reduced basis divided by tuples.  The last divided basis is a Groebner
+    basis, so one more run under its order keeps its leads, and
+    interreducing that gives the reduced basis."""
     weights = tuple(sum(a) for a in S.generators)
     basis = [(tuple(max(e, 0) for e in v), tuple(max(-e, 0) for e in v)) for v in _kernel_basis(S)]
     for s in range(1, S.h):
         key = _revlex_key(weights, s)
         basis = [
-            tuple(m[:s] + (m[s] - min(u[s], t[s]),) + m[s + 1 :] for m in (u, t))
-            for u, t in unpacked(_buchberger(basis, key), key)
+            tuple(m[:s] + (m[s] - min(b.lead[s], b.trail[s]),) + m[s + 1 :] for m in (b.lead, b.trail))
+            for b in _interreduce(_buchberger(basis, key), key)
         ]
     key = _revlex_key(weights, S.h - 1)
     return _interreduce(_buchberger(basis, key), key)

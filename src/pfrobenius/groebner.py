@@ -195,7 +195,7 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Packed]:
                 return
 
     # the inputs as (key of the lead, key of the trail), the smallest last
-    inputs = sorted(((max(ku, kv), min(ku, kv)) for ku, kv in ((key(u), key(v)) for u, v in gens)), reverse=True)
+    inputs = sorted([(ku, kv) if ku > kv else (kv, ku) for ku, kv in [(key(u), key(v)) for u, v in gens]], reverse=True)
     while inputs or queue:
         if inputs and (not queue or inputs[-1][0] <= queue[0][0]):
             kl, kt = inputs.pop()

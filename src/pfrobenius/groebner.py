@@ -381,7 +381,8 @@ def _moves(pairs) -> list[Move]:
 
 
 def _vector_moves(vectors) -> list[Move]:
-    """The move of x^{v+} - x^{v-}, straight from each lattice vector v."""
+    """The move of x^{v+} - x^{v-}, straight from each lattice vector v,
+    turned as in ``_moves``."""
     out = []
     for v in vectors:
         if next(filter(None, v)) < 0:

@@ -185,7 +185,11 @@ class FrobeniusResult:
 
     @classmethod
     def finite(cls, point) -> "FrobeniusResult":
-        return cls(tuple(int(c) for c in point))
+        """A finite value: a point of ints, negative ones too (F_0(N) = -1)."""
+        point = tuple(point)
+        if not all(type(c) is int for c in point):  # a bool is an int subclass, not an int
+            raise ValidationError(f"coordinates must be ints, got {point}")
+        return cls(point)
 
     @classmethod
     def infinite(cls) -> "FrobeniusResult":

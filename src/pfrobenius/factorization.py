@@ -37,8 +37,6 @@ def _search(gens, closes, idx, residual, prefix, out, cap):
 
     At the step that closes coordinate j the multiplicity is forced to
     residual_j / gen_j, so every coordinate is zero once all steps are taken."""
-    if cap is not None and len(out) >= cap:
-        return
     if idx == len(gens):
         out.append(tuple(prefix))
         return

@@ -72,22 +72,9 @@ def lambda_bounds(S: Semigroup, G: tuple[Binomial, ...]) -> tuple[int, ...]:
 def candidate_degrees(S: Semigroup, lam: tuple[int, ...], p: int) -> set[tuple[int, ...]]:
     """Distinct semigroup elements sum(g_i a_i) with 0 <= g_i <= p*lambda_i."""
     _as_int(p, "p", 1)
-    lam = _as_point(lam, S.h)
-    gens = S.generators
-    q = S.q
-    # every term is non-negative, so the top corner bounds every point built
-    for j in range(q):
-        checked(sum(p * b * a[j] for b, a in zip(lam, gens)))
-    out: set[tuple[int, ...]] = set()
-    ranges = [range(p * b + 1) for b in lam]
-    for gamma in itertools.product(*ranges):
-        pt = [0] * q
-        for gi, a in zip(gamma, gens):
-            if gi:
-                for j in range(q):
-                    pt[j] += gi * a[j]
-        out.add(tuple(pt))
-    return out
+    top = [p * b for b in _as_point(lam, S.h)]
+    s_degree(S, top)  # the top corner bounds every point built: it fails fast
+    return {s_degree(S, gamma) for gamma in itertools.product(*(range(t + 1) for t in top))}
 
 
 def _degree_ranks(S: Semigroup, order: OrderSpec) -> list[int]:
@@ -143,9 +130,8 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     if not is_fp_finite(S):
         return INFINITE
     G = toric_ideal_generators(S)
-    top = tuple(checked(p * b) for b in lambda_bounds(S, G))
-    for j in range(S.q):  # the rank's digits are the S-degree coordinates of the box
-        checked(sum((t - 1) * a[j] for t, a in zip(top, S.generators)))
+    top = tuple(p * b for b in lambda_bounds(S, G))
+    s_degree(S, [t - 1 for t in top])  # the rank's digits are the S-degree coordinates of the box
     best = first_small_fiber(G, top, _degree_ranks(S, order), p + 1)
     return FrobeniusResult.finite(s_degree(S, best))
 

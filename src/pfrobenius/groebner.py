@@ -38,7 +38,7 @@ import struct
 from dataclasses import dataclass
 from operator import itemgetter, lshift, mul, sub
 
-from .core import INT64_MAX, OrderSpec, OverflowGuardError, Semigroup, ValidationError, checked, s_degree
+from .core import INT64_MAX, OrderSpec, OverflowGuardError, Semigroup, ValidationError, _as_int, _as_point, checked, s_degree
 
 
 @dataclass(frozen=True)
@@ -239,10 +239,12 @@ def _graded_key(order: OrderSpec, h: int) -> _Order:
 
 
 def buchberger_reduced(gens, order: OrderSpec) -> tuple[Binomial, ...]:
-    """The unique reduced Groebner basis of the binomial ideal gens generate."""
+    """The unique reduced Groebner basis of the binomial ideal gens generate,
+    each lead and trail checked as a point of the first lead's length."""
     gens = [(b.lead, b.trail) for b in gens]
-    key = _graded_key(order, len(gens[0][0]) if gens else 0)
-    return tuple(_interreduce(_buchberger(gens, key), key))
+    h = len(gens[0][0]) if gens else 0
+    key = _graded_key(order, h)
+    return tuple(_interreduce(_buchberger([(_as_point(u, h), _as_point(v, h)) for u, v in gens], key), key))
 
 
 def _kernel_basis(S: Semigroup) -> list[tuple[int, ...]]:
@@ -294,14 +296,13 @@ def _revlex_key(weights: tuple[int, ...], last: int) -> _Order:
     return _Order(weights, [last] + [j for j in reversed(range(len(weights))) if j != last], -1)
 
 
-def _pivots(vectors, stop: dict[int, int] | None = None, rows: dict | None = None) -> dict[int, int]:
+def _pivots(vectors, rows: dict | None = None) -> dict[int, int]:
     """{column: |pivot|} of an integer row echelon form of the lattice the
     vectors span.  They depend on the lattice alone: the pivot in column c
     generates the c-th entries of the lattice vectors that vanish before c.
     Each vector is inserted by Euclid's steps against the rows of its
     nonzero columns, into ``rows`` ({column: row}) when it is given, so that
-    a later call can add more vectors.  Returns as soon as the pivots equal
-    ``stop``."""
+    a later call can add more vectors."""
     rows = {} if rows is None else rows
     for v in vectors:
         for c in range(len(v)):
@@ -313,8 +314,6 @@ def _pivots(vectors, stop: dict[int, int] | None = None, rows: dict | None = Non
                     f = r[c] // v[c]
                     r, v = v, [x - f * y for x, y in zip(r, v)]
                 rows[c] = r
-        if stop is not None and len(rows) == len(stop) and all(abs(rows[c][c]) == p for c, p in stop.items()):
-            return stop
     return {c: abs(r[c]) for c, r in rows.items()}
 
 
@@ -411,8 +410,8 @@ def _free_set(pool: list[Move], lattice: dict[int, int], todo: list[int]) -> int
             inner = [d for a, b, d in outside if not a & U or not b & U]
             if inner:
                 outside = [m for m in outside if m[0] & U and m[1] & U]
-                done = _pivots(inner, lattice, base) == lattice
-        if done or _pivots((d for a, b, d in outside if not a & C or not b & C), lattice, dict(base)) == lattice:
+                done = _pivots(inner, base) == lattice
+        if done or _pivots((d for a, b, d in outside if not a & C or not b & C), dict(base)) == lattice:
             free = C
     return free
 
@@ -515,12 +514,14 @@ def reduced_basis(S: Semigroup, order: OrderSpec) -> tuple[Binomial, ...]:
     return buchberger_reduced(toric_ideal_generators(S), order)
 
 
-def _packed(G: tuple[Binomial, ...], h: int) -> tuple[_Order, list[int], list[int]]:
-    """A layout of h fields with x_0 highest and no degree above them, and
-    the leads and trails of G packed in it: divisibility and addition do not
-    depend on the layout."""
-    key = _Order((0,) * h, range(h), 1)
-    return key, [key.pack(b.lead) for b in G], [key.pack(b.trail) for b in G]
+def _packed(G: tuple[Binomial, ...], v) -> tuple[_Order, tuple[int, ...], list[int], list[int]]:
+    """v checked as a point with G's number of variables, a layout of its h
+    fields with x_0 highest and no degree above them, and the leads and
+    trails of G packed in it: divisibility and addition do not depend on the
+    layout."""
+    v = _as_point(v, len(G[0].lead) if G else None)
+    key = _Order((0,) * len(v), range(len(v)), 1)
+    return key, v, [key.pack(b.lead) for b in G], [key.pack(b.trail) for b in G]
 
 
 def _fiber(u: int, trails: list[int], ups: list[int], guard: int, cap: float) -> set[int]:
@@ -575,11 +576,17 @@ def _grow(leads: list[int], top: tuple[int, ...], key: _Order, units: list[int])
     return grown
 
 
+def _normal(m: tuple[int, ...], G: tuple[Binomial, ...]) -> tuple[_Order, int, list[int], list[int]]:
+    """G's layout, the packed normal form of X^m and G's packed leads and trails."""
+    key, m, leads, trails = _packed(G, m)
+    return key, _reduce(key.pack(m), list(zip(leads, map(sub, trails, leads))), key.guard), leads, trails
+
+
 def normal_form(m: tuple[int, ...], G: tuple[Binomial, ...]) -> tuple[int, ...]:
     """Unique normal form of the monomial X^m modulo the Groebner basis G.
     An exponent past 2^63 - 1, given or reached, raises OverflowGuardError."""
-    key, leads, trails = _packed(G, len(m))
-    return key.unpack(_reduce(key.pack(tuple(m)), list(zip(leads, map(sub, trails, leads))), key.guard))
+    key, u, _, _ = _normal(m, G)
+    return key.unpack(u)
 
 
 def _fiber_of(m: tuple[int, ...], G: tuple[Binomial, ...], cap: float) -> tuple[_Order, set[int]]:
@@ -588,14 +595,14 @@ def _fiber_of(m: tuple[int, ...], G: tuple[Binomial, ...], cap: float) -> tuple[
     fiber rewrites to its one standard monomial, the normal form (Sturmfels,
     Groebner Bases and Convex Polytopes, 1996), so reverse rewrites
     u -> u - trail + lead from it reach the whole fiber."""
-    key, leads, trails = _packed(G, len(m))
-    u = _reduce(key.pack(tuple(m)), list(zip(leads, map(sub, trails, leads))), key.guard)
+    key, u, leads, trails = _normal(m, G)
     return key, _fiber(u, trails, list(map(sub, leads, trails)), key.guard, cap)
 
 
 def fiber_size(m: tuple[int, ...], G: tuple[Binomial, ...], cap: int) -> int:
     """min(#monomials of the S-degree of X^m, cap), G a reduced basis of the
     semigroup ideal."""
+    _as_int(cap, "cap", 1)
     return min(len(_fiber_of(m, G, cap)[1]), cap)
 
 
@@ -611,7 +618,7 @@ def fiber(m: tuple[int, ...], G: tuple[Binomial, ...]) -> frozenset[tuple[int, .
 def standard_monomials(G: tuple[Binomial, ...], top: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The monomials of prod [0, top_i) that no lead of G divides, each once
     (proof of completeness in ``frobenius.fp_general``)."""
-    key, leads, _ = _packed(G, len(top))
+    key, top, leads, _ = _packed(G, top)
     return [key.unpack(m) for m in _grow(leads, top, key, [1 << s for s in key.shifts])]
 
 
@@ -624,7 +631,7 @@ def first_small_fiber(G: tuple[Binomial, ...], top: tuple[int, ...], ranks: list
     child's is its parent's plus one precomputed unit, and one descending
     sort of the ints orders the scan.  A standard monomial is its own normal
     form, so its fiber is counted from it directly."""
-    key, leads, trails = _packed(G, len(top))
+    key, top, leads, trails = _packed(G, top)
     grown = _grow(leads, top, key, [(r << key.top) + (1 << s) for r, s in zip(ranks, key.shifts)])
     grown.sort(reverse=True)
     ups, fields = list(map(sub, leads, trails)), (1 << key.top) - 1

@@ -16,7 +16,7 @@ from math import gcd, prod
 from operator import add
 
 from .cone import _direction, is_fp_finite, unpaired_rays
-from .core import INFINITE, FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_int, _as_point, checked
+from .core import INFINITE, FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_int, _as_point, checked, s_degree
 
 
 class OracleBudgetError(Exception):
@@ -165,8 +165,7 @@ def oracle_fp(
             INFINITE, 0, f"the extremal ray {ray} carries only one generator"
         )
     lam = _direct_lambda(S, budget=budget)
-    corner = (sum((p * b - 1) * a[j] for b, a in zip(lam, S.generators)) for j in range(S.q))
-    maxes = tuple(map(checked, corner))
+    maxes = s_degree(S, [p * b - 1 for b in lam])
     ways, strides = _count_grid(S.generators, maxes, budget=budget)
     budget.check()
     # only the last coordinate moves along a row, so under a graded order the

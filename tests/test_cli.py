@@ -70,6 +70,13 @@ def test_factorize_bad_element(capsys, tmp_path):
     )
     assert status == 4
     assert out["error"]["code"] == "VALIDATION"
+    # a coordinate that is no integer
+    status, out = run_json(
+        capsys,
+        ["factorize", "--input", write(tmp_path, NUM23), "--element", "1,x"],
+    )
+    assert status == 4
+    assert out["error"]["code"] == "VALIDATION"
 
 
 def test_factorize_overflow(capsys, tmp_path):

@@ -159,6 +159,10 @@ def test_semigroup_invariants():
         pf.Semigroup(2, ((1, -2),))
     with pytest.raises(pf.ValidationError):
         pf.Semigroup(0, ((1,),))
+    with pytest.raises(pf.ValidationError, match="at least one generator"):
+        pf.Semigroup(1, ())
+    with pytest.raises(pf.ValidationError, match="zero vector"):
+        pf.Semigroup(2, ((0, 0), (1, 2)))
     # a float, a string or a bool is no coordinate and no dimension
     for q, gens in (
         (1, ((2.9,), (3,))),
@@ -203,11 +207,26 @@ def test_json_malformed(tmp_path):
     path.write_text("{nope")
     with pytest.raises(pf.ValidationError):
         pf.load_semigroup(path)
+    with pytest.raises(pf.ValidationError, match="must be an object"):
+        pf.semigroup_from_json([1, 2])
+    with pytest.raises(pf.ValidationError, match="malformed semigroup JSON"):
+        pf.semigroup_from_json({"q": 1})
 
 
 def test_frobenius_result_json():
     assert pf.INFINITE.to_json() == "infinite"
     assert pf.FrobeniusResult.finite((21, 4)).to_json() == [21, 4]
+    assert repr(pf.INFINITE) == "FrobeniusResult(infinite)"
+    assert repr(pf.FrobeniusResult.finite((21, 4))) == "FrobeniusResult(21, 4)"
+
+
+def test_frobenius_result_takes_ints():
+    # a coordinate is an int, never truncated; a negative one is a value
+    # too, F_0(N) = -1
+    assert pf.FrobeniusResult.finite((-1,)).point == (-1,)
+    for point in ((2.9,), (True,), ("2",)):
+        with pytest.raises(pf.ValidationError):
+            pf.FrobeniusResult.finite(point)
 
 
 def test_package_imports_stdlib_only():

@@ -34,6 +34,8 @@ def test_validate_gluing():
     with pytest.raises(pf.ValidationError):
         pf.validate_gluing(S, pf.GluingSpec(2, (5,)))  # not in S
     pf.validate_gluing(S, pf.GluingSpec(2, (7,)))
+    with pytest.raises(pf.ValidationError, match="dimension"):
+        pf.validate_gluing(pf.Semigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3))), pf.GluingSpec(2, (5,)))
 
 
 def test_public_functions_validate():
@@ -47,6 +49,10 @@ def test_public_functions_validate():
             pf.fp_glued_bound(S, 1, bad, GRLEX)
         with pytest.raises(pf.ValidationError):
             pf.gluing_equality(S, 1, bad, GRLEX)
+    # a valid gluing of an S whose F_1 is infinite: the ray of (1, 1) holds no other generator
+    S = pf.Semigroup(2, ((2, 0), (3, 0), (0, 2), (1, 1)))
+    with pytest.raises(pf.ValidationError, match="infinite"):
+        pf.fp_glued_bound(S, 1, pf.GluingSpec(3, (4, 0)))
 
 
 def test_glue_34():

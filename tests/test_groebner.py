@@ -207,7 +207,7 @@ def test_free_set_needs_no_shared_factor():
         ]
         pool += _moves(basis)
     assert _free_set(pool, lattice, todo) == 0b101
-    assert _pivots(sign_consistent(0b10101), lattice) == lattice
+    assert _pivots(sign_consistent(0b10101)) == lattice
 
 
 def test_divide_out_matches_tuple_formula():
@@ -589,6 +589,32 @@ def test_past_basis_overflow_guard():
     assert pf.normal_form((2**63 - 1, 0, 2), H) == (2**63 - 1, 0, 2)
     with pytest.raises(pf.OverflowGuardError):
         pf.groebner.fiber_size((2**63 - 1, 0, 2), H, 3)
+
+
+def test_engine_boundary():
+    # every vector entering the engine is checked as a point with the basis's
+    # number of variables, and a cap as an int >= 1: a wrong length was
+    # padded or cut, a bool read as 1, a float or a negative entry raised a
+    # raw error, and a float cap was truncated
+    G = pf.toric_ideal_generators(pf.numerical(3, 5))
+    for call in (
+        lambda: pf.normal_form((1, 2, 3), G),
+        lambda: pf.groebner.fiber_size((1,), G, 5),
+        lambda: pf.groebner.standard_monomials(G, (1,)),
+        lambda: pf.normal_form((True, 2), G),
+        lambda: pf.normal_form((1.5, 2), G),
+        lambda: pf.normal_form((-1, 2), G),
+        lambda: pf.buchberger_reduced([Binomial((1, 2, 3), (0, 1))], GRLEX),
+        lambda: pf.groebner.fiber_size((5, 0), G, 2.5),
+        lambda: pf.groebner.fiber_size((5, 0), G, True),
+        lambda: Binomial((1, 2), (1, 2)),
+    ):
+        with pytest.raises(pf.ValidationError):
+            call()
+    with pytest.raises(pf.OverflowGuardError):
+        pf.normal_form((2**63, 0), G)
+    assert pf.normal_form((5, 0), G) == (0, 3)
+    assert pf.groebner.fiber_size((5, 0), G, 5) == 2
 
 
 def test_buchberger_idempotent_cases():

@@ -114,6 +114,8 @@ def test_oracle_f0():
     report = pf.oracle_fp(pf.numerical(2, 4), 0)
     assert report.result == pf.INFINITE
     assert report.certificate == "every generator is a multiple of 2"
+    with pytest.raises(pf.ValidationError, match="numerical"):
+        pf.oracle_fp(pf.Semigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3))), 0)
 
 
 def test_oracle_rejects_non_int_p():

@@ -11,10 +11,10 @@ ideals", JSC 27, 1999; Hosten & Sturmfels, GRIN, IPCO 1995).  A basis of the
 kernel lattice L gives binomials x^{v+} - x^{v-} whose ideal can be smaller
 than the semigroup ideal; saturating it by the product of all variables
 recovers the semigroup ideal, because L is saturated.  The kernel basis is
-size-reduced, seeded with circuits of the generator matrix where they spare
-saturation steps, and the variables are saturated one at a time; after every
-step, the binomials found so far decide which of the others need no step
-(see ``toric_ideal_generators``).
+size-reduced, one set of variables that need no step is picked from it and
+the circuits of the generator matrix together, the circuits usable on that
+set join it, and the other variables are saturated one at a time (see
+``toric_ideal_generators``).
 
 Inside the engine an exponent vector is one int (Bachmann & Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998): a
@@ -55,7 +55,7 @@ class Binomial:
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (lead, trail) of a binomial
 Packed = tuple[int, int]  # (lead, trail - lead) of a binomial, packed under one _Order
-Move = tuple[int, int, tuple[int, ...]]  # (support of lead, support of trail, lead - trail)
+Move = tuple[int, int, tuple[int, ...]]  # (support of v+, support of v-, v) of a lattice vector v
 _FIELD = (1 << 64) - 1
 
 
@@ -235,14 +235,16 @@ def _graded_key(order: OrderSpec, h: int) -> _Order:
     """The packed form of a graded order on h variables."""
     if order.kind == "grlex":
         return _Order((1,) * h, range(h), 1)
-    return _Order((1,) * h, range(h - 1, -1, -1), -1)
+    return _revlex_key((1,) * h, h - 1)
 
 
 def buchberger_reduced(gens, order: OrderSpec) -> tuple[Binomial, ...]:
     """The unique reduced Groebner basis of the binomial ideal gens generate,
     each lead and trail checked as a point of the first lead's length."""
     gens = [(b.lead, b.trail) for b in gens]
-    h = len(gens[0][0]) if gens else 0
+    if not gens:
+        return ()
+    h = len(gens[0][0])
     key = _graded_key(order, h)
     return tuple(_interreduce(_buchberger([(_as_point(u, h), _as_point(v, h)) for u, v in gens], key), key))
 
@@ -366,22 +368,10 @@ def _binomials(vectors) -> list[Pair]:
     return [(tuple([e if e > 0 else 0 for e in v]), tuple([-e if e < 0 else 0 for e in v])) for v in vectors]
 
 
-def _moves(pairs) -> list[Move]:
-    """(support of lead, support of trail, lead - trail), supports as
-    bitmasks, of each binomial, turned so that lead - trail has its first
-    nonzero entry positive: a binomial and its negative give one move."""
-    out = []
-    for u, v in pairs:
-        d = tuple(map(sub, u, v))
-        if next(filter(None, d)) < 0:
-            u, v, d = v, u, tuple(-e for e in d)
-        out.append((sum(1 << j for j, e in enumerate(u) if e), sum(1 << j for j, e in enumerate(v) if e), d))
-    return out
-
-
 def _vector_moves(vectors) -> list[Move]:
-    """The move of x^{v+} - x^{v-}, straight from each lattice vector v,
-    turned as in ``_moves``."""
+    """(support of v+, support of v-, v), supports as bitmasks, of each
+    lattice vector v, turned so that its first nonzero entry is positive: a
+    vector and its negative give one move."""
     out = []
     for v in vectors:
         if next(filter(None, v)) < 0:
@@ -390,20 +380,20 @@ def _vector_moves(vectors) -> list[Move]:
     return out
 
 
-def _free_set(pool: list[Move], lattice: dict[int, int], todo: list[int]) -> int:
-    """C as a bitmask: greedily in index order, each variable of todo but the
-    last joins C while the moves of the pool usable on C (lead or trail free
-    of C) generate L, that is, while the pivots of their differences stay
+def _free_set(moves: list[Move], lattice: dict[int, int], h: int) -> int:
+    """C as a bitmask: greedily in index order, each of x_0, ..., x_{h-2}
+    joins C while the moves usable on C (v sign-consistent on C: v+ or v-
+    free of C) generate L, that is, while the pivots of their vectors stay
     those of ``lattice``.
 
     Every C still to try lies in U, C so far and the variables left to try,
     and a move usable on U is usable on each such C; U only shrinks, so the
     moves usable on U join one echelon form once, and each C starts from a
     copy of it with the other moves usable on C."""
-    free, rest = 0, sum(1 << c for c in todo[:-1])
+    free, rest = 0, (1 << h - 1) - 1
     base: dict[int, list[int]] = {}
-    outside, done = pool, False
-    for c in todo[:-1]:
+    outside, done = moves, False
+    for c in range(h - 1):
         U, C = free | rest, free | 1 << c
         rest ^= 1 << c
         if not done:
@@ -438,70 +428,45 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     J : x_s^oo under the same order (Bayer & Stillman).  The division is
     done on the packed basis ``_buchberger`` returns (``_divide_out``), and
     only the last step's basis is interreduced, as it comes; an
-    intermediate step unpacks each element once, for the next order and
-    for the moves below.
+    intermediate step unpacks each element once, for the next order.
 
-    Not every variable needs a step.  Let J be the ideal saturated by the
-    variables done so far, and C a set of the others.  A binomial x^a - x^b
-    of J is usable on C when a - b is sign-consistent on C and gcd(x^a, x^b)
-    involves no variable of C, that is, when a or b involves none.  Lemma: if
-    usable binomials generate L, then I_A is J saturated by the variables
-    outside C and the done set.  For x^u - x^v in I_A, u - v is a sum of
-    their moves m -> m - a + b, and each move raises every C-exponent or
-    lowers every one.  Taking the raising moves first, a C-exponent rises,
-    then falls, and never drops below min(u_j, v_j); a large enough power of
-    the variables outside C covers the other exponents, a shared factor
-    included, and J is already saturated by the done ones.  A shared factor
-    in C would break the path: its exponent can fall below both ends, and a
-    basis that counts such binomials can come out unsaturated.  The lemma
-    asks of J only that it lie in I_A, so J_0 may hold any binomials of I_A.
+    Not every variable needs a step.  A binomial x^{v+} - x^{v-} of J_0 is
+    usable on a set C of variables when v is sign-consistent on C, that is,
+    when v+ or v- involves none of C.  Lemma: if the vectors of usable
+    binomials generate L, then I_A is J_0 saturated by the variables outside
+    C.  For x^u - x^v in I_A, u - v is a sum of usable vectors and their
+    negatives, each a move m -> m - v+ + v- or back, and each move raises
+    every C-exponent or lowers every one.  Taking the raising moves first, a
+    C-exponent rises, then falls, and never drops below min(u_j, v_j); a
+    large enough power of the variables outside C covers the other
+    exponents.  The lemma asks of J_0 only that it lie in I_A, so J_0 may
+    hold any binomials of I_A: it holds those of the kernel basis and of the
+    circuits of A (``_circuits``) usable on C.
 
-    Whether usable binomials generate L is decided by comparing the absolute
-    pivots of an integer echelon form of their exponent differences with
-    those of the kernel basis.  C is picked greedily in index order among
-    the variables not yet done (``_free_set``), and the next step saturates
-    the first variable outside C.  x_{h-1} is never in C and is always
-    saturated last, so the last step and its order, and with them the
-    returned basis, are fixed.
-
-    J_0 is the kernel basis, seeded with circuits of A (``_circuits``) when
-    that frees more variables: if C picked from the kernel basis leaves a
-    variable besides x_{h-1} to saturate, C is picked again with the
-    circuits' moves in the pool, and if the new C is larger, J_0 also holds
-    the circuits usable on it.  Circuits lie in I_A, so the lemma still
-    holds, and few of them touch many variables on both sides, so most
-    semigroups then need the single step by x_{h-1}.  A seeded run starts
-    with more inputs than the kernel basis; ``_buchberger`` joins them in
-    degree order, interleaved with the S-pairs, so that each meets a basis
-    that already reduces it.  The usable binomials drawn on later are those
-    of J_0 and of every basis computed so far, all of which lie in J, and C
-    is picked again after every step.
+    Whether the usable vectors generate L is decided by comparing the
+    absolute pivots of an integer echelon form of them with those of the
+    kernel basis.  C is picked once, greedily in index order, over the
+    kernel vectors and the circuits together (``_free_set``), and the
+    variables outside C are saturated in index order.  x_{h-1} is never in
+    C and is always saturated last, so the last step and its order, and
+    with them the returned basis, are fixed.  Few circuits touch many
+    variables on both sides, so most semigroups need the single step by
+    x_{h-1}.  A seeded run starts with more inputs than the kernel basis;
+    ``_buchberger`` joins them in degree order, interleaved with the
+    S-pairs, so that each meets a basis that already reduces it.
     """
     weights = tuple(sum(a) for a in S.generators)
     kernel = _kernel_basis(S)
-    gens = _binomials(kernel)
-    pool = dict.fromkeys(_vector_moves(kernel))
-    lattice = _pivots(d for *_, d in pool)
-    todo = list(range(S.h))
-    free = _free_set(list(pool), lattice, todo)
-    if free.bit_count() < S.h - 1:
-        seeds = [m for m in dict.fromkeys(_vector_moves(_circuits(S))) if m not in pool]
-        wider = _free_set(list(pool) + seeds, lattice, todo)
-        if wider.bit_count() > free.bit_count():
-            used = [m for m in seeds if not m[0] & wider or not m[1] & wider]
-            gens += _binomials(d for *_, d in used)
-            pool.update(dict.fromkeys(used))
-            free = wider
-    while True:
-        s = next(c for c in todo if not free >> c & 1)
-        todo.remove(s)
+    # the kernel vectors are independent, so they keep the first places
+    moves = list(dict.fromkeys(_vector_moves(kernel + _circuits(S))))
+    free = _free_set(moves, _pivots(kernel), S.h)
+    gens = _binomials(kernel + [d for a, b, d in moves[len(kernel) :] if not a & free or not b & free])
+    for s in [c for c in range(S.h) if not free >> c & 1]:
         key = _revlex_key(weights, s)
         basis = _divide_out(_buchberger(gens, key), key, s)
         if s == S.h - 1:
             return tuple(_interreduce(basis, key))
         gens = [(key.unpack(lead), key.unpack(lead + delta)) for lead, delta in basis]
-        pool.update(dict.fromkeys(_moves(gens)))
-        free = _free_set(list(pool), lattice, todo)
 
 
 @functools.lru_cache(maxsize=256)
@@ -514,17 +479,25 @@ def reduced_basis(S: Semigroup, order: OrderSpec) -> tuple[Binomial, ...]:
     return buchberger_reduced(toric_ideal_generators(S), order)
 
 
-def _packed(G: tuple[Binomial, ...], v) -> tuple[_Order, tuple[int, ...], list[int], list[int]]:
-    """v checked as a point with G's number of variables, a layout of its h
-    fields with x_0 highest and no degree above them, and the leads and
-    trails of G packed in it: divisibility and addition do not depend on the
-    layout."""
+@functools.lru_cache(maxsize=256)
+def _layout(G: tuple[Binomial, ...], h: int) -> tuple[_Order, tuple[int, ...], tuple[int, ...]]:
+    """A layout of h fields with x_0 highest and no degree above them, and
+    the leads and trails of G packed in it: divisibility and addition do not
+    depend on the layout.  Cached, so a basis asked about many times is
+    packed once."""
+    key = _Order((0,) * h, range(h), 1)
+    return key, tuple(key.pack(b.lead) for b in G), tuple(key.pack(b.trail) for b in G)
+
+
+def _packed(G: tuple[Binomial, ...], v) -> tuple[_Order, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """v checked as a point with G's number of variables, then G's layout
+    and its packed leads and trails (``_layout``)."""
     v = _as_point(v, len(G[0].lead) if G else None)
-    key = _Order((0,) * len(v), range(len(v)), 1)
-    return key, v, [key.pack(b.lead) for b in G], [key.pack(b.trail) for b in G]
+    key, leads, trails = _layout(G, len(v))
+    return key, v, leads, trails
 
 
-def _fiber(u: int, trails: list[int], ups: list[int], guard: int, cap: float) -> set[int]:
+def _fiber(u: int, trails: tuple[int, ...], ups: list[int], guard: int, cap: float) -> set[int]:
     """The packed monomials of the fiber of the packed standard monomial u,
     up to cap of them: reverse rewrites u -> u - trail + lead (``ups``)
     reach the whole fiber."""
@@ -545,7 +518,7 @@ def _fiber(u: int, trails: list[int], ups: list[int], guard: int, cap: float) ->
     return seen
 
 
-def _grow(leads: list[int], top: tuple[int, ...], key: _Order, units: list[int]) -> list[int]:
+def _grow(leads: tuple[int, ...], top: tuple[int, ...], key: _Order, units: list[int]) -> list[int]:
     """The packed standard monomials of prod [0, top_i), grown from 0 one
     variable at a time: at step i each monomial found so far, free of x_i,
     is raised by ``units[i]`` (the field of x_i plus 1, and anything above
@@ -576,7 +549,7 @@ def _grow(leads: list[int], top: tuple[int, ...], key: _Order, units: list[int])
     return grown
 
 
-def _normal(m: tuple[int, ...], G: tuple[Binomial, ...]) -> tuple[_Order, int, list[int], list[int]]:
+def _normal(m: tuple[int, ...], G: tuple[Binomial, ...]) -> tuple[_Order, int, tuple[int, ...], tuple[int, ...]]:
     """G's layout, the packed normal form of X^m and G's packed leads and trails."""
     key, m, leads, trails = _packed(G, m)
     return key, _reduce(key.pack(m), list(zip(leads, map(sub, trails, leads))), key.guard), leads, trails
@@ -630,8 +603,15 @@ def first_small_fiber(G: tuple[Binomial, ...], top: tuple[int, ...], ranks: list
     Each grown monomial is one int, its rank above its exponent fields, so a
     child's is its parent's plus one precomputed unit, and one descending
     sort of the ints orders the scan.  A standard monomial is its own normal
-    form, so its fiber is counted from it directly."""
+    form, so its fiber is counted from it directly.  cap must be an int
+    >= 2, ranks h ints and the box not empty, so that the monomial 1, alone
+    in its fiber, qualifies."""
+    _as_int(cap, "cap", 2)
     key, top, leads, trails = _packed(G, top)
+    if len(ranks) != len(top) or not all(type(r) is int for r in ranks):
+        raise ValidationError(f"ranks must be {len(top)} ints, got {ranks!r}")
+    if not all(top):
+        raise ValidationError(f"the box below {top} is empty")
     grown = _grow(leads, top, key, [(r << key.top) + (1 << s) for r, s in zip(ranks, key.shifts)])
     grown.sort(reverse=True)
     ups, fields = list(map(sub, leads, trails)), (1 << key.top) - 1

@@ -20,7 +20,6 @@ from pfrobenius.groebner import (
     _graded_key,
     _interreduce,
     _kernel_basis,
-    _moves,
     _pivots,
     _revlex_key,
     format_binomial,
@@ -108,7 +107,7 @@ def test_toric_generators_skip_rule_random_family():
     # h >= 6, where the size-reduced kernel basis lets variables skip their
     # saturation step: the result must match saturating by every variable.
     # Seed 11: 7 of the 12 draws skip a variable besides x_0 by the kernel
-    # alone, and all 12 with the skip set re-derived; about 1-2 s
+    # alone; about 1-2 s
     rng = random.Random(11)
     checked = 0
     while checked < 12:
@@ -129,10 +128,9 @@ def test_toric_generators_skip_rule_random_family():
         checked += 1
 
 
-def test_toric_generators_rederived_skip_random_family():
-    # q = 1 and q = 3, h >= 5: with the skip set re-derived after every step,
-    # each of these 12 draws (seed 11) saturates fewer variables than with a
-    # skip set fixed from the kernel, in about 0.5 s
+def test_toric_generators_q1_q3_random_family():
+    # q = 1 and q = 3, h >= 5, 12 draws (seed 11), in about 0.5 s: the
+    # result must match saturating by every variable
     rng = random.Random(11)
     checked = 0
     while checked < 12:
@@ -149,24 +147,24 @@ def test_toric_generators_rederived_skip_random_family():
         checked += 1
 
 
-@pytest.mark.parametrize(
-    "gens, size, runs",
-    [
-        (((5, 0), (7, 0), (0, 4), (0, 9), (2, 3), (3, 1)), 23, 1),
-        (((4, 0), (7, 0), (0, 9), (0, 8), (7, 1), (3, 2), (1, 7)), 30, 1),
-        (((7, 0), (8, 0), (0, 9), (0, 5), (3, 3), (1, 4), (7, 1)), 33, 1),
-        (((7, 0), (9, 0), (0, 8), (0, 11), (2, 5), (5, 3), (4, 7), (6, 1)), 49, 1),
-        (((5, 0), (11, 0), (0, 11), (0, 8), (1, 3), (3, 2), (6, 5), (2, 5), (2, 7)), 66, 2),
-        (((4, 0, 0), (7, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (4, 1, 1)), 25, 1),
-        # from its kernel basis alone, a step's binomials share a factor
-        # that must keep out of C: see test_free_set_needs_no_shared_factor
-        (((2, 0), (3, 0), (0, 2), (0, 3), (2, 1), (3, 1)), 13, 1),
-        # box-scan's: the size-reduced kernel basis is sign-consistent
-        # only on x_0 and x_3, so the circuits free x_1 and x_2
-        (((2, 0), (3, 0), (0, 2), (0, 3), (1, 2)), 7, 1),
-    ],
-    ids=["h6-named", "h7-draw", "h7-wall", "h8-draw", "h9-wall", "q3", "shared-factor", "box-scan"],
-)
+PINNED_CASES = [
+    pytest.param(((5, 0), (7, 0), (0, 4), (0, 9), (2, 3), (3, 1)), 23, 1, id="h6-named"),
+    pytest.param(((4, 0), (7, 0), (0, 9), (0, 8), (7, 1), (3, 2), (1, 7)), 30, 1, id="h7-draw"),
+    pytest.param(((7, 0), (8, 0), (0, 9), (0, 5), (3, 3), (1, 4), (7, 1)), 33, 1, id="h7-wall"),
+    pytest.param(((7, 0), (9, 0), (0, 8), (0, 11), (2, 5), (5, 3), (4, 7), (6, 1)), 49, 1, id="h8-draw"),
+    pytest.param(((5, 0), (11, 0), (0, 11), (0, 8), (1, 3), (3, 2), (6, 5), (2, 5), (2, 7)), 66, 2, id="h9-wall"),
+    pytest.param(((4, 0, 0), (7, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (4, 1, 1)), 25, 1, id="q3"),
+    # saturated from its kernel basis alone, a step leaves x_4 (x_2^3 - x_3^2),
+    # sign-consistent on {x_0, x_2, x_4}: a C read off such binomials would
+    # leave the ideal unsaturated in x_4
+    pytest.param(((2, 0), (3, 0), (0, 2), (0, 3), (2, 1), (3, 1)), 13, 1, id="shared-factor"),
+    # box-scan's: the size-reduced kernel basis is sign-consistent
+    # only on x_0 and x_3, so the circuits free x_1 and x_2
+    pytest.param(((2, 0), (3, 0), (0, 2), (0, 3), (1, 2)), 7, 1, id="box-scan"),
+]
+
+
+@pytest.mark.parametrize("gens, size, runs", PINNED_CASES)
 def test_toric_generators_pinned_cases(monkeypatch, gens, size, runs):
     # the scale cases of ROADMAP.md, then two more: the basis and its size,
     # and the exact number of Buchberger runs
@@ -180,34 +178,29 @@ def test_toric_generators_pinned_cases(monkeypatch, gens, size, runs):
     assert got == full_saturation_reference(S)
 
 
-def test_free_set_needs_no_shared_factor():
-    # the shared-factor case on the kernel basis alone, no circuits: after
-    # the steps by x_1 and x_3, binomials such as x_4 x_2^3 - x_4 x_3^2 are
-    # sign-consistent on {x_0, x_2, x_4}, and sign consistency alone would
-    # free x_4 too; counted as usable, they left a 15-element basis that
-    # holds x_4 (x_2^3 - x_3^2) but not x_2^3 - x_3^2, unsaturated in x_4
-    S = pf.Semigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3), (2, 1), (3, 1)))
-    weights = tuple(sum(a) for a in S.generators)
-    basis = _binomials(_kernel_basis(S))
-    pool = _moves(basis)
-    lattice = _pivots(d for *_, d in pool)
-
-    def sign_consistent(C):
-        return [d for *_, d in pool if all(e >= 0 for j, e in enumerate(d) if C >> j & 1)
-                or all(e <= 0 for j, e in enumerate(d) if C >> j & 1)]
-
-    todo = list(range(S.h))
-    for s, free in ((1, 0b1), (3, 0b101)):
-        assert _free_set(pool, lattice, todo) == free
-        todo.remove(s)
-        key = _revlex_key(weights, s)
-        basis = [
-            (u[:s] + (0,) + u[s + 1 :], v[:s] + (v[s] - u[s],) + v[s + 1 :])
-            for u, v in unpacked(_buchberger(basis, key), key)
-        ]
-        pool += _moves(basis)
-    assert _free_set(pool, lattice, todo) == 0b101
-    assert _pivots(sign_consistent(0b10101)) == lattice
+def test_free_set_picked_once(monkeypatch):
+    # C is picked once per toric ideal, over the kernel vectors and the
+    # circuits together: the ones sign-consistent on C, read off the vectors
+    # here, span the kernel lattice, and each variable outside C, x_{h-1}
+    # always among them, takes one Buchberger run; the pinned cases and 30
+    # draws, q = 1-3 (seed 53)
+    picks, runs = [], []
+    monkeypatch.setattr(pf.groebner, "_free_set", lambda *args: picks.append(_free_set(*args)) or picks[-1])
+    monkeypatch.setattr(pf.groebner, "_buchberger", lambda *args: runs.append(1) or _buchberger(*args))
+    rng = random.Random(53)
+    family = [random_semigroup(rng, i % 3 + 1, h_max=7, coord_max=7 if i % 3 < 2 else 4) for i in range(30)]
+    for S in [pf.Semigroup(len(c.values[0][0]), c.values[0]) for c in PINNED_CASES] + family:
+        picks.clear()
+        runs.clear()
+        pf.toric_ideal_generators.cache_clear()
+        pf.toric_ideal_generators(S)
+        assert len(picks) == 1, S
+        C = [j for j in range(S.h) if picks[0] >> j & 1]
+        assert S.h - 1 not in C, S
+        kernel = _kernel_basis(S)
+        usable = [v for v in kernel + _circuits(S) if all(v[j] >= 0 for j in C) or all(v[j] <= 0 for j in C)]
+        assert _pivots(usable) == _pivots(kernel), S
+        assert len(runs) == S.h - len(C), S
 
 
 def test_divide_out_matches_tuple_formula():
@@ -593,10 +586,13 @@ def test_past_basis_overflow_guard():
 
 def test_engine_boundary():
     # every vector entering the engine is checked as a point with the basis's
-    # number of variables, and a cap as an int >= 1: a wrong length was
-    # padded or cut, a bool read as 1, a float or a negative entry raised a
-    # raw error, and a float cap was truncated
+    # number of variables, and a cap as an int >= 1 (>= 2 for the scan, with
+    # h int ranks and a box that is not empty): a wrong length was padded or
+    # cut, a bool read as 1, a float or a negative entry raised a raw error,
+    # a float cap was truncated, and the scan leaked a bare StopIteration or
+    # IndexError
     G = pf.toric_ideal_generators(pf.numerical(3, 5))
+    scan = pf.groebner.first_small_fiber
     for call in (
         lambda: pf.normal_form((1, 2, 3), G),
         lambda: pf.groebner.fiber_size((1,), G, 5),
@@ -608,6 +604,13 @@ def test_engine_boundary():
         lambda: pf.groebner.fiber_size((5, 0), G, 2.5),
         lambda: pf.groebner.fiber_size((5, 0), G, True),
         lambda: Binomial((1, 2), (1, 2)),
+        lambda: scan(G, (3, 5), [3, 5], 1),
+        lambda: scan(G, (3, 5), [3, 5], 0),
+        lambda: scan(G, (3, 5), [3, 5], True),
+        lambda: scan(G, (3, 5), [3, 5], 2.5),
+        lambda: scan(G, (3, 0), [3, 5], 2),
+        lambda: scan(G, (3, 5), [3], 2),
+        lambda: scan(G, (3, 5), [3, 5.0], 2),
     ):
         with pytest.raises(pf.ValidationError):
             call()
@@ -615,6 +618,8 @@ def test_engine_boundary():
         pf.normal_form((2**63, 0), G)
     assert pf.normal_form((5, 0), G) == (0, 3)
     assert pf.groebner.fiber_size((5, 0), G, 5) == 2
+    assert scan(G, (3, 5), [3, 5], 2) == (2, 2)
+    assert scan(G, (3, 5), [3, 5], 3) == (2, 4)
 
 
 def test_buchberger_idempotent_cases():
@@ -626,6 +631,8 @@ def test_buchberger_idempotent_cases():
     # a multiple, a reversed copy and a duplicate, in one input
     G = pf.buchberger_reduced([Binomial((0, 2), (3, 0)), b, Binomial((6, 0), (0, 4)), b], GRLEX)
     assert G == (b,)
+    for kind in ("grlex", "grevlex"):
+        assert pf.buchberger_reduced([], pf.OrderSpec(kind)) == ()
 
 
 def test_determinism(example_S):

@@ -16,6 +16,7 @@ import sys
 
 from . import cone, factorization, frobenius, gluing, groebner, oracle
 from .core import (
+    GRADED_ORDER_KINDS,
     OrderSpec,
     OverflowGuardError,
     Semigroup,
@@ -93,7 +94,7 @@ _COMMANDS = _PARSER.add_subparsers(
 # the options that take a value; see _bind_values
 _VALUED = {"--input", "--format"}
 
-_ORDER = ("--order", dict(dest="order_flag", choices=["grlex", "grevlex"],
+_ORDER = ("--order", dict(dest="order_flag", choices=GRADED_ORDER_KINDS,
                          help="Override the graded order from the input file."))
 _ELEMENT = ("--element", dict(required=True, help="Comma-separated coordinates."))
 _BUDGET = ("--budget", dict(type=float, help="Oracle budget in seconds."))

@@ -44,8 +44,8 @@ class OrderSpec:
     """A graded monomial order: total degree first, then a named tie-break.
 
     kind "grlex" breaks ties lexicographically (first coordinate most
-    significant), "grevlex" by the reverse-lexicographic rule (rightmost
-    non-zero coordinate of the difference decides, negatively).
+    significant); "grevlex" is grlex read from the last coordinate with every
+    sign flipped (``direction`` -1, not +1), the reverse-lexicographic rule.
     """
 
     kind: str = "grlex"
@@ -57,11 +57,14 @@ class OrderSpec:
                 f"{GRADED_ORDER_KINDS}"
             )
 
+    @property
+    def direction(self) -> int:
+        return 1 if self.kind == "grlex" else -1
+
     def key(self, v: tuple[int, ...]):
-        """Sort key: key(u) < key(v) iff u precedes v under this order."""
-        if self.kind == "grlex":
-            return (sum(v), v)
-        return (sum(v), tuple(-c for c in reversed(v)))
+        """Sort key: key(u) < key(v) iff u precedes v under this order; linear in v."""
+        d = self.direction
+        return (sum(v), tuple(d * c for c in v[::d]))
 
 
 def compare_graded(order: OrderSpec, u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -247,9 +250,9 @@ def load_semigroup(path) -> tuple[Semigroup, OrderSpec]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and an int
+    # too long to convert; RecursionError an array nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read semigroup JSON from {path}: {exc}") from exc
     return semigroup_from_json(doc)
 

@@ -79,15 +79,12 @@ def candidate_degrees(S: Semigroup, lam: tuple[int, ...], p: int) -> set[tuple[i
 
 def _degree_ranks(S: Semigroup, order: OrderSpec) -> list[int]:
     """An int K_i per generator a_i such that sum(g_i * K_i) orders exponent
-    vectors g as ``order.key(s_degree(S, g))`` does: sum(a_i) in the top
-    64-bit field, then the a_ij as signed digits, +a_ij in field q-1-j under
-    grlex and -a_ij in field j under grevlex.  The digits of the sum are the
-    S-degree's coordinates, below 2^63 in absolute value, so however they
-    borrow from each other the int order is the key's lexicographic order."""
-    q = S.q
-    if order.kind == "grlex":
-        return [(sum(a) << 64 * q) + sum(c << 64 * (q - 1 - j) for j, c in enumerate(a)) for a in S.generators]
-    return [(sum(a) << 64 * q) - sum(c << 64 * j for j, c in enumerate(a)) for a in S.generators]
+    vectors g as ``order.key(s_degree(S, g))`` does: the entries of
+    ``order.key(a_i)`` as signed 64-bit digits.  The key is linear in the point,
+    so the digits of the sum are those of the S-degree's key, the degree on top
+    and signed coordinates below 2^63 in absolute value: however they borrow
+    from each other the int order is the key's lexicographic order."""
+    return [sum(c << 64 * (S.q - j) for j, c in enumerate((deg, *tie))) for deg, tie in map(order.key, S.generators)]
 
 
 @functools.lru_cache(maxsize=256, typed=True)
@@ -235,8 +232,13 @@ def _fp_numerical(S: Semigroup, p: int) -> FrobeniusResult:
     # refuse, as the box corner does for q >= 2, a p that takes the L past 64 bits
     checked(p * a * min(others, default=0))
     k, m = p + 1, len(others)
-    pops = [0] * (a * max(m, 1))  # per state (L mod a, index of the last b_i)
-    found, first, kth = [0] * a, [0] * a, [0] * a  # per class: how many L, L^(1), L^(k)
+    try:
+        pops = [0] * (a * max(m, 1))  # per state (L mod a, index of the last b_i)
+        found, first, kth = [0] * a, [0] * a, [0] * a  # per class: how many L, L^(1), L^(k)
+    except MemoryError:
+        raise UnsupportedError(
+            f"the allocator refused the p-Apery tables of the smallest generator {values[0]}"
+        ) from None
     full = 0  # classes with all k: once every class is, the rest is moot
     heap = [(0, 0)]
     while heap and full < a:

@@ -232,10 +232,8 @@ def _interreduce(basis: list[Packed], key: _Order) -> list[Binomial]:
 
 
 def _graded_key(order: OrderSpec, h: int) -> _Order:
-    """The packed form of a graded order on h variables."""
-    if order.kind == "grlex":
-        return _Order((1,) * h, range(h), 1)
-    return _revlex_key((1,) * h, h - 1)
+    """The packed form of a graded order on h variables, read in its direction."""
+    return _Order((1,) * h, range(h)[:: order.direction], order.direction)
 
 
 def buchberger_reduced(gens, order: OrderSpec) -> tuple[Binomial, ...]:

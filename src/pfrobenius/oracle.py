@@ -12,11 +12,11 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, prod
+from math import gcd, isnan, prod
 from operator import add
 
 from .cone import _direction, is_fp_finite, unpaired_rays
-from .core import INFINITE, FrobeniusResult, OrderSpec, Semigroup, ValidationError, _as_int, _as_point, checked, s_degree
+from .core import INFINITE, FrobeniusResult, OrderSpec, Semigroup, UnsupportedError, ValidationError, _as_int, _as_point, checked, s_degree
 
 
 class OracleBudgetError(Exception):
@@ -32,6 +32,10 @@ class OracleReport:
 
 class _Budget:
     def __init__(self, seconds: float | None):
+        # a NaN deadline never passes, and a bool or a string is no number of
+        # seconds; a negative budget is already spent, an infinite one no limit
+        if seconds is not None and (type(seconds) not in (int, float) or isnan(seconds)):
+            raise ValidationError(f"budget_seconds must be None or a number of seconds, got {seconds!r}")
         self.deadline = None if seconds is None else time.monotonic() + seconds
 
     def check(self) -> None:
@@ -186,8 +190,8 @@ def oracle_fp(
 
 
 def _oracle_f0(S: Semigroup, budget: _Budget) -> OracleReport:
-    if S.q != 1:
-        raise ValidationError("oracle p = 0 supports numerical semigroups only")
+    if S.q != 1:  # the refusal of frobenius.f0_numerical, word for word
+        raise UnsupportedError("p = 0 needs q = 1: gap sets of q >= 2 are out of scope")
     values = sorted(g[0] for g in S.generators)
     if (g := gcd(*values)) != 1:
         return OracleReport(INFINITE, 0, f"every generator is a multiple of {g}")

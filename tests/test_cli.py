@@ -147,6 +147,15 @@ def test_fp_p0_unsupported_in_dim2(capsys, tmp_path):
     assert out["error"]["code"] == "UNSUPPORTED"
 
 
+def test_oracle_p0_unsupported_in_dim2(capsys, tmp_path):
+    # the oracle refuses p = 0 beyond q = 1 as fp does: same code, same words
+    path = write(tmp_path, BIG2D)
+    _, fp_out = run_json(capsys, ["fp", "--input", path, "--p", "0"])
+    status, out = run_json(capsys, ["oracle", "--input", path, "--p", "0"])
+    assert status == 2
+    assert out == fp_out
+
+
 def test_order_override(capsys, tmp_path):
     _, out = run_json(
         capsys,
@@ -291,6 +300,16 @@ def test_oracle_grid_refused_by_allocator(capsys, tmp_path):
     assert out["error"]["code"] == "ORACLE_BUDGET"
 
 
+def test_fp_numerical_tables_refused_by_allocator(capsys, tmp_path):
+    # the p-Apery tables over 2^61 + 1 residues need 8 * (2^61 + 1) bytes of
+    # list: refused before any memory is touched, and named as unsupported
+    doc = {"q": 1, "generators": [[2**61 + 1], [2**61 + 3]]}
+    status, out = run_json(capsys, ["fp", "--input", write(tmp_path, doc), "--p", "0"])
+    assert status == 2
+    assert out["error"]["code"] == "UNSUPPORTED"
+    assert str(2**61 + 1) in out["error"]["message"]
+
+
 def test_oracle_needs_p_or_element(capsys, tmp_path):
     status, _ = run(capsys, ["oracle", "--input", write(tmp_path, NUM23)])
     assert status == 4
@@ -311,6 +330,19 @@ def test_oracle_budget_exhausted(capsys, tmp_path):
     )
     assert status == 5
     assert out["error"]["code"] == "ORACLE_BUDGET"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["oracle", "--p", "1"], ["oracle", "--element", "7"], ["fp", "--p", "1", "--verify"]],
+    ids=["oracle-p", "oracle-element", "fp-verify"],
+)
+def test_oracle_budget_nan_is_validation(capsys, tmp_path, args):
+    # a NaN deadline never passes, so it would run with no limit
+    cmd, *rest = args
+    status, out = run_json(capsys, [cmd, "--input", write(tmp_path, NUM23), *rest, "--budget", "nan"])
+    assert status == 4
+    assert out["error"]["code"] == "VALIDATION"
 
 
 def test_text_format(capsys, tmp_path):
@@ -415,6 +447,9 @@ def test_last_option_value_wins(capsys, tmp_path):
         pytest.param(b'{"q": 1, "generators": [["2"], [3]]}', id="string-generator"),
         pytest.param(b'{"q": 1, "generators": [[true], [3]]}', id="bool-generator"),
         pytest.param(b'{"q": 1, "generators": [[Infinity], [3]]}', id="infinite-generator"),
+        # json.load raises RecursionError and ValueError on these two
+        pytest.param(b'{"q": 1, "generators": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="nested-too-deep"),
+        pytest.param(b'{"q": 1, "generators": [[' + b"1" * 5000 + b'], [3]]}', id="int-too-long"),
     ],
 )
 def test_bad_input_file_is_validation(capsys, tmp_path, content):

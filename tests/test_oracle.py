@@ -114,7 +114,7 @@ def test_oracle_f0():
     report = pf.oracle_fp(pf.numerical(2, 4), 0)
     assert report.result == pf.INFINITE
     assert report.certificate == "every generator is a multiple of 2"
-    with pytest.raises(pf.ValidationError, match="numerical"):
+    with pytest.raises(pf.UnsupportedError, match="p = 0 needs q = 1"):
         pf.oracle_fp(pf.Semigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3))), 0)
 
 
@@ -172,6 +172,19 @@ def test_budget_error(example_S):
 def test_budget_generous_succeeds():
     report = pf.oracle_fp(pf.numerical(3, 4), 1, GRLEX, budget_seconds=30.0)
     assert report.result.point == (17,)
+
+
+def test_budget_must_be_a_number():
+    # NaN never expires, "1" fails deep inside, and True is no number of seconds
+    S = pf.numerical(3, 4)
+    for budget in (float("nan"), "1", True):
+        with pytest.raises(pf.ValidationError, match="budget_seconds"):
+            pf.oracle_fp(S, 1, budget_seconds=budget)
+        with pytest.raises(pf.ValidationError, match="budget_seconds"):
+            pf.oracle_count(S, (7,), budget_seconds=budget)
+    # an int counts, and an infinite budget is no limit
+    for budget in (30, float("inf")):
+        assert pf.oracle_fp(S, 1, budget_seconds=budget).result.point == (17,)
 
 
 def _pointwise_counts(generators, maxes):

@@ -6,17 +6,20 @@ to the library, and prints a single JSON object ``{"result": ..., "meta":
 ...}}``; an infinite Frobenius vector is a result, never an error.  Usage
 errors (unknown command or option, missing or invalid option value) exit 2
 with a message on stderr.
+
+The options of every command are one table, ``_COMMANDS``.  An option is
+``--flag value`` or ``--flag=value``, spelled out in full; a value may start
+with "-" (``--gamma -3,4``), and the last value given wins.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from . import cone, factorization, frobenius, gluing, groebner, oracle
 from .core import (
-    GRADED_ORDER_KINDS,
     OrderSpec,
     OverflowGuardError,
     Semigroup,
@@ -60,68 +63,26 @@ def _parse_element(text: str, q: int) -> tuple[int, ...]:
     return _as_point(coords, q)
 
 
-def _load(input_path: str, order_flag: str | None) -> tuple[Semigroup, OrderSpec]:
-    S, order = load_semigroup(input_path)
-    if order_flag is not None:
-        order = OrderSpec(order_flag)
-    return S, order
+def _load(args) -> tuple[Semigroup, OrderSpec]:
+    """The semigroup and order of --input, under --order where given."""
+    S, order = load_semigroup(args.input_path)
+    return S, args.order or order
 
 
 def _binomial_json(b: groebner.Binomial) -> dict:
-    return {
-        "lead": list(b.lead),
-        "trail": list(b.trail),
-        "pretty": groebner.format_binomial(b),
-    }
+    return {"lead": list(b.lead), "trail": list(b.trail), "pretty": groebner.format_binomial(b)}
+
+
+class _UsageError(Exception):
+    """A malformed command line: exit status 2, the message on stderr."""
 
 
 def _existing_path(path: str) -> str:
     if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+        raise ValueError(f"path {path!r} does not exist")
     return path
 
 
-def _parser(**kwargs) -> argparse.ArgumentParser:
-    # options are spelled out in full, and --help is the only help flag
-    return argparse.ArgumentParser(add_help=False, allow_abbrev=False, **kwargs)
-
-
-_PARSER = _parser(prog="pfrobenius", description="p-Frobenius vectors of affine semigroups, exactly.")
-_PARSER.add_argument("--help", action="help", help="Show this message and exit.")
-_COMMANDS = _PARSER.add_subparsers(
-    dest="cmd", metavar="COMMAND", required=True, parser_class=_parser
-)
-# the options that take a value; see _bind_values
-_VALUED = {"--input", "--format"}
-
-_ORDER = ("--order", dict(dest="order_flag", choices=GRADED_ORDER_KINDS,
-                         help="Override the graded order from the input file."))
-_ELEMENT = ("--element", dict(required=True, help="Comma-separated coordinates."))
-_BUDGET = ("--budget", dict(type=float, help="Oracle budget in seconds."))
-
-
-def _command(name: str, *options):
-    """Register fn(args) -> payload as subcommand name, with --input,
-    --format and the given (flag, add_argument keywords) options."""
-
-    def register(fn):
-        sub = _COMMANDS.add_parser(name, help=fn.__doc__, description=fn.__doc__)
-        sub.add_argument("--input", dest="input_path", metavar="PATH", required=True,
-                         type=_existing_path, help="Path to the semigroup JSON file.")
-        sub.add_argument("--format", dest="fmt", choices=["json", "text"], default="json",
-                         help="Output format.")
-        for flag, kwargs in options:
-            sub.add_argument(flag, **kwargs)
-            if kwargs.get("action") != "store_true":
-                _VALUED.add(flag)
-        sub.add_argument("--help", action="help", help="Show this message and exit.")
-        sub.set_defaults(run=fn)
-        return fn
-
-    return register
-
-
-@_command("check-finite")
 def check_finite(args) -> dict:
     """Decide finiteness of F_p(S) for all p >= 1."""
     S, _ = load_semigroup(args.input_path)
@@ -132,10 +93,9 @@ def check_finite(args) -> dict:
     }
 
 
-@_command("groebner", _ORDER)
 def groebner_cmd(args) -> dict:
     """Reduced Groebner basis of the semigroup ideal."""
-    S, order = _load(args.input_path, args.order_flag)
+    S, order = _load(args)
     G = groebner.reduced_basis(S, order)
     return {
         "result": [_binomial_json(b) for b in G],
@@ -143,22 +103,17 @@ def groebner_cmd(args) -> dict:
     }
 
 
-@_command("factorize", _ORDER, _ELEMENT)
 def factorize(args) -> dict:
     """All factorizations of an element over the minimal generators."""
-    S, order = _load(args.input_path, args.order_flag)
+    S, order = _load(args)
     n = _parse_element(args.element, S.q)
     facs = sorted(factorization.factorizations(S, n), key=order.key, reverse=True)
     return {"result": [list(f) for f in facs], "meta": {"count": len(facs)}}
 
 
-@_command(
-    "fp", _ORDER, ("--p", dict(type=int, required=True)),
-    ("--verify", dict(action="store_true", help="Cross-check against the oracle.")), _BUDGET,
-)
 def fp_cmd(args) -> dict:
     """The p-Frobenius vector of the semigroup."""
-    S, order = _load(args.input_path, args.order_flag)
+    S, order = _load(args)
     result = frobenius.fp_general(S, args.p, order)
     meta: dict = {"order": order.kind}
     if args.verify:
@@ -168,7 +123,6 @@ def fp_cmd(args) -> dict:
     return {"result": result.to_json(), "meta": meta}
 
 
-@_command("indispensable")
 def indispensable(args) -> dict:
     """Indispensable binomials of the semigroup ideal."""
     S, _ = load_semigroup(args.input_path)
@@ -176,7 +130,6 @@ def indispensable(args) -> dict:
     return {"result": [_binomial_json(b) for b in ind], "meta": {"count": len(ind)}}
 
 
-@_command("nabla", _ELEMENT)
 def nabla(args) -> dict:
     """Connected components of the factorization complex of an element."""
     S, _ = load_semigroup(args.input_path)
@@ -189,15 +142,9 @@ def nabla(args) -> dict:
     return {"result": comps_json, "meta": {"components": len(comps)}}
 
 
-@_command(
-    "glue", _ORDER, ("--d", dict(type=int, required=True)),
-    ("--gamma", dict(required=True, help="Comma-separated coordinates.")),
-    ("--p", dict(type=int, default=1)),
-    ("--verify", dict(action="store_true", help="Oracle value of F_p of the gluing.")), _BUDGET,
-)
 def glue_cmd(args) -> dict:
     """Glue with N^q and report the F_p bound and the equality verdict."""
-    S, order = _load(args.input_path, args.order_flag)
+    S, order = _load(args)
     p = args.p
     spec = gluing.GluingSpec(args.d, _parse_element(args.gamma, S.q))
     glued = gluing.glue(S, spec)
@@ -211,13 +158,9 @@ def glue_cmd(args) -> dict:
     return {"result": list(bound), "meta": meta}
 
 
-@_command(
-    "oracle", _ORDER, ("--p", dict(type=int)),
-    ("--element", dict(help="Count factorizations of one element.")), _BUDGET,
-)
 def oracle_cmd(args) -> dict:
     """Brute-force reference answers (slow, trusted)."""
-    S, order = _load(args.input_path, args.order_flag)
+    S, order = _load(args)
     if args.element is not None:
         n = _parse_element(args.element, S.q)
         count = oracle.oracle_count(S, n, budget_seconds=args.budget)
@@ -225,37 +168,103 @@ def oracle_cmd(args) -> dict:
     if args.p is None:
         raise ValidationError("oracle needs --p or --element")
     report = oracle.oracle_fp(S, args.p, order, budget_seconds=args.budget)
-    return {
-        "result": report.result.to_json(),
-        "meta": {
-            "scanned_bound": report.scanned_bound,
-            "certificate": report.certificate,
-        },
-    }
+    return {"result": report.result.to_json(),
+            "meta": {"scanned_bound": report.scanned_bound, "certificate": report.certificate}}
 
 
-def _bind_values(argv: list[str]) -> list[str]:
-    """Join each valued option to the token after it, as --opt=value: the
-    next token is its value even where it starts with "-" (--gamma -3,4)."""
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUED and i + 1 < len(argv):
-            i += 1
-            tok = f"{tok}={argv[i]}"
-        out.append(tok)
-        i += 1
-    return out
+_SHARED = {
+    "--input": ("input_path", _existing_path, True, None, "Path to the semigroup JSON file."),
+    "--format": ("fmt", ("json", "text"), False, "json", "Output format: json (the default) or text."),
+}
+_ORDER = {"--order": ("order", OrderSpec, False, None, "grlex or grevlex, in place of the input file's order.")}
+_ELEMENT = {"--element": ("element", str, True, None, "Comma-separated coordinates.")}
+_BUDGET = {"--budget": ("budget", float, False, None, "Oracle budget in seconds.")}
+# command -> (function, {flag: (dest, convert, required, default, help)}):
+# convert is a callable, a tuple of the allowed values, or None for a switch
+_COMMANDS = {name: (fn, {**_SHARED, **options}) for name, fn, options in [
+    ("check-finite", check_finite, {}),
+    ("groebner", groebner_cmd, _ORDER),
+    ("factorize", factorize, {**_ORDER, **_ELEMENT}),
+    ("fp", fp_cmd, {**_ORDER, "--p": ("p", int, True, None, "F_p is the largest element with at most p factorizations."),
+                    "--verify": ("verify", None, False, False, "Cross-check against the oracle."), **_BUDGET}),
+    ("indispensable", indispensable, {}),
+    ("nabla", nabla, _ELEMENT),
+    ("glue", glue_cmd, {**_ORDER, "--d": ("d", int, True, None, "The gluing factor, at least 2."),
+                        "--gamma": ("gamma", str, True, None, "Comma-separated coordinates of a non-generator of S."),
+                        "--p": ("p", int, False, 1, "The p of the bound d*F_p(S) + (d-1)*gamma; 1 by default."),
+                        "--verify": ("verify", None, False, False, "Oracle value of F_p of the gluing."), **_BUDGET}),
+    ("oracle", oracle_cmd, {**_ORDER, "--p": ("p", int, False, None, "F_p by brute force."),
+                            "--element": ("element", str, False, None, "Count factorizations of one element."), **_BUDGET}),
+]}
+
+
+def _help(name: str | None) -> str:
+    """The commands, or one command's options, with their help strings."""
+    if name is None:
+        head = "usage: pfrobenius COMMAND [options]\n\np-Frobenius vectors of affine semigroups, exactly.\n\ncommands:"
+        rows = [(cmd, fn.__doc__) for cmd, (fn, _) in _COMMANDS.items()]
+    else:
+        fn, table = _COMMANDS[name]
+        head = f"usage: pfrobenius {name} [options]\n\n{fn.__doc__}\n\noptions:"
+        rows = [(flag if convert is None else f"{flag} {flag[2:].upper()}", text + (" (required)" if required else ""))
+                for flag, (_, convert, required, _, text) in table.items()]
+    rows.append(("--help", "Show this message and exit."))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([head, *(f"  {left:<{width}}{text}" for left, text in rows)])
+
+
+def _parse(argv: list[str]):
+    """(function, args) of the command in argv, or None once help is printed."""
+    name, *rest = argv or [None]
+    if name == "--help":
+        print(_help(None))
+        return None
+    if name not in _COMMANDS:
+        raise _UsageError(f"expected a command: {', '.join(_COMMANDS)}")
+    fn, table = _COMMANDS[name]
+    args = {dest: default for dest, _, _, default, _ in table.values()}
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--help":
+            print(_help(name))
+            return None
+        flag, eq, text = token.partition("=")
+        if flag not in table:
+            raise _UsageError(f"unrecognized argument {token!r}")
+        dest, convert = table[flag][:2]
+        if convert is None:  # a switch
+            if eq:
+                raise _UsageError(f"{flag} takes no value")
+            args[dest] = True
+            continue
+        if not eq and (text := next(tokens, None)) is None:
+            raise _UsageError(f"{flag} expects a value")
+        if isinstance(convert, tuple) and text not in convert:
+            raise _UsageError(f"{flag}: {text!r} is not one of {', '.join(convert)}")
+        try:
+            args[dest] = text if isinstance(convert, tuple) else convert(text)
+        except ValueError as exc:  # a ValidationError too
+            raise _UsageError(f"{flag}: {exc}") from None
+    # a required option has no default, and a given value is never None
+    missing = [flag for flag, (dest, _, required, _, _) in table.items() if required and args[dest] is None]
+    if missing:
+        raise _UsageError(f"missing {', '.join(missing)}")
+    return fn, SimpleNamespace(**args)
 
 
 def parse_and_dispatch(argv: list[str]) -> int:
     """Programmatic entry point; returns the process exit status."""
     try:
-        args = _PARSER.parse_args(_bind_values(argv))
-    except SystemExit as exc:  # a usage error (2) or --help (0)
-        return int(exc.code or 0)
+        parsed = _parse(argv)
+    except _UsageError as exc:
+        prog = "pfrobenius " + argv[0] if argv and argv[0] in _COMMANDS else "pfrobenius"
+        print(f"{prog}: error: {exc}; see {prog} --help", file=sys.stderr)
+        return 2
+    if parsed is None:  # --help
+        return 0
+    fn, args = parsed
     try:
-        payload, status = args.run(args), 0
+        payload, status = fn(args), 0
     except tuple(t for t, _, _ in _ERROR_CODES) as exc:
         code, status = next((c, s) for t, c, s in _ERROR_CODES if isinstance(exc, t))
         payload = {"error": {"code": code, "message": str(exc)}}
@@ -264,8 +273,14 @@ def parse_and_dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    """Console entry point."""
-    sys.exit(parse_and_dispatch(sys.argv[1:]))
+    """Console entry point; a closed stdout (``| true``) ends it with status 1, quietly."""
+    try:
+        status = parse_and_dispatch(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except BrokenPipeError:  # Python flushes stdout again at exit: send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 
 INT64_MAX = 2**63 - 1
@@ -39,8 +38,38 @@ def checked(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class OrderSpec:
+class Record:
+    """An immutable record of the fields its class names in ``__slots__``, which
+    its ``__init__`` checks and stores with ``_set``: equal within its class when
+    the fields are, and hashed once, as the caches hash a semigroup on every call."""
+
+    __slots__ = ("_hashed",)  # (hash of the fields, the fields)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hashed", (hash(values), values))
+
+    def __eq__(self, other):
+        return self._hashed == other._hashed if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return self._hashed[0]
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._hashed[1]))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._hashed[1]
+
+
+class OrderSpec(Record):
     """A graded monomial order: total degree first, then a named tie-break.
 
     kind "grlex" breaks ties lexicographically (first coordinate most
@@ -48,14 +77,12 @@ class OrderSpec:
     sign flipped (``direction`` -1, not +1), the reverse-lexicographic rule.
     """
 
-    kind: str = "grlex"
+    __slots__ = ("kind",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in GRADED_ORDER_KINDS:
-            raise ValidationError(
-                f"unsupported order kind {self.kind!r}; graded orders only: "
-                f"{GRADED_ORDER_KINDS}"
-            )
+    def __init__(self, kind: str = "grlex") -> None:
+        if kind not in GRADED_ORDER_KINDS:
+            raise ValidationError(f"unsupported order kind {kind!r}; graded orders only: {GRADED_ORDER_KINDS}")
+        self._set(kind)
 
     @property
     def direction(self) -> int:
@@ -106,8 +133,7 @@ def _as_int(value, name: str, least: int) -> None:
         raise ValidationError(f"{name} must be >= {least}")
 
 
-@dataclass(frozen=True)
-class Semigroup:
+class Semigroup(Record):
     """A finitely generated affine semigroup of N^q.
 
     The generator list is expected to be a minimal generating set; use
@@ -117,19 +143,18 @@ class Semigroup:
     the system (JSON loading, gluing).
     """
 
-    q: int
-    generators: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "generators")
 
-    def __post_init__(self) -> None:
-        if not self.generators:
+    def __init__(self, q: int, generators) -> None:
+        if not generators:
             raise ValidationError("at least one generator required")
         # each generator has q coordinates and one nonzero, so q >= 1
-        gens = tuple(_as_point(g, self.q) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+        gens = tuple(_as_point(g, q) for g in generators)
         if not all(map(any, gens)):
             raise ValidationError("zero vector cannot be a generator")
         if len(set(gens)) != len(gens):
             raise ValidationError("generators must be pairwise distinct")
+        self._set(q, gens)
 
     @property
     def h(self) -> int:
@@ -180,11 +205,13 @@ def _minimal(gens: tuple[tuple[int, ...], ...]) -> Semigroup:
     return Semigroup(len(gens[0]), tuple(atoms))
 
 
-@dataclass(frozen=True)
-class FrobeniusResult:
+class FrobeniusResult(Record):
     """Either a finite point of N^q or the distinguished infinite value."""
 
-    point: tuple[int, ...] | None = None
+    __slots__ = ("point",)
+
+    def __init__(self, point: tuple[int, ...] | None = None) -> None:
+        self._set(point)
 
     @classmethod
     def finite(cls, point) -> "FrobeniusResult":

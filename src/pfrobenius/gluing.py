@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from math import gcd
 
-from .core import OrderSpec, Semigroup, ValidationError, _as_point, checked, minimalize_generators
+from .core import OrderSpec, Record, Semigroup, ValidationError, _as_point, checked, minimalize_generators
 from .factorization import contains, count_capped
 from .frobenius import fp_general
 
@@ -18,23 +17,20 @@ class GluingVerdict(enum.Enum):
     PRECONDITION_FAILED = "precondition-failed"
 
 
-@dataclass(frozen=True)
-class GluingSpec:
-    d: int
-    gamma: tuple[int, ...]
+class GluingSpec(Record):
+    __slots__ = ("d", "gamma")
 
-    def __post_init__(self) -> None:
-        _as_point((self.d,))  # an int, as a coordinate is
-        object.__setattr__(self, "gamma", _as_point(self.gamma))
-        if self.d < 2:
+    def __init__(self, d: int, gamma: tuple[int, ...]) -> None:
+        _as_point((d,))  # an int, as a coordinate is
+        gamma = _as_point(gamma)
+        if d < 2:
             raise ValidationError("gluing factor d must be >= 2")
-        if all(c == 0 for c in self.gamma):
+        if all(c == 0 for c in gamma):
             raise ValidationError("gamma must be non-zero")
-        g = gcd(*self.gamma)
-        if gcd(self.d, g) != 1:
-            raise ValidationError(
-                f"d = {self.d} and gcd(gamma) = {g} must be coprime"
-            )
+        g = gcd(*gamma)
+        if gcd(d, g) != 1:
+            raise ValidationError(f"d = {d} and gcd(gamma) = {g} must be coprime")
+        self._set(d, gamma)
 
 
 @functools.lru_cache(maxsize=256)

@@ -35,22 +35,20 @@ import heapq
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 from operator import itemgetter, lshift, mul, sub
 
-from .core import INT64_MAX, OrderSpec, OverflowGuardError, Semigroup, ValidationError, _as_int, _as_point, checked, s_degree
+from .core import INT64_MAX, OrderSpec, OverflowGuardError, Record, Semigroup, ValidationError, _as_int, _as_point, checked, s_degree
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Record):
     """X^lead - X^trail with lead strictly greater under the active order."""
 
-    lead: tuple[int, ...]
-    trail: tuple[int, ...]
+    __slots__ = ("lead", "trail")
 
-    def __post_init__(self) -> None:
-        if self.lead == self.trail:
+    def __init__(self, lead: tuple[int, ...], trail: tuple[int, ...]) -> None:
+        if lead == trail:
             raise ValidationError("zero binomial (lead == trail)")
+        self._set(lead, trail)
 
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (lead, trail) of a binomial

@@ -9,25 +9,24 @@ trusted.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, isnan, prod
 from operator import add
 
 from .cone import _direction, is_fp_finite, unpaired_rays
-from .core import INFINITE, FrobeniusResult, OrderSpec, Semigroup, UnsupportedError, ValidationError, _as_int, _as_point, checked, s_degree
+from .core import INFINITE, FrobeniusResult, OrderSpec, Record, Semigroup, UnsupportedError, ValidationError, _as_int, _as_point, checked, s_degree
 
 
 class OracleBudgetError(Exception):
     """The oracle's time budget ran out, or the allocator refused its grid."""
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    result: FrobeniusResult
-    scanned_bound: int
-    certificate: str
+class OracleReport(Record):
+    __slots__ = ("result", "scanned_bound", "certificate")
+
+    def __init__(self, result: FrobeniusResult, scanned_bound: int, certificate: str) -> None:
+        self._set(result, scanned_bound, certificate)
 
 
 class _Budget:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,12 @@ def run(capsys, args):
     """Exit status and stdout of one CLI call."""
     status = parse_and_dispatch(args)
     return status, capsys.readouterr().out
+
+
+def python(*args, **kwargs):
+    """A fresh interpreter that imports this package, as a subprocess."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pf.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, timeout=60, **kwargs)
 
 
 def run_json(capsys, args):
@@ -392,6 +402,9 @@ def test_parse_and_dispatch_exit_codes(tmp_path, capsys):
         pytest.param(["fp", "--inp", "{path}", "--p", "1"], id="abbreviated-option"),
         pytest.param(["check-finite", "--input", "{path}", "--order", "grlex"], id="option-of-other-command"),
         pytest.param(["fp", "--input", "{path}", "--p", "1", "-h"], id="short-help"),
+        pytest.param(["fp", "--input", "{path}", "--p", "1", "--verify=1"], id="switch-with-value"),
+        pytest.param(["fp", "--input", "{path}", "--p", "1", "extra"], id="stray-positional"),
+        pytest.param(["fp", "--input", "{path}", "--p="], id="empty-value"),
     ],
 )
 def test_usage_errors_exit_2(capsys, tmp_path, args):
@@ -402,11 +415,67 @@ def test_usage_errors_exit_2(capsys, tmp_path, args):
     assert out == ""
 
 
-@pytest.mark.parametrize("args", [["--help"], ["fp", "--help"], ["glue", "--help"]])
+# each command's own options; every command also takes --input, --format and --help
+COMMAND_OPTIONS = {
+    "check-finite": [],
+    "groebner": ["--order"],
+    "factorize": ["--order", "--element"],
+    "fp": ["--order", "--p", "--verify", "--budget"],
+    "indispensable": [],
+    "nabla": ["--element"],
+    "glue": ["--order", "--d", "--gamma", "--p", "--verify", "--budget"],
+    "oracle": ["--order", "--p", "--element", "--budget"],
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--help"], ["fp", "--help"], ["glue", "--help"]]
+    + [[cmd, "--help"] for cmd in COMMAND_OPTIONS if cmd not in ("fp", "glue")],
+)
 def test_help_exits_0(capsys, args):
     status, out = run(capsys, args)
     assert status == 0
     assert "--input" in out or "glue" in out
+    # the top-level help names every command, a command's help every option
+    if args == ["--help"]:
+        names = list(COMMAND_OPTIONS)
+    else:
+        names = ["--input", "--format", *COMMAND_OPTIONS[args[0]], "--help"]
+    firsts = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+    assert [n for n in firsts if n in names] == names
+
+
+def test_equals_form_matches_spaced_form(capsys, tmp_path):
+    path = write(tmp_path, NUM23)
+    for spaced, joined in [
+        (["fp", "--input", path, "--p", "1"], ["fp", f"--input={path}", "--p=1"]),
+        (["glue", "--input", path, "--d", "2", "--gamma", "15", "--verify"],
+         ["glue", f"--input={path}", "--d=2", "--gamma=15", "--verify"]),
+    ]:
+        want = run(capsys, spaced)
+        assert want[0] == 0
+        assert run(capsys, joined) == want
+
+
+def test_closed_stdout_exits_1_quietly(tmp_path):
+    # the read end is closed before the child starts, so its first write
+    # to stdout fails whatever the timing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = python("-m", "pfrobenius.cli", "fp", "--input", write(tmp_path, NUM23), "--p", "1",
+                      stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_startup_imports_no_argparse_dataclasses_inspect():
+    # each cost milliseconds at every start of the console script
+    code = "import sys, pfrobenius, pfrobenius.cli; print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = python("-S", "-c", code, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import copy
 import json
+import pickle
 import random
 import sys
 from pathlib import Path
@@ -173,6 +175,68 @@ def test_semigroup_invariants():
     ):
         with pytest.raises(pf.ValidationError):
             pf.Semigroup(q, gens)
+
+
+@pytest.mark.parametrize(
+    "cls, fields, args, text, bad, loose, default",
+    [
+        pytest.param(
+            pf.OrderSpec, ("kind",), ("grevlex",), "OrderSpec(kind='grevlex')",
+            [("lex",), (None,)], None, ("grlex",), id="OrderSpec",
+        ),
+        pytest.param(
+            pf.Semigroup, ("q", "generators"), (1, ((3,), (5,))),
+            "Semigroup(q=1, generators=((3,), (5,)))",
+            [(1, ()), (2, ((3,), (5,))), (1, ((3,), (0,))), (1, ((3,), (3,))), (1, ((3.0,), (5,)))],
+            (1, [[3], [5]]), None, id="Semigroup",
+        ),
+        pytest.param(
+            pf.Binomial, ("lead", "trail"), ((5, 0), (0, 3)), "Binomial(lead=(5, 0), trail=(0, 3))",
+            [((1, 2), (1, 2))], None, None, id="Binomial",
+        ),
+        pytest.param(
+            pf.GluingSpec, ("d", "gamma"), (2, (15,)), "GluingSpec(d=2, gamma=(15,))",
+            [(1, (15,)), (True, (15,)), (2.0, (15,)), (2, (0,)), (2, (4, 6)), (2, (-1,))],
+            (2, [15]), None, id="GluingSpec",
+        ),
+        pytest.param(
+            pf.FrobeniusResult, ("point",), ((7,),), "FrobeniusResult(7,)",
+            [], None, (None,), id="FrobeniusResult",
+        ),
+        pytest.param(
+            pf.OracleReport, ("result", "scanned_bound", "certificate"), (pf.INFINITE, 22, "c"),
+            "OracleReport(result=FrobeniusResult(infinite), scanned_bound=22, certificate='c')",
+            [], None, None, id="OracleReport",
+        ),
+    ],
+)
+def test_domain_type_contract(cls, fields, args, text, bad, loose, default):
+    # immutable records: built by position or keyword, equal and hashed by
+    # their fields within one class, checked on construction
+    a, b = cls(*args), cls(**dict(zip(fields, args)))
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert tuple(getattr(a, name) for name in fields) == args
+    other = pf.INFINITE if cls is pf.OrderSpec else pf.OrderSpec()
+    assert a != args and a != other and other != a
+    assert repr(a) == text
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(TypeError):
+        cls(*args, extra=1)
+    assert pickle.loads(pickle.dumps(a)) == a == copy.copy(a)
+    for values in bad:
+        with pytest.raises(pf.ValidationError):
+            cls(*values)
+    if loose is not None:  # lists are stored as tuples
+        assert cls(*loose) == a and hash(cls(*loose)) == hash(a)
+    if default is not None:
+        assert cls() == cls(*default)
+    else:
+        with pytest.raises(TypeError):
+            cls()
 
 
 def test_json_round_trip(example_S, tmp_path):

@@ -704,6 +704,19 @@ def test_fp_general_bool_p_misses_cache():
         pf.fp_general(S, True)
 
 
+def test_fp_general_cache_keys_on_fields():
+    # an equal semigroup built anew, by keyword, hits the cache; the cache
+    # stays typed, so p = True is still refused
+    S = pf.numerical(3, 5)
+    assert pf.fp_general(S, 1) == pf.FrobeniusResult.finite((22,))
+    hits = pf.fp_general.cache_info().hits
+    T = pf.Semigroup(q=1, generators=((3,), (5,)))
+    assert pf.fp_general(T, 1) == pf.FrobeniusResult.finite((22,))
+    assert pf.fp_general.cache_info().hits == hits + 1
+    with pytest.raises(pf.ValidationError):
+        pf.fp_general(T, True)
+
+
 def test_fp_general_rejects_float_and_str_p():
     S = pf.numerical(3, 5)
     for p in (1.5, 1.0, "1"):

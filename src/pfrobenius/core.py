@@ -146,9 +146,9 @@ class Semigroup(Record):
     __slots__ = ("q", "generators")
 
     def __init__(self, q: int, generators) -> None:
+        _as_int(q, "q", 1)
         if not generators:
             raise ValidationError("at least one generator required")
-        # each generator has q coordinates and one nonzero, so q >= 1
         gens = tuple(_as_point(g, q) for g in generators)
         if not all(map(any, gens)):
             raise ValidationError("zero vector cannot be a generator")

@@ -1,8 +1,8 @@
 """Brute-force reference implementations, deliberately independent of the
 Groebner engine: factorizations are counted by a coin-counting dynamic
 program over a flat grid of points (no depth-first search, no normal forms,
-no bases), each generator's multiplier bound is read off a grid of the other
-generators on its support, and F_p is read off one grid over the tight box.
+no bases), the multiplier bounds are read off one line per axis and one
+grid shared by the other generators, and F_p off one grid over the tight box.
 In any disagreement with the optimized algorithms, these routines are
 trusted.
 """
@@ -12,7 +12,7 @@ import time
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, isnan, prod
-from operator import add
+from operator import add, mul
 
 from .cone import _direction, is_fp_finite, unpaired_rays
 from .core import INFINITE, FrobeniusResult, OrderSpec, Record, Semigroup, UnsupportedError, ValidationError, _as_int, _as_point, checked, s_degree
@@ -51,17 +51,17 @@ class _Budget:
 
 
 def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
-    """Exact #Z_n for every n componentwise below maxes, by the standard
-    one-generator-at-a-time counting recurrence ways[n] += ways[n - a], and
-    the strides: the grid is one flat list in row-major order, n at
-    sum(n_j * strides[j]), so n - a comes before n.  A row holds the points
-    that differ only in the last coordinate; each row of the sub-box
-    [a, maxes] adds its source row, shifted by a, in one slice operation.  A
-    generator on the last axis moves no row, so it is its own source, by
-    whichever of two paths takes fewer slices: one strided slice per column
-    c >= a_last across every row, in increasing c (column c - a_last is
-    final when column c reads it), or a running sum over each residue class
-    mod a_last of each row.
+    """Exact #Z_n for every n componentwise below maxes, and the strides: the
+    grid is one flat list in row-major order, n at sum(n_j * strides[j]).
+    The generators on axis j are counted on one line [0, maxes[j]], by a
+    running sum over each residue class mod a_j.  A factorization over
+    generators on different axes is one factorization per axis, so the grid
+    starts as the outer product of those lines.  Every other generator then
+    adds the standard recurrence ways[n] += ways[n - a] row by row: a row
+    holds the points that differ only in the last coordinate, and each row
+    of the sub-box [a, maxes] adds its source row, shifted by a, in one
+    slice operation.  Such an a is nonzero before the last coordinate, so its
+    source row is an earlier row, already final.
     """
     strides = tuple(prod(m + 1 for m in maxes[j + 1 :]) for j in range(len(maxes)))
     width = maxes[-1] + 1
@@ -69,72 +69,76 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
         ways = [0] * prod(m + 1 for m in maxes)
     except MemoryError:
         raise OracleBudgetError(f"the allocator refused the grid over [0, {maxes}]") from None
-    ways[0] = 1
+    lines = [[1] + [0] * m for m in maxes]
+    off = []
     for a in generators:
+        if max(a) < sum(a):
+            off.append(a)
+            continue
+        budget.check()
+        c = max(a)
+        line = lines[a.index(c)]
+        for i in range(min(c, len(line))):
+            line[i::c] = accumulate(line[i::c])
+    heads = [1]
+    for line in lines[:-1]:
+        heads = [h * v for h in heads for v in line]
+    for r, h in enumerate(heads):
+        if h:
+            ways[r * width : (r + 1) * width] = map(h.__mul__, lines[-1])
+    for a in off:
         budget.check()
         if any(c > m for c, m in zip(a, maxes)):
             continue  # no point of the grid has a factorization using a
         *head, al = a
-        if not any(head) and width - al < len(ways) // width * al:
-            for c in range(al, width):
-                ways[c::width] = map(add, ways[c::width], ways[c - al :: width])
-            continue
         rows = [0]
         for c, m, s in zip(head, maxes, strides):
             rows = [r + i * s for r in rows for i in range(c, m + 1)]
         back = sum(c * s for c, s in zip(head, strides))
         for r in rows:
             end = r + width
-            if back:
-                src = ways[r - back : end - back - al]
-                ways[r + al : end] = map(add, ways[r + al : end], src)
-            else:
-                for i in range(r, r + al):
-                    ways[i:end:al] = accumulate(ways[i:end:al])
+            ways[r + al : end] = map(add, ways[r + al : end], ways[r - back : end - back - al])
     return ways, strides
 
 
 @lru_cache(maxsize=256)
 def _direct_lambda(S: Semigroup, budget=_Budget(None)) -> tuple[int, ...]:
-    """Smallest multiplier per generator whose multiple avoids that generator.
+    """lam_k, the least j with j*a_k a sum of the other generators, for each k.
 
-    A multiple j*a_k is a sum of those other generators whose support lies in
-    a_k's, so the grid spans only a_k's support and holds them projected onto
-    it: an axis generator gets one row.  One grid up to top*a_k holds every
-    j*a_k, j <= top, and top doubles until one of them is reached.  It starts
-    at the multiplier a generator on the ray of a_k guarantees: with
-    a_k = g_k*d and a_m = g_m*d, (g_m / gcd(g_k, g_m))*a_k lies in <a_m>, so
-    that first grid holds a hit.  The multipliers do not depend on p, so they
-    are cached per semigroup; a call that raises caches nothing.
-
-    Past the finite gate every search ends, so only the budget bounds it: a
-    generator on an extremal ray shares it, so has the hit above, and any
-    other is a non-negative rational combination of others inside its
-    support, so some multiple of it factors over them.
+    That is the least j >= 2 with #Z_{j*a_k}(S) >= 2, so grids of all of S
+    serve every generator.  An atom never has lam = 1; and if c != j*e_k
+    also factors j*a_k with c_k = i >= 1, then (j - i)*a_k has the two
+    factorizations (j - i)*e_k and c - i*e_k, with j - i < j (j - i = 1
+    would make a_k no atom).  If a_m = g_m*d shares a_k = g_k*d's ray,
+    top_k = g_m / gcd(g_k, g_m) puts top_k*a_k in <a_m>; else top_k = 2.
+    The finite gate pairs every axis generator, so those on axis j read lam
+    off one count of that axis up to their largest top_k*a_k, a line no
+    other generator reaches.  The rest share one grid over the componentwise max
+    of top_k*a_k, and only the unresolved tops double: past the finite gate
+    an unpaired generator is a non-negative rational combination of others
+    in its support, so some multiple of it factors over them, and only the
+    budget bounds the search.  The axis tops stay off that grid, which they
+    would stretch along every axis.  The multipliers do not depend on p, so
+    they are cached per semigroup; a call that raises caches nothing.
     """
-    out = []
-    for k, a in enumerate(S.generators):
-        support = [j for j, c in enumerate(a) if c]
-        outside = [j for j, c in enumerate(a) if not c]
-        a = tuple(a[j] for j in support)
-        others = [
-            tuple(g[j] for j in support)
-            for i, g in enumerate(S.generators)
-            if i != k and not any(g[j] for j in outside)
-        ]
-        d = _direction(a)
-        gk = a[0] // d[0]  # a is positive on its support
-        ray = [g[0] // d[0] for g in others if _direction(g) == d]
-        top = min(gm // gcd(gk, gm) for gm in ray) if ray else 1
-        hit = None
-        while hit is None:
-            grid_top = tuple(checked(top * c) for c in a)
-            ways, strides = _count_grid(others, grid_top, budget)
-            step = sum(c * s for c, s in zip(a, strides))
-            hit = next((j for j in range(1, top + 1) if ways[j * step]), None)
-            top *= 2
-        out.append(hit)
-    return tuple(out)
+    gens = S.generators
+    on_ray = [(_direction(a), gcd(*a)) for a in gens]  # a = g*d
+    rays = {}
+    for d, g in on_ray:
+        rays.setdefault(d, []).append(g)
+    tops = [min((m // gcd(g, m) for m in rays[d] if m != g), default=2) for d, g in on_ray]
+    lam = [None] * S.h
+    axes = [[k for k, a in enumerate(gens) if a[j] == sum(a)] for j in range(S.q)]
+    for ks in axes + [[k for k, a in enumerate(gens) if max(a) < sum(a)]]:
+        while ks:
+            maxes = tuple(max(checked(tops[k] * gens[k][j]) for k in ks) for j in range(S.q))
+            ways, strides = _count_grid(gens, maxes, budget)
+            for k in ks:
+                step = sum(map(mul, gens[k], strides))
+                lam[k] = next((i for i in range(2, tops[k] + 1) if ways[i * step] >= 2), None)
+                tops[k] *= 2
+            ks = [k for k in ks if lam[k] is None]
+    return tuple(lam)
 
 
 def oracle_count(S: Semigroup, n, budget_seconds: float | None = None) -> int:
@@ -173,7 +177,8 @@ def oracle_fp(
     budget.check()
     # only the last coordinate moves along a row, so under a graded order the
     # row's last point with 0 < #Z_n <= p outranks its others
-    qualifies = bytes(map(range(1, p + 1).__contains__, ways))
+    few = frozenset(c for c in set(ways) if 0 < c <= p)
+    qualifies = bytes(map(few.__contains__, ways))
     width = maxes[-1] + 1
     lasts = (qualifies.rfind(1, r, r + width) for r in range(0, len(ways), width))
     best = max(

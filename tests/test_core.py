@@ -187,7 +187,8 @@ def test_semigroup_invariants():
         pytest.param(
             pf.Semigroup, ("q", "generators"), (1, ((3,), (5,))),
             "Semigroup(q=1, generators=((3,), (5,)))",
-            [(1, ()), (2, ((3,), (5,))), (1, ((3,), (0,))), (1, ((3,), (3,))), (1, ((3.0,), (5,)))],
+            [(1, ()), (2, ((3,), (5,))), (1, ((3,), (0,))), (1, ((3,), (3,))), (1, ((3.0,), (5,))),
+             (None, ((2,), (3, 5)))],
             (1, [[3], [5]]), None, id="Semigroup",
         ),
         pytest.param(

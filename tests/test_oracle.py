@@ -226,26 +226,53 @@ def test_count_grid_matches_pointwise_recurrence():
     assert seen == {"zero coordinate", "exceeds maxes", "zero in maxes"}
 
 
-def test_count_grid_last_axis_paths():
-    # a generator on the last axis takes one slice per column across every
-    # row, or one running sum per residue class of each row, whichever is
-    # fewer slices: both paths, at q = 1, 2 and 3, among other generators
+def test_count_grid_axis_outer_product():
+    # the generators on each axis are counted on one line, and the grid starts
+    # as the outer product of the lines: 0, 1 or 2 generators per axis, some
+    # beyond maxes, zeros in maxes and off-axis generators mixed in, q = 1-3
     rng = random.Random(12)
     seen = set()
     for i in range(90):
         q = i % 3 + 1
-        maxes = tuple(rng.randint(0, (12, 4)[q - 2]) for _ in range(q - 1)) + (rng.randint(1, 30),)
-        gens = [(0,) * (q - 1) + (rng.randint(1, maxes[-1]),) for _ in range(rng.randint(1, 2))]
-        while len(gens) < 4:
-            g = tuple(rng.randint(0, 4) for _ in range(q))
-            if any(g):
-                gens.append(g)
+        maxes = [rng.randint(0, (30, 12, 5)[q - 1]) for _ in range(q)]
+        if rng.random() < 0.2:
+            maxes[rng.randrange(q)] = 0
+        gens = [
+            tuple(rng.randint(1, maxes[j] + 3) if t == j else 0 for t in range(q))
+            for j in range(q)
+            for _ in range(rng.randint(0, 2))
+        ]
+        gens += [tuple(rng.randint(1, 4) for _ in range(q)) for _ in range(rng.randint(0, 2) if q > 1 else 0)]
         rng.shuffle(gens)
-        ways, _ = _count_grid(gens, maxes)
+        ways, _ = _count_grid(gens, tuple(maxes))
         assert ways == _pointwise_counts(gens, maxes), (gens, maxes)
-        width, rows = maxes[-1] + 1, prod(m + 1 for m in maxes[:-1])
-        seen.update((q, width - g[-1] < rows * g[-1]) for g in gens if not any(g[:-1]))
-    assert seen == {(q, columns) for q in (1, 2, 3) for columns in (False, True)}
+        axis = [g for g in gens if sum(map(bool, g)) == 1]
+        seen.update((q, sum(1 for g in axis if g[j])) for j in range(q))
+        seen.update(
+            [(q, "beyond maxes") for g in axis if any(c > m for c, m in zip(g, maxes))]
+            + [(q, "off-axis") for g in gens if g not in axis]
+            + [(q, "zero in maxes") for m in maxes if m == 0]
+        )
+    shapes = (0, 1, 2, "beyond maxes", "zero in maxes")
+    assert seen == {(q, s) for q in (1, 2, 3) for s in shapes} | {(2, "off-axis"), (3, "off-axis")}
+
+
+def test_count_grid_checks_budget_once_per_generator():
+    # before each generator's pass, on or off the axes, fitting the box or not
+    class Counting(_Budget):
+        calls = 0
+
+        def check(self):
+            self.calls += 1
+
+    for gens, maxes in (
+        (((3,), (5,), (40,)), (20,)),
+        (((2, 0), (0, 3), (1, 1), (9, 9), (0, 7)), (6, 5)),
+        (((2, 0, 0), (1, 1, 1), (0, 0, 4), (0, 1, 2)), (3, 0, 3)),
+    ):
+        budget = Counting(None)
+        _count_grid(gens, maxes, budget)
+        assert budget.calls == len(gens)
 
 
 def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
@@ -319,12 +346,13 @@ def test_direct_lambda_matches_linear_search():
 
 
 def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
-    # a generator with another on its ray starts at a multiplier that ray
-    # guarantees, so its first grid holds the hit: here every generator has one
+    # every generator here has another on its ray, so its top holds the hit:
+    # lam costs one count over a line of each axis that carries generators,
+    # and one shared grid for the generators off the axes, if there are any
     grids = []
 
     def counted(*args):
-        grids.append(args[1])
+        grids.append(args)
         return _count_grid(*args)
 
     monkeypatch.setattr(pf.oracle, "_count_grid", counted)
@@ -340,10 +368,13 @@ def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
         grids.clear()
         _direct_lambda.cache_clear()
         lam = _direct_lambda(S)
-        assert len(grids) == S.h, S
         assert lam == reference_direct_lambda(S)
-        # each grid spans only its generator's support
-        assert [len(m) for m in grids] == [sum(map(bool, a)) for a in S.generators]
+        axes = [j for j in range(S.q) if any(a[j] == sum(a) for a in S.generators)]
+        off_axis = any(max(a) < sum(a) for a in S.generators)
+        assert len(grids) == len(axes) + off_axis, S
+        assert all(g == S.generators for g, _, _ in grids)
+        # the count of an axis's generators runs over a line of that axis
+        assert [[j for j, m in enumerate(maxes) if m] for _, maxes, _ in grids[: len(axes)]] == [[j] for j in axes]
 
 
 def test_direct_lambda_budget_error(example_S):

@@ -108,11 +108,10 @@ def compare_graded(order: OrderSpec, u: tuple[int, ...], v: tuple[int, ...]) -> 
 
 def _as_point(coords, q: int | None = None) -> tuple[int, ...]:
     """coords as a point of N^q, with q coordinates if q is given: the one
-    check every incoming point, and every dimension q, passes.  Only an int
-    is a coordinate; a float, a string or a bool raises, never truncated."""
+    check every incoming point passes (q itself, where it comes from outside,
+    passes ``_as_int``).  Only an int is a coordinate; a float, a string or
+    a bool raises, never truncated."""
     pt = tuple(coords)
-    if q is not None and type(q) is not int:
-        raise ValidationError(f"the dimension q must be an int, got {q!r}")
     if q is not None and len(pt) != q:
         raise ValidationError(f"expected {q} coordinates, got {len(pt)}")
     if not all(type(c) is int for c in pt):  # a bool is an int subclass, not an int
@@ -184,6 +183,8 @@ def minimalize_generators(gens, q: int | None = None) -> Semigroup:
         raise ValidationError("empty generating set")
     if q is None:
         q = len(gens[0])
+    else:
+        _as_int(q, "q", 1)
     gens = tuple(dict.fromkeys(_as_point(g, q) for g in gens))
     if not all(map(any, gens)):
         raise ValidationError("zero vector cannot be a generator")

@@ -35,7 +35,6 @@ from .core import (
 from .factorization import factorizations
 from .groebner import (
     Binomial,
-    assert_s_homogeneous,
     buchberger_reduced,
     fiber,
     fiber_size,
@@ -170,7 +169,9 @@ def verify_minimal_ideal_basis(S: Semigroup, B) -> bool:
     and generates (a degree B misses with beta_m > 0 fails the latter)."""
     by_degree: dict[tuple[int, ...], list[Binomial]] = {}
     for b in B:
-        m = assert_s_homogeneous(S, b)
+        m, t = s_degree(S, b.lead), s_degree(S, b.trail)
+        if m != t:
+            raise ValidationError(f"binomial {b} is not S-homogeneous: {m} != {t}")
         by_degree.setdefault(m, []).append(b)
     G = toric_ideal_generators(S)
     if any(len(bm) != len(_components(fiber(bm[0].lead, G))) - 1 for bm in by_degree.values()):

@@ -6,7 +6,7 @@ import enum
 import functools
 from math import gcd
 
-from .core import OrderSpec, Record, Semigroup, ValidationError, _as_point, checked, minimalize_generators
+from .core import OrderSpec, Record, Semigroup, ValidationError, _as_int, _as_point, checked, minimalize_generators
 from .factorization import contains, count_capped
 from .frobenius import fp_general
 
@@ -109,8 +109,7 @@ def gluing_equality(
     - if e factors F_p(S) - gamma, e + b factors F_p(S) for any b in Z(gamma),
       and lies above b.
     """
-    if p < 1:
-        raise ValidationError("the equality criterion needs p >= 1")
+    _as_int(p, "p", 1)  # the equality criterion needs p >= 1
     validate_gluing(S, spec)
     fp = _finite_fp(S, p, order)
     if count_capped(S, fp, p + 1) != p:

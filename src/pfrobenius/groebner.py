@@ -26,7 +26,9 @@ input, an S-pair or a rewrite sets raises OverflowGuardError.  Past the
 basis, normal forms, fiber counts and the growth of the standard monomials
 run on the same fields with no degree above them, or, in
 ``first_small_fiber``, with a linear rank there instead; only the public
-functions' inputs and outputs are tuples.
+functions' inputs and outputs are tuples.  Each basis is checked and packed
+for these reads once, with its rewrites and reverse rewrites (``_layout``):
+a lead or trail without the basis's number of variables is refused.
 """
 from __future__ import annotations
 
@@ -35,9 +37,9 @@ import heapq
 import itertools
 import math
 import struct
-from operator import itemgetter, lshift, mul, sub
+from operator import itemgetter, lshift, mul
 
-from .core import INT64_MAX, OrderSpec, OverflowGuardError, Record, Semigroup, ValidationError, _as_int, _as_point, checked, s_degree
+from .core import INT64_MAX, OrderSpec, OverflowGuardError, Record, Semigroup, ValidationError, _as_int, _as_point, checked
 
 
 class Binomial(Record):
@@ -476,32 +478,32 @@ def reduced_basis(S: Semigroup, order: OrderSpec) -> tuple[Binomial, ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def _layout(G: tuple[Binomial, ...], h: int) -> tuple[_Order, tuple[int, ...], tuple[int, ...]]:
-    """A layout of h fields with x_0 highest and no degree above them, and
-    the leads and trails of G packed in it: divisibility and addition do not
-    depend on the layout.  Cached, so a basis asked about many times is
-    packed once."""
+def _layout(G: tuple[Binomial, ...], h: int) -> tuple[_Order, tuple[int, ...], tuple[Packed, ...], tuple[Packed, ...]]:
+    """A layout of h fields with x_0 highest and no degree above them, and G
+    read in it: its packed leads, its rewrites (lead, trail - lead) and its
+    reverse rewrites (trail, lead - trail).  Divisibility and addition do not
+    depend on the layout.  A lead or trail without h coordinates raises
+    ValidationError, so a basis of mixed lengths is refused, not cut to h;
+    packing checks each exponent's range.  Cached, so a basis asked about
+    many times is checked and packed once."""
+    for b in G:
+        if len(b.lead) != h or len(b.trail) != h:
+            raise ValidationError(f"binomial {b} of the basis does not have {h} variables")
     key = _Order((0,) * h, range(h), 1)
-    return key, tuple(key.pack(b.lead) for b in G), tuple(key.pack(b.trail) for b in G)
+    packed = [(key.pack(b.lead), key.pack(b.trail)) for b in G]
+    leads = tuple(lead for lead, _ in packed)
+    return key, leads, tuple((u, v - u) for u, v in packed), tuple((v, u - v) for u, v in packed)
 
 
-def _packed(G: tuple[Binomial, ...], v) -> tuple[_Order, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """v checked as a point with G's number of variables, then G's layout
-    and its packed leads and trails (``_layout``)."""
-    v = _as_point(v, len(G[0].lead) if G else None)
-    key, leads, trails = _layout(G, len(v))
-    return key, v, leads, trails
-
-
-def _fiber(u: int, trails: tuple[int, ...], ups: list[int], guard: int, cap: float) -> set[int]:
+def _fiber(u: int, ups: tuple[Packed, ...], guard: int, cap: float) -> set[int]:
     """The packed monomials of the fiber of the packed standard monomial u,
-    up to cap of them: reverse rewrites u -> u - trail + lead (``ups``)
-    reach the whole fiber."""
+    up to cap of them: reverse rewrites u -> u - trail + lead (``ups``, as
+    (trail, lead - trail)) reach the whole fiber."""
     seen, stack = {u}, [u]
     while stack:
         u = stack.pop()
         ug = u | guard
-        for trail, up in zip(trails, ups):
+        for trail, up in ups:
             if (ug - trail) & guard == guard:
                 v = u + up
                 if v & guard:
@@ -545,17 +547,12 @@ def _grow(leads: tuple[int, ...], top: tuple[int, ...], key: _Order, units: list
     return grown
 
 
-def _normal(m: tuple[int, ...], G: tuple[Binomial, ...]) -> tuple[_Order, int, tuple[int, ...], tuple[int, ...]]:
-    """G's layout, the packed normal form of X^m and G's packed leads and trails."""
-    key, m, leads, trails = _packed(G, m)
-    return key, _reduce(key.pack(m), list(zip(leads, map(sub, trails, leads))), key.guard), leads, trails
-
-
 def normal_form(m: tuple[int, ...], G: tuple[Binomial, ...]) -> tuple[int, ...]:
     """Unique normal form of the monomial X^m modulo the Groebner basis G.
     An exponent past 2^63 - 1, given or reached, raises OverflowGuardError."""
-    key, u, _, _ = _normal(m, G)
-    return key.unpack(u)
+    m = _as_point(m, len(G[0].lead) if G else None)
+    key, _, rules, _ = _layout(G, len(m))
+    return key.unpack(_reduce(key.pack(m), rules, key.guard))
 
 
 def _fiber_of(m: tuple[int, ...], G: tuple[Binomial, ...], cap: float) -> tuple[_Order, set[int]]:
@@ -564,8 +561,9 @@ def _fiber_of(m: tuple[int, ...], G: tuple[Binomial, ...], cap: float) -> tuple[
     fiber rewrites to its one standard monomial, the normal form (Sturmfels,
     Groebner Bases and Convex Polytopes, 1996), so reverse rewrites
     u -> u - trail + lead from it reach the whole fiber."""
-    key, u, leads, trails = _normal(m, G)
-    return key, _fiber(u, trails, list(map(sub, leads, trails)), key.guard, cap)
+    m = _as_point(m, len(G[0].lead) if G else None)
+    key, _, rules, ups = _layout(G, len(m))
+    return key, _fiber(_reduce(key.pack(m), rules, key.guard), ups, key.guard, cap)
 
 
 def fiber_size(m: tuple[int, ...], G: tuple[Binomial, ...], cap: int) -> int:
@@ -587,7 +585,8 @@ def fiber(m: tuple[int, ...], G: tuple[Binomial, ...]) -> frozenset[tuple[int, .
 def standard_monomials(G: tuple[Binomial, ...], top: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The monomials of prod [0, top_i) that no lead of G divides, each once
     (proof of completeness in ``frobenius.fp_general``)."""
-    key, top, leads, _ = _packed(G, top)
+    top = _as_point(top, len(G[0].lead) if G else None)
+    key, leads, _, _ = _layout(G, len(top))
     return [key.unpack(m) for m in _grow(leads, top, key, [1 << s for s in key.shifts])]
 
 
@@ -603,29 +602,21 @@ def first_small_fiber(G: tuple[Binomial, ...], top: tuple[int, ...], ranks: list
     >= 2, ranks h ints and the box not empty, so that the monomial 1, alone
     in its fiber, qualifies."""
     _as_int(cap, "cap", 2)
-    key, top, leads, trails = _packed(G, top)
+    top = _as_point(top, len(G[0].lead) if G else None)
+    key, leads, _, ups = _layout(G, len(top))
     if len(ranks) != len(top) or not all(type(r) is int for r in ranks):
         raise ValidationError(f"ranks must be {len(top)} ints, got {ranks!r}")
     if not all(top):
         raise ValidationError(f"the box below {top} is empty")
     grown = _grow(leads, top, key, [(r << key.top) + (1 << s) for r, s in zip(ranks, key.shifts)])
     grown.sort(reverse=True)
-    ups, fields = list(map(sub, leads, trails)), (1 << key.top) - 1
-    return key.unpack(next(m for m in grown if len(_fiber(m & fields, trails, ups, key.guard, cap)) < cap))
+    fields = (1 << key.top) - 1
+    return key.unpack(next(m for m in grown if len(_fiber(m & fields, ups, key.guard, cap)) < cap))
 
 
 def in_ideal(b: Binomial, G: tuple[Binomial, ...]) -> bool:
     """Membership of a binomial in the ideal G generates (normal forms agree)."""
     return normal_form(b.lead, G) == normal_form(b.trail, G)
-
-
-def assert_s_homogeneous(S: Semigroup, b: Binomial) -> tuple[int, ...]:
-    """The common S-degree of both monomials; error if they differ."""
-    dl = s_degree(S, b.lead)
-    dt = s_degree(S, b.trail)
-    if dl != dt:
-        raise ValidationError(f"binomial {b} is not S-homogeneous: {dl} != {dt}")
-    return dl
 
 
 def format_binomial(b: Binomial) -> str:

@@ -152,6 +152,10 @@ def test_minimalize_rejects_bad_input():
         pf.minimalize_generators([], 1)
     with pytest.raises(pf.ValidationError):
         pf.minimalize_generators([(0, 0), (1, 2)], 2)
+    # a q given from outside is an int >= 1, checked as Semigroup checks it
+    for q in ("1", 0, True):
+        with pytest.raises(pf.ValidationError):
+            pf.minimalize_generators([(2,), (3,)], q)
 
 
 def test_semigroup_invariants():

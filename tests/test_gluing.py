@@ -177,8 +177,11 @@ def test_equality_matches_double_loop():
 
 
 def test_equality_requires_positive_p():
-    with pytest.raises(pf.ValidationError):
-        pf.gluing_equality(pf.numerical(3, 4), 0, pf.GluingSpec(2, (7,)))
+    # p is checked as an int >= 1, as fp_glued_bound checks it: a string or
+    # None raised a raw TypeError from the comparison
+    for p in (0, "1", None):
+        with pytest.raises(pf.ValidationError):
+            pf.gluing_equality(pf.numerical(3, 4), p, pf.GluingSpec(2, (7,)))
 
 
 def test_gamma_coefficient_shift():

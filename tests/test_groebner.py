@@ -614,6 +614,23 @@ def test_engine_boundary():
     ):
         with pytest.raises(pf.ValidationError):
             call()
+    # a basis of mixed lengths, a binomial of another length or a lead and a
+    # trail of different lengths, was cut to the point's length: normal_form
+    # answered from the cut basis and the scan leaked a bare StopIteration
+    # (the uncapped fiber walk ran until memory ran out, so it is left to CI)
+    for H in (
+        (Binomial((1, 0), (0, 1)), Binomial((1, 0, 0), (0, 0, 1))),
+        (Binomial((1, 0), (0, 0, 1)),),
+    ):
+        for call in (
+            lambda: pf.normal_form((2, 0), H),
+            lambda: pf.groebner.in_ideal(Binomial((2, 0), (0, 2)), H),
+            lambda: pf.groebner.fiber_size((2, 0), H, 50),
+            lambda: pf.groebner.standard_monomials(H, (3, 3)),
+            lambda: scan(H, (3, 3), [1, 1], 2),
+        ):
+            with pytest.raises(pf.ValidationError):
+                call()
     with pytest.raises(pf.OverflowGuardError):
         pf.normal_form((2**63, 0), G)
     assert pf.normal_form((5, 0), G) == (0, 3)

@@ -2,8 +2,8 @@
 
 Points of the ambient monoid N^q and exponent vectors in N^h are both plain
 tuples of non-negative ints; the graded comparison functions work on either.
-All arithmetic is guarded against leaving the signed 64-bit range so that
-results are either exact or an explicit error, never silently wrong.
+Points and exponent vectors are guarded to the signed 64-bit range, so they
+are exact or an explicit error, never silently wrong; counts are exact ints.
 """
 from __future__ import annotations
 
@@ -106,12 +106,20 @@ def compare_graded(order: OrderSpec, u: tuple[int, ...], v: tuple[int, ...]) -> 
     return EQUAL
 
 
+def _as_tuple(items, name: str) -> tuple:
+    """items as a tuple; a bare int, or anything else not iterable, raises ValidationError."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValidationError(f"{name} must be iterable, got {items!r}") from None
+
+
 def _as_point(coords, q: int | None = None) -> tuple[int, ...]:
     """coords as a point of N^q, with q coordinates if q is given: the one
     check every incoming point passes (q itself, where it comes from outside,
     passes ``_as_int``).  Only an int is a coordinate; a float, a string or
     a bool raises, never truncated."""
-    pt = tuple(coords)
+    pt = _as_tuple(coords, "a point")
     if q is not None and len(pt) != q:
         raise ValidationError(f"expected {q} coordinates, got {len(pt)}")
     if not all(type(c) is int for c in pt):  # a bool is an int subclass, not an int
@@ -146,9 +154,9 @@ class Semigroup(Record):
 
     def __init__(self, q: int, generators) -> None:
         _as_int(q, "q", 1)
-        if not generators:
+        gens = tuple(_as_point(g, q) for g in _as_tuple(generators, "generators"))
+        if not gens:
             raise ValidationError("at least one generator required")
-        gens = tuple(_as_point(g, q) for g in generators)
         if not all(map(any, gens)):
             raise ValidationError("zero vector cannot be a generator")
         if len(set(gens)) != len(gens):
@@ -178,7 +186,7 @@ def minimalize_generators(gens, q: int | None = None) -> Semigroup:
     the generator list fixes the variable order of the polynomial ring, so
     callers control it.
     """
-    gens = [tuple(g) for g in gens]
+    gens = [_as_tuple(g, "a generator") for g in _as_tuple(gens, "generators")]
     if not gens:
         raise ValidationError("empty generating set")
     if q is None:
@@ -217,7 +225,7 @@ class FrobeniusResult(Record):
     @classmethod
     def finite(cls, point) -> "FrobeniusResult":
         """A finite value: a point of ints, negative ones too (F_0(N) = -1)."""
-        point = tuple(point)
+        point = _as_tuple(point, "a point")
         if not all(type(c) is int for c in point):  # a bool is an int subclass, not an int
             raise ValidationError(f"coordinates must be ints, got {point}")
         return cls(point)

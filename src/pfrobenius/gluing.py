@@ -35,7 +35,8 @@ class GluingSpec(Record):
 
 @functools.lru_cache(maxsize=256)
 def validate_gluing(S: Semigroup, spec: GluingSpec) -> None:
-    """Raise ValidationError unless gamma is a non-generator element of S.
+    """Raise ValidationError unless S's list is minimal (see ``glue``) and
+    gamma is a non-generator element of S.
 
     Cached, so the public functions below each validate for a direct caller
     while a command that calls several of them runs the membership search
@@ -43,6 +44,8 @@ def validate_gluing(S: Semigroup, spec: GluingSpec) -> None:
     """
     if len(spec.gamma) != S.q:
         raise ValidationError("gamma dimension does not match the semigroup")
+    if minimalize_generators(S.generators, S.q).generators != S.generators:
+        raise ValidationError("S's generator list is not minimal, so neither is the glued one")
     if spec.gamma in S.generators:
         raise ValidationError("gamma must not be a minimal generator of S")
     if not contains(S, spec.gamma):
@@ -64,11 +67,6 @@ def glue(S: Semigroup, spec: GluingSpec) -> Semigroup:
       not a_k), so one over the others.
     """
     validate_gluing(S, spec)
-    if minimalize_generators(S.generators, S.q).generators != S.generators:
-        raise ValidationError(
-            "S's generator list is not minimal, so neither is the glued one; "
-            "not a valid gluing"
-        )
     gens = tuple(
         tuple(checked(spec.d * c) for c in a) for a in S.generators
     ) + (spec.gamma,)

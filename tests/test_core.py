@@ -298,6 +298,36 @@ def test_frobenius_result_takes_ints():
             pf.FrobeniusResult.finite(point)
 
 
+S35 = pf.numerical(3, 5)
+
+# calls that iterate a point or a list of generators, each given a bare int
+BARE_INT_CALLS = {
+    "count_capped": lambda: pf.count_capped(S35, 8, 2),
+    "factorizations": lambda: pf.factorizations(S35, 8),
+    "oracle_count": lambda: pf.oracle_count(S35, 8),
+    "s_degree": lambda: pf.s_degree(S35, 5),
+    "candidate_degrees": lambda: pf.candidate_degrees(S35, 5, 1),
+    "primitive_direction": lambda: pf.primitive_direction(5),
+    "normal_form": lambda: pf.normal_form(5, pf.toric_ideal_generators(S35)),
+    "GluingSpec": lambda: pf.GluingSpec(2, 8),
+    "minimalize_generators": lambda: pf.minimalize_generators([3, 5]),
+    "Semigroup-int-generators": lambda: pf.Semigroup(1, [3, 5]),
+    "Semigroup-int-list": lambda: pf.Semigroup(1, 5),
+    "FrobeniusResult.finite": lambda: pf.FrobeniusResult.finite(5),
+}
+
+
+@pytest.mark.parametrize("name", [*BARE_INT_CALLS, "contains"])
+def test_bare_int_for_a_point_is_refused(name):
+    # a validation error, not a raw TypeError from iterating the int;
+    # membership refuses such a point by answering False
+    if name == "contains":
+        assert pf.contains(S35, 5) is False
+        return
+    with pytest.raises(pf.ValidationError, match="must be iterable"):
+        BARE_INT_CALLS[name]()
+
+
 def test_package_imports_stdlib_only():
     # no runtime dependencies: every module imports the standard library or
     # its own package, nothing else

@@ -49,6 +49,17 @@ def test_public_functions_validate():
             pf.fp_glued_bound(S, 1, bad, GRLEX)
         with pytest.raises(pf.ValidationError):
             pf.gluing_equality(S, 1, bad, GRLEX)
+    # a non-minimal S: every function refuses, where the bound read (33,)
+    # and the verdict EQUAL, though the minimal <3, 4> bounds F_1 by 49
+    S, spec = pf.Semigroup(1, ((3,), (4,), (7,))), pf.GluingSpec(2, (15,))
+    for _ in range(2):
+        with pytest.raises(pf.ValidationError, match="not minimal"):
+            pf.glue(S, spec)
+        with pytest.raises(pf.ValidationError, match="not minimal"):
+            pf.fp_glued_bound(S, 1, spec, GRLEX)
+        with pytest.raises(pf.ValidationError, match="not minimal"):
+            pf.gluing_equality(S, 1, spec, GRLEX)
+    assert pf.fp_glued_bound(pf.numerical(3, 4), 1, spec, GRLEX) == (49,)
     # a valid gluing of an S whose F_1 is infinite: the ray of (1, 1) holds no other generator
     S = pf.Semigroup(2, ((2, 0), (3, 0), (0, 2), (1, 1)))
     with pytest.raises(pf.ValidationError, match="infinite"):

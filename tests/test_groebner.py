@@ -493,6 +493,16 @@ def test_pair_criteria_match_reference_buchberger():
             assert [(b.lead, b.trail) for b in got] == expected, (gens, kind)
         got = _interreduce(_buchberger(pairs, key), key)
         assert [(b.lead, b.trail) for b in got] == reference_reduced_basis(pairs, key), gens
+    # larger inputs: the kernel and circuit binomials of five pinned cases
+    # under the last step's order, about 1.7 s (h8-draw and h9-wall take the
+    # reference 30-40 s each)
+    for case in PINNED_CASES:
+        if case.id in ("h6-named", "h7-wall", "q3", "shared-factor", "box-scan"):
+            S = pf.Semigroup(len(case.values[0][0]), case.values[0])
+            pairs = _binomials(_kernel_basis(S) + _circuits(S))
+            key = _revlex_key(tuple(sum(a) for a in S.generators), S.h - 1)
+            got = _interreduce(_buchberger(pairs, key), key)
+            assert [(b.lead, b.trail) for b in got] == reference_reduced_basis(pairs, key), S
 
 
 def test_scaled_exponents_scale_the_basis():

@@ -1,11 +1,11 @@
 """Command-line interface: JSON in, JSON (or text) out.
 
-Every subcommand loads a semigroup description from ``--input``, dispatches
-to the library, and prints a single JSON object ``{"result": ..., "meta":
-{...}}``.  Errors exit non-zero with ``{"error": {"code": ..., "message":
-...}}``; an infinite Frobenius vector is a result, never an error.  Usage
-errors (unknown command or option, missing or invalid option value) exit 2
-with a message on stderr.
+The dispatcher loads ``--input`` once, its order under ``--order`` where the
+command takes one, and prints the single JSON object ``{"result": ...,
+"meta": {...}}`` of the command's ``fn(S, order, args)``.  Errors exit
+non-zero with ``{"error": {"code": ..., "message": ...}}``; an infinite
+Frobenius vector is a result, never an error.  Usage errors (unknown command
+or option, missing or invalid option value) exit 2 with a message on stderr.
 
 The options of every command are one table, ``_COMMANDS``.  An option is
 ``--flag value`` or ``--flag=value``, spelled out in full; a value may start
@@ -63,12 +63,6 @@ def _parse_element(text: str, q: int) -> tuple[int, ...]:
     return _as_point(coords, q)
 
 
-def _load(args) -> tuple[Semigroup, OrderSpec]:
-    """The semigroup and order of --input, under --order where given."""
-    S, order = load_semigroup(args.input_path)
-    return S, args.order or order
-
-
 def _binomial_json(b: groebner.Binomial) -> dict:
     return {"lead": list(b.lead), "trail": list(b.trail), "pretty": groebner.format_binomial(b)}
 
@@ -83,9 +77,8 @@ def _existing_path(path: str) -> str:
     return path
 
 
-def check_finite(args) -> dict:
+def check_finite(S: Semigroup, order: OrderSpec, args) -> dict:
     """Decide finiteness of F_p(S) for all p >= 1."""
-    S, _ = load_semigroup(args.input_path)
     rays = sorted(cone.extremal_ray_directions(S))
     return {
         "result": cone.is_fp_finite(S),
@@ -93,9 +86,8 @@ def check_finite(args) -> dict:
     }
 
 
-def groebner_cmd(args) -> dict:
+def groebner_cmd(S: Semigroup, order: OrderSpec, args) -> dict:
     """Reduced Groebner basis of the semigroup ideal."""
-    S, order = _load(args)
     G = groebner.reduced_basis(S, order)
     return {
         "result": [_binomial_json(b) for b in G],
@@ -103,17 +95,15 @@ def groebner_cmd(args) -> dict:
     }
 
 
-def factorize(args) -> dict:
+def factorize(S: Semigroup, order: OrderSpec, args) -> dict:
     """All factorizations of an element over the minimal generators."""
-    S, order = _load(args)
     n = _parse_element(args.element, S.q)
     facs = sorted(factorization.factorizations(S, n), key=order.key, reverse=True)
     return {"result": [list(f) for f in facs], "meta": {"count": len(facs)}}
 
 
-def fp_cmd(args) -> dict:
+def fp_cmd(S: Semigroup, order: OrderSpec, args) -> dict:
     """The p-Frobenius vector of the semigroup."""
-    S, order = _load(args)
     result = frobenius.fp_general(S, args.p, order)
     meta: dict = {"order": order.kind}
     if args.verify:
@@ -123,16 +113,14 @@ def fp_cmd(args) -> dict:
     return {"result": result.to_json(), "meta": meta}
 
 
-def indispensable(args) -> dict:
+def indispensable(S: Semigroup, order: OrderSpec, args) -> dict:
     """Indispensable binomials of the semigroup ideal."""
-    S, _ = load_semigroup(args.input_path)
     ind = frobenius.indispensable_binomials(S)
     return {"result": [_binomial_json(b) for b in ind], "meta": {"count": len(ind)}}
 
 
-def nabla(args) -> dict:
+def nabla(S: Semigroup, order: OrderSpec, args) -> dict:
     """Connected components of the factorization complex of an element."""
-    S, _ = load_semigroup(args.input_path)
     n = _parse_element(args.element, S.q)
     comps = frobenius.nabla_components(S, n)
     comps_json = sorted(
@@ -142,9 +130,8 @@ def nabla(args) -> dict:
     return {"result": comps_json, "meta": {"components": len(comps)}}
 
 
-def glue_cmd(args) -> dict:
+def glue_cmd(S: Semigroup, order: OrderSpec, args) -> dict:
     """Glue with N^q and report the F_p bound and the equality verdict."""
-    S, order = _load(args)
     p = args.p
     spec = gluing.GluingSpec(args.d, _parse_element(args.gamma, S.q))
     glued = gluing.glue(S, spec)
@@ -158,9 +145,8 @@ def glue_cmd(args) -> dict:
     return {"result": list(bound), "meta": meta}
 
 
-def oracle_cmd(args) -> dict:
+def oracle_cmd(S: Semigroup, order: OrderSpec, args) -> dict:
     """Brute-force reference answers (slow, trusted)."""
-    S, order = _load(args)
     if args.element is not None:
         n = _parse_element(args.element, S.q)
         count = oracle.oracle_count(S, n, budget_seconds=args.budget)
@@ -179,7 +165,7 @@ _SHARED = {
 _ORDER = {"--order": ("order", OrderSpec, False, None, "grlex or grevlex, in place of the input file's order.")}
 _ELEMENT = {"--element": ("element", str, True, None, "Comma-separated coordinates.")}
 _BUDGET = {"--budget": ("budget", float, False, None, "Oracle budget in seconds.")}
-# command -> (function, {flag: (dest, convert, required, default, help)}):
+# command -> (fn(S, order, args), {flag: (dest, convert, required, default, help)}):
 # convert is a callable, a tuple of the allowed values, or None for a switch
 _COMMANDS = {name: (fn, {**_SHARED, **options}) for name, fn, options in [
     ("check-finite", check_finite, {}),
@@ -264,7 +250,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
         return 0
     fn, args = parsed
     try:
-        payload, status = fn(args), 0
+        S, order = load_semigroup(args.input_path)
+        payload, status = fn(S, getattr(args, "order", None) or order, args), 0
     except tuple(t for t, _, _ in _ERROR_CODES) as exc:
         code, status = next((c, s) for t, c, s in _ERROR_CODES if isinstance(exc, t))
         payload = {"error": {"code": code, "message": str(exc)}}

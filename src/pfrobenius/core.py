@@ -18,6 +18,7 @@ EQUAL = 0
 GREATER = 1
 
 GRADED_ORDER_KINDS = ("grlex", "grevlex")
+_F0_SCOPE = "p = 0 needs q = 1: gap sets of q >= 2 are out of scope"  # fp_general's and the oracle's refusal
 
 
 class ValidationError(ValueError):
@@ -98,7 +99,7 @@ def compare_graded(order: OrderSpec, u: tuple[int, ...], v: tuple[int, ...]) -> 
     """Three-way graded comparison of equal-length vectors (-1, 0 or 1)."""
     if len(u) != len(v):
         raise ValidationError(f"length mismatch: {len(u)} vs {len(v)}")
-    ku, kv = order.key(u), order.key(v)
+    ku, kv = _as_order(order).key(u), order.key(v)
     if ku < kv:
         return LESS
     if ku > kv:
@@ -138,6 +139,13 @@ def _as_int(value, name: str, least: int) -> None:
         raise ValidationError(f"{name} must be an int, got {value!r}")
     if value < least:
         raise ValidationError(f"{name} must be >= {least}")
+
+
+def _as_order(order) -> OrderSpec:
+    """order, if it is an ``OrderSpec``; anything else, its name too, raises ValidationError."""
+    if type(order) is not OrderSpec:
+        raise ValidationError(f"order must be an OrderSpec, got {order!r}")
+    return order
 
 
 class Semigroup(Record):
@@ -253,7 +261,7 @@ INFINITE = FrobeniusResult.infinite()
 def semigroup_to_json(S: Semigroup, order: OrderSpec | None = None) -> dict:
     doc = {"q": S.q, "generators": [list(g) for g in S.generators]}
     if order is not None:
-        doc["order"] = {"kind": order.kind}
+        doc["order"] = {"kind": _as_order(order).kind}
     return doc
 
 

@@ -3,10 +3,10 @@ semigroups by their p-Apery sets.
 
 ``fp_general`` sends a numerical semigroup (q = 1) at every p >= 0 to
 ``_fp_numerical``, which needs no Groebner basis: a Dijkstra over the
-residues mod the smallest generator.  ``f0_numerical`` is its p = 0 case.  For
-q >= 2 it runs a finiteness gate on the cone, the toric engine's reduced
-basis, the per-generator bounds Lambda read off it, and then one strategy
-for every p and both orders:
+residues mod the smallest generator; ``f0_numerical(S)`` is
+``fp_general(S, 0)``.  For q >= 2 and p >= 1 it runs a finiteness gate on
+the cone, the toric engine's reduced basis, the per-generator bounds Lambda
+read off it, and then one strategy for every p and both orders:
 a scan of the standard monomials grown from 0 inside prod [0, p*lambda_i)
 by descending degree, counting each fiber by reverse rewriting until one
 has at most p factorizations.  ``candidate_degrees`` lists the degrees of
@@ -22,12 +22,14 @@ import math
 from .cone import is_fp_finite
 from .core import (
     INFINITE,
+    _F0_SCOPE,
     FrobeniusResult,
     OrderSpec,
     Semigroup,
     UnsupportedError,
     ValidationError,
     _as_int,
+    _as_order,
     _as_point,
     checked,
     s_degree,
@@ -88,7 +90,7 @@ def _degree_ranks(S: Semigroup, order: OrderSpec) -> list[int]:
 
 @functools.lru_cache(maxsize=256, typed=True)
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
-    """F_p(S) for any p >= 1, and for p = 0 when q = 1.
+    """F_p(S) for any p >= 1, and for p = 0 when q = 1 (UnsupportedError else).
 
     A numerical semigroup (q = 1) takes ``_fp_numerical`` at every p, with
     no Groebner basis.  For q >= 2 the cone gate decides finiteness, then
@@ -119,10 +121,11 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     The cache is typed, so p = True misses p = 1 and reaches the check on p.
     """
     _as_int(p, "p", 0)
+    _as_order(order)
     if S.q == 1:
         return _fp_numerical(S, p)
     if p == 0:
-        return f0_numerical(S)  # refuses q >= 2
+        raise UnsupportedError(_F0_SCOPE)
     if not is_fp_finite(S):
         return INFINITE
     G = toric_ideal_generators(S)
@@ -267,8 +270,6 @@ def _fp_numerical(S: Semigroup, p: int) -> FrobeniusResult:
 
 
 def f0_numerical(S: Semigroup) -> FrobeniusResult:
-    """Frobenius number of a numerical semigroup (q = 1): the p = 0 case of
-    ``_fp_numerical``, from the Apery set of the smallest generator."""
-    if S.q != 1:
-        raise UnsupportedError("p = 0 needs q = 1: gap sets of q >= 2 are out of scope")
-    return _fp_numerical(S, 0)
+    """Frobenius number of a numerical semigroup (q = 1): ``fp_general(S, 0)``,
+    from the Apery set of the smallest generator, in the same cache."""
+    return fp_general(S, 0)

@@ -73,7 +73,8 @@ def glue(S: Semigroup, spec: GluingSpec) -> Semigroup:
     return Semigroup(S.q, gens)
 
 
-def _finite_fp(S: Semigroup, p: int, order: OrderSpec) -> tuple[int, ...]:
+def _finite_fp(S: Semigroup, p: int, spec: GluingSpec, order: OrderSpec) -> tuple[int, ...]:
+    validate_gluing(S, spec)
     fp = fp_general(S, p, order)
     if fp.is_infinite:
         raise ValidationError("F_p(S) is infinite; gluing results need it finite")
@@ -88,8 +89,7 @@ def fp_glued_bound(
     For p = 0 (q = 1 only) the returned value is exact, the classical
     Frobenius number formula for gluings.
     """
-    validate_gluing(S, spec)
-    fp = _finite_fp(S, p, order)
+    fp = _finite_fp(S, p, spec, order)
     return tuple(
         checked(spec.d * f + (spec.d - 1) * g) for f, g in zip(fp, spec.gamma)
     )
@@ -108,8 +108,7 @@ def gluing_equality(
       and lies above b.
     """
     _as_int(p, "p", 1)  # the equality criterion needs p >= 1
-    validate_gluing(S, spec)
-    fp = _finite_fp(S, p, order)
+    fp = _finite_fp(S, p, spec, order)
     if count_capped(S, fp, p + 1) != p:
         return GluingVerdict.PRECONDITION_FAILED
     if contains(S, tuple(f - g for f, g in zip(fp, spec.gamma))):

@@ -39,7 +39,7 @@ import math
 import struct
 from operator import itemgetter, lshift, mul
 
-from .core import INT64_MAX, OrderSpec, OverflowGuardError, Record, Semigroup, ValidationError, _as_int, _as_point, checked
+from .core import INT64_MAX, OrderSpec, OverflowGuardError, Record, Semigroup, ValidationError, _as_int, _as_order, _as_point, checked
 
 
 class Binomial(Record):
@@ -232,6 +232,7 @@ def _graded_key(order: OrderSpec, h: int) -> _Order:
 def buchberger_reduced(gens, order: OrderSpec) -> tuple[Binomial, ...]:
     """The unique reduced Groebner basis of the binomial ideal gens generate,
     each lead and trail checked as a point of the first lead's length."""
+    _as_order(order)
     gens = [(b.lead, b.trail) for b in gens]
     if not gens:
         return ()

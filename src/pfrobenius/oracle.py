@@ -15,7 +15,8 @@ from math import gcd, isnan, prod
 from operator import add, mul
 
 from .cone import _direction, is_fp_finite, unpaired_rays
-from .core import INFINITE, FrobeniusResult, OrderSpec, Record, Semigroup, UnsupportedError, ValidationError, _as_int, _as_point, checked, s_degree
+from .core import INFINITE, FrobeniusResult, OrderSpec, Record, Semigroup, UnsupportedError, ValidationError
+from .core import _F0_SCOPE, _as_int, _as_order, _as_point, checked, s_degree
 
 
 class OracleBudgetError(Exception):
@@ -164,6 +165,7 @@ def oracle_fp(
     """
     budget = _Budget(budget_seconds)
     _as_int(p, "p", 0)
+    _as_order(order)
     if p == 0:
         return _oracle_f0(S, budget)
     if not is_fp_finite(S):
@@ -194,8 +196,8 @@ def oracle_fp(
 
 
 def _oracle_f0(S: Semigroup, budget: _Budget) -> OracleReport:
-    if S.q != 1:  # the refusal of frobenius.f0_numerical, word for word
-        raise UnsupportedError("p = 0 needs q = 1: gap sets of q >= 2 are out of scope")
+    if S.q != 1:
+        raise UnsupportedError(_F0_SCOPE)
     values = sorted(g[0] for g in S.generators)
     if (g := gcd(*values)) != 1:
         return OracleReport(INFINITE, 0, f"every generator is a multiple of {g}")

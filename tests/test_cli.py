@@ -183,6 +183,76 @@ def test_order_override(capsys, tmp_path):
     assert out["result"] == [7]
 
 
+@pytest.mark.parametrize(
+    "doc, args, status",
+    [
+        pytest.param(NUM23, ["check-finite"], 0, id="check-finite"),
+        pytest.param(NUM23, ["groebner"], 0, id="groebner"),
+        pytest.param(NUM23, ["factorize", "--element", "6"], 0, id="factorize"),
+        pytest.param(NUM23, ["fp", "--p", "1", "--verify"], 0, id="fp"),
+        pytest.param(NUM23, ["indispensable"], 0, id="indispensable"),
+        pytest.param(NUM23, ["nabla", "--element", "6"], 0, id="nabla"),
+        pytest.param(NUM23, ["glue", "--d", "3", "--gamma", "5", "--verify"], 0, id="glue"),
+        pytest.param(NUM23, ["oracle", "--p", "1"], 0, id="oracle"),
+        pytest.param(NUM23, ["oracle"], 4, id="oracle-without-p"),
+        pytest.param(NUM23, ["factorize", "--element", "6,1"], 4, id="factorize-bad-element"),
+        pytest.param(BIG2D, ["fp", "--p", "0"], 2, id="fp-p0-in-dim2"),
+        pytest.param({"q": 1, "generators": [[2.9], [3]]}, ["nabla", "--element", "6"], 4, id="unloadable"),
+    ],
+)
+def test_each_command_loads_its_input_once(capsys, tmp_path, monkeypatch, doc, args, status):
+    # the dispatcher loads --input once, inside its error mapping, whether the
+    # command succeeds, fails, or the file itself is refused
+    loads = []
+
+    def load(path):
+        loads.append(path)
+        return pf.core.load_semigroup(path)
+
+    monkeypatch.setattr(pf.cli, "load_semigroup", load)
+    path = write(tmp_path, doc)
+    assert run_json(capsys, [args[0], "--input", path, *args[1:]])[0] == status
+    assert loads == [path]
+
+
+# the module each library call is reached through from the CLI
+LIBRARY_MODULE = {"reduced_basis": "groebner", "fp_general": "frobenius", "oracle_fp": "oracle",
+                  "fp_glued_bound": "gluing", "gluing_equality": "gluing"}
+
+
+@pytest.mark.parametrize(
+    "args, calls",
+    [
+        pytest.param(["groebner"], ["reduced_basis"], id="groebner"),
+        pytest.param(["factorize", "--element", "9,6"], [], id="factorize"),
+        pytest.param(["fp", "--p", "1", "--verify"], ["fp_general", "oracle_fp"], id="fp"),
+        pytest.param(["glue", "--d", "3", "--gamma", "5,5", "--verify"],
+                     ["fp_glued_bound", "gluing_equality", "oracle_fp"], id="glue"),
+        pytest.param(["oracle", "--p", "1"], ["oracle_fp"], id="oracle"),
+    ],
+)
+def test_order_override_reaches_every_command(capsys, tmp_path, monkeypatch, args, calls):
+    # --order grevlex on a grlex file reaches the command, and every library
+    # call it makes with an order (factorize only sorts by it)
+    seen = []
+
+    def spy(name, fn):
+        def call(*a, **kw):
+            seen.extend((name, x.kind) for x in (*a, *kw.values()) if isinstance(x, pf.OrderSpec))
+            return fn(*a, **kw)
+        return call
+
+    cmd = args[0]
+    fn, table = pf.cli._COMMANDS[cmd]
+    monkeypatch.setitem(pf.cli._COMMANDS, cmd, (spy(cmd, fn), table))
+    for name in calls:
+        module = getattr(pf, LIBRARY_MODULE[name])
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    status, _ = run_json(capsys, [cmd, "--input", write(tmp_path, BIG2D), *args[1:], "--order", "grevlex"])
+    assert status == 0
+    assert seen == [(cmd, "grevlex")] + [(name, "grevlex") for name in calls]
+
+
 def test_indispensable(capsys, tmp_path):
     _, out = run_json(capsys, ["indispensable", "--input", write(tmp_path, NUM23)])
     assert out["meta"]["count"] == 1

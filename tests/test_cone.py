@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import pfrobenius as pf
+from conftest import random_finite_semigroup, random_semigroup
 
 
 def test_primitive_direction():
@@ -141,3 +143,21 @@ def test_all_directions_extremal_q4():
     S = pf.Semigroup(4, gens)
     assert pf.extremal_ray_directions(S) == frozenset(gens)
     assert not pf.is_fp_finite(S)
+
+
+def test_unpaired_rays_are_the_extremal_rays_with_one_generator():
+    # the rays that decide the cone gate and name the oracle's certificate of
+    # an infinite F_p, on seeded draws with q = 1-3, finite and infinite
+    rng = random.Random(35)
+    finite = Counter()
+    for i in range(90):
+        q = i % 3 + 1
+        S = random_finite_semigroup(rng, q) if i % 2 else random_semigroup(rng, q)
+        on_ray = Counter(map(pf.primitive_direction, S.generators))
+        rays = pf.cone.unpaired_rays(S)
+        assert rays == sorted(d for d in pf.extremal_ray_directions(S) if on_ray[d] == 1), S
+        assert pf.is_fp_finite(S) == (not rays), S
+        if rays:
+            assert f"the extremal ray {rays[0]} " in pf.oracle_fp(S, 1).certificate, S
+        finite[q, not rays] += 1
+    assert len(finite) == 6, finite  # both outcomes at every q

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import pfrobenius as pf
 from pfrobenius.core import EQUAL, GREATER, LESS
+from conftest import EXAMPLE_GENS
 
 vectors = st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=4)
 orders = st.sampled_from(["grlex", "grevlex"])
@@ -44,6 +45,37 @@ def test_length_mismatch_rejected():
 def test_non_graded_order_rejected():
     with pytest.raises(pf.ValidationError):
         pf.OrderSpec("lex")
+
+
+# every library call that takes a graded order, with that order as its last argument
+ORDER_CALLS = {
+    "fp_general-q1-p0": lambda o: pf.fp_general(pf.numerical(3, 5), 0, o),
+    "fp_general-q1-p1": lambda o: pf.fp_general(pf.numerical(3, 5), 1, o),
+    "fp_general-q2": lambda o: pf.fp_general(pf.minimalize_generators(EXAMPLE_GENS), 1, o),
+    "oracle_fp-q1-p0": lambda o: pf.oracle_fp(pf.numerical(3, 5), 0, o),
+    "oracle_fp-q1-p1": lambda o: pf.oracle_fp(pf.numerical(3, 5), 1, o),
+    "oracle_fp-q2": lambda o: pf.oracle_fp(pf.minimalize_generators(EXAMPLE_GENS), 1, o),
+    "compare_graded": lambda o: pf.compare_graded(o, (2, 1), (1, 2)),
+    "reduced_basis": lambda o: pf.reduced_basis(pf.numerical(3, 5), o),
+    "reduced_basis-zero-ideal": lambda o: pf.reduced_basis(pf.numerical(1), o),
+    "buchberger_reduced": lambda o: pf.buchberger_reduced([pf.Binomial((5, 0), (0, 3))], o),
+    "semigroup_to_json": lambda o: pf.semigroup_to_json(pf.numerical(3, 5), o),
+    "fp_glued_bound": lambda o: pf.fp_glued_bound(pf.numerical(3, 4), 1, pf.GluingSpec(2, (15,)), o),
+    "gluing_equality": lambda o: pf.gluing_equality(pf.numerical(3, 4), 1, pf.GluingSpec(2, (15,)), o),
+}
+
+
+@pytest.mark.parametrize(
+    "name, order",
+    [(name, order) for name in ORDER_CALLS for order in ("grlex", 1, None)
+     if not (name == "semigroup_to_json" and order is None)],  # there None means no order
+)
+def test_order_that_is_no_orderspec_is_refused(name, order):
+    # a name, an int or None is refused at every q and p, also where the
+    # order is never read (q = 1), never answered nor an AttributeError
+    with pytest.raises(pf.ValidationError, match="OrderSpec"):
+        ORDER_CALLS[name](order)
+    ORDER_CALLS[name](pf.OrderSpec("grevlex"))
 
 
 @given(orders, vectors, vectors, vectors)

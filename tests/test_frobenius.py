@@ -10,6 +10,7 @@ from operator import le
 import pytest
 
 import pfrobenius as pf
+from pfrobenius.core import _F0_SCOPE
 from pfrobenius.frobenius import _degree_ranks, _fp_numerical
 from pfrobenius.groebner import Binomial
 from pfrobenius.oracle import _direct_lambda
@@ -596,6 +597,31 @@ def test_f0_numerical_shared_factor_random():
             continue
         assert f0_certified(values, pf.f0_numerical(S).point[0]), S
         checked += 1
+
+
+def test_f0_numerical_is_fp_general_at_p0():
+    # one route and one cache: on seeded draws that hold a shared gcd and
+    # <1>, f0_numerical then fp_general cost one miss and one hit
+    rng = random.Random(35)
+    draws = [pf.numerical(1)] + [random_semigroup(rng, 1, coord_max=12) for _ in range(60)]
+    shapes = Counter("N" if S.generators == ((1,),) else "gcd > 1" if gcd(*(g for (g,) in S.generators)) > 1
+                     else "gcd 1" for S in draws)
+    assert min(shapes.values()) >= 5, shapes
+    for S in draws:
+        pf.fp_general.cache_clear()
+        assert pf.f0_numerical(S) == pf.fp_general(S, 0), S
+        info = pf.fp_general.cache_info()
+        assert (info.misses, info.hits) == (1, 1), (S, info)
+
+
+@pytest.mark.parametrize("call", [
+    lambda S: pf.fp_general(S, 0), pf.f0_numerical, lambda S: pf.oracle_fp(S, 0),
+], ids=["fp_general", "f0_numerical", "oracle_fp"])
+def test_f0_refused_beyond_q1_in_one_text(call):
+    S = pf.Semigroup(2, ((2, 0), (3, 0), (0, 2), (0, 3)))
+    with pytest.raises(pf.UnsupportedError) as exc:
+        call(S)
+    assert str(exc.value) == _F0_SCOPE
 
 
 def test_fp_numerical_matches_references():

@@ -11,7 +11,6 @@ point is involved anywhere.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from functools import lru_cache
 from math import gcd
 
@@ -53,36 +52,42 @@ def _separable(d: tuple[int, ...], others: list[tuple[int, ...]]) -> bool:
     return all(b >= 0 for _, b in rows)
 
 
-def extremal_ray_directions(S: Semigroup) -> frozenset[tuple[int, ...]]:
-    """Primitive directions spanning the extremal rays of the generator cone.
+@lru_cache(maxsize=256)
+def ray_generators(S: Semigroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The minimal generators on each extremal ray of the generator cone, by
+    ascending degree, the rays sorted by primitive direction.
 
     A generator direction d is extremal iff it is not a non-negative rational
     combination of the other distinct generator directions, that is (Farkas'
     lemma) iff some linear form is >= 0 on all of them and negative on d.
+    Cached per semigroup: the finiteness gate and the planar F_p route both
+    read it, so Fourier-Motzkin runs once per semigroup.
     """
-    directions = sorted(set(map(_direction, S.generators)))
-    extremal = set()
-    for d in directions:
-        others = [e for e in directions if e != d]
-        if _separable(d, others):
-            extremal.add(d)
-    return frozenset(extremal)
+    on_direction: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for g in S.generators:
+        on_direction.setdefault(_direction(g), []).append(g)
+    return tuple(
+        tuple(sorted(gens, key=sum))
+        for d, gens in sorted(on_direction.items())
+        if _separable(d, [e for e in on_direction if e != d])
+    )
+
+
+def extremal_ray_directions(S: Semigroup) -> frozenset[tuple[int, ...]]:
+    """Primitive directions spanning the extremal rays of the generator cone."""
+    return frozenset(_direction(gens[0]) for gens in ray_generators(S))
 
 
 def unpaired_rays(S: Semigroup) -> list[tuple[int, ...]]:
     """The extremal ray directions, sorted, that carry only one of the
-    minimal generators (each extremal direction carries at least one): only
-    those directions are tested for extremality."""
-    dir_count = Counter(map(_direction, S.generators))
-    return sorted(d for d, n in dir_count.items() if n < 2 and _separable(d, [e for e in dir_count if e != d]))
+    minimal generators (each extremal direction carries at least one)."""
+    return [_direction(gens[0]) for gens in ray_generators(S) if len(gens) < 2]
 
 
-@lru_cache(maxsize=256)
 def is_fp_finite(S: Semigroup) -> bool:
     """True iff F_p(S) is finite for every p >= 1 and every graded order.
 
     Holds exactly when each extremal ray direction is shared by at least two
-    distinct minimal generators.  Cached per semigroup: the F_p solver and
-    the oracle each ask it, once per p, of the semigroup they solve.
+    distinct minimal generators.
     """
     return not unpaired_rays(S)

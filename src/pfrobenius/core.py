@@ -96,7 +96,9 @@ class OrderSpec(Record):
 
 
 def compare_graded(order: OrderSpec, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """Three-way graded comparison of equal-length vectors (-1, 0 or 1)."""
+    """Three-way graded comparison of equal-length points (-1, 0 or 1); each
+    passes ``_as_point``."""
+    u, v = _as_point(u), _as_point(v)
     if len(u) != len(v):
         raise ValidationError(f"length mismatch: {len(u)} vs {len(v)}")
     ku, kv = _as_order(order).key(u), order.key(v)

@@ -1,16 +1,19 @@
-"""p-Frobenius vectors: one pipeline for every p >= 1, and numerical
-semigroups by their p-Apery sets.
+"""p-Frobenius vectors: one pipeline for every p >= 1, with numerical and
+planar semigroups read off their p-Apery sets.
 
 ``fp_general`` sends a numerical semigroup (q = 1) at every p >= 0 to
 ``_fp_numerical``, which needs no Groebner basis: a Dijkstra over the
 residues mod the smallest generator; ``f0_numerical(S)`` is
 ``fp_general(S, 0)``.  For q >= 2 and p >= 1 it runs a finiteness gate on
-the cone, the toric engine's reduced basis, the per-generator bounds Lambda
-read off it, and then one strategy for every p and both orders:
-a scan of the standard monomials grown from 0 inside prod [0, p*lambda_i)
-by descending degree, counting each fiber by reverse rewriting until one
-has at most p factorizations.  ``candidate_degrees`` lists the degrees of
-the closed box, the paper's candidate set D.
+the cone.  A planar semigroup (q = 2) of rank 2 then takes ``_fp_planar``,
+the same p-Apery route over its two extremal ray generators, again with no
+basis.  Every other one (rank 1 at q = 2, or q >= 3) takes
+``_fp_groebner``: the toric engine's reduced basis, the per-generator bounds
+Lambda read off it, and one strategy for every p and both orders, a scan of
+the standard monomials grown from 0 inside prod [0, p*lambda_i) by
+descending degree, counting each fiber by reverse rewriting until one has at
+most p factorizations.  ``candidate_degrees`` lists the degrees of the
+closed box, the paper's candidate set D.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import heapq
 import itertools
 import math
 
-from .cone import is_fp_finite
+from .cone import is_fp_finite, ray_generators
 from .core import (
     INFINITE,
     _F0_SCOPE,
@@ -92,29 +95,20 @@ def _degree_ranks(S: Semigroup, order: OrderSpec) -> list[int]:
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
     """F_p(S) for any p >= 1, and for p = 0 when q = 1 (UnsupportedError else).
 
-    A numerical semigroup (q = 1) takes ``_fp_numerical`` at every p, with
-    no Groebner basis.  For q >= 2 the cone gate decides finiteness, then
-    this grows the standard monomials of the toric engine's reduced basis G in
-    the box prod [0, p*lambda_i), sorts them once by descending S-degree
-    under ``order`` and counts their fibers in that order
-    (``first_small_fiber``); the degree of the first whose fiber holds at
-    most p monomials is F_p(S).  Each monomial is one packed int with its
-    rank, ``_degree_ranks`` summed over its exponents, above its exponent
-    fields.  The term order of G only picks the standard monomial of each
-    fiber, and nothing below depends on which:
-    - the box holds every factorization of each n with #Z(n) <= p: were
-      gamma_i >= p*lambda_i, the basis element x_i^lambda_i - x^beta has beta
-      free of x_i (the monomials of a reduced toric basis element are
-      coprime), so gamma - j*lambda_i*e_i + j*beta, j = 0..p, would be p + 1
-      distinct factorizations;
-    - a fiber holds one standard monomial, so their degrees are distinct and
-      the first hit is the maximum (0 always qualifies);
-    - at p = 1 a fiber is a single point exactly when no trail divides its
-      standard monomial: the staircase of the basis monomials;
-    - the growth finds them all, each once: a divisor of a standard monomial
-      is standard, so the standard monomials with support in x_0 .. x_i are
-      those with support in x_0 .. x_{i-1} times the powers of x_i that keep
-      them standard, and those powers stop at the first non-standard one.
+    Three routes, the first two with no Groebner basis:
+    - a numerical semigroup (q = 1) takes ``_fp_numerical`` at every p: a
+      Dijkstra over the residues mod the smallest generator;
+    - for q >= 2 the cone gate decides finiteness; then a planar semigroup
+      (q = 2) whose generators span the plane takes ``_fp_planar``: in the
+      coordinates z of the two ray generators e1, e2, the factorizations of
+      n are the sums L of the other generators with z(L) <= z(n) in n's
+      class mod det[e1 e2]; a pruned Dijkstra keeps, per class, the L that
+      have at most p others at or below them, and F_p is the largest corner
+      of the staircase {#Z <= p} that those L draw;
+    - the rest, rank 1 at q = 2 and every q >= 3, takes ``_fp_groebner``:
+      a scan of the standard monomials of the toric engine's reduced basis
+      in the box prod [0, p*lambda_i), by descending degree, for the first
+      whose fiber holds at most p monomials.
 
     Cached: the result is deterministic in (S, p, order), and a gluing asks
     for the same F_p(S) twice, once for the bound and once for the verdict.
@@ -128,6 +122,35 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
         raise UnsupportedError(_F0_SCOPE)
     if not is_fp_finite(S):
         return INFINITE
+    if S.q == 2 and (planar := _fp_planar(S, p, order)) is not None:
+        return planar
+    return _fp_groebner(S, p, order)
+
+
+def _fp_groebner(S: Semigroup, p: int, order: OrderSpec) -> FrobeniusResult:
+    """F_p(S) for a finite F_p and p >= 1 from the toric engine's reduced basis G.
+
+    This grows the standard monomials of G in the box prod [0, p*lambda_i),
+    sorts them once by descending S-degree under ``order`` and counts their
+    fibers in that order (``first_small_fiber``); the degree of the first
+    whose fiber holds at most p monomials is F_p(S).  Each monomial is one
+    packed int with its rank, ``_degree_ranks`` summed over its exponents,
+    above its exponent fields.  The term order of G only picks the standard
+    monomial of each fiber, and nothing below depends on which:
+    - the box holds every factorization of each n with #Z(n) <= p: were
+      gamma_i >= p*lambda_i, the basis element x_i^lambda_i - x^beta has beta
+      free of x_i (the monomials of a reduced toric basis element are
+      coprime), so gamma - j*lambda_i*e_i + j*beta, j = 0..p, would be p + 1
+      distinct factorizations;
+    - a fiber holds one standard monomial, so their degrees are distinct and
+      the first hit is the maximum (0 always qualifies);
+    - at p = 1 a fiber is a single point exactly when no trail divides its
+      standard monomial: the staircase of the basis monomials;
+    - the growth finds them all, each once: a divisor of a standard monomial
+      is standard, so the standard monomials with support in x_0 .. x_i are
+      those with support in x_0 .. x_{i-1} times the powers of x_i that keep
+      them standard, and those powers stop at the first non-standard one.
+    """
     G = toric_ideal_generators(S)
     top = tuple(p * b for b in lambda_bounds(S, G))
     s_degree(S, [t - 1 for t in top])  # the rank's digits are the S-degree coordinates of the box
@@ -267,6 +290,97 @@ def _fp_numerical(S: Semigroup, p: int) -> FrobeniusResult:
         return INFINITE
     # h >= 2 and gcd 1: every class is reached, and holds its k smallest L
     return FrobeniusResult.finite((checked(d * (max(y for x, y in zip(first, kth) if y > x) - a)),))
+
+
+def _fp_planar(S: Semigroup, p: int, order: OrderSpec) -> FrobeniusResult | None:
+    """F_p of a planar semigroup (q = 2, F_p finite, p >= 1) from its p-Apery
+    sets over the two ray generators, with no Groebner basis; None when all
+    generators lie on one ray (rank 1).
+
+    Let e1, e2 be the generators of least degree on the two extremal rays,
+    D = det[e1 e2] > 0 and z(v) = adj[e1 e2] v, so z(e1) = (D, 0),
+    z(e2) = (0, D) and z(b) >= 0 for every other generator b.  The
+    factorizations of n are the sums L of other generators (as multisets)
+    with z(L) <= z(n) componentwise and z(L) = z(n) mod D, each completed by
+    (z(n) - z(L)) / D copies of e1 and e2.  Each z coordinate is divided by
+    its gcd g_i with D over the generators, and taken mod m_i = D / g_i;
+    this changes none of the above and keeps the numbers small.
+
+    Pruning: once p + 1 other sums of its class lie at or below L, every
+    element at or above L or at or above a sum grown from L has at least
+    p + 2 factorizations, so L and every sum grown from it are dropped.  The
+    sums are grown as monotone walks over the b, each multiset once, from a
+    heap by z_1 + z_2, so every sum strictly below L comes out before it.
+    So for n with #Z(n) <= p, #Z(n) is the number of kept L of n's class at
+    or below n: none of its factorizations was dropped.  An n with
+    #Z(n) > p has p + 1 kept below it, its own or those that dropped one.
+    F_(p+1) is finite, so only finitely many L are kept and the walk ends.
+
+    Corners: in one class, sort the kept L by z_1.  For z_1 from x_i to
+    below the next value x_(i+1), #Z <= p holds exactly below y_i, the
+    (p+1)-th smallest z_2 among the kept L with z_1 <= x_i.  So the maximal
+    points of the class with #Z <= p are z = (x_(i+1) - m_1, y_i - m_2),
+    n = (g_1 z_1 e1 + g_2 z_2 e2) / D.  Past the last x, or where fewer than
+    p + 1 kept L have z_1 <= x_i, the class would hold infinitely many n
+    with 1 <= #Z(n) <= p, which a finite F_p rules out.  A larger z has a
+    larger degree, so under a graded order the largest corner is F_p, once
+    the corners outside S (no kept L at or below, so #Z = 0) are shown
+    never to be largest: there the p + 1 smallest z_2 all equal y_i, so the
+    kept L at x_(i+1) lie lower (else p + 1 kept L below it would have
+    dropped it), and corner i + 1 has the same y and a larger x.
+    """
+    rays = ray_generators(S)
+    if len(rays) < 2:
+        return None
+    (e1, *_), (e2, *_) = rays
+    if e1[0] * e2[1] < e1[1] * e2[0]:
+        e1, e2 = e2, e1
+    D = e1[0] * e2[1] - e1[1] * e2[0]
+    zs = [(e2[1] * x - e2[0] * y, e1[0] * y - e1[1] * x) for x, y in S.generators if (x, y) not in (e1, e2)]
+    g1, g2 = math.gcd(D, *(u for u, _ in zs)), math.gcd(D, *(v for _, v in zs))
+    m1, m2 = D // g1, D // g2
+    zs = [(u // g1, v // g2) for u, v in zs]
+    # the second generator of a ray brings a sum back to its class within m_i
+    # steps, so the p + 1 sums that prune a class, and its corners, reach about
+    # p * m_i * z(b): refuse, as the box corner does, a p that takes them past
+    # 64 bits
+    checked(p * max(m1, m2) * max(map(max, zs)))
+    k = p + 1
+    kept: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    heap = [(0, 0, 0, 0)]  # (z_1 + z_2, z_1, z_2, index of the last b)
+    while heap:
+        size, x, y, j = heapq.heappop(heap)
+        below = kept.setdefault((x % m1, y % m2), [])
+        under = 0
+        for u, v in below:
+            if u <= x and v <= y:
+                under += 1
+                if under == k:
+                    break
+        else:
+            below.append((x, y))
+            for i in range(j, len(zs)):
+                u, v = zs[i]
+                heapq.heappush(heap, (size + u + v, x + u, y + v, i))
+    checked(size)  # the sums come out by ascending size: no z coordinate exceeds the last
+    # each maximal point of a class, as D times its degree and (g_1 z_1, g_2 z_2)
+    corners = []
+    for pts in kept.values():
+        pts.sort()
+        smallest: list[int] = []  # the k smallest z_2 so far, negated
+        for (x, y), (x_next, _) in zip(pts, pts[1:]):
+            heapq.heappush(smallest, -y)
+            if len(smallest) > k:
+                heapq.heappop(smallest)
+            if x_next > x and len(smallest) == k:
+                a, b = g1 * (x_next - m1), g2 * (-smallest[0] - m2)
+                corners.append((a * sum(e1) + b * sum(e2), a, b))
+    top = max(corners)[0]
+    return FrobeniusResult.finite(max(
+        ((checked((a * e1[0] + b * e2[0]) // D), checked((a * e1[1] + b * e2[1]) // D))
+         for degree, a, b in corners if degree == top),
+        key=order.key,
+    ))
 
 
 def f0_numerical(S: Semigroup) -> FrobeniusResult:

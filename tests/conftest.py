@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -27,15 +28,35 @@ def grevlex() -> pf.OrderSpec:
     return pf.OrderSpec("grevlex")
 
 
-def random_semigroup(rng: random.Random, q: int, h_max: int = 5, coord_max: int = 12) -> pf.Semigroup:
-    """A random minimalized semigroup; generators may collapse under minimalization."""
+def random_generators(rng: random.Random, q: int, h_max: int = 5, coord_max: int = 12) -> list[tuple[int, ...]]:
+    """2 to h_max random nonzero points of [0, coord_max]^q, not minimalized."""
     h = rng.randint(2, h_max)
     gens = []
     while len(gens) < h:
         g = tuple(rng.randint(0, coord_max) for _ in range(q))
         if any(g):
             gens.append(g)
-    return pf.minimalize_generators(gens, q)
+    return gens
+
+
+def random_semigroup(rng: random.Random, q: int, h_max: int = 5, coord_max: int = 12) -> pf.Semigroup:
+    """A random minimalized semigroup; generators may collapse under minimalization."""
+    return pf.minimalize_generators(random_generators(rng, q, h_max, coord_max), q)
+
+
+def random_dense_planar_semigroup(rng: random.Random) -> pf.Semigroup:
+    """A ``random_semigroup`` draw at q = 2 whose generators span the plane
+    and whose F_p is finite.  About one draw in 4000 is; a draw with fewer
+    than two directions that carry two generators each cannot be, so it is
+    dropped before it is minimalized."""
+    while True:
+        gens = random_generators(rng, 2)
+        on_direction = Counter(tuple(c // gcd(*g) for c in g) for g in gens)
+        if sum(n >= 2 for n in on_direction.values()) < 2:
+            continue
+        S = pf.minimalize_generators(gens, 2)
+        if len(pf.cone.ray_generators(S)) == 2 and pf.is_fp_finite(S):
+            return S
 
 
 def random_finite_semigroup(rng: random.Random, q: int) -> pf.Semigroup:
@@ -64,6 +85,26 @@ def random_finite_semigroup(rng: random.Random, q: int) -> pf.Semigroup:
         gens = [(a, 0), (b, 0), (0, c), (0, d)]
         for _ in range(rng.randint(0, 2)):
             gens.append((rng.randint(1, 5), rng.randint(1, 5)))
+        S = pf.minimalize_generators(gens, 2)
+        if pf.is_fp_finite(S):
+            return S
+
+
+def random_offaxis_semigroup(rng: random.Random) -> pf.Semigroup:
+    """A random q = 2 semigroup with finite F_p whose rays need not lie on the
+    axes: two multiples of each of two random primitive directions, and up
+    to two interior combinations of them."""
+    while True:
+        d1, d2 = (
+            tuple(c // gcd(*v) for c in v)
+            for v in ((rng.randint(0, 4), rng.randint(1, 4)), (rng.randint(1, 4), rng.randint(0, 4)))
+        )
+        if d1[0] * d2[1] == d1[1] * d2[0]:
+            continue
+        gens = [tuple(m * c for c in d) for d in (d1, d2) for m in rng.sample(range(1, 5), 2)]
+        for _ in range(rng.randint(0, 2)):
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            gens.append(tuple(s * a + t * b for a, b in zip(d1, d2)))
         S = pf.minimalize_generators(gens, 2)
         if pf.is_fp_finite(S):
             return S

@@ -42,6 +42,15 @@ def test_length_mismatch_rejected():
         pf.compare_graded(pf.OrderSpec("grlex"), (1, 2), (1, 2, 3))
 
 
+@pytest.mark.parametrize("bad", [(1.5, 2), (1, "a"), 5])
+def test_compare_graded_checks_points(bad):
+    # each point passes _as_point: (1.5, 2) used to answer 1, and (1, "a")
+    # and a bare 5 ended in a raw TypeError
+    for u, v in ((bad, (1, 2)), ((1, 2), bad)):
+        with pytest.raises(pf.ValidationError):
+            pf.compare_graded(pf.OrderSpec("grlex"), u, v)
+
+
 def test_non_graded_order_rejected():
     with pytest.raises(pf.ValidationError):
         pf.OrderSpec("lex")

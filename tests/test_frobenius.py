@@ -11,10 +11,16 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.core import _F0_SCOPE
-from pfrobenius.frobenius import _degree_ranks, _fp_numerical
+from pfrobenius.frobenius import _degree_ranks, _fp_groebner, _fp_numerical, _fp_planar
 from pfrobenius.groebner import Binomial
 from pfrobenius.oracle import _direct_lambda
-from conftest import f0_certified, random_finite_semigroup, random_semigroup
+from conftest import (
+    f0_certified,
+    random_dense_planar_semigroup,
+    random_finite_semigroup,
+    random_offaxis_semigroup,
+    random_semigroup,
+)
 
 GRLEX = pf.OrderSpec("grlex")
 GREVLEX = pf.OrderSpec("grevlex")
@@ -212,11 +218,11 @@ def test_fp_general_infinite_random_family():
         assert pf.oracle_count(S, tuple(k * c for c in a)) == 1, S
 
 
-def test_one_basis_for_both_orders(monkeypatch, example_S):
+def test_one_basis_for_both_orders(monkeypatch):
     # grlex and grevlex count on the toric engine's own reduced basis:
     # Buchberger runs once per saturation step, and nothing is re-based; the
-    # running example's ideal, seeded with circuits, needs the one step by
-    # x_4
+    # q = 3 semigroup's ideal, seeded with circuits, needs one run (q = 2
+    # takes the planar p-Apery route and builds no basis)
     calls = {"_buchberger": 0, "reduced_basis": 0}
 
     def counted(name, fn):
@@ -230,12 +236,12 @@ def test_one_basis_for_both_orders(monkeypatch, example_S):
     reduced = counted("reduced_basis", pf.groebner.reduced_basis)
     monkeypatch.setattr(pf.groebner, "reduced_basis", reduced)
     monkeypatch.setattr(pf.frobenius, "reduced_basis", reduced, raising=False)
-    S = example_S
+    S = pf.Semigroup(3, Q3)
     pf.toric_ideal_generators.cache_clear()
     pf.reduced_basis.cache_clear()
     pf.fp_general.cache_clear()
     for order in (GRLEX, GREVLEX):
-        assert pf.fp_general(S, 2, order) == pf.oracle_fp(S, 2, order).result
+        assert pf.fp_general(S, 1, order) == pf.oracle_fp(S, 1, order).result
     assert calls == {"_buchberger": 1, "reduced_basis": 0}
 
 
@@ -686,7 +692,9 @@ def test_fp_numerical_p0_matches_certificate():
 
 
 def test_numerical_route_needs_no_basis(monkeypatch):
-    # q = 1 reaches neither the cone gate nor the toric ideal, at any p
+    # q = 1 reaches neither the cone gate nor the toric ideal, at any p; a
+    # q = 2 call passes the gate and builds no toric ideal; a q = 3 call and
+    # a rank-1 q = 2 call, which the planar route declines, build one
     calls = []
     for name in ("is_fp_finite", "toric_ideal_generators"):
         fn = getattr(pf.frobenius, name)
@@ -697,7 +705,15 @@ def test_numerical_route_needs_no_basis(monkeypatch):
         for order in (GRLEX, GREVLEX):
             assert pf.fp_general(S, p, order) == pf.FrobeniusResult.finite((expected,))
     assert calls == []
-    pf.fp_general(pf.Semigroup(2, BOX_SCAN[1]), 1)  # the counters see a q = 2 call
+    for p in (1, 2, 3):
+        for order in (GRLEX, GREVLEX):
+            pf.fp_general(pf.Semigroup(2, BOX_SCAN[1]), p, order)
+    assert calls == ["is_fp_finite"] * 6
+    calls.clear()
+    assert pf.fp_general(pf.Semigroup(3, Q3), 1) == pf.FrobeniusResult.finite((21, 45, 58))
+    assert calls == ["is_fp_finite", "toric_ideal_generators"]
+    calls.clear()
+    assert pf.fp_general(pf.Semigroup(2, ((4, 6), (6, 9))), 1) == pf.FrobeniusResult.finite((14, 21))
     assert calls == ["is_fp_finite", "toric_ideal_generators"]
 
 
@@ -709,6 +725,67 @@ def test_fp_numerical_huge_p_refused():
     with pytest.raises(pf.OverflowGuardError):
         pf.fp_general(S, 2**62)
     assert time.perf_counter() - t0 < 1
+
+
+def test_fp_planar_huge_p_refused(example_S):
+    # the planar p-Apery walk would keep p + 1 sums per class, so its guard
+    # must refuse p = 2^62 up front, before the first step; also on rays
+    # (1, 2) and (2, 1) off the axes
+    pf.fp_general.cache_clear()
+    for S in (example_S, pf.Semigroup(2, ((2, 4), (3, 6), (4, 2), (6, 3), (1, 1)))):
+        t0 = time.perf_counter()
+        with pytest.raises(pf.OverflowGuardError):
+            pf.fp_general(S, 2**62)
+        assert time.perf_counter() - t0 < 1
+
+
+def planar_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Counter:
+    """``_fp_planar`` against the basis-and-scan route ``_fp_groebner`` at
+    p = 1..3 under both orders, on `draws` seeded q = 2 semigroups with
+    finite F_p, taken in turn from ``random_finite_semigroup``,
+    ``random_dense_planar_semigroup`` and ``random_offaxis_semigroup``
+    (rays built on two random primitive directions); every `oracle_every`-th draw is
+    checked against ``oracle_fp`` too.  Then rank-1 draws, which the planar
+    route declines, against ``fp_general`` and the numerical semigroup they
+    scale.  Returns how many draws of each kind were checked."""
+    rng = random.Random(seed)
+    seen = Counter()
+    while seen["draws"] < draws:
+        kind = seen["draws"] % 3
+        if kind == 0:
+            S = random_finite_semigroup(rng, 2)
+        elif kind == 1:
+            S = random_dense_planar_semigroup(rng)
+        else:
+            S = random_offaxis_semigroup(rng)
+        seen["draws"] += 1
+        seen["off-axis"] += any(all(ray[0]) for ray in pf.cone.ray_generators(S))
+        for p in (1, 2, 3):
+            for order in (GRLEX, GREVLEX):
+                got = _fp_planar(S, p, order)
+                assert got == _fp_groebner(S, p, order), (S, p, order)
+                if seen["draws"] % oracle_every == 0 and p < 3:
+                    assert got == pf.oracle_fp(S, p, order).result, (S, p, order)
+                    seen["oracle"] += 1
+    for _ in range(max(draws // 10, 5)):
+        d = rng.choice([(1, 0), (0, 1), (1, 1), (2, 3), (3, 1)])
+        N = random_semigroup(rng, 1, h_max=4, coord_max=9)
+        if N.h < 2:
+            continue
+        S = pf.Semigroup(2, tuple(tuple(a * c for c in d) for (a,) in N.generators))
+        seen["rank 1"] += 1
+        for p in (1, 2):
+            for order in (GRLEX, GREVLEX):
+                assert _fp_planar(S, p, order) is None, S
+                want = tuple(f * c for f in pf.fp_general(N, p).point for c in d)
+                assert pf.fp_general(S, p, order) == pf.FrobeniusResult.finite(want), (S, p, order)
+    return seen
+
+
+def test_fp_planar_matches_groebner():
+    # a slice of the planar differential; CI runs 600 draws
+    seen = planar_differential(30)
+    assert seen["off-axis"] >= 3 and seen["oracle"] >= 6 and seen["rank 1"] >= 3, seen
 
 
 @pytest.mark.parametrize("gens, expected", [((1001, 1234, 1777), 237757), ((3001, 4567, 5003, 6011), 317626)])

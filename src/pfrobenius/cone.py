@@ -60,7 +60,7 @@ def ray_generators(S: Semigroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     A generator direction d is extremal iff it is not a non-negative rational
     combination of the other distinct generator directions, that is (Farkas'
     lemma) iff some linear form is >= 0 on all of them and negative on d.
-    Cached per semigroup: the finiteness gate and the planar F_p route both
+    Cached per semigroup: the finiteness gate and the p-Apery F_p route both
     read it, so Fourier-Motzkin runs once per semigroup.
     """
     on_direction: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

@@ -1,22 +1,22 @@
-"""p-Frobenius vectors: one pipeline for every p >= 1, with numerical and
-planar semigroups read off their p-Apery sets.
+"""p-Frobenius vectors: one pipeline for every p >= 1, with semigroups of
+rank at most 2 read off their p-Apery sets.
 
-``fp_general`` sends a numerical semigroup (q = 1) at every p >= 0 to
-``_fp_numerical``, which needs no Groebner basis: a Dijkstra over the
-residues mod the smallest generator; ``f0_numerical(S)`` is
-``fp_general(S, 0)``.  For q >= 2 and p >= 1 it runs a finiteness gate on
-the cone.  A planar semigroup (q = 2) of rank 2 then takes ``_fp_planar``,
-the same p-Apery route over its two extremal ray generators, again with no
-basis.  Every other one (rank 1 at q = 2, or q >= 3) takes
-``_fp_groebner``: the toric engine's reduced basis, the per-generator bounds
-Lambda read off it, and one strategy for every p and both orders, a scan of
-the standard monomials grown from 0 inside prod [0, p*lambda_i) by
-descending degree, counting each fiber by reverse rewriting until one has at
-most p factorizations.  ``candidate_degrees`` lists the degrees of the
-closed box, the paper's candidate set D.
+``fp_general`` checks p and the order, refuses p = 0 beyond q = 1, and
+for p >= 1 runs the finiteness gate on the rays of the cone.  A semigroup
+with one extremal ray (every numerical one, at every p >= 0) or with two
+(q = 2) then takes ``_fp_apery``, a pruned Dijkstra over the sums of the
+generators off the rays, with no Groebner basis; ``f0_numerical(S)`` is
+``fp_general(S, 0)``.  The rest (q >= 3, rank >= 2) takes ``_fp_groebner``:
+the toric engine's reduced basis, the per-generator bounds Lambda read off
+it, and one strategy for every p and both orders, a scan of the standard
+monomials grown from 0 inside prod [0, p*lambda_i) by descending degree,
+counting each fiber by reverse rewriting until one has at most p
+factorizations.  ``candidate_degrees`` lists the degrees of the closed box,
+the paper's candidate set D.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
@@ -95,20 +95,17 @@ def _degree_ranks(S: Semigroup, order: OrderSpec) -> list[int]:
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
     """F_p(S) for any p >= 1, and for p = 0 when q = 1 (UnsupportedError else).
 
-    Three routes, the first two with no Groebner basis:
-    - a numerical semigroup (q = 1) takes ``_fp_numerical`` at every p: a
-      Dijkstra over the residues mod the smallest generator;
-    - for q >= 2 the cone gate decides finiteness; then a planar semigroup
-      (q = 2) whose generators span the plane takes ``_fp_planar``: in the
-      coordinates z of the two ray generators e1, e2, the factorizations of
-      n are the sums L of the other generators with z(L) <= z(n) in n's
-      class mod det[e1 e2]; a pruned Dijkstra keeps, per class, the L that
-      have at most p others at or below them, and F_p is the largest corner
-      of the staircase {#Z <= p} that those L draw;
-    - the rest, rank 1 at q = 2 and every q >= 3, takes ``_fp_groebner``:
-      a scan of the standard monomials of the toric engine's reduced basis
-      in the box prod [0, p*lambda_i), by descending degree, for the first
-      whose fiber holds at most p monomials.
+    Two routes, after the gate on the rays for p >= 1:
+    - rank 1 (at any q) or q = 2 takes ``_fp_apery``, with no Groebner
+      basis: in the coordinates z of the ray generators, the factorizations
+      of n are the sums L of the other generators with z(L) <= z(n) in n's
+      class mod D; a pruned Dijkstra keeps, per class, the L that have at
+      most p others at or below them, and F_p is read off the largest
+      corner of the staircase {#Z <= p} that those L draw;
+    - the rest, q >= 3 of rank >= 2, takes ``_fp_groebner``: a scan of the
+      standard monomials of the toric engine's reduced basis in the box
+      prod [0, p*lambda_i), by descending degree, for the first whose fiber
+      holds at most p monomials.
 
     Cached: the result is deterministic in (S, p, order), and a gluing asks
     for the same F_p(S) twice, once for the bound and once for the verdict.
@@ -116,14 +113,13 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     """
     _as_int(p, "p", 0)
     _as_order(order)
-    if S.q == 1:
-        return _fp_numerical(S, p)
-    if p == 0:
+    if p == 0 and S.q > 1:
         raise UnsupportedError(_F0_SCOPE)
-    if not is_fp_finite(S):
+    if p and not is_fp_finite(S):
         return INFINITE
-    if S.q == 2 and (planar := _fp_planar(S, p, order)) is not None:
-        return planar
+    rays = ray_generators(S)  # cached, shared with the gate
+    if len(rays) == 1 or S.q == 2:
+        return _fp_apery(S, p, order, rays)
     return _fp_groebner(S, p, order)
 
 
@@ -229,82 +225,23 @@ def indispensable_binomials(S: Semigroup) -> list[Binomial]:
     return sorted(ind, key=lambda b: key(b.lead))
 
 
-def _fp_numerical(S: Semigroup, p: int) -> FrobeniusResult:
-    """F_p of a numerical semigroup (q = 1) from its p-Apery sets, for any p >= 0.
+def _fp_apery(
+    S: Semigroup, p: int, order: OrderSpec, rays: tuple[tuple[tuple[int, ...], ...], ...]
+) -> FrobeniusResult:
+    """F_p of S from its p-Apery sets over the ray generators, with no
+    Groebner basis: S of rank 1 (any q, p >= 0) or 2 (q = 2, p >= 1), with
+    F_p finite when p >= 1.
 
-    If the generators share a factor d, S = d*S' with the same
-    factorizations, so F_p(S) = d*F_p(S') for p >= 1 and F_0(S) is infinite.
-    Otherwise let a be the smallest generator and L(c) = sum(c_i b_i) over
-    the others.  The factorizations of n are the c with L(c) <= n and
-    L(c) = n mod a, each completed by (n - L(c)) / a copies of a, so in the
-    residue class r of n, #Z(n) >= k exactly when n >= L_r^(k), the k-th
-    smallest L of the class (counted with repeats).  The elements of class r
-    with 1 <= #Z(n) <= p are those from L_r^(1) up to below L_r^(p+1), so
-    for p >= 1 F_p is the largest L_r^(p+1) - a over the classes with
-    L_r^(p+1) > L_r^(1); it is infinite when class 0 has no p + 1 values
-    (h = 1).  The gaps of class r lie below L_r^(1), so F_0 is the largest
-    L_r^(1) - a (Nijenhuis, Amer. Math. Monthly 86, 1979).
-
-    Each c is one monotone walk from 0 over the b_i, so the p + 1 smallest
-    L of each class are the shortest walks to the states (L mod a, index of
-    the last b_i used): a Dijkstra that pops each state up to p + 1 times.
-    These are the p-Apery sets of Komatsu's p-numerical semigroups.
-    """
-    values = sorted(g for (g,) in S.generators)
-    d = math.gcd(*values)
-    if p == 0 and d > 1:
-        return INFINITE
-    a, *others = (v // d for v in values)
-    # L_r^(p+1) <= L_r^(1) + p*a*b for any other generator b (add a*b, p times):
-    # refuse, as the box corner does for q >= 2, a p that takes the L past 64 bits
-    checked(p * a * min(others, default=0))
-    k, m = p + 1, len(others)
-    try:
-        pops = [0] * (a * max(m, 1))  # per state (L mod a, index of the last b_i)
-        found, first, kth = [0] * a, [0] * a, [0] * a  # per class: how many L, L^(1), L^(k)
-    except MemoryError:
-        raise UnsupportedError(
-            f"the allocator refused the p-Apery tables of the smallest generator {values[0]}"
-        ) from None
-    full = 0  # classes with all k: once every class is, the rest is moot
-    heap = [(0, 0)]
-    while heap and full < a:
-        L, j = heapq.heappop(heap)
-        r = L % a
-        if pops[r * m + j] == k:
-            continue
-        pops[r * m + j] += 1
-        if found[r] < k:
-            found[r] += 1
-            if found[r] == 1:
-                first[r] = L
-            kth[r] = L
-            full += found[r] == k
-        for i in range(j, m):
-            step = checked(L + others[i])
-            if pops[step % a * m + i] < k:
-                heapq.heappush(heap, (step, i))
-    if p == 0:  # gcd 1: every class is reached
-        return FrobeniusResult.finite((max(first) - a,))
-    if found[0] < k:  # h = 1: every multiple of a has one factorization
-        return INFINITE
-    # h >= 2 and gcd 1: every class is reached, and holds its k smallest L
-    return FrobeniusResult.finite((checked(d * (max(y for x, y in zip(first, kth) if y > x) - a)),))
-
-
-def _fp_planar(S: Semigroup, p: int, order: OrderSpec) -> FrobeniusResult | None:
-    """F_p of a planar semigroup (q = 2, F_p finite, p >= 1) from its p-Apery
-    sets over the two ray generators, with no Groebner basis; None when all
-    generators lie on one ray (rank 1).
-
-    Let e1, e2 be the generators of least degree on the two extremal rays,
-    D = det[e1 e2] > 0 and z(v) = adj[e1 e2] v, so z(e1) = (D, 0),
-    z(e2) = (0, D) and z(b) >= 0 for every other generator b.  The
-    factorizations of n are the sums L of other generators (as multisets)
-    with z(L) <= z(n) componentwise and z(L) = z(n) mod D, each completed by
-    (z(n) - z(L)) / D copies of e1 and e2.  Each z coordinate is divided by
-    its gcd g_i with D over the generators, and taken mod m_i = D / g_i;
-    this changes none of the above and keeps the numbers small.
+    Let e1 be the generator of least degree on the first ray.  At rank 2, e2
+    is that on the second, D = det[e1 e2] > 0 and z(v) = adj[e1 e2] v, so
+    z(e1) = (D, 0) and z(e2) = (0, D).  At rank 1, z(v) = (v_i, 0) and
+    D = z_1(e1), i the largest coordinate of e1.  Every other
+    generator b has z(b) >= 0.  The factorizations of n are the sums L of
+    other generators (as multisets) with z(L) <= z(n) componentwise and
+    z(L) = z(n) mod D, each completed by copies of the ray generators.  Each
+    z coordinate is divided by its gcd g_i with D over the generators, and
+    taken mod m_i = D / g_i; this changes none of the above and keeps the
+    numbers small (at rank 1, g_2 = D and m_2 = 1).
 
     Pruning: once p + 1 other sums of its class lie at or below L, every
     element at or above L or at or above a sum grown from L has at least
@@ -316,10 +253,18 @@ def _fp_planar(S: Semigroup, p: int, order: OrderSpec) -> FrobeniusResult | None
     #Z(n) > p has p + 1 kept below it, its own or those that dropped one.
     F_(p+1) is finite, so only finitely many L are kept and the walk ends.
 
-    Corners: in one class, sort the kept L by z_1.  For z_1 from x_i to
-    below the next value x_(i+1), #Z <= p holds exactly below y_i, the
-    (p+1)-th smallest z_2 among the kept L with z_1 <= x_i.  So the maximal
-    points of the class with #Z <= p are z = (x_(i+1) - m_1, y_i - m_2),
+    Rank 1: the scaled z_1 have gcd 1, so every class mod m_1 is reached and
+    keeps its p + 1 smallest L.  Its elements with 1 <= #Z <= p lie from its
+    first L up to below its last, so F_p is g_1 (L - m_1) e1 / D for the
+    largest last L over the classes whose kept L do not all tie.  F_0 reads
+    the largest first L (Nijenhuis, Amer. Math. Monthly 86, 1979), and is
+    infinite when g_1, then the gcd of the generators, is above 1.  These are
+    the p-Apery sets of Komatsu's p-numerical semigroups.
+
+    Rank 2: in one class, sort the kept L by z_1.  For z_1 from x_i to below
+    the next value x_(i+1), #Z <= p holds exactly below y_i, the (p+1)-th
+    smallest z_2 among the kept L with z_1 <= x_i.  So the maximal points of
+    the class with #Z <= p are z = (x_(i+1) - m_1, y_i - m_2),
     n = (g_1 z_1 e1 + g_2 z_2 e2) / D.  Past the last x, or where fewer than
     p + 1 kept L have z_1 <= x_i, the class would hold infinitely many n
     with 1 <= #Z(n) <= p, which a finite F_p rules out.  A larger z has a
@@ -329,49 +274,67 @@ def _fp_planar(S: Semigroup, p: int, order: OrderSpec) -> FrobeniusResult | None
     kept L at x_(i+1) lie lower (else p + 1 kept L below it would have
     dropped it), and corner i + 1 has the same y and a larger x.
     """
-    rays = ray_generators(S)
-    if len(rays) < 2:
-        return None
-    (e1, *_), (e2, *_) = rays
-    if e1[0] * e2[1] < e1[1] * e2[0]:
-        e1, e2 = e2, e1
-    D = e1[0] * e2[1] - e1[1] * e2[0]
-    zs = [(e2[1] * x - e2[0] * y, e1[0] * y - e1[1] * x) for x, y in S.generators if (x, y) not in (e1, e2)]
+    (e1, *_), *plane = rays
+    if plane:
+        ((e2, *_),) = plane
+        if e1[0] * e2[1] < e1[1] * e2[0]:
+            e1, e2 = e2, e1
+        D = e1[0] * e2[1] - e1[1] * e2[0]
+        zs = [(e2[1] * x - e2[0] * y, e1[0] * y - e1[1] * x) for x, y in S.generators if (x, y) not in (e1, e2)]
+    else:
+        D = max(e1)
+        i = e1.index(D)
+        zs = [(b[i], 0) for b in S.generators if b != e1]
     g1, g2 = math.gcd(D, *(u for u, _ in zs)), math.gcd(D, *(v for _, v in zs))
+    if p == 0 and g1 > 1:
+        return INFINITE
     m1, m2 = D // g1, D // g2
     zs = [(u // g1, v // g2) for u, v in zs]
-    # the second generator of a ray brings a sum back to its class within m_i
-    # steps, so the p + 1 sums that prune a class, and its corners, reach about
-    # p * m_i * z(b): refuse, as the box corner does, a p that takes them past
-    # 64 bits
-    checked(p * max(m1, m2) * max(map(max, zs)))
+    # m_i copies of the second generator b of ray i bring a sum back to its
+    # class, so the p + 1 sums that prune a class, and its corners, reach
+    # about p * m_i * z(b): refuse, as the box corner does, a p for which even
+    # the least such bound passes 64 bits
+    checked(p * max(m1, m2) * min(map(max, zs), default=0))
     k = p + 1
-    kept: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    try:  # the kept L per class: at rank 1 one slot per class mod m_1, None until reached
+        kept = collections.defaultdict(list) if plane else [None] * m1
+    except MemoryError:
+        raise UnsupportedError(f"the allocator refused the p-Apery tables of the ray generator {e1}") from None
+    steps = [(u + v, u, v) for u, v in zs]
+    pop, push = heapq.heappop, heapq.heappush
     heap = [(0, 0, 0, 0)]  # (z_1 + z_2, z_1, z_2, index of the last b)
     while heap:
-        size, x, y, j = heapq.heappop(heap)
-        below = kept.setdefault((x % m1, y % m2), [])
-        under = 0
-        for u, v in below:
-            if u <= x and v <= y:
-                under += 1
-                if under == k:
-                    break
-        else:
-            below.append((x, y))
-            for i in range(j, len(zs)):
-                u, v = zs[i]
-                heapq.heappush(heap, (size + u + v, x + u, y + v, i))
+        size, x, y, j = pop(heap)
+        c = x % m1 * m2 + y % m2
+        below = kept[c]
+        if below is None:
+            below = kept[c] = []
+        elif len(below) >= k:  # fewer kept cannot prune it
+            under = 0
+            for u, v in below:
+                if u <= x and v <= y:
+                    under += 1
+                    if under == k:
+                        break
+            if under == k:
+                continue
+        below.append((x, y))
+        for i in range(j, len(steps)):
+            s, u, v = steps[i]
+            push(heap, (size + s, x + u, y + v, i))
     checked(size)  # the sums come out by ascending size: no z coordinate exceeds the last
+    if not plane:  # F_0 from the first L of each class, F_p from the last
+        top = max(pts[-1][0] for pts in kept if not p or pts[-1] > pts[0])
+        return FrobeniusResult.finite(tuple(checked(g1 * (top - m1) * c // D) for c in e1))
     # each maximal point of a class, as D times its degree and (g_1 z_1, g_2 z_2)
     corners = []
     for pts in kept.values():
         pts.sort()
         smallest: list[int] = []  # the k smallest z_2 so far, negated
         for (x, y), (x_next, _) in zip(pts, pts[1:]):
-            heapq.heappush(smallest, -y)
+            push(smallest, -y)
             if len(smallest) > k:
-                heapq.heappop(smallest)
+                pop(smallest)
             if x_next > x and len(smallest) == k:
                 a, b = g1 * (x_next - m1), g2 * (-smallest[0] - m2)
                 corners.append((a * sum(e1) + b * sum(e2), a, b))

@@ -576,14 +576,6 @@ def fiber(m: tuple[int, ...], G: tuple[Binomial, ...]) -> frozenset[tuple[int, .
     return frozenset(map(key.unpack, seen))
 
 
-def standard_monomials(G: tuple[Binomial, ...], top: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The monomials of prod [0, top_i) that no lead of G divides, each once
-    (proof of completeness in ``frobenius.fp_general``)."""
-    top = _as_point(top, len(G[0].lead) if G else None)
-    key, leads, _, _ = _layout(G, len(top))
-    return [key.unpack(m) for m in _grow(leads, top, key, [1 << s for s in key.shifts])]
-
-
 def first_small_fiber(G: tuple[Binomial, ...], top: tuple[int, ...], ranks: list[int], cap: int) -> tuple[int, ...]:
     """The standard monomial g of prod [0, top_i) whose fiber holds fewer than
     cap monomials and that comes first by descending sum(g_i * ranks_i), G a

@@ -11,7 +11,7 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.core import _F0_SCOPE
-from pfrobenius.frobenius import _degree_ranks, _fp_groebner, _fp_numerical, _fp_planar
+from pfrobenius.frobenius import _degree_ranks, _fp_apery, _fp_groebner
 from pfrobenius.groebner import Binomial
 from pfrobenius.oracle import _direct_lambda
 from conftest import (
@@ -31,6 +31,11 @@ BOX_SCAN = (
     ((2, 0), (3, 0), (0, 2), (0, 3), (1, 2)),
     ((2, 0), (3, 0), (0, 2), (0, 3), (2, 1)),
 )
+
+
+def apery(S: pf.Semigroup, p: int, order: pf.OrderSpec = GRLEX) -> pf.FrobeniusResult:
+    """The p-Apery walk ``_fp_apery`` on S, called as ``fp_general`` calls it past its gate."""
+    return _fp_apery(S, p, order, pf.cone.ray_generators(S))
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +227,7 @@ def test_one_basis_for_both_orders(monkeypatch):
     # grlex and grevlex count on the toric engine's own reduced basis:
     # Buchberger runs once per saturation step, and nothing is re-based; the
     # q = 3 semigroup's ideal, seeded with circuits, needs one run (q = 2
-    # takes the planar p-Apery route and builds no basis)
+    # takes the p-Apery route and builds no basis)
     calls = {"_buchberger": 0, "reduced_basis": 0}
 
     def counted(name, fn):
@@ -643,10 +648,10 @@ def test_fp_numerical_matches_references():
         shape = "h = 1" if S.h == 1 else "gcd > 1" if gcd(*values) > 1 else "shared" if gcd(*values[:2]) > 1 else "coprime"
         shapes[shape] += 1
         for p in (1, 2, 3, 5):
-            got = _fp_numerical(S, p)
             if S.h == 1:  # every multiple of the one generator has one factorization
-                assert got == pf.INFINITE and not pf.is_fp_finite(S), S
+                assert pf.fp_general(S, p) == pf.INFINITE and not pf.is_fp_finite(S), S
                 continue
+            got = apery(S, p)
             assert got == tuple_scan_reference(S, p, GRLEX) == pf.oracle_fp(S, p).result, (S, p)
     assert len(shapes) == 4 and min(shapes.values()) >= 5, shapes
 
@@ -681,7 +686,7 @@ def test_fp_numerical_p0_matches_certificate():
     for _ in range(80):
         S = random_semigroup(rng, 1, coord_max=30)
         values = sorted(g for (g,) in S.generators)
-        f0 = _fp_numerical(S, 0)
+        f0 = apery(S, 0)
         assert f0.is_infinite == (gcd(*values) > 1), S
         if f0.is_infinite:
             infinite += 1
@@ -691,10 +696,10 @@ def test_fp_numerical_p0_matches_certificate():
     assert infinite >= 5
 
 
-def test_numerical_route_needs_no_basis(monkeypatch):
-    # q = 1 reaches neither the cone gate nor the toric ideal, at any p; a
-    # q = 2 call passes the gate and builds no toric ideal; a q = 3 call and
-    # a rank-1 q = 2 call, which the planar route declines, build one
+def test_apery_route_needs_no_basis(monkeypatch):
+    # q = 1 at every p (the gate only at p >= 1), a q = 2 call of rank 2 and
+    # rank-1 calls at q = 2 and q = 3 pass the gate, take the p-Apery walk
+    # and build no toric ideal; only the q = 3 semigroup of rank 3 builds one
     calls = []
     for name in ("is_fp_finite", "toric_ideal_generators"):
         fn = getattr(pf.frobenius, name)
@@ -704,22 +709,22 @@ def test_numerical_route_needs_no_basis(monkeypatch):
     for p, expected in ((0, 17), (1, 25), (2, 33)):
         for order in (GRLEX, GREVLEX):
             assert pf.fp_general(S, p, order) == pf.FrobeniusResult.finite((expected,))
-    assert calls == []
+    assert calls == ["is_fp_finite"] * 4
+    calls.clear()
     for p in (1, 2, 3):
         for order in (GRLEX, GREVLEX):
             pf.fp_general(pf.Semigroup(2, BOX_SCAN[1]), p, order)
-    assert calls == ["is_fp_finite"] * 6
+    assert pf.fp_general(pf.Semigroup(2, ((4, 6), (6, 9))), 1) == pf.FrobeniusResult.finite((14, 21))
+    assert pf.fp_general(pf.Semigroup(3, ((3, 6, 9), (5, 10, 15))), 1) == pf.FrobeniusResult.finite((22, 44, 66))
+    assert calls == ["is_fp_finite"] * 8
     calls.clear()
     assert pf.fp_general(pf.Semigroup(3, Q3), 1) == pf.FrobeniusResult.finite((21, 45, 58))
-    assert calls == ["is_fp_finite", "toric_ideal_generators"]
-    calls.clear()
-    assert pf.fp_general(pf.Semigroup(2, ((4, 6), (6, 9))), 1) == pf.FrobeniusResult.finite((14, 21))
     assert calls == ["is_fp_finite", "toric_ideal_generators"]
 
 
 def test_fp_numerical_huge_p_refused():
-    # the box corner refused p = 2^62 at once; the p-Apery loop would pop
-    # each state 2^62 + 1 times, so its guard must refuse it up front
+    # the p-Apery walk would keep 2^62 + 1 sums per class, so its guard must
+    # refuse p = 2^62 up front
     S = pf.numerical(3, 4, 5)
     t0 = time.perf_counter()
     with pytest.raises(pf.OverflowGuardError):
@@ -728,8 +733,8 @@ def test_fp_numerical_huge_p_refused():
 
 
 def test_fp_planar_huge_p_refused(example_S):
-    # the planar p-Apery walk would keep p + 1 sums per class, so its guard
-    # must refuse p = 2^62 up front, before the first step; also on rays
+    # the p-Apery walk would keep p + 1 sums per class, so its guard must
+    # refuse p = 2^62 up front, before the first step; also on rays
     # (1, 2) and (2, 1) off the axes
     pf.fp_general.cache_clear()
     for S in (example_S, pf.Semigroup(2, ((2, 4), (3, 6), (4, 2), (6, 3), (1, 1)))):
@@ -739,15 +744,22 @@ def test_fp_planar_huge_p_refused(example_S):
         assert time.perf_counter() - t0 < 1
 
 
-def planar_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Counter:
-    """``_fp_planar`` against the basis-and-scan route ``_fp_groebner`` at
-    p = 1..3 under both orders, on `draws` seeded q = 2 semigroups with
-    finite F_p, taken in turn from ``random_finite_semigroup``,
-    ``random_dense_planar_semigroup`` and ``random_offaxis_semigroup``
-    (rays built on two random primitive directions); every `oracle_every`-th draw is
-    checked against ``oracle_fp`` too.  Then rank-1 draws, which the planar
-    route declines, against ``fp_general`` and the numerical semigroup they
-    scale.  Returns how many draws of each kind were checked."""
+def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Counter:
+    """The p-Apery walk against the reference ``_fp_groebner``, the scan of
+    the toric basis's standard monomials, on three kinds of seeded draw:
+    - `draws` q = 2 semigroups of rank 2 with finite F_p, taken in turn
+      from ``random_finite_semigroup``, ``random_dense_planar_semigroup``
+      and ``random_offaxis_semigroup`` (rays built on two random primitive
+      directions), at p = 1..3 under both orders, and against ``oracle_fp``
+      on every `oracle_every`-th;
+    - draws // 3 numerical semigroups, which hold the shapes h = 1 after
+      minimalization, an overall gcd above 1 and a factor shared by the two
+      smallest generators only: at p = 1..3, and at p = 0 against the
+      oracle on every `oracle_every`-th and reachability on the rest;
+    - draws // 6 rank-1 semigroups at q = 2 and q = 3, numerical ones along
+      a random primitive direction, at p = 1..3 under both orders.
+    Where F_p is infinite, h = 1 on the ray, ``fp_general`` must say so and
+    the gate must fail.  Returns how many draws of each kind were checked."""
     rng = random.Random(seed)
     seen = Counter()
     while seen["draws"] < draws:
@@ -762,30 +774,51 @@ def planar_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Co
         seen["off-axis"] += any(all(ray[0]) for ray in pf.cone.ray_generators(S))
         for p in (1, 2, 3):
             for order in (GRLEX, GREVLEX):
-                got = _fp_planar(S, p, order)
+                got = apery(S, p, order)
                 assert got == _fp_groebner(S, p, order), (S, p, order)
                 if seen["draws"] % oracle_every == 0 and p < 3:
                     assert got == pf.oracle_fp(S, p, order).result, (S, p, order)
                     seen["oracle"] += 1
-    for _ in range(max(draws // 10, 5)):
-        d = rng.choice([(1, 0), (0, 1), (1, 1), (2, 3), (3, 1)])
+
+    def rank_one(S, orders, kind):
+        seen[kind] += 1
+        for p in (1, 2, 3):
+            for order in orders:
+                if S.h == 1:
+                    assert pf.fp_general(S, p, order) == pf.INFINITE and not pf.is_fp_finite(S), S
+                else:
+                    assert apery(S, p, order) == _fp_groebner(S, p, order), (S, p, order)
+
+    for i in range(draws // 3):
+        S = random_semigroup(rng, 1, coord_max=30)
+        values = sorted(g for (g,) in S.generators)
+        rank_one(S, (GRLEX,), "h = 1" if S.h == 1 else "gcd > 1" if gcd(*values) > 1
+                 else "shared" if gcd(*values[:2]) > 1 else "coprime")
+        f0 = apery(S, 0)
+        if gcd(*values) > 1:
+            assert f0 == pf.INFINITE, S
+        elif i % oracle_every == 0:
+            assert f0 == pf.oracle_fp(S, 0).result, S
+        else:
+            assert f0.point == (-1,) if values == [1] else f0_certified(values, f0.point[0]), S
+    for i in range(draws // 6):
+        q = 2 + i % 2
+        d = (0,) * q
+        while not any(d):
+            d = tuple(rng.randint(0, 3) for _ in range(q))
+        d = tuple(c // gcd(*d) for c in d)
         N = random_semigroup(rng, 1, h_max=4, coord_max=9)
-        if N.h < 2:
-            continue
-        S = pf.Semigroup(2, tuple(tuple(a * c for c in d) for (a,) in N.generators))
-        seen["rank 1"] += 1
-        for p in (1, 2):
-            for order in (GRLEX, GREVLEX):
-                assert _fp_planar(S, p, order) is None, S
-                want = tuple(f * c for f in pf.fp_general(N, p).point for c in d)
-                assert pf.fp_general(S, p, order) == pf.FrobeniusResult.finite(want), (S, p, order)
+        rank_one(pf.Semigroup(q, tuple(tuple(a * c for c in d) for (a,) in N.generators)), (GRLEX, GREVLEX),
+                 f"rank 1, q = {q}")
     return seen
 
 
 def test_fp_planar_matches_groebner():
-    # a slice of the planar differential; CI runs 600 draws
-    seen = planar_differential(30)
-    assert seen["off-axis"] >= 3 and seen["oracle"] >= 6 and seen["rank 1"] >= 3, seen
+    # a slice of the p-Apery differential; CI runs 600 draws
+    seen = apery_differential(30)
+    assert seen["off-axis"] >= 3 and seen["oracle"] >= 6, seen
+    kinds = ("h = 1", "gcd > 1", "shared", "coprime", "rank 1, q = 2", "rank 1, q = 3")
+    assert min(seen[kind] for kind in kinds) >= 1, seen
 
 
 @pytest.mark.parametrize("gens, expected", [((1001, 1234, 1777), 237757), ((3001, 4567, 5003, 6011), 317626)])

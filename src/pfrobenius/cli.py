@@ -250,6 +250,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
         return 0
     fn, args = parsed
     try:
+        # the oracle's rule for a budget, applied even where no oracle runs
+        oracle._Budget(getattr(args, "budget", None))
         S, order = load_semigroup(args.input_path)
         payload, status = fn(S, getattr(args, "order", None) or order, args), 0
     except tuple(t for t, _, _ in _ERROR_CODES) as exc:

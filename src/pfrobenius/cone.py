@@ -4,9 +4,13 @@ The finiteness of the p-Frobenius vector (for p >= 1, any graded order) is
 equivalent to every extremal ray of the rational cone spanned by the
 generators containing at least two minimal generators.  A direction is
 extremal exactly when a linear form separates it from the other directions
-(Farkas' lemma); the form's existence is decided by Fourier-Motzkin
-elimination over its q coefficients, in integer arithmetic, so no floating
-point is involved anywhere.
+(Farkas' lemma).  For q <= 2 that is one sign test per pair of directions:
+distinct primitive vectors of N^2 are never parallel, so det[d e] != 0 for
+e != d, and d is extremal exactly when every det[d e] has the same sign
+(d is the first or the last direction by angle; at q = 1 the one direction
+is extremal).  For q >= 3 the form's existence is decided by Fourier-Motzkin
+elimination over its q coefficients.  Both run in integer arithmetic, so no
+floating point is involved anywhere.
 """
 from __future__ import annotations
 
@@ -52,6 +56,12 @@ def _separable(d: tuple[int, ...], others: list[tuple[int, ...]]) -> bool:
     return all(b >= 0 for _, b in rows)
 
 
+def _planar_extremal(d: tuple[int, ...], others: list[tuple[int, ...]]) -> bool:
+    """``_separable`` for q <= 2: every det[d e] has one sign (none at q = 1,
+    where others is empty)."""
+    return len({d[0] * e[1] > d[1] * e[0] for e in others}) < 2
+
+
 @lru_cache(maxsize=256)
 def ray_generators(S: Semigroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The minimal generators on each extremal ray of the generator cone, by
@@ -60,16 +70,19 @@ def ray_generators(S: Semigroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     A generator direction d is extremal iff it is not a non-negative rational
     combination of the other distinct generator directions, that is (Farkas'
     lemma) iff some linear form is >= 0 on all of them and negative on d.
-    Cached per semigroup: the finiteness gate and the p-Apery F_p route both
-    read it, so Fourier-Motzkin runs once per semigroup.
+    For q <= 2 that holds iff det[d e] has one sign over the other directions
+    e, none of them parallel to d, so det[d e] != 0; for q >= 3 Fourier-Motzkin
+    decides it.  Cached per semigroup: the finiteness gate and the p-Apery F_p
+    route both read it.
     """
+    extremal = _planar_extremal if S.q <= 2 else _separable
     on_direction: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for g in S.generators:
         on_direction.setdefault(_direction(g), []).append(g)
     return tuple(
         tuple(sorted(gens, key=sum))
         for d, gens in sorted(on_direction.items())
-        if _separable(d, [e for e in on_direction if e != d])
+        if extremal(d, [e for e in on_direction if e != d])
     )
 
 

@@ -11,6 +11,8 @@ import pfrobenius as pf
 # the worked 5-generator example used throughout: generator order is part of
 # the contract (it fixes the variable order of the polynomial ring)
 EXAMPLE_GENS = [(3, 0), (4, 0), (0, 5), (0, 6), (1, 1)]
+# a q = 3 semigroup with finite F_p: two generators on each axis and (4,1,1)
+Q3 = ((4, 0, 0), (7, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (4, 1, 1))
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +28,20 @@ def grlex() -> pf.OrderSpec:
 @pytest.fixture(scope="session")
 def grevlex() -> pf.OrderSpec:
     return pf.OrderSpec("grevlex")
+
+
+def rays_by_fourier_motzkin(S: pf.Semigroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``cone.ray_generators(S)`` with every direction decided by the
+    Fourier-Motzkin test ``cone._separable``, at any q: the reference for
+    the q <= 2 sign test."""
+    on_direction: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for g in S.generators:
+        on_direction.setdefault(pf.primitive_direction(g), []).append(g)
+    return tuple(
+        tuple(sorted(gens, key=sum))
+        for d, gens in sorted(on_direction.items())
+        if pf.cone._separable(d, [e for e in on_direction if e != d])
+    )
 
 
 def random_generators(rng: random.Random, q: int, h_max: int = 5, coord_max: int = 12) -> list[tuple[int, ...]]:

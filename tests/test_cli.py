@@ -414,11 +414,13 @@ def test_oracle_budget_exhausted(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "args",
-    [["oracle", "--p", "1"], ["oracle", "--element", "7"], ["fp", "--p", "1", "--verify"]],
-    ids=["oracle-p", "oracle-element", "fp-verify"],
+    [["oracle", "--p", "1"], ["oracle", "--element", "7"], ["fp", "--p", "1", "--verify"], ["fp", "--p", "1"],
+     ["glue", "--d", "2", "--gamma", "7"]],
+    ids=["oracle-p", "oracle-element", "fp-verify", "fp", "glue"],
 )
 def test_oracle_budget_nan_is_validation(capsys, tmp_path, args):
-    # a NaN deadline never passes, so it would run with no limit
+    # a NaN deadline never passes, so it would run with no limit; the CLI
+    # refuses it on every command that takes --budget, oracle or not
     cmd, *rest = args
     status, out = run_json(capsys, [cmd, "--input", write(tmp_path, NUM23), *rest, "--budget", "nan"])
     assert status == 4

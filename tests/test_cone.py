@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import pfrobenius as pf
-from conftest import random_finite_semigroup, random_semigroup
+from conftest import Q3, random_finite_semigroup, random_semigroup, rays_by_fourier_motzkin
 
 
 def test_primitive_direction():
@@ -161,3 +161,67 @@ def test_unpaired_rays_are_the_extremal_rays_with_one_generator():
             assert f"the extremal ray {rays[0]} " in pf.oracle_fp(S, 1).certificate, S
         finite[q, not rays] += 1
     assert len(finite) == 6, finite  # both outcomes at every q
+
+
+def _planar_draw(rng: random.Random, kind: str, top: int) -> set[tuple[int, int]]:
+    """Distinct nonzero points of N^2 of one kind, with coordinates up to
+    top (up to 6 * max(top // 8, 5) for "off-axis")."""
+
+    def point(lo, hi):
+        while not any(v := (rng.randint(lo, hi), rng.randint(lo, hi))):
+            pass
+        return v
+
+    if kind == "one direction":
+        return {point(0, top)}
+    if kind == "collinear":
+        d = pf.primitive_direction(point(0, top // 4))
+        return {(m * d[0], m * d[1]) for m in rng.sample(range(1, 5), rng.randint(2, 4))}
+    if kind == "axis":
+        nx = rng.randint(0, 3)
+        return ({(rng.randint(1, top), 0) for _ in range(nx)}
+                | {(0, rng.randint(1, top)) for _ in range(rng.randint(0 if nx else 1, 3))})
+    if kind == "off-axis":
+        # two positive directions, one multiple or two of each, and up to two
+        # interior combinations of them (the pair may be parallel)
+        u, v = (pf.primitive_direction(point(1, max(top // 8, 5))) for _ in range(2))
+        gens = {(m * d[0], m * d[1]) for d in (u, v) for m in rng.sample((1, 2), rng.randint(1, 2))}
+        for _ in range(rng.randint(0, 2)):
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            gens.add((s * u[0] + t * v[0], s * u[1] + t * v[1]))
+        return gens
+    return {point(0, top) for _ in range(rng.randint(2, 7))}
+
+
+def test_planar_rays_match_fourier_motzkin():
+    # the q = 2 sign test against Fourier-Motzkin on 2000 seeded generator
+    # sets of five kinds, coordinates up to 5, 2^8, 2^31 and 2^62 - 1
+    rng = random.Random(38)
+    kinds = ("one direction", "collinear", "axis", "off-axis", "scattered")
+    tops = (5, 2**8, 2**31, 2**62 - 1)
+    rays = Counter()
+    for i in range(2000):
+        kind, top = kinds[i % 5], tops[i // 5 % 4]
+        S = pf.Semigroup(2, tuple(sorted(_planar_draw(rng, kind, top))))
+        got = pf.cone.ray_generators.__wrapped__(S)
+        assert got == rays_by_fourier_motzkin(S), S
+        rays[kind, len(got), any(all(ray[0]) for ray in got)] += 1
+    assert {n for (kind, n, _) in rays if kind in ("one direction", "collinear")} == {1}, rays
+    assert min(rays["axis", 1, False], rays["axis", 2, False]) >= 100, rays
+    assert min(rays["off-axis", 2, True], rays["scattered", 2, True]) >= 300, rays
+
+
+def test_cone_route_by_rank(monkeypatch):
+    # q <= 2 decides every direction by the sign test alone; q = 3 needs
+    # Fourier-Motzkin
+    calls = Counter()
+    separable = pf.cone._separable
+
+    def spy(d, others):
+        calls[len(d)] += 1
+        return separable(d, others)
+
+    monkeypatch.setattr(pf.cone, "_separable", spy)
+    for S in (pf.Semigroup(2, ((3, 0), (4, 0), (0, 5), (0, 6), (1, 1), (2, 7))), pf.numerical(3, 5), pf.Semigroup(3, Q3)):
+        pf.cone.ray_generators.__wrapped__(S)
+    assert calls[1] == calls[2] == 0 and calls[3] >= 1, calls

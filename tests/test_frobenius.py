@@ -15,16 +15,17 @@ from pfrobenius.frobenius import _degree_ranks, _fp_apery, _fp_groebner
 from pfrobenius.groebner import Binomial
 from pfrobenius.oracle import _direct_lambda
 from conftest import (
+    Q3,
     f0_certified,
     random_dense_planar_semigroup,
     random_finite_semigroup,
     random_offaxis_semigroup,
     random_semigroup,
+    rays_by_fourier_motzkin,
 )
 
 GRLEX = pf.OrderSpec("grlex")
 GREVLEX = pf.OrderSpec("grevlex")
-Q3 = ((4, 0, 0), (7, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (4, 1, 1))
 NAMED_H6 = ((5, 0), (7, 0), (0, 4), (0, 9), (2, 3), (3, 1))
 BOX_SCAN = (
     ((3, 0), (4, 0), (0, 5), (0, 6), (1, 1)),
@@ -759,9 +760,16 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
     - draws // 6 rank-1 semigroups at q = 2 and q = 3, numerical ones along
       a random primitive direction, at p = 1..3 under both orders.
     Where F_p is infinite, h = 1 on the ray, ``fp_general`` must say so and
-    the gate must fail.  Returns how many draws of each kind were checked."""
+    the gate must fail.  On every q = 2 draw, ``cone.ray_generators`` must
+    equal its Fourier-Motzkin reference (counted as "rays").  Returns how
+    many draws of each kind were checked."""
     rng = random.Random(seed)
     seen = Counter()
+
+    def check_rays(S):
+        assert pf.cone.ray_generators(S) == rays_by_fourier_motzkin(S), S
+        seen["rays"] += 1
+
     while seen["draws"] < draws:
         kind = seen["draws"] % 3
         if kind == 0:
@@ -771,6 +779,7 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
         else:
             S = random_offaxis_semigroup(rng)
         seen["draws"] += 1
+        check_rays(S)
         seen["off-axis"] += any(all(ray[0]) for ray in pf.cone.ray_generators(S))
         for p in (1, 2, 3):
             for order in (GRLEX, GREVLEX):
@@ -782,6 +791,8 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
 
     def rank_one(S, orders, kind):
         seen[kind] += 1
+        if S.q == 2:
+            check_rays(S)
         for p in (1, 2, 3):
             for order in orders:
                 if S.h == 1:
@@ -817,6 +828,7 @@ def test_fp_planar_matches_groebner():
     # a slice of the p-Apery differential; CI runs 600 draws
     seen = apery_differential(30)
     assert seen["off-axis"] >= 3 and seen["oracle"] >= 6, seen
+    assert seen["rays"] == seen["draws"] + seen["rank 1, q = 2"], seen
     kinds = ("h = 1", "gcd > 1", "shared", "coprime", "rank 1, q = 2", "rank 1, q = 3")
     assert min(seen[kind] for kind in kinds) >= 1, seen
 

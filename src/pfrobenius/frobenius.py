@@ -4,15 +4,17 @@ rank at most 2 read off their p-Apery sets.
 ``fp_general`` checks p and the order, refuses p = 0 beyond q = 1, and
 for p >= 1 runs the finiteness gate on the rays of the cone.  A semigroup
 with one extremal ray (every numerical one, at every p >= 0) or with two
-(q = 2) then takes ``_fp_apery``, a pruned Dijkstra over the sums of the
-generators off the rays, with no Groebner basis; ``f0_numerical(S)`` is
-``fp_general(S, 0)``.  The rest (q >= 3, rank >= 2) takes ``_fp_groebner``:
-the toric engine's reduced basis, the per-generator bounds Lambda read off
-it, and one strategy for every p and both orders, a scan of the standard
-monomials grown from 0 inside prod [0, p*lambda_i) by descending degree,
-counting each fiber by reverse rewriting until one has at most p
-factorizations.  ``candidate_degrees`` lists the degrees of the closed box,
-the paper's candidate set D.
+(q = 2) then takes ``_apery_walk``, a pruned Dijkstra over the sums of the
+generators off the rays, with no Groebner basis.  The walk does not depend
+on the order: it is cached per (S, p), holding only the points of the top
+degree, and the order picks F_p among them last, so both orders share one
+walk.  ``f0_numerical(S)`` is ``fp_general(S, 0)``.  The rest (q >= 3,
+rank >= 2) takes ``_fp_groebner``: the toric engine's reduced basis, the
+per-generator bounds Lambda read off it, and one strategy for every p and
+both orders, a scan of the standard monomials grown from 0 inside
+prod [0, p*lambda_i) by descending degree, counting each fiber by reverse
+rewriting until one has at most p factorizations.  ``candidate_degrees``
+lists the degrees of the closed box, the paper's candidate set D.
 """
 from __future__ import annotations
 
@@ -96,12 +98,14 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     """F_p(S) for any p >= 1, and for p = 0 when q = 1 (UnsupportedError else).
 
     Two routes, after the gate on the rays for p >= 1:
-    - rank 1 (at any q) or q = 2 takes ``_fp_apery``, with no Groebner
+    - rank 1 (at any q) or q = 2 takes ``_apery_walk``, with no Groebner
       basis: in the coordinates z of the ray generators, the factorizations
       of n are the sums L of the other generators with z(L) <= z(n) in n's
       class mod D; a pruned Dijkstra keeps, per class, the L that have at
-      most p others at or below them, and F_p is read off the largest
-      corner of the staircase {#Z <= p} that those L draw;
+      most p others at or below them, and returns the corners of the top
+      degree of the staircase {#Z <= p} that those L draw.  The walk is
+      order-free and cached per (S, p); ``order`` picks F_p among its
+      corners here, last, and none means an infinite F_0;
     - the rest, q >= 3 of rank >= 2, takes ``_fp_groebner``: a scan of the
       standard monomials of the toric engine's reduced basis in the box
       prod [0, p*lambda_i), by descending degree, for the first whose fiber
@@ -109,7 +113,8 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
 
     Cached: the result is deterministic in (S, p, order), and a gluing asks
     for the same F_p(S) twice, once for the bound and once for the verdict.
-    The cache is typed, so p = True misses p = 1 and reaches the check on p.
+    The cache is typed, so p = True misses p = 1 and reaches the check on p;
+    the walk's own cache is reached only past that check.
     """
     _as_int(p, "p", 0)
     _as_order(order)
@@ -117,9 +122,9 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
         raise UnsupportedError(_F0_SCOPE)
     if p and not is_fp_finite(S):
         return INFINITE
-    rays = ray_generators(S)  # cached, shared with the gate
-    if len(rays) == 1 or S.q == 2:
-        return _fp_apery(S, p, order, rays)
+    if S.q == 2 or len(ray_generators(S)) == 1:  # the rays are cached, shared with the gate
+        points = _apery_walk(S, p)
+        return FrobeniusResult.finite(max(points, key=order.key)) if points else INFINITE
     return _fp_groebner(S, p, order)
 
 
@@ -225,12 +230,16 @@ def indispensable_binomials(S: Semigroup) -> list[Binomial]:
     return sorted(ind, key=lambda b: key(b.lead))
 
 
-def _fp_apery(
-    S: Semigroup, p: int, order: OrderSpec, rays: tuple[tuple[tuple[int, ...], ...], ...]
-) -> FrobeniusResult:
-    """F_p of S from its p-Apery sets over the ray generators, with no
-    Groebner basis: S of rank 1 (any q, p >= 0) or 2 (q = 2, p >= 1), with
-    F_p finite when p >= 1.
+@functools.lru_cache(maxsize=256)
+def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
+    """The candidates for F_p of S from its p-Apery sets over the ray
+    generators, with no Groebner basis: S of rank 1 (any q, p >= 0) or 2
+    (q = 2, p >= 1), with F_p finite when p >= 1.  No step depends on the
+    term order, so ``fp_general`` picks F_p among these points under its
+    order, and the walk is cached per (S, p): an empty tuple for an infinite
+    F_0, the one point at rank 1, the corners of the top degree at rank 2.
+    The cache holds only those points, never the kept sums; a call that
+    raises caches nothing.
 
     Let e1 be the generator of least degree on the first ray.  At rank 2, e2
     is that on the second, D = det[e1 e2] > 0 and z(v) = adj[e1 e2] v, so
@@ -267,14 +276,14 @@ def _fp_apery(
     the class with #Z <= p are z = (x_(i+1) - m_1, y_i - m_2),
     n = (g_1 z_1 e1 + g_2 z_2 e2) / D.  Past the last x, or where fewer than
     p + 1 kept L have z_1 <= x_i, the class would hold infinitely many n
-    with 1 <= #Z(n) <= p, which a finite F_p rules out.  A larger z has a
-    larger degree, so under a graded order the largest corner is F_p, once
+    with 1 <= #Z(n) <= p, which a finite F_p rules out.  Under a graded
+    order F_p is the largest of the corners of the top degree, once
     the corners outside S (no kept L at or below, so #Z = 0) are shown
     never to be largest: there the p + 1 smallest z_2 all equal y_i, so the
     kept L at x_(i+1) lie lower (else p + 1 kept L below it would have
     dropped it), and corner i + 1 has the same y and a larger x.
     """
-    (e1, *_), *plane = rays
+    (e1, *_), *plane = ray_generators(S)  # cached, shared with the gate
     if plane:
         ((e2, *_),) = plane
         if e1[0] * e2[1] < e1[1] * e2[0]:
@@ -287,7 +296,7 @@ def _fp_apery(
         zs = [(b[i], 0) for b in S.generators if b != e1]
     g1, g2 = math.gcd(D, *(u for u, _ in zs)), math.gcd(D, *(v for _, v in zs))
     if p == 0 and g1 > 1:
-        return INFINITE
+        return ()
     m1, m2 = D // g1, D // g2
     zs = [(u // g1, v // g2) for u, v in zs]
     # m_i copies of the second generator b of ray i bring a sum back to its
@@ -325,7 +334,7 @@ def _fp_apery(
     checked(size)  # the sums come out by ascending size: no z coordinate exceeds the last
     if not plane:  # F_0 from the first L of each class, F_p from the last
         top = max(pts[-1][0] for pts in kept if not p or pts[-1] > pts[0])
-        return FrobeniusResult.finite(tuple(checked(g1 * (top - m1) * c // D) for c in e1))
+        return (tuple(checked(g1 * (top - m1) * c // D) for c in e1),)
     # each maximal point of a class, as D times its degree and (g_1 z_1, g_2 z_2)
     corners = []
     for pts in kept.values():
@@ -339,11 +348,10 @@ def _fp_apery(
                 a, b = g1 * (x_next - m1), g2 * (-smallest[0] - m2)
                 corners.append((a * sum(e1) + b * sum(e2), a, b))
     top = max(corners)[0]
-    return FrobeniusResult.finite(max(
-        ((checked((a * e1[0] + b * e2[0]) // D), checked((a * e1[1] + b * e2[1]) // D))
-         for degree, a, b in corners if degree == top),
-        key=order.key,
-    ))
+    return tuple(
+        (checked((a * e1[0] + b * e2[0]) // D), checked((a * e1[1] + b * e2[1]) // D))
+        for degree, a, b in corners if degree == top
+    )
 
 
 def f0_numerical(S: Semigroup) -> FrobeniusResult:

@@ -206,7 +206,7 @@ def _oracle_f0(S: Semigroup, budget: _Budget) -> OracleReport:
     bound = checked((values[0] - 1) * (values[-1] - 1) - 1)  # Schur (Brauer 1942)
     ways, _ = _count_grid(S.generators, (bound,), budget=budget)
     return OracleReport(
-        FrobeniusResult.finite((max(n for n, c in enumerate(ways) if c == 0),)),
+        FrobeniusResult.finite((len(ways) - 1 - ways[::-1].index(0),)),  # the last gap
         scanned_bound=bound,
         certificate=f"all integers up to {bound} counted exactly",
     )

@@ -23,6 +23,7 @@ from math import gcd
 import pytest
 
 import pfrobenius as pf
+from pfrobenius.frobenius import _apery_walk
 from pfrobenius.oracle import _count_grid, _direct_lambda
 from conftest import EXAMPLE_GENS, criterion6_gluings, random_finite_semigroup, random_semigroup
 
@@ -47,6 +48,7 @@ def test_criterion_1_reference_example_f1(S):
     pf.reduced_basis.cache_clear()
     pf.toric_ideal_generators.cache_clear()
     pf.fp_general.cache_clear()
+    _apery_walk.cache_clear()
     t0 = time.perf_counter()
     G = pf.reduced_basis(S, GRLEX)
     lam = pf.lambda_bounds(S, G)

@@ -11,7 +11,7 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.core import _F0_SCOPE
-from pfrobenius.frobenius import _degree_ranks, _fp_apery, _fp_groebner
+from pfrobenius.frobenius import _apery_walk, _degree_ranks, _fp_groebner
 from pfrobenius.groebner import Binomial
 from pfrobenius.oracle import _direct_lambda
 from conftest import (
@@ -35,8 +35,10 @@ BOX_SCAN = (
 
 
 def apery(S: pf.Semigroup, p: int, order: pf.OrderSpec = GRLEX) -> pf.FrobeniusResult:
-    """The p-Apery walk ``_fp_apery`` on S, called as ``fp_general`` calls it past its gate."""
-    return _fp_apery(S, p, order, pf.cone.ray_generators(S))
+    """The p-Apery walk ``_apery_walk`` on S and the pick of ``order`` among
+    its points, as ``fp_general`` runs them past its gate."""
+    points = _apery_walk(S, p)
+    return pf.FrobeniusResult.finite(max(points, key=order.key)) if points else pf.INFINITE
 
 
 @pytest.fixture(scope="module")
@@ -723,6 +725,30 @@ def test_apery_route_needs_no_basis(monkeypatch):
     assert calls == ["is_fp_finite", "toric_ideal_generators"]
 
 
+def test_orders_share_one_walk():
+    # the walk does not depend on the order: grlex then grevlex on one
+    # (S, p) run it once, its cache holds only the q-tuples the order picks
+    # among, and each pick is the answer of the basis-and-scan reference
+    semigroups = [pf.Semigroup(2, gens) for gens in BOX_SCAN]
+    semigroups += [pf.Semigroup(2, ((4, 6), (6, 9))), pf.numerical(6, 7, 8)]
+    known = {(semigroups[3], 1): (14, 21), (semigroups[4], 1): (25,), (semigroups[4], 2): (33,)}
+    pf.fp_general.cache_clear()
+    _apery_walk.cache_clear()
+    for S in semigroups:
+        for p in (1, 2, 3):
+            for order in (GRLEX, GREVLEX):
+                got = pf.fp_general(S, p, order)
+                assert got == _fp_groebner(S, p, order), (S, p, order)
+                assert got.point == known.get((S, p), got.point), (S, p)
+    assert _apery_walk.cache_info().misses == len(semigroups) * 3
+    for S in semigroups:
+        for p in (1, 2, 3):
+            points = _apery_walk(S, p)
+            assert type(points) is tuple and points, (S, p)
+            assert all(type(n) is tuple and len(n) == S.q for n in points), (S, p, points)
+    assert _apery_walk.cache_info().misses == len(semigroups) * 3
+
+
 def test_fp_numerical_huge_p_refused():
     # the p-Apery walk would keep 2^62 + 1 sums per class, so its guard must
     # refuse p = 2^62 up front
@@ -738,11 +764,13 @@ def test_fp_planar_huge_p_refused(example_S):
     # refuse p = 2^62 up front, before the first step; also on rays
     # (1, 2) and (2, 1) off the axes
     pf.fp_general.cache_clear()
+    _apery_walk.cache_clear()
     for S in (example_S, pf.Semigroup(2, ((2, 4), (3, 6), (4, 2), (6, 3), (1, 1)))):
         t0 = time.perf_counter()
         with pytest.raises(pf.OverflowGuardError):
             pf.fp_general(S, 2**62)
         assert time.perf_counter() - t0 < 1
+    assert _apery_walk.cache_info().currsize == 0  # a refused walk caches nothing
 
 
 def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Counter:
@@ -839,6 +867,7 @@ def test_fp_numerical_large_p(gens, expected):
     # took 4.0 s and 5.6 s on them
     S = pf.numerical(*gens)
     pf.fp_general.cache_clear()
+    _apery_walk.cache_clear()
     t0 = time.perf_counter()
     assert pf.fp_general(S, 10) == pf.FrobeniusResult.finite((expected,))
     assert time.perf_counter() - t0 < 2

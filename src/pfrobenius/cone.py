@@ -4,11 +4,11 @@ The finiteness of the p-Frobenius vector (for p >= 1, any graded order) is
 equivalent to every extremal ray of the rational cone spanned by the
 generators containing at least two minimal generators.  A direction is
 extremal exactly when a linear form separates it from the other directions
-(Farkas' lemma).  For q <= 2 that is one sign test per pair of directions:
-distinct primitive vectors of N^2 are never parallel, so det[d e] != 0 for
-e != d, and d is extremal exactly when every det[d e] has the same sign
-(d is the first or the last direction by angle; at q = 1 the one direction
-is extremal).  For q >= 3 the form's existence is decided by Fourier-Motzkin
+(Farkas' lemma).  For q <= 2 no form is needed: the directions of N^2 lie
+in one quarter-plane, so the sign of det[d e] orders them by angle, and the
+extremal ones are the first and the last, found in one pass of one
+cross-product comparison per generator (at q = 1 the one direction is
+extremal).  For q >= 3 the form's existence is decided by Fourier-Motzkin
 elimination over its q coefficients.  Both run in integer arithmetic, so no
 floating point is involved anywhere.
 """
@@ -56,12 +56,6 @@ def _separable(d: tuple[int, ...], others: list[tuple[int, ...]]) -> bool:
     return all(b >= 0 for _, b in rows)
 
 
-def _planar_extremal(d: tuple[int, ...], others: list[tuple[int, ...]]) -> bool:
-    """``_separable`` for q <= 2: every det[d e] has one sign (none at q = 1,
-    where others is empty)."""
-    return len({d[0] * e[1] > d[1] * e[0] for e in others}) < 2
-
-
 @lru_cache(maxsize=256)
 def ray_generators(S: Semigroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """The minimal generators on each extremal ray of the generator cone, by
@@ -69,20 +63,37 @@ def ray_generators(S: Semigroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
 
     A generator direction d is extremal iff it is not a non-negative rational
     combination of the other distinct generator directions, that is (Farkas'
-    lemma) iff some linear form is >= 0 on all of them and negative on d.
-    For q <= 2 that holds iff det[d e] has one sign over the other directions
-    e, none of them parallel to d, so det[d e] != 0; for q >= 3 Fourier-Motzkin
-    decides it.  Cached per semigroup: the finiteness gate and the p-Apery F_p
-    route both read it.
+    lemma) iff some linear form is >= 0 on all of them and negative on d;
+    for q >= 3 Fourier-Motzkin decides it.  For q <= 2 the directions of N^2
+    lie within a right angle, so det[d e] > 0 exactly when e comes after d
+    by angle: the first direction and the last, kept in one pass over the
+    generators, span the cone and every direction strictly between them is a
+    positive combination of the two.  A ray's generators are those collinear
+    with its first one.  Cached per semigroup: the finiteness gate and the
+    p-Apery F_p route both read it.
     """
-    extremal = _planar_extremal if S.q <= 2 else _separable
+    gens = S.generators
+    if S.q == 1:
+        return (tuple(sorted(gens)),)
+    if S.q == 2:
+        first = last = gens[0]
+        for g in gens:
+            if g[0] * first[1] > g[1] * first[0]:
+                first = g
+            elif g[0] * last[1] < g[1] * last[0]:
+                last = g
+        rays = {_direction(first): first, _direction(last): last}  # one key when they are parallel
+        return tuple(
+            tuple(sorted((g for g in gens if g[0] * e[1] == g[1] * e[0]), key=sum))
+            for _, e in sorted(rays.items())
+        )
     on_direction: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for g in S.generators:
+    for g in gens:
         on_direction.setdefault(_direction(g), []).append(g)
     return tuple(
-        tuple(sorted(gens, key=sum))
-        for d, gens in sorted(on_direction.items())
-        if extremal(d, [e for e in on_direction if e != d])
+        tuple(sorted(ray, key=sum))
+        for d, ray in sorted(on_direction.items())
+        if _separable(d, [e for e in on_direction if e != d])
     )
 
 
@@ -103,4 +114,4 @@ def is_fp_finite(S: Semigroup) -> bool:
     Holds exactly when each extremal ray direction is shared by at least two
     distinct minimal generators.
     """
-    return not unpaired_rays(S)
+    return all(len(gens) > 1 for gens in ray_generators(S))

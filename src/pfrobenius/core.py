@@ -125,6 +125,8 @@ def _as_point(coords, q: int | None = None) -> tuple[int, ...]:
     pt = _as_tuple(coords, "a point")
     if q is not None and len(pt) != q:
         raise ValidationError(f"expected {q} coordinates, got {len(pt)}")
+    if all(type(c) is int and 0 <= c <= INT64_MAX for c in pt):  # the common case, in one pass
+        return pt
     if not all(type(c) is int for c in pt):  # a bool is an int subclass, not an int
         raise ValidationError(f"coordinates must be ints, got {pt}")
     if any(c < 0 for c in pt):

@@ -2,6 +2,8 @@
 depth-first search, the whole set as a fiber of the toric ideal."""
 from __future__ import annotations
 
+import functools
+
 from .core import Semigroup, ValidationError, _as_int, _as_point
 from .groebner import fiber, toric_ideal_generators
 
@@ -16,9 +18,11 @@ def _max_multiplicity(gen: tuple[int, ...], residual: tuple[int, ...]) -> int:
     return bound if bound is not None else 0
 
 
-def _plan(gens):
-    """The search order of the generators and, for each step, the coordinates
-    no later step touches.
+@functools.lru_cache(maxsize=256)
+def _plan(gens: tuple[tuple[int, ...], ...]):
+    """The generators in search order, for each step the coordinates no later
+    step touches, and the step of each generator, as tuples: cached per
+    generator tuple, since a gluing and a scan search one semigroup often.
 
     Generators with more nonzero coordinates go first, then those with the
     same support together, larger first, so that each coordinate is closed
@@ -29,7 +33,8 @@ def _plan(gens):
     closes = [[] for _ in order]
     for j, step in last.items():
         closes[step].append(j)
-    return order, closes
+    position = sorted(range(len(order)), key=order.__getitem__)
+    return tuple(gens[i] for i in order), tuple(map(tuple, closes)), tuple(position)
 
 
 def _search(gens, closes, idx, residual, prefix, out, cap):
@@ -62,10 +67,9 @@ def factor_tuples(gens, n, cap: int | None) -> list[tuple[int, ...]]:
     the generators' dimension."""
     if any(c and not any(g[j] for g in gens) for j, c in enumerate(n)):
         return []  # a coordinate no generator touches
-    order, closes = _plan(gens)
+    ordered, closes, position = _plan(gens)
     out: list[tuple[int, ...]] = []
-    _search([gens[i] for i in order], closes, 0, n, [], out, cap)
-    position = sorted(range(len(order)), key=order.__getitem__)
+    _search(ordered, closes, 0, n, [], out, cap)
     return [tuple(lam[s] for s in position) for lam in out]
 
 

@@ -4,17 +4,18 @@ rank at most 2 read off their p-Apery sets.
 ``fp_general`` checks p and the order, refuses p = 0 beyond q = 1, and
 for p >= 1 runs the finiteness gate on the rays of the cone.  A semigroup
 with one extremal ray (every numerical one, at every p >= 0) or with two
-(q = 2) then takes ``_apery_walk``, a pruned Dijkstra over the sums of the
-generators off the rays, with no Groebner basis.  The walk does not depend
-on the order: it is cached per (S, p), holding only the points of the top
-degree, and the order picks F_p among them last, so both orders share one
-walk.  ``f0_numerical(S)`` is ``fp_general(S, 0)``.  The rest (q >= 3,
-rank >= 2) takes ``_fp_groebner``: the toric engine's reduced basis, the
-per-generator bounds Lambda read off it, and one strategy for every p and
-both orders, a scan of the standard monomials grown from 0 inside
-prod [0, p*lambda_i) by descending degree, counting each fiber by reverse
-rewriting until one has at most p factorizations.  ``candidate_degrees``
-lists the degrees of the closed box, the paper's candidate set D.
+(q = 2) then takes ``_apery_walk``, a pruned walk over the sums of the
+generators off the rays, one size level at a time, with no Groebner basis.
+The walk does not depend on the order: it is cached per (S, p), holding
+only the points of the top degree, and the order picks F_p among them
+last, so both orders share one walk.  ``f0_numerical(S)`` is
+``fp_general(S, 0)``.  The rest (q >= 3, rank >= 2) takes
+``_fp_groebner``: the toric engine's reduced basis, the per-generator
+bounds Lambda read off it, and one strategy for every p and both orders,
+a scan of the standard monomials grown from 0 inside prod [0, p*lambda_i)
+by descending degree, counting each fiber by reverse rewriting until one
+has at most p factorizations.  ``candidate_degrees`` lists the degrees of
+the closed box, the paper's candidate set D.
 """
 from __future__ import annotations
 
@@ -101,11 +102,11 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     - rank 1 (at any q) or q = 2 takes ``_apery_walk``, with no Groebner
       basis: in the coordinates z of the ray generators, the factorizations
       of n are the sums L of the other generators with z(L) <= z(n) in n's
-      class mod D; a pruned Dijkstra keeps, per class, the L that have at
-      most p others at or below them, and returns the corners of the top
-      degree of the staircase {#Z <= p} that those L draw.  The walk is
-      order-free and cached per (S, p); ``order`` picks F_p among its
-      corners here, last, and none means an infinite F_0;
+      class mod D; a pruned walk by ascending z_1 + z_2 keeps, per class,
+      the L that have at most p others at or below them, and returns the
+      corners of the top degree of the staircase {#Z <= p} that those L
+      draw.  The walk is order-free and cached per (S, p); ``order`` picks
+      F_p among its corners here, last, and none means an infinite F_0;
     - the rest, q >= 3 of rank >= 2, takes ``_fp_groebner``: a scan of the
       standard monomials of the toric engine's reduced basis in the box
       prod [0, p*lambda_i), by descending degree, for the first whose fiber
@@ -255,11 +256,18 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
     Pruning: once p + 1 other sums of its class lie at or below L, every
     element at or above L or at or above a sum grown from L has at least
     p + 2 factorizations, so L and every sum grown from it are dropped.  The
-    sums are grown as monotone walks over the b, each multiset once, from a
-    heap by z_1 + z_2, so every sum strictly below L comes out before it.
-    So for n with #Z(n) <= p, #Z(n) is the number of kept L of n's class at
-    or below n: none of its factorizations was dropped.  An n with
-    #Z(n) > p has p + 1 kept below it, its own or those that dropped one.
+    sums are grown as monotone walks over the b, each multiset once, one
+    level of z_1 + z_2 at a time: a dict holds the pending sums of each
+    level, a heap of plain ints its sizes.  Every b has z_1 + z_2 >= 1, so
+    every sum strictly below L lies on an earlier level and is kept or
+    dropped before L is seen.  Two sums of one level are never strictly
+    below one another, and equal ones count each other.  Which of those
+    the walk keeps depends on their order in the level, and so does which
+    multisets are grown later, but not the set {#Z <= p} argued below, so
+    not the corners read from it.  So for n with #Z(n) <= p, #Z(n) is the
+    number of kept L of n's class at or below n: none of its factorizations
+    was dropped.  An n with #Z(n) > p has p + 1 kept below it, its own or
+    those that dropped one.
     F_(p+1) is finite, so only finitely many L are kept and the walk ends.
 
     Rank 1: the scaled z_1 have gcd 1, so every class mod m_1 is reached and
@@ -281,7 +289,10 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
     the corners outside S (no kept L at or below, so #Z = 0) are shown
     never to be largest: there the p + 1 smallest z_2 all equal y_i, so the
     kept L at x_(i+1) lie lower (else p + 1 kept L below it would have
-    dropped it), and corner i + 1 has the same y and a larger x.
+    dropped it), and corner i + 1 has the same y and a larger x.  The read
+    weighs z_i by g_i times the degree of e_i, computed once, keeps only the
+    corners of the largest degree so far, and skips a class with at most
+    p + 1 kept L, which has no corner.
     """
     (e1, *_), *plane = ray_generators(S)  # cached, shared with the gate
     if plane:
@@ -309,35 +320,50 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
         kept = collections.defaultdict(list) if plane else [None] * m1
     except MemoryError:
         raise UnsupportedError(f"the allocator refused the p-Apery tables of the ray generator {e1}") from None
-    steps = [(u + v, u, v) for u, v in zs]
+    # tails[j]: the steps (z_1 + z_2, z_1, z_2, index) of b_j and the b after
+    # it, those a sum whose last b is b_j may take; the root's j = 0 has an
+    # entry even when no b lies off the rays
+    steps = [(u + v, u, v, i) for i, (u, v) in enumerate(zs)]
+    tails = [steps[j:] for j in range(len(steps) + 1)]
     pop, push = heapq.heappop, heapq.heappush
-    heap = [(0, 0, 0, 0)]  # (z_1 + z_2, z_1, z_2, index of the last b)
-    while heap:
-        size, x, y, j = pop(heap)
-        c = x % m1 * m2 + y % m2
-        below = kept[c]
-        if below is None:
-            below = kept[c] = []
-        elif len(below) >= k:  # fewer kept cannot prune it
-            under = 0
-            for u, v in below:
-                if u <= x and v <= y:
-                    under += 1
-                    if under == k:
-                        break
-            if under == k:
-                continue
-        below.append((x, y))
-        for i in range(j, len(steps)):
-            s, u, v = steps[i]
-            push(heap, (size + s, x + u, y + v, i))
+    levels = {0: [(0, 0, 0)]}  # z_1 + z_2 -> its pending (z_1, z_2, index of the last b)
+    sizes = [0]  # the keys of levels, as a heap
+    while sizes:
+        size = pop(sizes)
+        for x, y, j in levels.pop(size):
+            c = x % m1 * m2 + y % m2
+            below = kept[c]
+            if below is None:
+                below = kept[c] = []
+            elif len(below) >= k:  # fewer kept cannot prune it
+                under = 0
+                for u, v in below:
+                    if u <= x and v <= y:
+                        under += 1
+                        if under == k:
+                            break
+                if under == k:
+                    continue
+            below.append((x, y))
+            for s, u, v, i in tails[j]:
+                t = size + s
+                level = levels.get(t)
+                if level is None:
+                    levels[t] = [(x + u, y + v, i)]
+                    push(sizes, t)
+                else:
+                    level.append((x + u, y + v, i))
     checked(size)  # the sums come out by ascending size: no z coordinate exceeds the last
     if not plane:  # F_0 from the first L of each class, F_p from the last
         top = max(pts[-1][0] for pts in kept if not p or pts[-1] > pts[0])
         return (tuple(checked(g1 * (top - m1) * c // D) for c in e1),)
-    # each maximal point of a class, as D times its degree and (g_1 z_1, g_2 z_2)
-    corners = []
+    # the maximal points of each class, as (z_1, z_2) with z_i scaled back by
+    # g_i, kept only while their degree, D times w.z, is the largest so far
+    w1, w2 = g1 * sum(e1), g2 * sum(e2)
+    top, corners = 0, []
     for pts in kept.values():
+        if len(pts) <= k:  # a corner needs p + 1 kept below it and one past it
+            continue
         pts.sort()
         smallest: list[int] = []  # the k smallest z_2 so far, negated
         for (x, y), (x_next, _) in zip(pts, pts[1:]):
@@ -345,12 +371,14 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
             if len(smallest) > k:
                 pop(smallest)
             if x_next > x and len(smallest) == k:
-                a, b = g1 * (x_next - m1), g2 * (-smallest[0] - m2)
-                corners.append((a * sum(e1) + b * sum(e2), a, b))
-    top = max(corners)[0]
+                a, b = x_next - m1, -smallest[0] - m2
+                degree = a * w1 + b * w2
+                if degree > top or not corners:
+                    top, corners = degree, [(g1 * a, g2 * b)]
+                elif degree == top:
+                    corners.append((g1 * a, g2 * b))
     return tuple(
-        (checked((a * e1[0] + b * e2[0]) // D), checked((a * e1[1] + b * e2[1]) // D))
-        for degree, a, b in corners if degree == top
+        (checked((a * e1[0] + b * e2[0]) // D), checked((a * e1[1] + b * e2[1]) // D)) for a, b in corners
     )
 
 

@@ -211,6 +211,22 @@ def test_planar_rays_match_fourier_motzkin():
     assert min(rays["off-axis", 2, True], rays["scattered", 2, True]) >= 300, rays
 
 
+@pytest.mark.parametrize("gens, rays", [
+    # both extreme directions listed last, after interior ones
+    (((1, 1), (2, 3), (3, 2), (4, 1), (0, 7), (8, 2), (0, 5)), (((0, 5), (0, 7)), ((4, 1), (8, 2)))),
+    (((2, 2), (1, 2), (3, 1), (2, 5), (5, 1)), (((2, 5),), ((5, 1),))),
+    # one direction, listed by descending degree
+    (((6, 9), (4, 6)), (((4, 6), (6, 9)),)),
+    (((9, 0), (7, 0), (5, 0)), (((5, 0), (7, 0), (9, 0)),)),
+])
+def test_planar_rays_in_any_listing(gens, rays):
+    # the one-pass pick does not depend on where the extreme directions are
+    # listed, and sorts each ray by degree
+    for listing in (gens, gens[::-1]):
+        S = pf.Semigroup(2, listing)
+        assert pf.cone.ray_generators.__wrapped__(S) == rays == rays_by_fourier_motzkin(S), listing
+
+
 def test_cone_route_by_rank(monkeypatch):
     # q <= 2 decides every direction by the sign test alone; q = 3 needs
     # Fourier-Motzkin

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import time
@@ -773,6 +774,79 @@ def test_fp_planar_huge_p_refused(example_S):
     assert _apery_walk.cache_info().currsize == 0  # a refused walk caches nothing
 
 
+def reference_walk(S: pf.Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
+    """``_apery_walk`` as a Dijkstra over one heap of (z_1 + z_2, z_1, z_2,
+    index of the last b) tuples, every corner built before the top degree is
+    kept: the reference for its level queue and its corner read.  The two
+    may keep different sums of one level, where equal sums tie, but must
+    return the same points."""
+    (e1, *_), *plane = pf.cone.ray_generators(S)
+    if plane:
+        ((e2, *_),) = plane
+        if e1[0] * e2[1] < e1[1] * e2[0]:
+            e1, e2 = e2, e1
+        D = e1[0] * e2[1] - e1[1] * e2[0]
+        zs = [(e2[1] * x - e2[0] * y, e1[0] * y - e1[1] * x) for x, y in S.generators if (x, y) not in (e1, e2)]
+    else:
+        D = max(e1)
+        i = e1.index(D)
+        zs = [(b[i], 0) for b in S.generators if b != e1]
+    g1, g2 = gcd(D, *(u for u, _ in zs)), gcd(D, *(v for _, v in zs))
+    if p == 0 and g1 > 1:
+        return ()
+    m1, m2 = D // g1, D // g2
+    zs = [(u // g1, v // g2) for u, v in zs]
+    k = p + 1
+    kept: dict[int, list[tuple[int, int]]] = {}
+    heap = [(0, 0, 0, 0)]
+    while heap:
+        size, x, y, j = heapq.heappop(heap)
+        below = kept.setdefault(x % m1 * m2 + y % m2, [])
+        if sum(u <= x and v <= y for u, v in below) >= k:
+            continue
+        below.append((x, y))
+        for i in range(j, len(zs)):
+            u, v = zs[i]
+            heapq.heappush(heap, (size + u + v, x + u, y + v, i))
+    if not plane:
+        top = max(pts[-1][0] for pts in kept.values() if not p or pts[-1] > pts[0])
+        return (tuple(g1 * (top - m1) * c // D for c in e1),)
+    corners = []
+    for pts in kept.values():
+        pts.sort()
+        smallest: list[int] = []
+        for (x, y), (x_next, _) in zip(pts, pts[1:]):
+            heapq.heappush(smallest, -y)
+            if len(smallest) > k:
+                heapq.heappop(smallest)
+            if x_next > x and len(smallest) == k:
+                a, b = g1 * (x_next - m1), g2 * (-smallest[0] - m2)
+                corners.append((a * sum(e1) + b * sum(e2), a, b))
+    top = max(corners)[0]
+    return tuple(((a * e1[0] + b * e2[0]) // D, (a * e1[1] + b * e2[1]) // D) for degree, a, b in corners if degree == top)
+
+
+def check_walk(S: pf.Semigroup, p: int) -> None:
+    """The p-Apery walk returns the points of ``reference_walk``."""
+    assert set(_apery_walk(S, p)) == set(reference_walk(S, p)), (S, p)
+
+
+@pytest.mark.parametrize("gens, ps", [((1,), (0,)), ((5,), (0,)), ((2, 3), (0, 1, 2, 3)), ((4, 6, 9), (1, 2))])
+def test_walk_matches_reference_numerical(gens, ps):
+    # <1> and <5> have no generator off the ray (<5> stops at its gcd)
+    for p in ps:
+        check_walk(pf.numerical(*gens), p)
+
+
+def test_walk_matches_reference_planar(example_S):
+    for p in (1, 2, 3):
+        check_walk(example_S, p)
+    for gens in BOX_SCAN + (NAMED_H6, ((4, 6), (6, 9)), ((2, 4), (3, 6), (4, 2), (6, 3), (1, 1))):
+        S = pf.Semigroup(len(gens[0]), gens)
+        for p in (1, 2):
+            check_walk(S, p)
+
+
 def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Counter:
     """The p-Apery walk against the reference ``_fp_groebner``, the scan of
     the toric basis's standard monomials, on three kinds of seeded draw:
@@ -788,8 +862,10 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
     - draws // 6 rank-1 semigroups at q = 2 and q = 3, numerical ones along
       a random primitive direction, at p = 1..3 under both orders.
     Where F_p is infinite, h = 1 on the ray, ``fp_general`` must say so and
-    the gate must fail.  On every q = 2 draw, ``cone.ray_generators`` must
-    equal its Fourier-Motzkin reference (counted as "rays").  Returns how
+    the gate must fail.  Wherever F_p is finite the walk's points must be
+    ``reference_walk``'s (counted as "walks").  On every q = 2 draw,
+    ``cone.ray_generators`` must equal its Fourier-Motzkin reference
+    (counted as "rays").  Returns how
     many draws of each kind were checked."""
     rng = random.Random(seed)
     seen = Counter()
@@ -797,6 +873,10 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
     def check_rays(S):
         assert pf.cone.ray_generators(S) == rays_by_fourier_motzkin(S), S
         seen["rays"] += 1
+
+    def walk(S, p):
+        check_walk(S, p)
+        seen["walks"] += 1
 
     while seen["draws"] < draws:
         kind = seen["draws"] % 3
@@ -810,6 +890,7 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
         check_rays(S)
         seen["off-axis"] += any(all(ray[0]) for ray in pf.cone.ray_generators(S))
         for p in (1, 2, 3):
+            walk(S, p)
             for order in (GRLEX, GREVLEX):
                 got = apery(S, p, order)
                 assert got == _fp_groebner(S, p, order), (S, p, order)
@@ -822,6 +903,8 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
         if S.q == 2:
             check_rays(S)
         for p in (1, 2, 3):
+            if S.h > 1:
+                walk(S, p)
             for order in orders:
                 if S.h == 1:
                     assert pf.fp_general(S, p, order) == pf.INFINITE and not pf.is_fp_finite(S), S
@@ -833,6 +916,7 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
         values = sorted(g for (g,) in S.generators)
         rank_one(S, (GRLEX,), "h = 1" if S.h == 1 else "gcd > 1" if gcd(*values) > 1
                  else "shared" if gcd(*values[:2]) > 1 else "coprime")
+        walk(S, 0)
         f0 = apery(S, 0)
         if gcd(*values) > 1:
             assert f0 == pf.INFINITE, S
@@ -857,6 +941,7 @@ def test_fp_planar_matches_groebner():
     seen = apery_differential(30)
     assert seen["off-axis"] >= 3 and seen["oracle"] >= 6, seen
     assert seen["rays"] == seen["draws"] + seen["rank 1, q = 2"], seen
+    assert seen["walks"] >= 3 * seen["draws"] + seen["draws"] // 3, seen
     kinds = ("h = 1", "gcd > 1", "shared", "coprime", "rank 1, q = 2", "rank 1, q = 3")
     assert min(seen[kind] for kind in kinds) >= 1, seen
 

@@ -2,19 +2,20 @@
 rank at most 2 read off their p-Apery sets.
 
 ``fp_general`` checks p and the order, refuses p = 0 beyond q = 1, and
-for p >= 1 runs the finiteness gate on the rays of the cone.  A semigroup
-with one extremal ray (every numerical one, at every p >= 0) or with two
-(q = 2) then takes ``_apery_walk``, a pruned walk over the sums of the
-generators off the rays, one size level at a time, with no Groebner basis.
-The walk does not depend on the order: it is cached per (S, p), holding
-only the points of the top degree, and the order picks F_p among them
-last, so both orders share one walk.  ``f0_numerical(S)`` is
-``fp_general(S, 0)``.  The rest (q >= 3, rank >= 2) takes
-``_fp_groebner``: the toric engine's reduced basis, the per-generator
-bounds Lambda read off it, and one strategy for every p and both orders,
-a scan of the standard monomials grown from 0 inside prod [0, p*lambda_i)
-by descending degree, counting each fiber by reverse rewriting until one
-has at most p factorizations.  ``candidate_degrees`` lists the degrees of
+for p >= 1 runs the finiteness gate on the rays of the cone.  Then one of
+two routes lists the candidates for F_p, the elements of the top degree
+with at most p factorizations, and the order picks F_p among them last.
+Neither route depends on the order, so each is cached per (S, p), and
+both orders share one run.  A semigroup with one extremal ray (every
+numerical one, at every p >= 0) or with two (q = 2) takes
+``_apery_walk``, a pruned walk over the sums of the generators off the
+rays, one size level at a time, with no Groebner basis.
+``f0_numerical(S)`` is ``fp_general(S, 0)``.  The rest (q >= 3, rank >= 2)
+takes ``_fp_groebner``: the toric engine's reduced basis, the
+per-generator bounds Lambda read off it, and a scan of the standard
+monomials grown from 0 inside prod [0, p*lambda_i) by descending degree,
+counting each fiber by reverse rewriting down to the first degree with one
+of at most p factorizations.  ``candidate_degrees`` lists the degrees of
 the closed box, the paper's candidate set D.
 """
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .groebner import (
     buchberger_reduced,
     fiber,
     fiber_size,
-    first_small_fiber,
     in_ideal,
+    top_small_fibers,
     toric_ideal_generators,
 )
 
@@ -84,38 +85,23 @@ def candidate_degrees(S: Semigroup, lam: tuple[int, ...], p: int) -> set[tuple[i
     return {s_degree(S, gamma) for gamma in itertools.product(*(range(t + 1) for t in top))}
 
 
-def _degree_ranks(S: Semigroup, order: OrderSpec) -> list[int]:
-    """An int K_i per generator a_i such that sum(g_i * K_i) orders exponent
-    vectors g as ``order.key(s_degree(S, g))`` does: the entries of
-    ``order.key(a_i)`` as signed 64-bit digits.  The key is linear in the point,
-    so the digits of the sum are those of the S-degree's key, the degree on top
-    and signed coordinates below 2^63 in absolute value: however they borrow
-    from each other the int order is the key's lexicographic order."""
-    return [sum(c << 64 * (S.q - j) for j, c in enumerate((deg, *tie))) for deg, tie in map(order.key, S.generators)]
-
-
-@functools.lru_cache(maxsize=256, typed=True)
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
     """F_p(S) for any p >= 1, and for p = 0 when q = 1 (UnsupportedError else).
 
-    Two routes, after the gate on the rays for p >= 1:
+    Two routes, after the gate on the rays for p >= 1, each cached per
+    (S, p) and returning the candidates of the top degree:
     - rank 1 (at any q) or q = 2 takes ``_apery_walk``, with no Groebner
       basis: in the coordinates z of the ray generators, the factorizations
       of n are the sums L of the other generators with z(L) <= z(n) in n's
       class mod D; a pruned walk by ascending z_1 + z_2 keeps, per class,
       the L that have at most p others at or below them, and returns the
       corners of the top degree of the staircase {#Z <= p} that those L
-      draw.  The walk is order-free and cached per (S, p); ``order`` picks
-      F_p among its corners here, last, and none means an infinite F_0;
+      draw, none for an infinite F_0;
     - the rest, q >= 3 of rank >= 2, takes ``_fp_groebner``: a scan of the
       standard monomials of the toric engine's reduced basis in the box
-      prod [0, p*lambda_i), by descending degree, for the first whose fiber
-      holds at most p monomials.
-
-    Cached: the result is deterministic in (S, p, order), and a gluing asks
-    for the same F_p(S) twice, once for the bound and once for the verdict.
-    The cache is typed, so p = True misses p = 1 and reaches the check on p;
-    the walk's own cache is reached only past that check.
+      prod [0, p*lambda_i), by descending degree, for the top degree whose
+      fibers hold at most p monomials.
+    The order is graded, so F_p is its largest candidate, picked here, last.
     """
     _as_int(p, "p", 0)
     _as_order(order)
@@ -123,29 +109,33 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
         raise UnsupportedError(_F0_SCOPE)
     if p and not is_fp_finite(S):
         return INFINITE
-    if S.q == 2 or len(ray_generators(S)) == 1:  # the rays are cached, shared with the gate
-        points = _apery_walk(S, p)
-        return FrobeniusResult.finite(max(points, key=order.key)) if points else INFINITE
-    return _fp_groebner(S, p, order)
+    route = _apery_walk if S.q == 2 or len(ray_generators(S)) == 1 else _fp_groebner  # the rays are cached
+    points = route(S, p)
+    return FrobeniusResult.finite(max(points, key=order.key)) if points else INFINITE
 
 
-def _fp_groebner(S: Semigroup, p: int, order: OrderSpec) -> FrobeniusResult:
-    """F_p(S) for a finite F_p and p >= 1 from the toric engine's reduced basis G.
+@functools.lru_cache(maxsize=256)
+def _fp_groebner(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
+    """The candidates for F_p of S, finite with p >= 1, from the toric
+    engine's reduced basis G: the S-degrees of the top total degree that
+    have at most p factorizations.  No step depends on the graded order, so
+    ``fp_general`` picks F_p among them, and this is cached per (S, p).
 
     This grows the standard monomials of G in the box prod [0, p*lambda_i),
-    sorts them once by descending S-degree under ``order`` and counts their
-    fibers in that order (``first_small_fiber``); the degree of the first
-    whose fiber holds at most p monomials is F_p(S).  Each monomial is one
-    packed int with its rank, ``_degree_ranks`` summed over its exponents,
-    above its exponent fields.  The term order of G only picks the standard
+    sorts them once by descending total degree of their S-degrees, and
+    counts their fibers level by level (``top_small_fibers``), down to the
+    first level with one of at most p monomials.  Each monomial is one
+    packed int with its degree, sum(a_i) summed over its exponents, above
+    its exponent fields.  The term order of G only picks the standard
     monomial of each fiber, and nothing below depends on which:
     - the box holds every factorization of each n with #Z(n) <= p: were
       gamma_i >= p*lambda_i, the basis element x_i^lambda_i - x^beta has beta
       free of x_i (the monomials of a reduced toric basis element are
       coprime), so gamma - j*lambda_i*e_i + j*beta, j = 0..p, would be p + 1
       distinct factorizations;
-    - a fiber holds one standard monomial, so their degrees are distinct and
-      the first hit is the maximum (0 always qualifies);
+    - a fiber holds one standard monomial, so their S-degrees are distinct,
+      and the hits of the first level are all the elements of the top degree
+      with #Z <= p (0 always qualifies);
     - at p = 1 a fiber is a single point exactly when no trail divides its
       standard monomial: the staircase of the basis monomials;
     - the growth finds them all, each once: a divisor of a standard monomial
@@ -155,9 +145,9 @@ def _fp_groebner(S: Semigroup, p: int, order: OrderSpec) -> FrobeniusResult:
     """
     G = toric_ideal_generators(S)
     top = tuple(p * b for b in lambda_bounds(S, G))
-    s_degree(S, [t - 1 for t in top])  # the rank's digits are the S-degree coordinates of the box
-    best = first_small_fiber(G, top, _degree_ranks(S, order), p + 1)
-    return FrobeniusResult.finite(s_degree(S, best))
+    s_degree(S, [t - 1 for t in top])  # the box corner bounds the S-degree of every point the scan builds
+    hits = top_small_fibers(G, top, [sum(a) for a in S.generators], p + 1)
+    return tuple(s_degree(S, g) for g in hits)
 
 
 def _components(Z) -> list[frozenset[tuple[int, ...]]]:
@@ -384,5 +374,5 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
 
 def f0_numerical(S: Semigroup) -> FrobeniusResult:
     """Frobenius number of a numerical semigroup (q = 1): ``fp_general(S, 0)``,
-    from the Apery set of the smallest generator, in the same cache."""
+    from the Apery set of the smallest generator, in the walk's cache."""
     return fp_general(S, 0)

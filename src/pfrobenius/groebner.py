@@ -25,7 +25,7 @@ read the guard bits of one subtraction.  A guard bit that an
 input, an S-pair or a rewrite sets raises OverflowGuardError.  Past the
 basis, normal forms, fiber counts and the growth of the standard monomials
 run on the same fields with no degree above them, or, in
-``first_small_fiber``, with a linear rank there instead; only the public
+``top_small_fibers``, with a weighted degree there again; only the public
 functions' inputs and outputs are tuples.  Each basis is checked and packed
 for these reads once, with its rewrites and reverse rewrites (``_layout``):
 a lead or trail without the basis's number of variables is refused.
@@ -576,28 +576,32 @@ def fiber(m: tuple[int, ...], G: tuple[Binomial, ...]) -> frozenset[tuple[int, .
     return frozenset(map(key.unpack, seen))
 
 
-def first_small_fiber(G: tuple[Binomial, ...], top: tuple[int, ...], ranks: list[int], cap: int) -> tuple[int, ...]:
-    """The standard monomial g of prod [0, top_i) whose fiber holds fewer than
-    cap monomials and that comes first by descending sum(g_i * ranks_i), G a
-    reduced basis of the semigroup ideal; ties go to the larger g under lex.
+def top_small_fibers(G: tuple[Binomial, ...], top: tuple[int, ...], weights: list[int], cap: int) -> tuple[tuple[int, ...], ...]:
+    """The standard monomials g of prod [0, top_i) whose fibers hold fewer
+    than cap monomials and whose weighted degree sum(g_i * weights_i) is the
+    largest among such g, G a reduced basis of the semigroup ideal.
 
-    Each grown monomial is one int, its rank above its exponent fields, so a
-    child's is its parent's plus one precomputed unit, and one descending
-    sort of the ints orders the scan.  A standard monomial is its own normal
+    Each grown monomial is one int, its weighted degree above its exponent
+    fields, so a child's is its parent's plus one precomputed unit, and one
+    descending sort of the ints orders the scan by degree level; it stops
+    after the first level with a hit.  A standard monomial is its own normal
     form, so its fiber is counted from it directly.  cap must be an int
-    >= 2, ranks h ints and the box not empty, so that the monomial 1, alone
-    in its fiber, qualifies."""
+    >= 2, weights h ints and the box not empty, so that the monomial 1,
+    alone in its fiber, qualifies."""
     _as_int(cap, "cap", 2)
     top = _as_point(top, len(G[0].lead) if G else None)
     key, leads, _, ups = _layout(G, len(top))
-    if len(ranks) != len(top) or not all(type(r) is int for r in ranks):
-        raise ValidationError(f"ranks must be {len(top)} ints, got {ranks!r}")
+    if len(weights) != len(top) or not all(type(w) is int for w in weights):
+        raise ValidationError(f"weights must be {len(top)} ints, got {weights!r}")
     if not all(top):
         raise ValidationError(f"the box below {top} is empty")
-    grown = _grow(leads, top, key, [(r << key.top) + (1 << s) for r, s in zip(ranks, key.shifts)])
+    grown = _grow(leads, top, key, [(w << key.top) + (1 << s) for w, s in zip(weights, key.shifts)])
     grown.sort(reverse=True)
     fields = (1 << key.top) - 1
-    return key.unpack(next(m for m in grown if len(_fiber(m & fields, ups, key.guard, cap)) < cap))
+    for _, level in itertools.groupby(grown, lambda m: m >> key.top):
+        hits = [key.unpack(m & fields) for m in level if len(_fiber(m & fields, ups, key.guard, cap)) < cap]
+        if hits:
+            return tuple(hits)
 
 
 def in_ideal(b: Binomial, G: tuple[Binomial, ...]) -> bool:

@@ -47,7 +47,6 @@ def test_criterion_1_reference_example_f1(S):
     # is checked verbatim — it does match).
     pf.reduced_basis.cache_clear()
     pf.toric_ideal_generators.cache_clear()
-    pf.fp_general.cache_clear()
     _apery_walk.cache_clear()
     t0 = time.perf_counter()
     G = pf.reduced_basis(S, GRLEX)

@@ -12,7 +12,7 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.core import _F0_SCOPE
-from pfrobenius.frobenius import _apery_walk, _degree_ranks, _fp_groebner
+from pfrobenius.frobenius import _apery_walk, _fp_groebner
 from pfrobenius.groebner import Binomial
 from pfrobenius.oracle import _direct_lambda
 from conftest import (
@@ -40,6 +40,12 @@ def apery(S: pf.Semigroup, p: int, order: pf.OrderSpec = GRLEX) -> pf.FrobeniusR
     its points, as ``fp_general`` runs them past its gate."""
     points = _apery_walk(S, p)
     return pf.FrobeniusResult.finite(max(points, key=order.key)) if points else pf.INFINITE
+
+
+def scan(S: pf.Semigroup, p: int, order: pf.OrderSpec = GRLEX) -> pf.FrobeniusResult:
+    """The reference ``_fp_groebner``, the scan of the toric basis's standard
+    monomials, on S with F_p finite, and the pick of ``order`` among its points."""
+    return pf.FrobeniusResult.finite(max(_fp_groebner(S, p), key=order.key))
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +136,7 @@ def test_candidate_degrees_overflow_guard():
 def test_fp_general_box_corner_overflow_guard(example_S):
     # every lambda_i is >= 2, so the corner p * lambda leaves the 64-bit
     # range at p = 2^62 and must be refused before the box is grown
-    pf.fp_general.cache_clear()
+    _apery_walk.cache_clear()
     with pytest.raises(pf.OverflowGuardError):
         pf.fp_general(example_S, 2**62)
 
@@ -248,7 +254,7 @@ def test_one_basis_for_both_orders(monkeypatch):
     S = pf.Semigroup(3, Q3)
     pf.toric_ideal_generators.cache_clear()
     pf.reduced_basis.cache_clear()
-    pf.fp_general.cache_clear()
+    _fp_groebner.cache_clear()
     for order in (GRLEX, GREVLEX):
         assert pf.fp_general(S, 1, order) == pf.oracle_fp(S, 1, order).result
     assert calls == {"_buchberger": 1, "reduced_basis": 0}
@@ -616,16 +622,16 @@ def test_f0_numerical_shared_factor_random():
 
 def test_f0_numerical_is_fp_general_at_p0():
     # one route and one cache: on seeded draws that hold a shared gcd and
-    # <1>, f0_numerical then fp_general cost one miss and one hit
+    # <1>, f0_numerical then fp_general cost one walk-cache miss and one hit
     rng = random.Random(35)
     draws = [pf.numerical(1)] + [random_semigroup(rng, 1, coord_max=12) for _ in range(60)]
     shapes = Counter("N" if S.generators == ((1,),) else "gcd > 1" if gcd(*(g for (g,) in S.generators)) > 1
                      else "gcd 1" for S in draws)
     assert min(shapes.values()) >= 5, shapes
     for S in draws:
-        pf.fp_general.cache_clear()
+        _apery_walk.cache_clear()
         assert pf.f0_numerical(S) == pf.fp_general(S, 0), S
-        info = pf.fp_general.cache_info()
+        info = _apery_walk.cache_info()
         assert (info.misses, info.hits) == (1, 1), (S, info)
 
 
@@ -708,7 +714,8 @@ def test_apery_route_needs_no_basis(monkeypatch):
     for name in ("is_fp_finite", "toric_ideal_generators"):
         fn = getattr(pf.frobenius, name)
         monkeypatch.setattr(pf.frobenius, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
-    pf.fp_general.cache_clear()
+    _apery_walk.cache_clear()
+    _fp_groebner.cache_clear()
     S = pf.numerical(6, 7, 8)
     for p, expected in ((0, 17), (1, 25), (2, 33)):
         for order in (GRLEX, GREVLEX):
@@ -733,13 +740,12 @@ def test_orders_share_one_walk():
     semigroups = [pf.Semigroup(2, gens) for gens in BOX_SCAN]
     semigroups += [pf.Semigroup(2, ((4, 6), (6, 9))), pf.numerical(6, 7, 8)]
     known = {(semigroups[3], 1): (14, 21), (semigroups[4], 1): (25,), (semigroups[4], 2): (33,)}
-    pf.fp_general.cache_clear()
     _apery_walk.cache_clear()
     for S in semigroups:
         for p in (1, 2, 3):
             for order in (GRLEX, GREVLEX):
                 got = pf.fp_general(S, p, order)
-                assert got == _fp_groebner(S, p, order), (S, p, order)
+                assert got == scan(S, p, order), (S, p, order)
                 assert got.point == known.get((S, p), got.point), (S, p)
     assert _apery_walk.cache_info().misses == len(semigroups) * 3
     for S in semigroups:
@@ -764,7 +770,6 @@ def test_fp_planar_huge_p_refused(example_S):
     # the p-Apery walk would keep p + 1 sums per class, so its guard must
     # refuse p = 2^62 up front, before the first step; also on rays
     # (1, 2) and (2, 1) off the axes
-    pf.fp_general.cache_clear()
     _apery_walk.cache_clear()
     for S in (example_S, pf.Semigroup(2, ((2, 4), (3, 6), (4, 2), (6, 3), (1, 1)))):
         t0 = time.perf_counter()
@@ -893,7 +898,7 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
             walk(S, p)
             for order in (GRLEX, GREVLEX):
                 got = apery(S, p, order)
-                assert got == _fp_groebner(S, p, order), (S, p, order)
+                assert got == scan(S, p, order), (S, p, order)
                 if seen["draws"] % oracle_every == 0 and p < 3:
                     assert got == pf.oracle_fp(S, p, order).result, (S, p, order)
                     seen["oracle"] += 1
@@ -909,7 +914,7 @@ def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Cou
                 if S.h == 1:
                     assert pf.fp_general(S, p, order) == pf.INFINITE and not pf.is_fp_finite(S), S
                 else:
-                    assert apery(S, p, order) == _fp_groebner(S, p, order), (S, p, order)
+                    assert apery(S, p, order) == scan(S, p, order), (S, p, order)
 
     for i in range(draws // 3):
         S = random_semigroup(rng, 1, coord_max=30)
@@ -951,7 +956,6 @@ def test_fp_numerical_large_p(gens, expected):
     # F_10 of large numerical semigroups: the scan of the box prod [0, p*lambda_i)
     # took 4.0 s and 5.6 s on them
     S = pf.numerical(*gens)
-    pf.fp_general.cache_clear()
     _apery_walk.cache_clear()
     t0 = time.perf_counter()
     assert pf.fp_general(S, 10) == pf.FrobeniusResult.finite((expected,))
@@ -967,14 +971,14 @@ def test_fp_general_bool_p_misses_cache():
 
 
 def test_fp_general_cache_keys_on_fields():
-    # an equal semigroup built anew, by keyword, hits the cache; the cache
-    # stays typed, so p = True is still refused
+    # an equal semigroup built anew, by keyword, hits the walk's cache; p is
+    # checked before any cache is reached, so p = True is still refused
     S = pf.numerical(3, 5)
     assert pf.fp_general(S, 1) == pf.FrobeniusResult.finite((22,))
-    hits = pf.fp_general.cache_info().hits
+    hits = _apery_walk.cache_info().hits
     T = pf.Semigroup(q=1, generators=((3,), (5,)))
     assert pf.fp_general(T, 1) == pf.FrobeniusResult.finite((22,))
-    assert pf.fp_general.cache_info().hits == hits + 1
+    assert _apery_walk.cache_info().hits == hits + 1
     with pytest.raises(pf.ValidationError):
         pf.fp_general(T, True)
 
@@ -1102,33 +1106,6 @@ def test_fp_general_matches_tuple_scan_named(gens, p):
         assert pf.fp_general(S, p, order) == tuple_scan_reference(S, p, order), order
 
 
-def test_degree_ranks_order_as_tuple_keys():
-    # sum(g_i * K_i) orders g as order.key(s_degree(S, g)), also with
-    # S-degree coordinates near 2^62, where the signed digits borrow from
-    # each other, and with ties in the total degree
-    rng = random.Random(41)
-    cmp = lambda a, b: (a > b) - (a < b)
-    for trial in range(300):
-        q = trial % 3 + 1
-        units = [tuple(int(i == j) for j in range(q)) for i in range(q)]
-        extra = {tuple(rng.choice([rng.randint(0, 9), 2**60 + rng.randint(0, 9)]) for _ in range(q)) for _ in range(2)}
-        S = pf.Semigroup(q, tuple(units) + tuple(e for e in extra - set(units) if any(e)))
-        near = lambda: rng.choice([rng.randint(0, 9), 2**62 + rng.randint(-9, 9)])
-        g = [near() for _ in range(q)] + [rng.randint(0, 1) for _ in range(S.h - q)]
-        i, j = rng.randrange(q), rng.randrange(q)
-        moved = list(g)
-        moved[i] += 1
-        moved[j] -= 1
-        swapped = rng.sample(g[:q], q) + g[q:]  # the same total degree
-        others = [[near() for _ in range(q)] + g[q:], swapped, moved if moved[j] >= 0 else swapped]
-        for order in (GRLEX, GREVLEX):
-            ranks = _degree_ranks(S, order)
-            key = lambda g: order.key(pf.s_degree(S, g))
-            rank = lambda g: sum(c * r for c, r in zip(g, ranks))
-            for u in others:
-                assert cmp(rank(u), rank(g)) == cmp(key(u), key(g)), (S, order, u, g)
-
-
 def test_fp_general_q3_p1():
     # the q = 3 semigroup with an interior generator, which no bench workload
     # has; p = 2 ((21, 45, 93), several seconds in the oracle) runs in CI
@@ -1137,3 +1114,18 @@ def test_fp_general_q3_p1():
     assert pf.oracle_fp(S, 1, GRLEX).result == expected
     for order in (GRLEX, GREVLEX):
         assert pf.fp_general(S, 1, order) == expected
+
+
+def test_orders_share_one_scan():
+    # the scan does not depend on the order: grlex then grevlex on one (S, p)
+    # run it once, and each pick is the tuple scan's answer; the four-ray
+    # semigroup's cone is not simplicial
+    four_rays = ((0, 0, 2), (0, 0, 3), (4, 0, 2), (6, 0, 3), (0, 4, 2), (0, 6, 3), (4, 4, 2), (6, 6, 3), (1, 1, 1))
+    cases = [(pf.Semigroup(3, Q3), 1, (21, 45, 58)), (pf.Semigroup(3, Q3), 2, (21, 45, 93)),
+             (pf.Semigroup(3, four_rays), 2, (43, 29, 23))]
+    _fp_groebner.cache_clear()
+    for S, p, expected in cases:
+        for order in (GRLEX, GREVLEX):
+            got = pf.fp_general(S, p, order)
+            assert got == tuple_scan_reference(S, p, order) == pf.FrobeniusResult.finite(expected), (S, p, order)
+    assert _fp_groebner.cache_info().misses == 3

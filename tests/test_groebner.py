@@ -600,12 +600,12 @@ def test_past_basis_overflow_guard():
 def test_engine_boundary():
     # every vector entering the engine is checked as a point with the basis's
     # number of variables, and a cap as an int >= 1 (>= 2 for the scan, with
-    # h int ranks and a box that is not empty): a wrong length was padded or
+    # h int weights and a box that is not empty): a wrong length was padded or
     # cut, a bool read as 1, a float or a negative entry raised a raw error,
     # a float cap was truncated, and the scan leaked a bare StopIteration or
     # IndexError
     G = pf.toric_ideal_generators(pf.numerical(3, 5))
-    scan = pf.groebner.first_small_fiber
+    scan = pf.groebner.top_small_fibers
     for call in (
         lambda: pf.normal_form((1, 2, 3), G),
         lambda: pf.groebner.fiber_size((1,), G, 5),
@@ -623,6 +623,7 @@ def test_engine_boundary():
         lambda: scan(G, (3, 0), [3, 5], 2),
         lambda: scan(G, (3, 5), [3], 2),
         lambda: scan(G, (3, 5), [3, 5.0], 2),
+        lambda: scan(G, (3, 5), [3, True], 2),
         lambda: scan(G, (1,), [3, 5], 2),
     ):
         with pytest.raises(pf.ValidationError):
@@ -647,8 +648,8 @@ def test_engine_boundary():
         pf.normal_form((2**63, 0), G)
     assert pf.normal_form((5, 0), G) == (0, 3)
     assert pf.groebner.fiber_size((5, 0), G, 5) == 2
-    assert scan(G, (3, 5), [3, 5], 2) == (2, 2)
-    assert scan(G, (3, 5), [3, 5], 3) == (2, 4)
+    assert scan(G, (3, 5), [3, 5], 2) == ((2, 2),)
+    assert scan(G, (3, 5), [3, 5], 3) == ((2, 4),)
 
 
 def test_buchberger_idempotent_cases():

@@ -1,16 +1,17 @@
 """Brute-force reference implementations, deliberately independent of the
 Groebner engine: factorizations are counted by a coin-counting dynamic
-program over a flat grid of points (no depth-first search, no normal forms,
-no bases), the multiplier bounds are read off one line per axis and one
-grid shared by the other generators, and F_p off one grid over the tight box.
-In any disagreement with the optimized algorithms, these routines are
-trusted.
+program (no depth-first search, no normal forms, no bases).  The generators
+on one axis are counted on one line, a Python int of fixed-width fields, and
+every other generator over a flat grid of points.  The multiplier bounds are
+read off one line per axis and one grid shared by the other generators, and
+F_p off one grid over the tight box, from its top degree down.  In any
+disagreement with the optimized algorithms, these routines are trusted.
 """
 from __future__ import annotations
 
+import sys
 import time
 from functools import lru_cache
-from itertools import accumulate
 from math import gcd, isnan, prod
 from operator import add, mul
 
@@ -51,13 +52,54 @@ class _Budget:
         return 0
 
 
+def _count_line(steps, top: int, budget=_Budget(None)) -> list:
+    """Exact #Z_n for n = 0..top over the positive steps (a multiset), as a list.
+
+    The line is one int of k-byte fields, field n at bit 8k*n.  Each step c
+    multiplies it by 1/(1 - x^c) = (1 + x^c)(1 + x^2c)(1 + x^4c)..., one
+    shift and add per factor while the shift stays on the line, and each
+    product is masked back to the line.  No field carries: after the factors
+    up to x^(2^i*c), field n counts the factorizations of n over the steps
+    so far that use c fewer than 2^(i+1) times, so at most #Z_n.  Given the
+    multiplicities of all steps but one, n fixes the last, so #Z_n is at most
+    the product of the ranges top // c + 1 of all steps but the one with the
+    largest range, and k is the smallest power of two whose fields hold it.
+    Shifts only move counts up the line, so the fields the mask drops past
+    top feed nothing below.  The line is decoded by one memoryview cast, or
+    field by field past 8 bytes.  A line the allocator refuses, by memory or
+    by size, is the budget's error.
+    """
+    bound = prod(sorted(top // c + 1 for c in steps)[:-1])
+    k = 1
+    while bound >> 8 * k:
+        k *= 2
+    bits = 8 * k
+    try:
+        mask = (1 << bits * (top + 1)) - 1
+        line = 1
+        for c in steps:
+            budget.check()
+            while c <= top:
+                line = (line + (line << bits * c)) & mask
+                c *= 2
+        raw = line.to_bytes(k * (top + 1), sys.byteorder)
+        if k > 8:
+            cells = [int.from_bytes(raw[i : i + k], sys.byteorder) for i in range(0, len(raw), k)]
+        else:
+            cells = memoryview(raw).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[k]).tolist()
+    except (MemoryError, OverflowError):
+        raise OracleBudgetError(f"the allocator refused the line over [0, {top}]") from None
+    # a big-endian machine writes the last field first
+    return cells if sys.byteorder == "little" else cells[::-1]
+
+
 def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
     """Exact #Z_n for every n componentwise below maxes, and the strides: the
     grid is one flat list in row-major order, n at sum(n_j * strides[j]).
-    The generators on axis j are counted on one line [0, maxes[j]], by a
-    running sum over each residue class mod a_j.  A factorization over
-    generators on different axes is one factorization per axis, so the grid
-    starts as the outer product of those lines.  Every other generator then
+    The generators on axis j are counted on one line [0, maxes[j]] by
+    _count_line, and at q = 1 that line is the grid.  A factorization over
+    generators on different axes is one factorization per axis, so a larger
+    grid starts as the outer product of the lines.  Every other generator then
     adds the standard recurrence ways[n] += ways[n - a] row by row: a row
     holds the points that differ only in the last coordinate, and each row
     of the sub-box [a, maxes] adds its source row, shifted by a, in one
@@ -66,21 +108,20 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
     """
     strides = tuple(prod(m + 1 for m in maxes[j + 1 :]) for j in range(len(maxes)))
     width = maxes[-1] + 1
-    try:
-        ways = [0] * prod(m + 1 for m in maxes)
-    except MemoryError:
-        raise OracleBudgetError(f"the allocator refused the grid over [0, {maxes}]") from None
-    lines = [[1] + [0] * m for m in maxes]
+    steps = [[] for _ in maxes]
     off = []
     for a in generators:
         if max(a) < sum(a):
             off.append(a)
-            continue
-        budget.check()
-        c = max(a)
-        line = lines[a.index(c)]
-        for i in range(min(c, len(line))):
-            line[i::c] = accumulate(line[i::c])
+        else:
+            steps[a.index(max(a))].append(max(a))
+    lines = [_count_line(s, m, budget) for s, m in zip(steps, maxes)]
+    if len(maxes) == 1:
+        return lines[0], strides
+    try:
+        ways = [0] * prod(m + 1 for m in maxes)
+    except (MemoryError, OverflowError):
+        raise OracleBudgetError(f"the allocator refused the grid over [0, {maxes}]") from None
     heads = [1]
     for line in lines[:-1]:
         heads = [h * v for h in heads for v in line]
@@ -113,8 +154,8 @@ def _direct_lambda(S: Semigroup, budget=_Budget(None)) -> tuple[int, ...]:
     would make a_k no atom).  If a_m = g_m*d shares a_k = g_k*d's ray,
     top_k = g_m / gcd(g_k, g_m) puts top_k*a_k in <a_m>; else top_k = 2.
     The finite gate pairs every axis generator, so those on axis j read lam
-    off one count of that axis up to their largest top_k*a_k, a line no
-    other generator reaches.  The rest share one grid over the componentwise max
+    off one _count_line of that axis's steps up to their largest top_k*a_k,
+    a line no other generator reaches.  The rest share one grid over the componentwise max
     of top_k*a_k, and only the unresolved tops double: past the finite gate
     an unpaired generator is a non-negative rational combination of others
     in its support, so some multiple of it factors over them, and only the
@@ -130,10 +171,14 @@ def _direct_lambda(S: Semigroup, budget=_Budget(None)) -> tuple[int, ...]:
     tops = [min((m // gcd(g, m) for m in rays[d] if m != g), default=2) for d, g in on_ray]
     lam = [None] * S.h
     axes = [[k for k, a in enumerate(gens) if a[j] == sum(a)] for j in range(S.q)]
-    for ks in axes + [[k for k, a in enumerate(gens) if max(a) < sum(a)]]:
+    for j, ks in enumerate(axes + [[k for k, a in enumerate(gens) if max(a) < sum(a)]]):
         while ks:
-            maxes = tuple(max(checked(tops[k] * gens[k][j]) for k in ks) for j in range(S.q))
-            ways, strides = _count_grid(gens, maxes, budget)
+            maxes = tuple(max(checked(tops[k] * gens[k][i]) for k in ks) for i in range(S.q))
+            if j < S.q:  # the line of axis j, read at a[j] = a . e_j
+                ways = _count_line([gens[k][j] for k in axes[j]], maxes[j], budget)
+                strides = tuple(int(i == j) for i in range(S.q))
+            else:
+                ways, strides = _count_grid(gens, maxes, budget)
             for k in ks:
                 step = sum(map(mul, gens[k], strides))
                 lam[k] = next((i for i in range(2, tops[k] + 1) if ways[i * step] >= 2), None)
@@ -159,9 +204,15 @@ def oracle_fp(
     If a factorization gamma of n has gamma_i >= p*lam_i, n has p + 1
     distinct ones (see fp_general), so every n with 1 <= #Z_n <= p lies in
     the box [0, sum((p*lam_i - 1)*a_i)].  F_p is the order-maximum of the
-    points of that box with 0 < #Z_n <= p; 0 is one of them.  An infinite
-    F_p is an answer too, certified by an extremal ray that carries only one
-    generator (p >= 1) or by the gcd the generators share (p = 0).
+    points of that box with 0 < #Z_n <= p; 0 is one of them.  A graded order
+    ranks a higher degree first, so the scan reads F_p from the top degree
+    down.  A row holds the points that differ only in the last coordinate,
+    one point per degree; the rows are read in decreasing order of their top
+    degree, each only down to the best degree found so far, where one
+    min(filter(...)) tells whether the row holds such a point at all, and the
+    scan stops at the first row whose top lies below that degree.  An
+    infinite F_p is an answer too, certified by an extremal ray that carries
+    only one generator (p >= 1) or by the gcd the generators share (p = 0).
     """
     budget = _Budget(budget_seconds)
     _as_int(p, "p", 0)
@@ -177,14 +228,24 @@ def oracle_fp(
     maxes = s_degree(S, [p * b - 1 for b in lam])
     ways, strides = _count_grid(S.generators, maxes, budget=budget)
     budget.check()
-    # only the last coordinate moves along a row, so under a graded order the
-    # row's last point with 0 < #Z_n <= p outranks its others
-    few = frozenset(c for c in set(ways) if 0 < c <= p)
-    qualifies = bytes(map(few.__contains__, ways))
     width = maxes[-1] + 1
-    lasts = (qualifies.rfind(1, r, r + width) for r in range(0, len(ways), width))
+    rows = [(0, 0)]  # the degree and the index of each row's first point
+    for m, s in zip(maxes[:-1], strides):
+        rows = [(t + i, b + i * s) for t, b in rows for i in range(m + 1)]
+    rows.sort(reverse=True)
+    top, hits = 0, []  # the best degree so far and its points, one per row
+    for t, b in rows:
+        if t + width <= top:
+            break
+        lo = b + max(0, top - t)
+        row = ways[lo : b + width]  # the row's points of degree >= top
+        if min(filter(None, row), default=p + 1) <= p:
+            i = next(i for i in range(len(row) - 1, -1, -1) if 0 < row[i] <= p)
+            if t + lo - b + i > top:
+                top, hits = t + lo - b + i, []
+            hits.append(lo + i)
     best = max(
-        (tuple(i // s % (m + 1) for s, m in zip(strides, maxes)) for i in lasts if i >= 0),
+        (tuple(i // s % (m + 1) for s, m in zip(strides, maxes)) for i in hits),
         key=order.key,
     )
     return OracleReport(

@@ -369,8 +369,9 @@ def test_oracle_f0_overflow(capsys, tmp_path):
 
 
 def test_oracle_grid_refused_by_allocator(capsys, tmp_path):
-    # the grid over [0, 2^62] needs 8 * (2^62 + 1) bytes of list: refused
-    # before any memory is touched, and reported as the budget's error
+    # the packed line over [0, 2^62] needs 8 * (2^62 + 1) bytes: its mask is
+    # refused (an int that large overflows) before any memory is touched,
+    # and reported as the budget's error
     status, out = run_json(
         capsys,
         ["oracle", "--input", write(tmp_path, {"q": 1, "generators": [[3], [5]]}),

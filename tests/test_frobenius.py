@@ -5,8 +5,9 @@ import itertools
 import random
 import time
 from collections import Counter
+from functools import lru_cache
 from math import gcd
-from operator import le
+from operator import le, mul
 
 import pytest
 
@@ -1046,13 +1047,14 @@ def test_finiteness_verdict_invariance():
         assert len(verdicts) == 1
 
 
-def tuple_scan_reference(S: pf.Semigroup, p: int, order: pf.OrderSpec) -> pf.FrobeniusResult:
-    """F_p(S) by the scan on tuples: the standard monomials of the toric basis
-    grown in prod [0, p*lambda_i) (each child c of g raises a coordinate i at
-    or after g's last nonzero one, and only leads with lead_i = c_i can
-    divide c but not g), bucketed by total degree, each bucket sorted
-    by order.key(s_degree) when the scan reaches it, and each fiber counted
-    by tuple reverse rewrites u -> u - trail + lead."""
+@lru_cache(maxsize=4)
+def _tuple_scan_levels(S: pf.Semigroup, p: int):
+    """The order-free part of the tuple scan, shared by both orders: the
+    standard monomials of the toric basis grown in prod [0, p*lambda_i) (each
+    child c of g raises a coordinate i at or after g's last nonzero one, and
+    only leads with lead_i = c_i can divide c but not g), bucketed by total
+    degree, and a memoized fiber count by tuple reverse rewrites
+    u -> u - trail + lead, capped past p."""
     G = pf.toric_ideal_generators(S)
     top = tuple(p * b for b in pf.lambda_bounds(S, G))
     leads_at: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -1065,10 +1067,12 @@ def tuple_scan_reference(S: pf.Semigroup, p: int, order: pf.OrderSpec) -> pf.Fro
             c = g[:i] + (g[i] + 1,) + g[i + 1 :]
             if c[i] < top[i] and not any(all(map(le, lead, c)) for lead in leads_at.get((i, c[i]), ())):
                 grown.append((c, i))
+    weights = [sum(a) for a in S.generators]  # the total degree of each generator
     buckets: dict[int, list[tuple[int, ...]]] = {}
     for g, _ in grown:
-        buckets.setdefault(sum(pf.s_degree(S, g)), []).append(g)
+        buckets.setdefault(sum(map(mul, g, weights)), []).append(g)
 
+    @lru_cache(maxsize=None)
     def fiber(u):
         seen, stack = {u}, [u]
         while stack and len(seen) <= p:
@@ -1081,8 +1085,21 @@ def tuple_scan_reference(S: pf.Semigroup, p: int, order: pf.OrderSpec) -> pf.Fro
                         stack.append(v)
         return len(seen)
 
+    return buckets, fiber
+
+
+def tuple_scan_reference(S: pf.Semigroup, p: int, order: pf.OrderSpec) -> pf.FrobeniusResult:
+    """F_p(S) by the scan on tuples: the buckets of _tuple_scan_levels from
+    the top total degree down, each sorted by order.key(s_degree) when the
+    scan reaches it, and the first monomial whose fiber holds at most p."""
+    buckets, fiber = _tuple_scan_levels(S, p)
+    columns = list(zip(*S.generators))
+
+    def key(g):
+        return order.key(tuple(sum(map(mul, g, c)) for c in columns))
+
     for d in sorted(buckets, reverse=True):
-        for g in sorted(buckets[d], key=lambda g: order.key(pf.s_degree(S, g)), reverse=True):
+        for g in sorted(buckets[d], key=key, reverse=True):
             if fiber(g) <= p:
                 return pf.FrobeniusResult.finite(pf.s_degree(S, g))
     raise AssertionError("0 always has a fiber of one")

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import pfrobenius as pf
-from conftest import criterion6_gluings, f0_certified, random_finite_semigroup
+from conftest import EXAMPLE_GENS, criterion6_gluings, f0_certified, random_finite_semigroup
 from pfrobenius.core import checked
-from pfrobenius.oracle import _Budget, _count_grid, _direct_lambda
+from pfrobenius.oracle import _Budget, _count_grid, _count_line, _direct_lambda
 
 GRLEX = pf.OrderSpec("grlex")
 GREVLEX = pf.OrderSpec("grevlex")
@@ -224,6 +224,22 @@ def test_count_grid_matches_pointwise_recurrence():
             ("zero in maxes" for m in maxes if m == 0),
         )
     assert seen == {"zero coordinate", "exceeds maxes", "zero in maxes"}
+    # counts that need 1-, 2-, 4-, 8- and 16-byte fields on an axis line, at
+    # q = 1 and under an outer product and an off-axis generator at q = 2
+    widths = set()
+    for steps, top in (((3, 5), 40), ((1, 2, 3), 60), ((1, 2, 3, 4), 250), (range(1, 9), 400), (range(1, 13), 2000)):
+        line = _count_line(steps, top)
+        assert line == _pointwise_counts([(c,) for c in steps], (top,))
+        # the bytes its largest count needs, rounded up to a power of two
+        widths.add(1 << ((max(line).bit_length() + 7) // 8 - 1).bit_length())
+        gens = [(c, 0) for c in steps] + [(0, 2), (1, 1)]
+        assert _count_grid(gens, (top, 2))[0] == _pointwise_counts(gens, (top, 2)), gens
+    assert widths == {1, 2, 4, 8, 16}
+
+
+def test_oracle_count_needs_wide_fields():
+    # the README's 22-digit count: a line whose fields need more than 8 bytes
+    assert pf.oracle_count(pf.numerical(*range(10, 20)), (20000,)) == 4348220030937770017981
 
 
 def test_count_grid_axis_outer_product():
@@ -276,8 +292,8 @@ def test_count_grid_checks_budget_once_per_generator():
 
 
 def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
-    # every grid the oracle counts for the 2-D gluings of the glue-verify
-    # workload, multiplier searches included, holds the exact counts
+    # every grid and line the oracle counts for the 2-D gluings of the
+    # glue-verify workload, multiplier searches included, holds the exact counts
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -289,7 +305,7 @@ def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
         if op["cmd"] == "glue" and len(op["gamma"]) == 2
     }
     assert len(gluings) == workloads.GLUE_ROUNDS
-    grids, wrong = [], []
+    grids, lines, wrong = [], [], []
 
     def counted(gens, maxes, budget=_Budget(None)):
         # the oracle reads the reference counts, so a wrong grid cannot
@@ -301,11 +317,22 @@ def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
             wrong.append((gens, maxes))
         return want, strides
 
+    def counted_line(steps, top, budget=_Budget(None)):
+        # the axis lines, of the multiplier search and inside each grid
+        line = _count_line(steps, top, budget)
+        want = _pointwise_counts([(c,) for c in steps], (top,))
+        lines.append(top)
+        if line != want:
+            wrong.append((steps, top))
+        return want
+
     monkeypatch.setattr(pf.oracle, "_count_grid", counted)
+    monkeypatch.setattr(pf.oracle, "_count_line", counted_line)
     _direct_lambda.cache_clear()
     for gens, d, gamma in gluings:
         pf.oracle_fp(pf.glue(pf.Semigroup(2, gens), pf.GluingSpec(d, gamma)), 1)
-    assert len(grids) > 2 * len(gluings)
+    assert len(grids) >= 2 * len(gluings)
+    assert len(lines) > 2 * len(grids)  # two lines per grid, and the multiplier searches' own
     assert wrong == []
 
 
@@ -347,15 +374,25 @@ def test_direct_lambda_matches_linear_search():
 
 def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
     # every generator here has another on its ray, so its top holds the hit:
-    # lam costs one count over a line of each axis that carries generators,
+    # lam costs one line of the steps of each axis that carries generators,
     # and one shared grid for the generators off the axes, if there are any
-    grids = []
+    counts, in_grid = [], []
 
-    def counted(*args):
-        grids.append(args)
-        return _count_grid(*args)
+    def line(steps, top, budget):
+        if not in_grid:  # a grid counts its own axis lines
+            counts.append(tuple(steps))
+        return _count_line(steps, top, budget)
 
-    monkeypatch.setattr(pf.oracle, "_count_grid", counted)
+    def grid(gens, maxes, budget):
+        counts.append(gens)
+        in_grid.append(maxes)
+        try:
+            return _count_grid(gens, maxes, budget)
+        finally:
+            in_grid.pop()
+
+    monkeypatch.setattr(pf.oracle, "_count_line", line)
+    monkeypatch.setattr(pf.oracle, "_count_grid", grid)
     rng = random.Random(37)
     draws = [random_finite_semigroup(rng, 1) for _ in range(10)]
     draws += [
@@ -365,16 +402,13 @@ def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
     ]
     for S in draws:
         assert pf.minimalize_generators(S.generators) == S
-        grids.clear()
+        counts.clear()
         _direct_lambda.cache_clear()
         lam = _direct_lambda(S)
-        assert lam == reference_direct_lambda(S)
-        axes = [j for j in range(S.q) if any(a[j] == sum(a) for a in S.generators)]
+        axes = [tuple(a[j] for a in S.generators if a[j] == sum(a)) for j in range(S.q)]
         off_axis = any(max(a) < sum(a) for a in S.generators)
-        assert len(grids) == len(axes) + off_axis, S
-        assert all(g == S.generators for g, _, _ in grids)
-        # the count of an axis's generators runs over a line of that axis
-        assert [[j for j, m in enumerate(maxes) if m] for _, maxes, _ in grids[: len(axes)]] == [[j] for j in axes]
+        assert counts == [steps for steps in axes if steps] + [S.generators] * off_axis, S
+        assert lam == reference_direct_lambda(S)
 
 
 def test_direct_lambda_budget_error(example_S):
@@ -437,6 +471,29 @@ def test_oracle_matches_reference_on_gluings():
         for p in (1, 2) if S.q == 1 else (1,):
             for order in (GRLEX, GREVLEX):
                 assert pf.oracle_fp(glued, p, order).result == reference_oracle_fp(glued, p, order), (glued, p)
+
+
+def test_oracle_scan_picks_order_maximum(monkeypatch):
+    # the rows read from the top degree down give the order-maximum of every
+    # point with 0 < #Z_n <= p, on made-up counts over the box of p = 1: a few
+    # qualifying points share one degree level, one of them at the end of its
+    # row where one is, and no point above that level qualifies
+    rng = random.Random(61)
+    for gens in (((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2), (0, 0, 3), (1, 2, 1)), EXAMPLE_GENS):
+        S = pf.minimalize_generators(gens)
+        pf.oracle_fp(S, 1)  # caches lam before the counts are made up
+        maxes = pf.s_degree(S, [b - 1 for b in _direct_lambda(S)])
+        strides = _count_grid(S.generators, maxes)[1]
+        box = list(itertools.product(*(range(m + 1) for m in maxes)))
+        for _ in range(40):
+            d = rng.randrange(sum(maxes) + 1)
+            level = [n for n in box if sum(n) == d]
+            ends = [n for n in level if n[-1] == maxes[-1]]
+            picked = set(rng.sample(level, min(len(level), rng.randint(1, 3))) + ends[-1:])
+            ways = [1 if n in picked else rng.choice((0, 2, 3) if sum(n) >= d else (0, 1, 2)) for n in box]
+            monkeypatch.setattr(pf.oracle, "_count_grid", lambda *args, **kwargs: (ways, strides))
+            for order in (GRLEX, GREVLEX):
+                assert pf.oracle_fp(S, 1, order).result.point == max(picked, key=order.key), (S, d, order)
 
 
 def test_few_factorizations_lie_in_tight_box():

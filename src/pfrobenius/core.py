@@ -76,6 +76,8 @@ class OrderSpec(Record):
     kind "grlex" breaks ties lexicographically (first coordinate most
     significant); "grevlex" is grlex read from the last coordinate with every
     sign flipped (``direction`` -1, not +1), the reverse-lexicographic rule.
+    ``direction`` is the one place the two orders differ: ``key`` reads it,
+    and so does the Groebner engine's packed key (``groebner._graded_key``).
     """
 
     __slots__ = ("kind",)

@@ -64,7 +64,9 @@ def _search(gens, closes, idx, residual, prefix, out, cap):
 def factor_tuples(gens, n, cap: int | None) -> list[tuple[int, ...]]:
     """Up to cap factorizations of n over the plain tuples gens (all if cap
     is None), in generator order.  Nothing is checked: n must be a point of
-    the generators' dimension."""
+    the generators' dimension.  ``core._minimal`` decides each atom through
+    it with no Semigroup per leave-one-out, and with no cap it is the tests'
+    reference for ``factorizations``."""
     if any(c and not any(g[j] for g in gens) for j, c in enumerate(n)):
         return []  # a coordinate no generator touches
     ordered, closes, position = _plan(gens)

@@ -19,10 +19,11 @@ set join it, and the other variables are saturated one at a time (see
 Inside the engine an exponent vector is one int (Bachmann & Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998): a
 64-bit field per variable, 63 value bits under a guard bit, the variable the
-order compares first highest, and the weighted degree above them all.
-Packing is linear, so a rewrite is one addition; divisibility and lcm
-read the guard bits of one subtraction.  A guard bit that an
-input, an S-pair or a rewrite sets raises OverflowGuardError.  Past the
+order compares first highest, and the weighted degree above them all, so a
+comparison is one int comparison.  Packing is linear, so a rewrite is one
+addition; divisibility and lcm read the guard bits of one subtraction.  A
+guard bit that an input, an S-pair or a rewrite sets raises
+OverflowGuardError.  Past the
 basis, normal forms, fiber counts and the growth of the standard monomials
 run on the same fields with no degree above them, or, in
 ``top_small_fibers``, with a weighted degree there again; only the public
@@ -129,11 +130,9 @@ def _buchberger(gens: list[Pair], key: _Order) -> list[Packed]:
     being live: it forms no new pairs but still reduces.  A joining lead is
     reduced, so no earlier lead divides it, and the live elements are a
     minimal basis, returned packed under ``key`` as (lead, trail - lead) with
-    the lead's degree above its fields.  Pruning queued pairs (B) walked the
-    queue on every join, and without B the coprime-lead rule no longer paid
-    for its masks.  Without both, toric-2d pops 1191 pairs, not 1093, yet
-    ``join`` ends those that reduce to zero early: the scale cases' toric
-    ideals take 0.83-0.97x the time.  Without M they ran 2.5-19x slower.
+    the lead's degree above its fields.  Criterion B and the coprime-lead
+    rule are left out: pruning the queue on every join cost more than the
+    extra pairs, which ``join`` ends early when they reduce to zero.
 
     The inputs join in degree order, interleaved with the pairs: each step
     takes the next input if its lead's key is at most the smallest queued

@@ -4,8 +4,11 @@ program (no depth-first search, no normal forms, no bases).  The generators
 on one axis are counted on one line, a Python int of fixed-width fields, and
 every other generator over a flat grid of points.  The multiplier bounds are
 read off one line per axis and one grid shared by the other generators, and
-F_p off one grid over the tight box, from its top degree down.  In any
-disagreement with the optimized algorithms, these routines are trusted.
+F_p off one grid over the tight box, from its top degree down.  A budget
+covers the whole call, the multiplier search included, and is checked once
+per generator; a line or grid is allocated before the first check, so one
+the allocator grants is bounded only by the machine.  In any disagreement
+with the optimized algorithms, these routines are trusted.
 """
 from __future__ import annotations
 
@@ -44,7 +47,8 @@ class _Budget:
             raise OracleBudgetError("oracle time budget exhausted")
 
     # a budget bounds a call's time, not its answer: every budget is one
-    # cache key, so _direct_lambda's cache keys on S alone
+    # cache key, and _direct_lambda takes it positionally with no default, so
+    # its cache keys on S alone
     def __eq__(self, other) -> bool:
         return isinstance(other, _Budget)
 
@@ -144,7 +148,7 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
 
 
 @lru_cache(maxsize=256)
-def _direct_lambda(S: Semigroup, budget=_Budget(None)) -> tuple[int, ...]:
+def _direct_lambda(S: Semigroup, budget: _Budget) -> tuple[int, ...]:
     """lam_k, the least j with j*a_k a sum of the other generators, for each k.
 
     That is the least j >= 2 with #Z_{j*a_k}(S) >= 2, so grids of all of S
@@ -203,7 +207,8 @@ def oracle_fp(
 
     If a factorization gamma of n has gamma_i >= p*lam_i, n has p + 1
     distinct ones (see fp_general), so every n with 1 <= #Z_n <= p lies in
-    the box [0, sum((p*lam_i - 1)*a_i)].  F_p is the order-maximum of the
+    the box [0, sum((p*lam_i - 1)*a_i)], whose corner is an s_degree,
+    checked against 64 bits before any count.  F_p is the order-maximum of the
     points of that box with 0 < #Z_n <= p; 0 is one of them.  A graded order
     ranks a higher degree first, so the scan reads F_p from the top degree
     down.  A row holds the points that differ only in the last coordinate,
@@ -224,7 +229,7 @@ def oracle_fp(
         return OracleReport(
             INFINITE, 0, f"the extremal ray {ray} carries only one generator"
         )
-    lam = _direct_lambda(S, budget=budget)
+    lam = _direct_lambda(S, budget)
     maxes = s_degree(S, [p * b - 1 for b in lam])
     ways, strides = _count_grid(S.generators, maxes, budget=budget)
     budget.check()

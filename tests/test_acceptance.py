@@ -24,7 +24,7 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.frobenius import _apery_walk
-from pfrobenius.oracle import _count_grid, _direct_lambda
+from pfrobenius.oracle import _Budget, _count_grid, _direct_lambda
 from conftest import EXAMPLE_GENS, criterion6_gluings, random_finite_semigroup, random_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
@@ -53,7 +53,7 @@ def test_criterion_1_reference_example_f1(S):
     lam = pf.lambda_bounds(S, G)
     n_candidates = len(pf.candidate_degrees(S, lam, 1))
     general = pf.fp_general(S, 1, GRLEX)
-    oracle_lam = _direct_lambda(S)
+    oracle_lam = _direct_lambda(S, _Budget(None))
     oracle_f1 = pf.oracle_fp(S, 1, GRLEX).result
     elapsed = time.perf_counter() - t0
     ok = (

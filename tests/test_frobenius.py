@@ -15,7 +15,7 @@ import pfrobenius as pf
 from pfrobenius.core import _F0_SCOPE
 from pfrobenius.frobenius import _apery_walk, _fp_groebner
 from pfrobenius.groebner import Binomial
-from pfrobenius.oracle import _direct_lambda
+from pfrobenius.oracle import _Budget, _direct_lambda
 from conftest import (
     Q3,
     f0_certified,
@@ -81,7 +81,7 @@ def test_lambda_bounds_defining_property(example_S, example_G):
             S = random_finite_semigroup(rng, q)
             for order in (GRLEX, GREVLEX):
                 lam = pf.lambda_bounds(S, pf.reduced_basis(S, order))
-                assert lam == _direct_lambda(S), (S, order)
+                assert lam == _direct_lambda(S, _Budget(None)), (S, order)
 
 
 def test_lambda_bounds_requires_finite():

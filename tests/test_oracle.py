@@ -369,7 +369,7 @@ def test_direct_lambda_matches_linear_search():
             while _pointwise_counts(others, tuple(lam * c for c in a))[-1] == 0:
                 lam += 1
             linear.append(lam)
-        assert _direct_lambda(S) == tuple(linear), S
+        assert _direct_lambda(S, _Budget(None)) == tuple(linear), S
 
 
 def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
@@ -404,7 +404,7 @@ def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
         assert pf.minimalize_generators(S.generators) == S
         counts.clear()
         _direct_lambda.cache_clear()
-        lam = _direct_lambda(S)
+        lam = _direct_lambda(S, _Budget(None))
         axes = [tuple(a[j] for a in S.generators if a[j] == sum(a)) for j in range(S.q)]
         off_axis = any(max(a) < sum(a) for a in S.generators)
         assert counts == [steps for steps in axes if steps] + [S.generators] * off_axis, S
@@ -413,7 +413,7 @@ def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
 
 def test_direct_lambda_budget_error(example_S):
     with pytest.raises(pf.OracleBudgetError):
-        _direct_lambda(example_S, budget=_Budget(-1.0))
+        _direct_lambda(example_S, _Budget(-1.0))
 
 
 def test_oracle_multipliers_once_per_semigroup(example_S, monkeypatch):
@@ -432,6 +432,10 @@ def test_oracle_multipliers_once_per_semigroup(example_S, monkeypatch):
     grids.clear()
     assert pf.oracle_fp(example_S, 2, GREVLEX).result == reference_oracle_fp(example_S, 2, GREVLEX)
     assert len(grids) == 1
+    # every caller passes the budget positionally, so a direct call with
+    # another budget finds the same cache entry
+    _direct_lambda(example_S, _Budget(None))
+    assert _direct_lambda.cache_info().misses == 1
 
 
 def test_oracle_budget_error_caches_nothing(example_S):
@@ -441,7 +445,7 @@ def test_oracle_budget_error_caches_nothing(example_S):
     assert _direct_lambda.cache_info().currsize == 0
     # the next call, without a budget, computes the multipliers afresh
     assert pf.oracle_fp(example_S, 1).result == reference_oracle_fp(example_S, 1, GRLEX)
-    assert _direct_lambda(example_S) == reference_direct_lambda(example_S)
+    assert _direct_lambda(example_S, _Budget(None)) == reference_direct_lambda(example_S)
 
 
 def test_oracle_matches_reference():
@@ -459,7 +463,7 @@ def test_oracle_matches_reference():
         else:
             q, ps = 3, (1 + (i == 19),)
         S = random_finite_semigroup(rng, q)
-        assert _direct_lambda(S) == reference_direct_lambda(S), S
+        assert _direct_lambda(S, _Budget(None)) == reference_direct_lambda(S), S
         for p in ps:
             for order in (GRLEX, GREVLEX):
                 assert pf.oracle_fp(S, p, order).result == reference_oracle_fp(S, p, order), (S, p, order)
@@ -479,21 +483,27 @@ def test_oracle_scan_picks_order_maximum(monkeypatch):
     # qualifying points share one degree level, one of them at the end of its
     # row where one is, and no point above that level qualifies
     rng = random.Random(61)
+    cases = []
     for gens in (((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 2), (0, 0, 3), (1, 2, 1)), EXAMPLE_GENS):
         S = pf.minimalize_generators(gens)
-        pf.oracle_fp(S, 1)  # caches lam before the counts are made up
-        maxes = pf.s_degree(S, [b - 1 for b in _direct_lambda(S)])
-        strides = _count_grid(S.generators, maxes)[1]
+        pf.oracle_fp(S, 1)  # caches lam on the true counts, before any is made up
+        maxes = pf.s_degree(S, [b - 1 for b in _direct_lambda(S, _Budget(None))])
+        cases.append((S, maxes, _count_grid(S.generators, maxes)[1]))
+    misses = _direct_lambda.cache_info().misses
+    for S, maxes, strides in cases:
         box = list(itertools.product(*(range(m + 1) for m in maxes)))
-        for _ in range(40):
-            d = rng.randrange(sum(maxes) + 1)
-            level = [n for n in box if sum(n) == d]
-            ends = [n for n in level if n[-1] == maxes[-1]]
-            picked = set(rng.sample(level, min(len(level), rng.randint(1, 3))) + ends[-1:])
-            ways = [1 if n in picked else rng.choice((0, 2, 3) if sum(n) >= d else (0, 1, 2)) for n in box]
-            monkeypatch.setattr(pf.oracle, "_count_grid", lambda *args, **kwargs: (ways, strides))
-            for order in (GRLEX, GREVLEX):
-                assert pf.oracle_fp(S, 1, order).result.point == max(picked, key=order.key), (S, d, order)
+        with monkeypatch.context() as patch:
+            for _ in range(40):
+                d = rng.randrange(sum(maxes) + 1)
+                level = [n for n in box if sum(n) == d]
+                ends = [n for n in level if n[-1] == maxes[-1]]
+                picked = set(rng.sample(level, min(len(level), rng.randint(1, 3))) + ends[-1:])
+                ways = [1 if n in picked else rng.choice((0, 2, 3) if sum(n) >= d else (0, 1, 2)) for n in box]
+                patch.setattr(pf.oracle, "_count_grid", lambda *args, **kwargs: (ways, strides))
+                for order in (GRLEX, GREVLEX):
+                    assert pf.oracle_fp(S, 1, order).result.point == max(picked, key=order.key), (S, d, order)
+            # no multiplier was counted through the made-up grid
+            assert _direct_lambda.cache_info().misses == misses, S
 
 
 def test_few_factorizations_lie_in_tight_box():
@@ -504,7 +514,7 @@ def test_few_factorizations_lie_in_tight_box():
     for i in range(36):
         q = i % 3 + 1
         S = random_finite_semigroup(rng, q)
-        lam = _direct_lambda(S)
+        lam = _direct_lambda(S, _Budget(None))
         for p in (1, 2, 3) if q < 3 else (1,):
             corner = tuple(sum((p * b - 1) * a[j] for b, a in zip(lam, S.generators)) for j in range(q))
             maxes = tuple(2 * c for c in corner)

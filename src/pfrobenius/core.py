@@ -133,9 +133,8 @@ def _as_point(coords, q: int | None = None) -> tuple[int, ...]:
         raise ValidationError(f"coordinates must be ints, got {pt}")
     if any(c < 0 for c in pt):
         raise ValidationError(f"negative coordinate in {pt}")
-    for c in pt:
-        checked(c)
-    return pt
+    # what is left is an int past 2^63 - 1, refused as ``checked`` refuses it
+    raise OverflowGuardError(f"integer {next(c for c in pt if c > INT64_MAX)} exceeds 64-bit range")
 
 
 def _as_int(value, name: str, least: int) -> None:

@@ -37,8 +37,7 @@ import functools
 import heapq
 import itertools
 import math
-import struct
-from operator import itemgetter, lshift, mul
+from operator import lshift, mul
 
 from .core import INT64_MAX, OrderSpec, OverflowGuardError, Record, Semigroup, ValidationError, _as_int, _as_order, _as_point, checked
 
@@ -56,7 +55,6 @@ class Binomial(Record):
 
 Pair = tuple[tuple[int, ...], tuple[int, ...]]  # (lead, trail) of a binomial
 Packed = tuple[int, int]  # (lead, trail - lead) of a binomial, packed under one _Order
-Move = tuple[int, int, tuple[int, ...]]  # (support of v+, support of v-, v) of a lattice vector v
 _FIELD = (1 << 64) - 1
 
 
@@ -82,10 +80,6 @@ class _Order:
         self.dot = sum(w << (self.top - 64 - s) for w, s in zip(weights, self.shifts))
         self.limit = (1 << 64) // max(sum(weights), 1)
         self.past = max((1 << 63) - self.limit, 0) * (self.guard >> 63)
-        # the value bits as bytes read 64-bit fields, lowest first: x_j's is
-        # the one at shifts[j] // 64
-        self.fields = struct.Struct(f"<{h}Q").unpack
-        self.order = itemgetter(*(s // 64 for s in self.shifts)) if h > 1 else tuple
 
     def pack(self, v: tuple[int, ...]) -> int:
         if v and (min(v) < 0 or max(v) > INT64_MAX):
@@ -93,7 +87,7 @@ class _Order:
         return sum(map(lshift, v, self.shifts)) + (sum(map(mul, self.weights, v)) << self.top)
 
     def unpack(self, m: int) -> tuple[int, ...]:
-        return self.order(self.fields((m & self.values).to_bytes(self.top >> 3, "little")))
+        return tuple([m >> s & INT64_MAX for s in self.shifts])
 
     def with_degree(self, m: int) -> int:
         """The fields m with their weighted degree above them."""
@@ -289,14 +283,13 @@ def _revlex_key(weights: tuple[int, ...], last: int) -> _Order:
     return _Order(weights, [last] + [j for j in reversed(range(len(weights))) if j != last], -1)
 
 
-def _pivots(vectors, rows: dict | None = None) -> dict[int, int]:
+def _pivots(vectors) -> dict[int, int]:
     """{column: |pivot|} of an integer row echelon form of the lattice the
     vectors span.  They depend on the lattice alone: the pivot in column c
     generates the c-th entries of the lattice vectors that vanish before c.
     Each vector is inserted by Euclid's steps against the rows of its
-    nonzero columns, into ``rows`` ({column: row}) when it is given, so that
-    a later call can add more vectors."""
-    rows = {} if rows is None else rows
+    nonzero columns."""
+    rows: dict[int, list[int]] = {}
     for v in vectors:
         for c in range(len(v)):
             if v[c]:
@@ -359,42 +352,21 @@ def _binomials(vectors) -> list[Pair]:
     return [(tuple([e if e > 0 else 0 for e in v]), tuple([-e if e < 0 else 0 for e in v])) for v in vectors]
 
 
-def _vector_moves(vectors) -> list[Move]:
-    """(support of v+, support of v-, v), supports as bitmasks, of each
-    lattice vector v, turned so that its first nonzero entry is positive: a
-    vector and its negative give one move."""
-    out = []
-    for v in vectors:
-        if next(filter(None, v)) < 0:
-            v = tuple(-e for e in v)
-        out.append((sum(1 << j for j, e in enumerate(v) if e > 0), sum(1 << j for j, e in enumerate(v) if e < 0), v))
-    return out
+def _usable(v, C: list[int]) -> bool:
+    """Whether the lattice vector v is sign-consistent on the variables C:
+    v+ or v- involves none of them."""
+    return all(v[j] >= 0 for j in C) or all(v[j] <= 0 for j in C)
 
 
-def _free_set(moves: list[Move], lattice: dict[int, int], h: int) -> int:
-    """C as a bitmask: greedily in index order, each of x_0, ..., x_{h-2}
-    joins C while the moves usable on C (v sign-consistent on C: v+ or v-
-    free of C) generate L, that is, while the pivots of their vectors stay
-    those of ``lattice``.
-
-    Every C still to try lies in U, C so far and the variables left to try,
-    and a move usable on U is usable on each such C; U only shrinks, so the
-    moves usable on U join one echelon form once, and each C starts from a
-    copy of it with the other moves usable on C."""
-    free, rest = 0, (1 << h - 1) - 1
-    base: dict[int, list[int]] = {}
-    outside, done = moves, False
+def _free_set(vectors, lattice: dict[int, int], h: int) -> list[int]:
+    """C: greedily in index order, each of x_0, ..., x_{h-2} joins C while
+    the vectors usable on C generate L, that is, while the pivots of their
+    echelon form stay those of ``lattice``."""
+    C: list[int] = []
     for c in range(h - 1):
-        U, C = free | rest, free | 1 << c
-        rest ^= 1 << c
-        if not done:
-            inner = [d for a, b, d in outside if not a & U or not b & U]
-            if inner:
-                outside = [m for m in outside if m[0] & U and m[1] & U]
-                done = _pivots(inner, base) == lattice
-        if done or _pivots((d for a, b, d in outside if not a & C or not b & C), dict(base)) == lattice:
-            free = C
-    return free
+        if _pivots([v for v in vectors if _usable(v, C + [c])]) == lattice:
+            C.append(c)
+    return C
 
 
 def _divide_out(basis: list[Packed], key: _Order, s: int) -> list[Packed]:
@@ -448,11 +420,11 @@ def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     """
     weights = tuple(sum(a) for a in S.generators)
     kernel = _kernel_basis(S)
-    # the kernel vectors are independent, so they keep the first places
-    moves = list(dict.fromkeys(_vector_moves(kernel + _circuits(S))))
-    free = _free_set(moves, _pivots(kernel), S.h)
-    gens = _binomials(kernel + [d for a, b, d in moves[len(kernel) :] if not a & free or not b & free])
-    for s in [c for c in range(S.h) if not free >> c & 1]:
+    # the circuits not already in the kernel basis, up to sign
+    circuits = [v for v in _circuits(S) if v not in kernel and tuple(-e for e in v) not in kernel]
+    free = _free_set(kernel + circuits, _pivots(kernel), S.h)
+    gens = _binomials(kernel + [v for v in circuits if _usable(v, free)])
+    for s in [c for c in range(S.h) if c not in free]:
         key = _revlex_key(weights, s)
         basis = _divide_out(_buchberger(gens, key), key, s)
         if s == S.h - 1:

@@ -737,7 +737,8 @@ def test_apery_route_needs_no_basis(monkeypatch):
 def test_orders_share_one_walk():
     # the walk does not depend on the order: grlex then grevlex on one
     # (S, p) run it once, its cache holds only the q-tuples the order picks
-    # among, and each pick is the answer of the basis-and-scan reference
+    # among, and each pick is the answer of the basis-and-scan reference and
+    # of the oracle
     semigroups = [pf.Semigroup(2, gens) for gens in BOX_SCAN]
     semigroups += [pf.Semigroup(2, ((4, 6), (6, 9))), pf.numerical(6, 7, 8)]
     known = {(semigroups[3], 1): (14, 21), (semigroups[4], 1): (25,), (semigroups[4], 2): (33,)}
@@ -746,7 +747,7 @@ def test_orders_share_one_walk():
         for p in (1, 2, 3):
             for order in (GRLEX, GREVLEX):
                 got = pf.fp_general(S, p, order)
-                assert got == scan(S, p, order), (S, p, order)
+                assert got == scan(S, p, order) == pf.oracle_fp(S, p, order).result, (S, p, order)
                 assert got.point == known.get((S, p), got.point), (S, p)
     assert _apery_walk.cache_info().misses == len(semigroups) * 3
     for S in semigroups:
@@ -1125,7 +1126,7 @@ def test_fp_general_matches_tuple_scan_named(gens, p):
 
 def test_fp_general_q3_p1():
     # the q = 3 semigroup with an interior generator, which no bench workload
-    # has; p = 2 ((21, 45, 93), several seconds in the oracle) runs in CI
+    # has; p = 2 ((21, 45, 93)) is in test_orders_share_one_scan
     S = pf.Semigroup(3, Q3)
     expected = pf.FrobeniusResult.finite((21, 45, 58))
     assert pf.oracle_fp(S, 1, GRLEX).result == expected
@@ -1135,8 +1136,9 @@ def test_fp_general_q3_p1():
 
 def test_orders_share_one_scan():
     # the scan does not depend on the order: grlex then grevlex on one (S, p)
-    # run it once, and each pick is the tuple scan's answer; the four-ray
-    # semigroup's cone is not simplicial
+    # run it once, and each pick is the tuple scan's answer and the
+    # oracle's; the four-ray semigroup's cone is not simplicial, and each
+    # p = 2 oracle call takes about 0.3-0.5 s on a shared 2-core x86 VM
     four_rays = ((0, 0, 2), (0, 0, 3), (4, 0, 2), (6, 0, 3), (0, 4, 2), (0, 6, 3), (4, 4, 2), (6, 6, 3), (1, 1, 1))
     cases = [(pf.Semigroup(3, Q3), 1, (21, 45, 58)), (pf.Semigroup(3, Q3), 2, (21, 45, 93)),
              (pf.Semigroup(3, four_rays), 2, (43, 29, 23))]
@@ -1145,4 +1147,5 @@ def test_orders_share_one_scan():
         for order in (GRLEX, GREVLEX):
             got = pf.fp_general(S, p, order)
             assert got == tuple_scan_reference(S, p, order) == pf.FrobeniusResult.finite(expected), (S, p, order)
+            assert pf.oracle_fp(S, p, order).result == got, (S, p, order)
     assert _fp_groebner.cache_info().misses == 3

@@ -242,6 +242,15 @@ def test_oracle_count_needs_wide_fields():
     assert pf.oracle_count(pf.numerical(*range(10, 20)), (20000,)) == 4348220030937770017981
 
 
+def test_oracle_q3_grid_refused_by_size():
+    # each line over [0, 2^20] takes 1 MB, but the grid over the box holds
+    # about 2^60 counts: its list is refused by its size, before any memory
+    # is touched, and reported as the budget's error
+    S = pf.Semigroup(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(pf.OracleBudgetError, match="refused the grid"):
+        pf.oracle_count(S, (2**20,) * 3)
+
+
 def test_count_grid_axis_outer_product():
     # the generators on each axis are counted on one line, and the grid starts
     # as the outer product of the lines: 0, 1 or 2 generators per axis, some
@@ -412,6 +421,8 @@ def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
 
 
 def test_direct_lambda_budget_error(example_S):
+    # an earlier test may have cached the running example's multipliers
+    _direct_lambda.cache_clear()
     with pytest.raises(pf.OracleBudgetError):
         _direct_lambda(example_S, _Budget(-1.0))
 

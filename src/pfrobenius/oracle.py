@@ -1,14 +1,15 @@
 """Brute-force reference implementations, deliberately independent of the
 Groebner engine: factorizations are counted by a coin-counting dynamic
-program (no depth-first search, no normal forms, no bases).  The generators
-on one axis are counted on one line, a Python int of fixed-width fields, and
-every other generator over a flat grid of points.  The multiplier bounds are
-read off one line per axis and one grid shared by the other generators, and
-F_p off one grid over the tight box, from its top degree down.  A budget
-covers the whole call, the multiplier search included, and is checked once
-per generator; a line or grid is allocated before the first check, so one
-the allocator grants is bounded only by the machine.  In any disagreement
-with the optimized algorithms, these routines are trusted.
+program (no depth-first search, no normal forms, no bases).  A grid is a
+list of rows, each one Python int of fixed-width fields over the last
+coordinate; a generator is counted by one shift, add and mask per row it
+reaches, and at q = 1 the grid is one row, a line.  The multiplier bounds
+are read off one line per axis and one grid shared by the other
+generators, and F_p off one grid over the tight box, from its top degree
+down.  A budget covers the whole call, the multiplier search included, and
+is checked once per generator; a grid is allocated before the first check,
+so one the allocator grants is bounded only by the machine.  In any
+disagreement with the optimized algorithms, these routines are trusted.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 import time
 from functools import lru_cache
 from math import gcd, isnan, prod
-from operator import add, mul
+from operator import mul
 
 from .cone import _direction, is_fp_finite, unpaired_rays
 from .core import INFINITE, FrobeniusResult, OrderSpec, Record, Semigroup, UnsupportedError, ValidationError
@@ -56,94 +57,76 @@ class _Budget:
         return 0
 
 
-def _count_line(steps, top: int, budget=_Budget(None)) -> list:
-    """Exact #Z_n for n = 0..top over the positive steps (a multiset), as a list.
+def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
+    """Exact #Z_n for every n componentwise below maxes, and the strides: the
+    grid is one flat list in row-major order, n at sum(n_j * strides[j]).
 
-    The line is one int of k-byte fields, field n at bit 8k*n.  Each step c
-    multiplies it by 1/(1 - x^c) = (1 + x^c)(1 + x^2c)(1 + x^4c)..., one
-    shift and add per factor while the shift stays on the line, and each
-    product is masked back to the line.  No field carries: after the factors
-    up to x^(2^i*c), field n counts the factorizations of n over the steps
-    so far that use c fewer than 2^(i+1) times, so at most #Z_n.  Given the
-    multiplicities of all steps but one, n fixes the last, so #Z_n is at most
-    the product of the ranges top // c + 1 of all steps but the one with the
-    largest range, and k is the smallest power of two whose fields hold it.
-    Shifts only move counts up the line, so the fields the mask drops past
-    top feed nothing below.  The line is decoded by one memoryview cast, or
-    field by field past 8 bytes.  A line the allocator refuses, by memory or
-    by size, is the budget's error.
+    A row holds the points that differ only in the last coordinate, and is
+    counted as one int of k-byte fields, field i at bit 8k*i.  Row 0 starts
+    as the line of the generators on the last axis: each such c multiplies
+    it by 1/(1 - x^c) = (1 + x^c)(1 + x^2c)(1 + x^4c)..., one shift and add
+    per factor while the shift stays on the row.  Every other generator a
+    multiplies the grid by 1/(1 - t^a): each row of the sub-box [a, maxes],
+    in ascending order, adds its source row, already final as a's nonzero
+    head puts it earlier, shifted by a's last coordinate.  Each sum is
+    masked back to the row; shifts only move counts up the row, so the
+    fields the mask drops past maxes feed nothing in the box.  No field
+    carries: each field counts factorizations of its point n over some of
+    the generators (those on the last axis, mid-product, fewer than 2^(i+1)
+    times), so at most #Z_n.  A factorization of n uses a at most
+    min_j(n_j // a_j) times, and given the multiplicities of all generators
+    but one, n fixes the last, so #Z_n is at most the product of the ranges
+    min_j(maxes_j // a_j) + 1 of all generators but the one with the
+    largest range; k is the smallest power of two whose fields hold it.
+    Each row is decoded by one memoryview cast, or field by field past 8
+    bytes.  A grid the allocator refuses, by memory or by size, is the
+    budget's error.
     """
-    bound = prod(sorted(top // c + 1 for c in steps)[:-1])
+    strides = tuple(prod(m + 1 for m in maxes[j + 1 :]) for j in range(len(maxes)))
+    width = maxes[-1] + 1
+    row_strides = [s // width for s in strides[:-1]]
+    bound = prod(sorted([min([m // c for c, m in zip(a, maxes) if c]) + 1 for a in generators])[:-1])
     k = 1
     while bound >> 8 * k:
         k *= 2
     bits = 8 * k
     try:
-        mask = (1 << bits * (top + 1)) - 1
-        line = 1
-        for c in steps:
+        ways = [0] * prod(m + 1 for m in maxes)
+        rows = [0] * (len(ways) // width)
+        mask = (1 << bits * width) - 1
+        line, off = 1, []
+        for a in generators:
+            *head, c = a
+            if any(head):
+                off.append(a)
+                continue
             budget.check()
-            while c <= top:
+            while c < width:
                 line = (line + (line << bits * c)) & mask
                 c *= 2
-        raw = line.to_bytes(k * (top + 1), sys.byteorder)
-        if k > 8:
-            cells = [int.from_bytes(raw[i : i + k], sys.byteorder) for i in range(0, len(raw), k)]
-        else:
-            cells = memoryview(raw).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[k]).tolist()
-    except (MemoryError, OverflowError):
-        raise OracleBudgetError(f"the allocator refused the line over [0, {top}]") from None
-    # a big-endian machine writes the last field first
-    return cells if sys.byteorder == "little" else cells[::-1]
-
-
-def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
-    """Exact #Z_n for every n componentwise below maxes, and the strides: the
-    grid is one flat list in row-major order, n at sum(n_j * strides[j]).
-    The generators on axis j are counted on one line [0, maxes[j]] by
-    _count_line, and at q = 1 that line is the grid.  A factorization over
-    generators on different axes is one factorization per axis, so a larger
-    grid starts as the outer product of the lines.  Every other generator then
-    adds the standard recurrence ways[n] += ways[n - a] row by row: a row
-    holds the points that differ only in the last coordinate, and each row
-    of the sub-box [a, maxes] adds its source row, shifted by a, in one
-    slice operation.  Such an a is nonzero before the last coordinate, so its
-    source row is an earlier row, already final.
-    """
-    strides = tuple(prod(m + 1 for m in maxes[j + 1 :]) for j in range(len(maxes)))
-    width = maxes[-1] + 1
-    steps = [[] for _ in maxes]
-    off = []
-    for a in generators:
-        if max(a) < sum(a):
-            off.append(a)
-        else:
-            steps[a.index(max(a))].append(max(a))
-    lines = [_count_line(s, m, budget) for s, m in zip(steps, maxes)]
-    if len(maxes) == 1:
-        return lines[0], strides
-    try:
-        ways = [0] * prod(m + 1 for m in maxes)
+        rows[0] = line
+        for a in off:
+            budget.check()
+            if any(c > m for c, m in zip(a, maxes)):
+                continue  # no point of the grid has a factorization using a
+            *head, c = a
+            sub = [0]
+            for h, m, s in zip(head, maxes, row_strides):
+                sub = [r + i * s for r in sub for i in range(h, m + 1)]
+            back = sum(map(mul, head, row_strides))
+            shift = bits * c
+            for r in sub:
+                rows[r] = (rows[r] + (rows[r - back] << shift)) & mask
+        for r, row in enumerate(rows):
+            raw = row.to_bytes(k * width, sys.byteorder)
+            if k > 8:
+                cells = [int.from_bytes(raw[i : i + k], sys.byteorder) for i in range(0, len(raw), k)]
+            else:
+                cells = memoryview(raw).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[k]).tolist()
+            # a big-endian machine writes the last field first
+            ways[r * width : (r + 1) * width] = cells if sys.byteorder == "little" else cells[::-1]
     except (MemoryError, OverflowError):
         raise OracleBudgetError(f"the allocator refused the grid over [0, {maxes}]") from None
-    heads = [1]
-    for line in lines[:-1]:
-        heads = [h * v for h in heads for v in line]
-    for r, h in enumerate(heads):
-        if h:
-            ways[r * width : (r + 1) * width] = map(h.__mul__, lines[-1])
-    for a in off:
-        budget.check()
-        if any(c > m for c, m in zip(a, maxes)):
-            continue  # no point of the grid has a factorization using a
-        *head, al = a
-        rows = [0]
-        for c, m, s in zip(head, maxes, strides):
-            rows = [r + i * s for r in rows for i in range(c, m + 1)]
-        back = sum(c * s for c, s in zip(head, strides))
-        for r in rows:
-            end = r + width
-            ways[r + al : end] = map(add, ways[r + al : end], ways[r - back : end - back - al])
     return ways, strides
 
 
@@ -158,8 +141,9 @@ def _direct_lambda(S: Semigroup, budget: _Budget) -> tuple[int, ...]:
     would make a_k no atom).  If a_m = g_m*d shares a_k = g_k*d's ray,
     top_k = g_m / gcd(g_k, g_m) puts top_k*a_k in <a_m>; else top_k = 2.
     The finite gate pairs every axis generator, so those on axis j read lam
-    off one _count_line of that axis's steps up to their largest top_k*a_k,
-    a line no other generator reaches.  The rest share one grid over the componentwise max
+    off one line, a one-dimensional grid of that axis's steps up to their
+    largest top_k*a_k, which no other generator reaches.  The rest share one
+    grid over the componentwise max
     of top_k*a_k, and only the unresolved tops double: past the finite gate
     an unpaired generator is a non-negative rational combination of others
     in its support, so some multiple of it factors over them, and only the
@@ -179,7 +163,7 @@ def _direct_lambda(S: Semigroup, budget: _Budget) -> tuple[int, ...]:
         while ks:
             maxes = tuple(max(checked(tops[k] * gens[k][i]) for k in ks) for i in range(S.q))
             if j < S.q:  # the line of axis j, read at a[j] = a . e_j
-                ways = _count_line([gens[k][j] for k in axes[j]], maxes[j], budget)
+                ways, _ = _count_grid([(gens[k][j],) for k in axes[j]], (maxes[j],), budget)
                 strides = tuple(int(i == j) for i in range(S.q))
             else:
                 ways, strides = _count_grid(gens, maxes, budget)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,46 @@ def test_factorize(capsys, tmp_path):
     )
     assert out["meta"]["count"] == 3
     assert sorted(map(tuple, out["result"])) == [(0, 4), (3, 2), (6, 0)]
+
+
+@pytest.mark.parametrize(
+    "gens, args, seconds, check",
+    [
+        # the 21 factorizations of one degree, by the fiber walk over the
+        # toric basis; listing them all by the capped search ran past 20 s
+        pytest.param(
+            [[6, 11, 6], [6, 1, 9], [10, 3, 12], [10, 4, 5], [1, 4, 5]],
+            ["factorize", "--element", "2790,837,3348"],
+            30,
+            lambda out: out["meta"]["count"] == 21,
+            id="factorize-fiber-walk",
+        ),
+        # F_10 of <1001, 1234, 1777> by the p-Apery walk; the scan of the box
+        # prod [0, p*lambda_i) took about 4 s
+        pytest.param(
+            [[1001], [1234], [1777]],
+            ["fp", "--p", "10"],
+            30,
+            lambda out: out["result"] == [237757],
+            id="fp-numerical",
+        ),
+        # the README's 22-digit count: the oracle's line of <10, ..., 19> up
+        # to 20000 needs 16-byte fields, and the JSON holds the exact int
+        pytest.param(
+            [[c] for c in range(10, 20)],
+            ["oracle", "--element", "20000"],
+            60,
+            lambda out: type(out["result"]) is int and out["result"] == 4348220030937770017981,
+            id="oracle-wide-count",
+        ),
+    ],
+)
+def test_large_answers(capsys, tmp_path, gens, args, seconds, check):
+    path = write(tmp_path, {"q": len(gens[0]), "generators": gens})
+    t0 = time.perf_counter()
+    status, out = run_json(capsys, [args[0], "--input", path, *args[1:]])
+    assert time.perf_counter() - t0 < seconds
+    assert status == 0 and check(out), out
 
 
 def test_factorize_bad_element(capsys, tmp_path):

@@ -13,7 +13,7 @@ import pytest
 import pfrobenius as pf
 from conftest import EXAMPLE_GENS, criterion6_gluings, f0_certified, random_finite_semigroup
 from pfrobenius.core import checked
-from pfrobenius.oracle import _Budget, _count_grid, _count_line, _direct_lambda
+from pfrobenius.oracle import _Budget, _count_grid, _direct_lambda
 
 GRLEX = pf.OrderSpec("grlex")
 GREVLEX = pf.OrderSpec("grevlex")
@@ -224,16 +224,20 @@ def test_count_grid_matches_pointwise_recurrence():
             ("zero in maxes" for m in maxes if m == 0),
         )
     assert seen == {"zero coordinate", "exceeds maxes", "zero in maxes"}
-    # counts that need 1-, 2-, 4-, 8- and 16-byte fields on an axis line, at
-    # q = 1 and under an outer product and an off-axis generator at q = 2
+    # counts that need 1-, 2-, 4-, 8- and 16-byte fields on a line at q = 1,
+    # and in the rows of a grid with generators off the last axis at q = 2
+    # and q = 3; at top = 2000 every grid's fields are 16 bytes wide, decoded
+    # one field at a time
     widths = set()
     for steps, top in (((3, 5), 40), ((1, 2, 3), 60), ((1, 2, 3, 4), 250), (range(1, 9), 400), (range(1, 13), 2000)):
-        line = _count_line(steps, top)
+        line, _ = _count_grid([(c,) for c in steps], (top,))
         assert line == _pointwise_counts([(c,) for c in steps], (top,))
         # the bytes its largest count needs, rounded up to a power of two
         widths.add(1 << ((max(line).bit_length() + 7) // 8 - 1).bit_length())
         gens = [(c, 0) for c in steps] + [(0, 2), (1, 1)]
         assert _count_grid(gens, (top, 2))[0] == _pointwise_counts(gens, (top, 2)), gens
+        gens = [(c, 0, 0) for c in steps] + [(0, 1, 0), (0, 0, 1), (1, 1, 1)]
+        assert _count_grid(gens, (top, 2, 2))[0] == _pointwise_counts(gens, (top, 2, 2)), gens
     assert widths == {1, 2, 4, 8, 16}
 
 
@@ -251,10 +255,10 @@ def test_oracle_q3_grid_refused_by_size():
         pf.oracle_count(S, (2**20,) * 3)
 
 
-def test_count_grid_axis_outer_product():
-    # the generators on each axis are counted on one line, and the grid starts
-    # as the outer product of the lines: 0, 1 or 2 generators per axis, some
-    # beyond maxes, zeros in maxes and off-axis generators mixed in, q = 1-3
+def test_count_grid_axis_generators():
+    # the generators on the last axis start row 0, and those on the other
+    # axes add whole rows: 0, 1 or 2 generators per axis, some beyond maxes,
+    # zeros in maxes and off-axis generators mixed in, q = 1-3
     rng = random.Random(12)
     seen = set()
     for i in range(90):
@@ -301,8 +305,8 @@ def test_count_grid_checks_budget_once_per_generator():
 
 
 def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
-    # every grid and line the oracle counts for the 2-D gluings of the
-    # glue-verify workload, multiplier searches included, holds the exact counts
+    # every grid the oracle counts for the 2-D gluings of the glue-verify
+    # workload, the multiplier searches' lines included, holds the exact counts
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
@@ -314,7 +318,7 @@ def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
         if op["cmd"] == "glue" and len(op["gamma"]) == 2
     }
     assert len(gluings) == workloads.GLUE_ROUNDS
-    grids, lines, wrong = [], [], []
+    grids, wrong = [], []
 
     def counted(gens, maxes, budget=_Budget(None)):
         # the oracle reads the reference counts, so a wrong grid cannot
@@ -326,22 +330,13 @@ def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
             wrong.append((gens, maxes))
         return want, strides
 
-    def counted_line(steps, top, budget=_Budget(None)):
-        # the axis lines, of the multiplier search and inside each grid
-        line = _count_line(steps, top, budget)
-        want = _pointwise_counts([(c,) for c in steps], (top,))
-        lines.append(top)
-        if line != want:
-            wrong.append((steps, top))
-        return want
-
     monkeypatch.setattr(pf.oracle, "_count_grid", counted)
-    monkeypatch.setattr(pf.oracle, "_count_line", counted_line)
     _direct_lambda.cache_clear()
     for gens, d, gamma in gluings:
         pf.oracle_fp(pf.glue(pf.Semigroup(2, gens), pf.GluingSpec(d, gamma)), 1)
-    assert len(grids) >= 2 * len(gluings)
-    assert len(lines) > 2 * len(grids)  # two lines per grid, and the multiplier searches' own
+    # each gluing's box and its multiplier search: a line per axis and a grid
+    assert sum(len(maxes) == 2 for maxes in grids) >= 2 * len(gluings)
+    assert sum(len(maxes) == 1 for maxes in grids) >= 2 * len(gluings)
     assert wrong == []
 
 
@@ -383,24 +378,15 @@ def test_direct_lambda_matches_linear_search():
 
 def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
     # every generator here has another on its ray, so its top holds the hit:
-    # lam costs one line of the steps of each axis that carries generators,
-    # and one shared grid for the generators off the axes, if there are any
-    counts, in_grid = [], []
-
-    def line(steps, top, budget):
-        if not in_grid:  # a grid counts its own axis lines
-            counts.append(tuple(steps))
-        return _count_line(steps, top, budget)
+    # lam costs one line (a one-dimensional grid) of the steps of each axis
+    # that carries generators, and one shared grid for the generators off
+    # the axes, if there are any
+    counts = []
 
     def grid(gens, maxes, budget):
-        counts.append(gens)
-        in_grid.append(maxes)
-        try:
-            return _count_grid(gens, maxes, budget)
-        finally:
-            in_grid.pop()
+        counts.append(tuple(c for c, in gens) if len(maxes) == 1 else gens)
+        return _count_grid(gens, maxes, budget)
 
-    monkeypatch.setattr(pf.oracle, "_count_line", line)
     monkeypatch.setattr(pf.oracle, "_count_grid", grid)
     rng = random.Random(37)
     draws = [random_finite_semigroup(rng, 1) for _ in range(10)]

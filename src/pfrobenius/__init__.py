@@ -1,4 +1,10 @@
-"""Exact computation of p-Frobenius vectors of affine semigroups."""
+"""Exact computation of p-Frobenius vectors of affine semigroups.
+
+The Groebner engine, ``groebner``, loads on first use (PEP 562): no route
+for a semigroup of rank at most 2 needs it, so ``import pfrobenius`` leaves
+it out.  It and its five re-exports (``_ENGINE``) resolve here when first
+looked up.
+"""
 
 from .core import (
     INFINITE,
@@ -18,13 +24,6 @@ from .core import (
 )
 from .cone import extremal_ray_directions, is_fp_finite, primitive_direction
 from .factorization import contains, count_capped, factorizations
-from .groebner import (
-    Binomial,
-    buchberger_reduced,
-    normal_form,
-    reduced_basis,
-    toric_ideal_generators,
-)
 from .frobenius import (
     candidate_degrees,
     f0_numerical,
@@ -46,4 +45,17 @@ from .oracle import OracleBudgetError, OracleReport, oracle_count, oracle_fp
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_ENGINE = ("Binomial", "buchberger_reduced", "normal_form", "reduced_basis", "toric_ideal_generators")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["groebner", *_ENGINE])
+
+
+def __getattr__(name: str):
+    if name == "groebner" or name in _ENGINE:
+        import importlib
+
+        # not ``from . import groebner``, which would call this function again;
+        # the engine binds itself and its five re-exports here as it loads
+        importlib.import_module(__name__ + ".groebner")
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

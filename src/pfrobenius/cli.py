@@ -18,7 +18,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import cone, factorization, frobenius, gluing, groebner, oracle
+from . import cone, factorization, frobenius, gluing, oracle
 from .core import (
     OrderSpec,
     OverflowGuardError,
@@ -63,7 +63,9 @@ def _parse_element(text: str, q: int) -> tuple[int, ...]:
     return _as_point(coords, q)
 
 
-def _binomial_json(b: groebner.Binomial) -> dict:
+def _binomial_json(b) -> dict:
+    from . import groebner
+
     return {"lead": list(b.lead), "trail": list(b.trail), "pretty": groebner.format_binomial(b)}
 
 
@@ -88,6 +90,8 @@ def check_finite(S: Semigroup, order: OrderSpec, args) -> dict:
 
 def groebner_cmd(S: Semigroup, order: OrderSpec, args) -> dict:
     """Reduced Groebner basis of the semigroup ideal."""
+    from . import groebner
+
     G = groebner.reduced_basis(S, order)
     return {
         "result": [_binomial_json(b) for b in G],

@@ -1,11 +1,11 @@
 """Factorization sets Z_n(S): membership and capped counts by exact bounded
-depth-first search, the whole set as a fiber of the toric ideal."""
+depth-first search, the whole set as a fiber of the toric ideal.  Only
+``factorizations`` uses the Groebner engine, and imports it when called."""
 from __future__ import annotations
 
 import functools
 
 from .core import Semigroup, ValidationError, _as_int, _as_point
-from .groebner import fiber, toric_ideal_generators
 
 
 def _max_multiplicity(gen: tuple[int, ...], residual: tuple[int, ...]) -> int:
@@ -86,10 +86,12 @@ def factorizations(S: Semigroup, n) -> frozenset[tuple[int, ...]]:
     One factorization comes from the search with cap 1; Z_n(S) is its fiber
     over the toric engine's basis, walked by reverse rewriting, where the
     uncapped search can take far longer."""
+    from . import groebner
+
     first = _factor(S, n, 1)
     if not first:
         return frozenset()
-    return fiber(first[0], toric_ideal_generators(S))
+    return groebner.fiber(first[0], groebner.toric_ideal_generators(S))
 
 
 def count_capped(S: Semigroup, n, cap: int) -> int:

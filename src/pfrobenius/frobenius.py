@@ -17,6 +17,11 @@ monomials grown from 0 inside prod [0, p*lambda_i) by descending degree,
 counting each fiber by reverse rewriting down to the first degree with one
 of at most p factorizations.  ``candidate_degrees`` lists the degrees of
 the closed box, the paper's candidate set D.
+
+Only ``_fp_groebner``, ``indispensable_binomials``,
+``verify_minimal_ideal_basis`` and, through ``factorizations``,
+``nabla_components`` use the Groebner engine; each imports it when called,
+so the routes of rank at most 2 run without loading it.
 """
 from __future__ import annotations
 
@@ -42,18 +47,9 @@ from .core import (
     s_degree,
 )
 from .factorization import factorizations
-from .groebner import (
-    Binomial,
-    buchberger_reduced,
-    fiber,
-    fiber_size,
-    in_ideal,
-    top_small_fibers,
-    toric_ideal_generators,
-)
 
 
-def lambda_bounds(S: Semigroup, G: tuple[Binomial, ...]) -> tuple[int, ...]:
+def lambda_bounds(S: Semigroup, G) -> tuple[int, ...]:
     """Minimal pure-power exponent of each variable across the basis monomials:
     lambda_k * a_k factors over the other generators, minimally so.
 
@@ -143,10 +139,12 @@ def _fp_groebner(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
       those with support in x_0 .. x_{i-1} times the powers of x_i that keep
       them standard, and those powers stop at the first non-standard one.
     """
-    G = toric_ideal_generators(S)
+    from . import groebner
+
+    G = groebner.toric_ideal_generators(S)
     top = tuple(p * b for b in lambda_bounds(S, G))
     s_degree(S, [t - 1 for t in top])  # the box corner bounds the S-degree of every point the scan builds
-    hits = top_small_fibers(G, top, [sum(a) for a in S.generators], p + 1)
+    hits = groebner.top_small_fibers(G, top, [sum(a) for a in S.generators], p + 1)
     return tuple(s_degree(S, g) for g in hits)
 
 
@@ -185,21 +183,23 @@ def verify_minimal_ideal_basis(S: Semigroup, B) -> bool:
     S-degree m, and it is minimal iff it holds exactly beta_m in every
     degree.  So B is one iff it has beta_m binomials in each of its degrees
     and generates (a degree B misses with beta_m > 0 fails the latter)."""
-    by_degree: dict[tuple[int, ...], list[Binomial]] = {}
+    from . import groebner
+
+    by_degree: dict[tuple[int, ...], list] = {}
     for b in B:
         m, t = s_degree(S, b.lead), s_degree(S, b.trail)
         if m != t:
             raise ValidationError(f"binomial {b} is not S-homogeneous: {m} != {t}")
         by_degree.setdefault(m, []).append(b)
-    G = toric_ideal_generators(S)
-    if any(len(bm) != len(_components(fiber(bm[0].lead, G))) - 1 for bm in by_degree.values()):
+    G = groebner.toric_ideal_generators(S)
+    if any(len(bm) != len(_components(groebner.fiber(bm[0].lead, G))) - 1 for bm in by_degree.values()):
         return False
     # B must actually generate: every toric generator reduces to zero mod <B>
-    GB = buchberger_reduced(list(B), OrderSpec("grlex"))
-    return all(in_ideal(t, GB) for t in G)
+    GB = groebner.buchberger_reduced(list(B), OrderSpec("grlex"))
+    return all(groebner.in_ideal(t, GB) for t in G)
 
 
-def indispensable_binomials(S: Semigroup) -> list[Binomial]:
+def indispensable_binomials(S: Semigroup) -> list:
     """Binomials present in every generating set of the semigroup ideal.
 
     A binomial of S-degree m is indispensable iff m has exactly two
@@ -211,12 +211,14 @@ def indispensable_binomials(S: Semigroup) -> list[Binomial]:
     of size 2 is exactly {lead, trail}, with disjoint supports.  Each is
     returned with its grlex lead first, sorted by that lead.
     """
-    G = toric_ideal_generators(S)
+    from . import groebner
+
+    G = groebner.toric_ideal_generators(S)
     key = OrderSpec("grlex").key
     ind = [
-        Binomial(*sorted((b.lead, b.trail), key=key, reverse=True))
+        groebner.Binomial(*sorted((b.lead, b.trail), key=key, reverse=True))
         for b in G
-        if fiber_size(b.lead, G, 3) == 2
+        if groebner.fiber_size(b.lead, G, 3) == 2
     ]
     return sorted(ind, key=lambda b: key(b.lead))
 

@@ -37,6 +37,7 @@ import functools
 import heapq
 import itertools
 import math
+import sys
 from operator import lshift, mul
 
 from .core import INT64_MAX, OrderSpec, OverflowGuardError, Record, Semigroup, ValidationError, _as_int, _as_order, _as_point, checked
@@ -592,3 +593,12 @@ def format_binomial(b: Binomial) -> str:
         return "*".join(parts) if parts else "1"
 
     return f"{mono(b.lead)} - {mono(b.trail)}"
+
+
+# The package re-exports five of these names and loads this module on first
+# use (``pfrobenius._ENGINE``).  They are bound there now, however the engine
+# is first imported, so that they stay these objects when one of this
+# module's attributes is patched later.
+_package = sys.modules[__package__]
+vars(_package).update({name: globals()[name] for name in _package._ENGINE})
+del _package

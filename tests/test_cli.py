@@ -11,6 +11,7 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.cli import parse_and_dispatch
+from conftest import Q3
 
 BIG2D = {
     "q": 2,
@@ -586,10 +587,96 @@ def test_closed_stdout_exits_1_quietly(tmp_path):
 
 
 def test_startup_imports_no_argparse_dataclasses_inspect():
-    # each cost milliseconds at every start of the console script
-    code = "import sys, pfrobenius, pfrobenius.cli; print(sorted({'argparse', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    # each cost milliseconds at every start of the console script, and so
+    # does compiling the Groebner engine, which no q <= 2 run needs
+    code = ("import sys, pfrobenius, pfrobenius.cli; "
+            "print(sorted({'argparse', 'dataclasses', 'inspect', 'pfrobenius.groebner'} & set(sys.modules)))")
     proc = python("-S", "-c", code, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+# each CLI call in argv order, in one fresh interpreter: its exit status and
+# whether the Groebner engine is loaded after it
+ENGINE_PROBE = """
+import contextlib, io, json, sys
+from pfrobenius.cli import parse_and_dispatch
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = parse_and_dispatch(argv)
+    seen.append([status, "pfrobenius.groebner" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_engine_loads_only_for_the_commands_that_use_it(tmp_path):
+    # no q <= 2 command needs a Groebner basis; the q = 3 semigroup of rank 3
+    # and the factorize and groebner commands load the engine on first call
+    num, big, inf = (write(tmp_path, doc, f"{name}.json") for name, doc in
+                     (("num", NUM23), ("big", BIG2D), ("inf", INFINITE_CASE)))
+    q3 = write(tmp_path, {"q": 3, "generators": [list(g) for g in Q3]}, "q3.json")
+
+    def probe(*calls):
+        proc = python("-c", ENGINE_PROBE, json.dumps(calls), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    engine_free = [
+        ["fp", "--input", num, "--p", "1", "--verify"],
+        ["fp", "--input", big, "--p", "2", "--verify"],
+        ["glue", "--input", num, "--d", "2", "--gamma", "5", "--verify"],
+        ["glue", "--input", big, "--d", "3", "--gamma", "5,5", "--verify"],
+        ["check-finite", "--input", big],
+        ["check-finite", "--input", inf],
+        ["oracle", "--input", big, "--p", "1"],
+        ["oracle", "--input", big, "--element", "9,6"],
+    ]
+    assert probe(*engine_free) == [[0, False]] * len(engine_free)
+    for argv in (["factorize", "--input", q3, "--element", "12,1,1"], ["groebner", "--input", q3],
+                 ["fp", "--input", q3, "--p", "1"]):
+        assert probe(argv) == [[0, True]], argv
+
+
+ENGINE_NAMES = ("Binomial", "buchberger_reduced", "normal_form", "reduced_basis", "toric_ideal_generators")
+
+
+def test_engine_reexports_resolve_on_first_use(monkeypatch):
+    # the package names the engine and five of its objects without loading
+    # it; each resolves on first use to the engine's own object, however the
+    # engine was first imported, and stays so when the engine is patched
+    code = """
+import sys
+import pfrobenius as pf
+assert "pfrobenius.groebner" not in sys.modules
+assert pf.groebner is sys.modules["pfrobenius.groebner"]
+from pfrobenius import Binomial, toric_ideal_generators
+assert (Binomial, toric_ideal_generators) == (pf.groebner.Binomial, pf.groebner.toric_ideal_generators)
+"""
+    assert python("-c", code).returncode == 0
+    code = """
+import pfrobenius.groebner as engine
+original, engine.reduced_basis = engine.reduced_basis, None
+import pfrobenius as pf
+assert pf.reduced_basis is original
+"""
+    assert python("-c", code).returncode == 0
+    for name in ENGINE_NAMES:
+        assert getattr(pf, name) is getattr(pf.groebner, name), name
+    original = pf.reduced_basis
+    monkeypatch.setattr(pf.groebner, "reduced_basis", lambda S, order: ())
+    assert pf.reduced_basis is original
+    assert not hasattr(pf, "no_such_name")
+    assert pf.__all__ == [
+        "Binomial", "FrobeniusResult", "GluingSpec", "GluingVerdict", "INFINITE", "OracleBudgetError",
+        "OracleReport", "OrderSpec", "OverflowGuardError", "Semigroup", "UnsupportedError", "ValidationError",
+        "buchberger_reduced", "candidate_degrees", "compare_graded", "cone", "contains", "core", "count_capped",
+        "extremal_ray_directions", "f0_numerical", "factorization", "factorizations", "fp_general",
+        "fp_glued_bound", "frobenius", "glue", "gluing", "gluing_equality", "groebner",
+        "indispensable_binomials", "is_fp_finite", "lambda_bounds", "load_semigroup", "minimalize_generators",
+        "nabla_components", "normal_form", "numerical", "oracle", "oracle_count", "oracle_fp",
+        "primitive_direction", "reduced_basis", "s_degree", "semigroup_from_json", "semigroup_to_json",
+        "toric_ideal_generators", "validate_gluing", "verify_minimal_ideal_basis",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -712,9 +712,9 @@ def test_apery_route_needs_no_basis(monkeypatch):
     # rank-1 calls at q = 2 and q = 3 pass the gate, take the p-Apery walk
     # and build no toric ideal; only the q = 3 semigroup of rank 3 builds one
     calls = []
-    for name in ("is_fp_finite", "toric_ideal_generators"):
-        fn = getattr(pf.frobenius, name)
-        monkeypatch.setattr(pf.frobenius, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    for module, name in ((pf.frobenius, "is_fp_finite"), (pf.groebner, "toric_ideal_generators")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     _apery_walk.cache_clear()
     _fp_groebner.cache_clear()
     S = pf.numerical(6, 7, 8)

@@ -6,12 +6,12 @@ for p >= 1 runs the finiteness gate on the rays of the cone.  Then one of
 two routes lists the candidates for F_p, the elements of the top degree
 with at most p factorizations, and the order picks F_p among them last.
 Neither route depends on the order, so each is cached per (S, p), and
-both orders share one run.  A semigroup with one extremal ray (every
-numerical one, at every p >= 0) or with two (q = 2) takes
-``_apery_walk``, a pruned walk over the sums of the generators off the
-rays, one size level at a time, with no Groebner basis.
-``f0_numerical(S)`` is ``fp_general(S, 0)``.  The rest (q >= 3, rank >= 2)
-takes ``_fp_groebner``: the toric engine's reduced basis, the
+both orders share one run.  The number of extremal rays picks the route,
+whatever q is.  A semigroup with one ray (every numerical one, at every
+p >= 0) or two takes ``_apery_walk``, a pruned walk over the sums of the
+generators off the rays, one size level at a time, with no Groebner basis.
+``f0_numerical(S)`` is ``fp_general(S, 0)``.  A cone with three rays or
+more takes ``_fp_groebner``: the toric engine's reduced basis, the
 per-generator bounds Lambda read off it, and a scan of the standard
 monomials grown from 0 inside prod [0, p*lambda_i) by descending degree,
 counting each fiber by reverse rewriting down to the first degree with one
@@ -84,16 +84,17 @@ def candidate_degrees(S: Semigroup, lam: tuple[int, ...], p: int) -> set[tuple[i
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
     """F_p(S) for any p >= 1, and for p = 0 when q = 1 (UnsupportedError else).
 
-    Two routes, after the gate on the rays for p >= 1, each cached per
-    (S, p) and returning the candidates of the top degree:
-    - rank 1 (at any q) or q = 2 takes ``_apery_walk``, with no Groebner
-      basis: in the coordinates z of the ray generators, the factorizations
-      of n are the sums L of the other generators with z(L) <= z(n) in n's
-      class mod D; a pruned walk by ascending z_1 + z_2 keeps, per class,
-      the L that have at most p others at or below them, and returns the
-      corners of the top degree of the staircase {#Z <= p} that those L
-      draw, none for an infinite F_0;
-    - the rest, q >= 3 of rank >= 2, takes ``_fp_groebner``: a scan of the
+    Two routes, after the gate on the rays for p >= 1, picked by the number
+    of rays alone, each cached per (S, p) and returning the candidates of
+    the top degree:
+    - one or two rays (rank <= 2, at any q) take ``_apery_walk``, with no
+      Groebner basis: in the coordinates z of the ray generators, the
+      factorizations of n are the sums L of the other generators with
+      z(L) <= z(n) in n's class mod D; a pruned walk by ascending
+      z_1 + z_2 keeps, per class, the L that have at most p others at or
+      below them, and returns the corners of the top degree of the
+      staircase {#Z <= p} that those L draw, none for an infinite F_0;
+    - three rays or more (rank >= 3) take ``_fp_groebner``: a scan of the
       standard monomials of the toric engine's reduced basis in the box
       prod [0, p*lambda_i), by descending degree, for the top degree whose
       fibers hold at most p monomials.
@@ -105,7 +106,7 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
         raise UnsupportedError(_F0_SCOPE)
     if p and not is_fp_finite(S):
         return INFINITE
-    route = _apery_walk if S.q == 2 or len(ray_generators(S)) == 1 else _fp_groebner  # the rays are cached
+    route = _apery_walk if len(ray_generators(S)) <= 2 else _fp_groebner  # the rays are cached
     points = route(S, p)
     return FrobeniusResult.finite(max(points, key=order.key)) if points else INFINITE
 
@@ -226,24 +227,29 @@ def indispensable_binomials(S: Semigroup) -> list:
 @functools.lru_cache(maxsize=256)
 def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
     """The candidates for F_p of S from its p-Apery sets over the ray
-    generators, with no Groebner basis: S of rank 1 (any q, p >= 0) or 2
-    (q = 2, p >= 1), with F_p finite when p >= 1.  No step depends on the
-    term order, so ``fp_general`` picks F_p among these points under its
+    generators, with no Groebner basis: S of rank 1 (p >= 0) or 2 (p >= 1)
+    at any q, with F_p finite when p >= 1.  No step depends on the term
+    order, so ``fp_general`` picks F_p among these points under its
     order, and the walk is cached per (S, p): an empty tuple for an infinite
     F_0, the one point at rank 1, the corners of the top degree at rank 2.
     The cache holds only those points, never the kept sums; a call that
     raises caches nothing.
 
     Let e1 be the generator of least degree on the first ray.  At rank 2, e2
-    is that on the second, D = det[e1 e2] > 0 and z(v) = adj[e1 e2] v, so
-    z(e1) = (D, 0) and z(e2) = (0, D).  At rank 1, z(v) = (v_i, 0) and
-    D = z_1(e1), i the largest coordinate of e1.  Every other
-    generator b has z(b) >= 0.  The factorizations of n are the sums L of
-    other generators (as multisets) with z(L) <= z(n) componentwise and
-    z(L) = z(n) mod D, each completed by copies of the ray generators.  Each
-    z coordinate is divided by its gcd g_i with D over the generators, and
-    taken mod m_i = D / g_i; this changes none of the above and keeps the
-    numbers small (at rank 1, g_2 = D and m_2 = 1).
+    is that on the second, (c1, c2) the first pair of coordinates on which
+    they are independent, E the 2 x 2 matrix of e1 and e2 on them,
+    D = det E > 0 and z(v) = adj(E) (v_c1, v_c2), so z(e1) = (D, 0) and
+    z(e2) = (0, D).  S lies in the plane of e1 and e2, which projects one
+    to one onto the coordinates (c1, c2), so every z, class and count below
+    is that of the projected semigroup.  Degrees and points use all q
+    coordinates.  At rank 1, z(v) = (v_c1, 0) and D = z_1(e1), c1 the
+    largest coordinate of e1.  Every other generator b has z(b) >= 0.  The
+    factorizations of n are the sums L of other generators (as multisets)
+    with z(L) <= z(n) componentwise and z(L) = z(n) mod D, each completed by
+    copies of the ray generators.  Each z coordinate is divided by its gcd
+    g_i with D over the generators, and taken mod m_i = D / g_i; this
+    changes none of the above and keeps the numbers small (at rank 1,
+    g_2 = D and m_2 = 1).
 
     Pruning: once p + 1 other sums of its class lie at or below L, every
     element at or above L or at or above a sum grown from L has at least
@@ -289,14 +295,16 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
     (e1, *_), *plane = ray_generators(S)  # cached, shared with the gate
     if plane:
         ((e2, *_),) = plane
-        if e1[0] * e2[1] < e1[1] * e2[0]:
-            e1, e2 = e2, e1
-        D = e1[0] * e2[1] - e1[1] * e2[0]
-        zs = [(e2[1] * x - e2[0] * y, e1[0] * y - e1[1] * x) for x, y in S.generators if (x, y) not in (e1, e2)]
+        c1, c2 = 0, 1
+        while not (D := e1[c1] * e2[c2] - e1[c2] * e2[c1]):
+            c1, c2 = (c1, c2 + 1) if c2 + 1 < S.q else (c1 + 1, c1 + 2)
+        if D < 0:
+            e1, e2, D = e2, e1, -D
+        zs = [(e2[c2] * b[c1] - e2[c1] * b[c2], e1[c1] * b[c2] - e1[c2] * b[c1]) for b in S.generators if b not in (e1, e2)]
     else:
         D = max(e1)
-        i = e1.index(D)
-        zs = [(b[i], 0) for b in S.generators if b != e1]
+        c1 = e1.index(D)
+        zs = [(b[c1], 0) for b in S.generators if b != e1]
     g1, g2 = math.gcd(D, *(u for u, _ in zs)), math.gcd(D, *(v for _, v in zs))
     if p == 0 and g1 > 1:
         return ()
@@ -347,8 +355,8 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
                     level.append((x + u, y + v, i))
     checked(size)  # the sums come out by ascending size: no z coordinate exceeds the last
     if not plane:  # F_0 from the first L of each class, F_p from the last
-        top = max(pts[-1][0] for pts in kept if not p or pts[-1] > pts[0])
-        return (tuple(checked(g1 * (top - m1) * c // D) for c in e1),)
+        z1 = g1 * (max(pts[-1][0] for pts in kept if not p or pts[-1] > pts[0]) - m1)
+        return (tuple(checked(z1 * c // D) for c in e1),)
     # the maximal points of each class, as (z_1, z_2) with z_i scaled back by
     # g_i, kept only while their degree, D times w.z, is the largest so far
     w1, w2 = g1 * sum(e1), g2 * sum(e2)
@@ -369,9 +377,7 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
                     top, corners = degree, [(g1 * a, g2 * b)]
                 elif degree == top:
                     corners.append((g1 * a, g2 * b))
-    return tuple(
-        (checked((a * e1[0] + b * e2[0]) // D), checked((a * e1[1] + b * e2[1]) // D)) for a, b in corners
-    )
+    return tuple(tuple(checked((a * u + b * v) // D) for u, v in zip(e1, e2)) for a, b in corners)
 
 
 def f0_numerical(S: Semigroup) -> FrobeniusResult:

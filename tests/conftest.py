@@ -13,6 +13,8 @@ import pfrobenius as pf
 EXAMPLE_GENS = [(3, 0), (4, 0), (0, 5), (0, 6), (1, 1)]
 # a q = 3 semigroup with finite F_p: two generators on each axis and (4,1,1)
 Q3 = ((4, 0, 0), (7, 0, 0), (0, 7, 0), (0, 4, 0), (0, 0, 5), (0, 0, 7), (4, 1, 1))
+# a q = 3 semigroup of rank 2: two rays, each with two generators, and (1,1,1)
+RANK2_Q3 = ((2, 0, 0), (3, 0, 0), (0, 2, 2), (0, 3, 3), (1, 1, 1))
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +125,27 @@ def random_offaxis_semigroup(rng: random.Random) -> pf.Semigroup:
             gens.append(tuple(s * a + t * b for a, b in zip(d1, d2)))
         S = pf.minimalize_generators(gens, 2)
         if pf.is_fp_finite(S):
+            return S
+
+
+def random_rank2_semigroup(rng: random.Random, q: int) -> pf.Semigroup:
+    """A random semigroup of rank 2 in N^q with finite F_p: two multiples
+    (from 1-5) of each of two non-parallel primitive directions in [0, 3]^q,
+    and up to two positive combinations of them.  A draw whose minimal
+    generators leave a ray with one generator is dropped."""
+    while True:
+        d1, d2 = (tuple(rng.randint(0, 3) for _ in range(q)) for _ in range(2))
+        if not (any(d1) and any(d2)):
+            continue
+        d1, d2 = pf.primitive_direction(d1), pf.primitive_direction(d2)
+        if d1 == d2:
+            continue
+        gens = [tuple(m * c for c in d) for d in (d1, d2) for m in rng.sample(range(1, 6), 2)]
+        for _ in range(rng.randint(0, 2)):
+            s, t = rng.randint(1, 3), rng.randint(1, 3)
+            gens.append(tuple(s * a + t * b for a, b in zip(d1, d2)))
+        S = pf.minimalize_generators(gens, q)
+        if len(pf.cone.ray_generators(S)) == 2 and pf.is_fp_finite(S):
             return S
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.cli import parse_and_dispatch
-from conftest import Q3
+from conftest import Q3, RANK2_Q3
 
 BIG2D = {
     "q": 2,
@@ -610,11 +610,13 @@ print(json.dumps(seen))
 
 
 def test_engine_loads_only_for_the_commands_that_use_it(tmp_path):
-    # no q <= 2 command needs a Groebner basis; the q = 3 semigroup of rank 3
-    # and the factorize and groebner commands load the engine on first call
+    # no command on a semigroup of rank <= 2 needs a Groebner basis; the q = 3
+    # semigroup of rank 3 and the factorize and groebner commands load the
+    # engine on first call
     num, big, inf = (write(tmp_path, doc, f"{name}.json") for name, doc in
                      (("num", NUM23), ("big", BIG2D), ("inf", INFINITE_CASE)))
-    q3 = write(tmp_path, {"q": 3, "generators": [list(g) for g in Q3]}, "q3.json")
+    q3, plane = (write(tmp_path, {"q": 3, "generators": [list(g) for g in gens]}, f"{name}.json")
+                 for name, gens in (("q3", Q3), ("plane", RANK2_Q3)))
 
     def probe(*calls):
         proc = python("-c", ENGINE_PROBE, json.dumps(calls), capture_output=True, text=True)
@@ -624,6 +626,7 @@ def test_engine_loads_only_for_the_commands_that_use_it(tmp_path):
     engine_free = [
         ["fp", "--input", num, "--p", "1", "--verify"],
         ["fp", "--input", big, "--p", "2", "--verify"],
+        ["fp", "--input", plane, "--p", "2", "--verify"],
         ["glue", "--input", num, "--d", "2", "--gamma", "5", "--verify"],
         ["glue", "--input", big, "--d", "3", "--gamma", "5,5", "--verify"],
         ["check-finite", "--input", big],

@@ -18,10 +18,12 @@ from pfrobenius.groebner import Binomial
 from pfrobenius.oracle import _Budget, _direct_lambda
 from conftest import (
     Q3,
+    RANK2_Q3,
     f0_certified,
     random_dense_planar_semigroup,
     random_finite_semigroup,
     random_offaxis_semigroup,
+    random_rank2_semigroup,
     random_semigroup,
     rays_by_fourier_motzkin,
 )
@@ -237,7 +239,7 @@ def test_fp_general_infinite_random_family():
 def test_one_basis_for_both_orders(monkeypatch):
     # grlex and grevlex count on the toric engine's own reduced basis:
     # Buchberger runs once per saturation step, and nothing is re-based; the
-    # q = 3 semigroup's ideal, seeded with circuits, needs one run (q = 2
+    # q = 3 semigroup's ideal, seeded with circuits, needs one run (rank <= 2
     # takes the p-Apery route and builds no basis)
     calls = {"_buchberger": 0, "reduced_basis": 0}
 
@@ -249,9 +251,7 @@ def test_one_basis_for_both_orders(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(pf.groebner, "_buchberger", counted("_buchberger", pf.groebner._buchberger))
-    reduced = counted("reduced_basis", pf.groebner.reduced_basis)
-    monkeypatch.setattr(pf.groebner, "reduced_basis", reduced)
-    monkeypatch.setattr(pf.frobenius, "reduced_basis", reduced, raising=False)
+    monkeypatch.setattr(pf.groebner, "reduced_basis", counted("reduced_basis", pf.groebner.reduced_basis))
     S = pf.Semigroup(3, Q3)
     pf.toric_ideal_generators.cache_clear()
     pf.reduced_basis.cache_clear()
@@ -708,9 +708,10 @@ def test_fp_numerical_p0_matches_certificate():
 
 
 def test_apery_route_needs_no_basis(monkeypatch):
-    # q = 1 at every p (the gate only at p >= 1), a q = 2 call of rank 2 and
-    # rank-1 calls at q = 2 and q = 3 pass the gate, take the p-Apery walk
-    # and build no toric ideal; only the q = 3 semigroup of rank 3 builds one
+    # q = 1 at every p (the gate only at p >= 1), a q = 2 call of rank 2,
+    # rank-1 calls at q = 2 and q = 3 and a q = 3 call of rank 2 pass the
+    # gate, take the p-Apery walk and build no toric ideal; only the q = 3
+    # semigroup of rank 3 builds one
     calls = []
     for module, name in ((pf.frobenius, "is_fp_finite"), (pf.groebner, "toric_ideal_generators")):
         fn = getattr(module, name)
@@ -729,6 +730,11 @@ def test_apery_route_needs_no_basis(monkeypatch):
     assert pf.fp_general(pf.Semigroup(2, ((4, 6), (6, 9))), 1) == pf.FrobeniusResult.finite((14, 21))
     assert pf.fp_general(pf.Semigroup(3, ((3, 6, 9), (5, 10, 15))), 1) == pf.FrobeniusResult.finite((22, 44, 66))
     assert calls == ["is_fp_finite"] * 8
+    calls.clear()
+    for p, expected in ((1, (1, 8, 8)), (2, (1, 14, 14))):
+        for order in (GRLEX, GREVLEX):
+            assert pf.fp_general(pf.Semigroup(3, RANK2_Q3), p, order) == pf.FrobeniusResult.finite(expected)
+    assert calls == ["is_fp_finite"] * 4
     calls.clear()
     assert pf.fp_general(pf.Semigroup(3, Q3), 1) == pf.FrobeniusResult.finite((21, 45, 58))
     assert calls == ["is_fp_finite", "toric_ideal_generators"]
@@ -951,6 +957,61 @@ def test_fp_planar_matches_groebner():
     assert seen["walks"] >= 3 * seen["draws"] + seen["draws"] // 3, seen
     kinds = ("h = 1", "gcd > 1", "shared", "coprime", "rank 1, q = 2", "rank 1, q = 3")
     assert min(seen[kind] for kind in kinds) >= 1, seen
+
+
+def rank2_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Counter:
+    """The p-Apery walk against the reference ``_fp_groebner`` on `draws`
+    seeded semigroups of rank 2 from ``random_rank2_semigroup``, in N^3 and
+    N^4 in turn, at p = 1..3: the two give the same points, ``fp_general``
+    under both orders is the tests' ``scan``, and on every `oracle_every`-th
+    draw from the first (each in N^3) at p <= 2 it is ``oracle_fp``'s
+    answer.  Returns the number of draws, of oracle checks, and of draws
+    ("other pair") whose ray generators are dependent on the coordinates
+    (0, 1), so that the walk projects S onto another pair."""
+    rng = random.Random(seed)
+    seen = Counter()
+    while seen["draws"] < draws:
+        S = random_rank2_semigroup(rng, 3 + seen["draws"] % 2)
+        oracle = seen["draws"] % oracle_every == 0
+        seen["draws"] += 1
+        (e1, *_), (e2, *_) = pf.cone.ray_generators(S)
+        seen["other pair"] += e1[0] * e2[1] == e1[1] * e2[0]
+        for p in (1, 2, 3):
+            assert set(_apery_walk(S, p)) == set(_fp_groebner(S, p)), (S, p)
+            for order in (GRLEX, GREVLEX):
+                got = pf.fp_general(S, p, order)
+                assert got == scan(S, p, order), (S, p, order)
+                if oracle and p < 3:
+                    assert got == pf.oracle_fp(S, p, order).result, (S, p, order)
+                    seen["oracle"] += 1
+    return seen
+
+
+def test_rank2_walk_matches_groebner_beyond_the_plane():
+    # every semigroup of rank 2 takes the p-Apery walk at any q; a slice of
+    # the rank-2 differential, CI runs 200 draws
+    seen = rank2_differential(60)
+    assert seen["draws"] == 60 and seen["oracle"] == 24 and seen["other pair"] >= 5, seen
+
+
+@pytest.mark.parametrize(
+    "gens, expected",
+    [
+        (RANK2_Q3, {1: (1, 8, 8), 2: (1, 14, 14)}),
+        (((2, 0, 2), (3, 0, 3), (0, 0, 2), (0, 0, 3), (1, 0, 2)), {1: (8, 0, 9), 2: (14, 0, 15), 3: (20, 0, 21)}),
+        (
+            ((0, 2, 0, 2), (0, 3, 0, 3), (0, 0, 0, 2), (0, 0, 0, 5), (0, 1, 0, 3)),
+            {1: (0, 7, 0, 12), 2: (0, 13, 0, 18), 3: (0, 19, 0, 24)},
+        ),
+    ],
+)
+def test_rank2_walk_fixed_cases(gens, expected):
+    # the last two lie in planes that collapse on the coordinates (0, 1)
+    S = pf.Semigroup(len(gens[0]), gens)
+    for p, point in expected.items():
+        for order in (GRLEX, GREVLEX):
+            got = pf.fp_general(S, p, order)
+            assert got == apery(S, p, order) == pf.FrobeniusResult.finite(point) == pf.oracle_fp(S, p, order).result
 
 
 @pytest.mark.parametrize("gens, expected", [((1001, 1234, 1777), 237757), ((3001, 4567, 5003, 6011), 317626)])

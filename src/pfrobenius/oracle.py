@@ -3,17 +3,19 @@ Groebner engine: factorizations are counted by a coin-counting dynamic
 program (no depth-first search, no normal forms, no bases).  A grid is a
 list of rows, each one Python int of fixed-width fields over the last
 coordinate; a generator is counted by one shift, add and mask per row it
-reaches, and at q = 1 the grid is one row, a line.  The multiplier bounds
-are read off one line per axis and one grid shared by the other
-generators, and F_p off one grid over the tight box, from its top degree
-down.  A budget covers the whole call, the multiplier search included, and
-is checked once per generator; a grid is allocated before the first check,
-so one the allocator grants is bounded only by the machine.  In any
-disagreement with the optimized algorithms, these routines are trusted.
+reaches, and at q = 1 the grid is one row, a line.  Every count stays below
+the top bit of its field, so the readers test whole rows in place: one add
+per bound marks, in each field's spare top bit, the counts above that bound,
+with no carry between fields.  The multiplier bounds are read off one line
+per axis and one grid shared by the other generators, and F_p off one grid
+over the tight box, from its top degree down.  A budget covers the whole
+call, the multiplier search included, and is checked once per generator; a
+grid is allocated before the first check, so one the allocator grants is
+bounded only by the machine.  In any disagreement with the optimized
+algorithms, these routines are trusted.
 """
 from __future__ import annotations
 
-import sys
 import time
 from functools import lru_cache
 from math import gcd, isnan, prod
@@ -57,42 +59,39 @@ class _Budget:
         return 0
 
 
-def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
-    """Exact #Z_n for every n componentwise below maxes, and the strides: the
-    grid is one flat list in row-major order, n at sum(n_j * strides[j]).
+def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, int, list]:
+    """Exact #Z_n for every n componentwise below maxes, as packed rows: the
+    rows, the field width in bits and the row strides.  A row holds the
+    points that differ only in the last coordinate, as one int of fields of
+    that width, n at bit bits * n[-1] of row sum(n_j * row_strides[j]).
 
-    A row holds the points that differ only in the last coordinate, and is
-    counted as one int of k-byte fields, field i at bit 8k*i.  Row 0 starts
-    as the line of the generators on the last axis: each such c multiplies
-    it by 1/(1 - x^c) = (1 + x^c)(1 + x^2c)(1 + x^4c)..., one shift and add
-    per factor while the shift stays on the row.  Every other generator a
-    multiplies the grid by 1/(1 - t^a): each row of the sub-box [a, maxes],
-    in ascending order, adds its source row, already final as a's nonzero
-    head puts it earlier, shifted by a's last coordinate.  Each sum is
-    masked back to the row; shifts only move counts up the row, so the
-    fields the mask drops past maxes feed nothing in the box.  No field
+    Row 0 starts as the line of the generators on the last axis: each such c
+    multiplies it by 1/(1 - x^c) = (1 + x^c)(1 + x^2c)(1 + x^4c)..., one
+    shift and add per factor while the shift stays on the row.  Every other
+    generator a multiplies the grid by 1/(1 - t^a): each row of the sub-box
+    [a, maxes], in ascending order, adds its source row, already final as
+    a's nonzero head puts it earlier, shifted by a's last coordinate.  Each
+    sum is masked back to the row; shifts only move counts up the row, so
+    the fields the mask drops past maxes feed nothing in the box.  No field
     carries: each field counts factorizations of its point n over some of
     the generators (those on the last axis, mid-product, fewer than 2^(i+1)
     times), so at most #Z_n.  A factorization of n uses a at most
     min_j(n_j // a_j) times, and given the multiplicities of all generators
     but one, n fixes the last, so #Z_n is at most the product of the ranges
     min_j(maxes_j // a_j) + 1 of all generators but the one with the
-    largest range; k is the smallest power of two whose fields hold it.
-    Each row is decoded by one memoryview cast, or field by field past 8
-    bytes.  A grid the allocator refuses, by memory or by size, is the
-    budget's error.
+    largest range.  The width is the least of 8, 16, 32, ... bits that
+    holds that bound below its top bit, and the spare top bit is what lets
+    a reader test a whole row at once (see _fields).  A grid the allocator
+    refuses, by memory or by size, is the budget's error.
     """
-    strides = tuple(prod(m + 1 for m in maxes[j + 1 :]) for j in range(len(maxes)))
     width = maxes[-1] + 1
-    row_strides = [s // width for s in strides[:-1]]
+    row_strides = [prod(m + 1 for m in maxes[j + 1 : -1]) for j in range(len(maxes) - 1)]
     bound = prod(sorted([min([m // c for c, m in zip(a, maxes) if c]) + 1 for a in generators])[:-1])
-    k = 1
-    while bound >> 8 * k:
-        k *= 2
-    bits = 8 * k
+    bits = 8
+    while bound >> bits - 1:
+        bits *= 2
     try:
-        ways = [0] * prod(m + 1 for m in maxes)
-        rows = [0] * (len(ways) // width)
+        rows = [0] * prod(m + 1 for m in maxes[:-1])
         mask = (1 << bits * width) - 1
         line, off = 1, []
         for a in generators:
@@ -117,17 +116,23 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, tuple]:
             shift = bits * c
             for r in sub:
                 rows[r] = (rows[r] + (rows[r - back] << shift)) & mask
-        for r, row in enumerate(rows):
-            raw = row.to_bytes(k * width, sys.byteorder)
-            if k > 8:
-                cells = [int.from_bytes(raw[i : i + k], sys.byteorder) for i in range(0, len(raw), k)]
-            else:
-                cells = memoryview(raw).cast({1: "B", 2: "H", 4: "I", 8: "Q"}[k]).tolist()
-            # a big-endian machine writes the last field first
-            ways[r * width : (r + 1) * width] = cells if sys.byteorder == "little" else cells[::-1]
     except (MemoryError, OverflowError):
         raise OracleBudgetError(f"the allocator refused the grid over [0, {maxes}]") from None
-    return ways, strides
+    return rows, bits, row_strides
+
+
+def _fields(bits: int, width: int, p: int) -> tuple[int, int, int]:
+    """The masks of the whole-row field tests on rows of width fields of
+    bits bits, each field below 2^(bits-1): low, over and high hold
+    2^(bits-1) - 1, max(2^(bits-1) - 1 - p, 0) and 2^(bits-1) in every
+    field.  Adding 2^(bits-1) - 1 - c to a count n < 2^(bits-1) sets the
+    field's top bit exactly when n > c and stays below 2^bits, so no field
+    carries into the next: (row + low) & ~(row + over) & high marks the
+    fields that hold 1 to p, and ~(row + low) & high those that hold 0.
+    """
+    ones = ((1 << bits * width) - 1) // ((1 << bits) - 1)
+    high = ones << bits - 1
+    return high - ones, ones * max((1 << bits - 1) - 1 - p, 0), high
 
 
 @lru_cache(maxsize=256)
@@ -163,22 +168,25 @@ def _direct_lambda(S: Semigroup, budget: _Budget) -> tuple[int, ...]:
         while ks:
             maxes = tuple(max(checked(tops[k] * gens[k][i]) for k in ks) for i in range(S.q))
             if j < S.q:  # the line of axis j, read at a[j] = a . e_j
-                ways, _ = _count_grid([(gens[k][j],) for k in axes[j]], (maxes[j],), budget)
-                strides = tuple(int(i == j) for i in range(S.q))
+                rows, bits, _ = _count_grid([(gens[k][j],) for k in axes[j]], (maxes[j],), budget)
+                steps = [(0, gens[k][j]) for k in ks]
             else:
-                ways, strides = _count_grid(gens, maxes, budget)
-            for k in ks:
-                step = sum(map(mul, gens[k], strides))
-                lam[k] = next((i for i in range(2, tops[k] + 1) if ways[i * step] >= 2), None)
+                rows, bits, strides = _count_grid(gens, maxes, budget)
+                steps = [(sum(map(mul, gens[k], strides)), gens[k][-1]) for k in ks]
+            cell = (1 << bits) - 1
+            for k, (r, c) in zip(ks, steps):  # i*a_k is field i*c of row i*r
+                lam[k] = next((i for i in range(2, tops[k] + 1) if rows[i * r] >> bits * i * c & cell >= 2), None)
                 tops[k] *= 2
             ks = [k for k in ks if lam[k] is None]
     return tuple(lam)
 
 
 def oracle_count(S: Semigroup, n, budget_seconds: float | None = None) -> int:
-    """Exact #Z_n(S): the top corner of one grid over the box [0, n]."""
-    ways, _ = _count_grid(S.generators, _as_point(n, S.q), _Budget(budget_seconds))
-    return ways[-1]
+    """Exact #Z_n(S): the top field of the last row of one grid over the box
+    [0, n]."""
+    n = _as_point(n, S.q)
+    rows, bits, _ = _count_grid(S.generators, n, _Budget(budget_seconds))
+    return rows[-1] >> bits * n[-1]
 
 
 def oracle_fp(
@@ -197,9 +205,10 @@ def oracle_fp(
     ranks a higher degree first, so the scan reads F_p from the top degree
     down.  A row holds the points that differ only in the last coordinate,
     one point per degree; the rows are read in decreasing order of their top
-    degree, each only down to the best degree found so far, where one
-    min(filter(...)) tells whether the row holds such a point at all, and the
-    scan stops at the first row whose top lies below that degree.  An
+    degree: one whole-row field test (see _fields) marks the row's points
+    with 1 to p factorizations, bit_length finds the highest, which counts
+    if it lies at or above the best degree found so far, and the scan stops
+    at the first row whose top lies below that degree.  An
     infinite F_p is an answer too, certified by an extremal ray that carries
     only one generator (p >= 1) or by the gcd the generators share (p = 0).
     """
@@ -215,32 +224,32 @@ def oracle_fp(
         )
     lam = _direct_lambda(S, budget)
     maxes = s_degree(S, [p * b - 1 for b in lam])
-    ways, strides = _count_grid(S.generators, maxes, budget=budget)
+    rows, bits, strides = _count_grid(S.generators, maxes, budget=budget)
     budget.check()
     width = maxes[-1] + 1
-    rows = [(0, 0)]  # the degree and the index of each row's first point
+    low, over, high = _fields(bits, width, p)
+    scan = [(0, 0)]  # the degree of each row's first point, and the row
     for m, s in zip(maxes[:-1], strides):
-        rows = [(t + i, b + i * s) for t, b in rows for i in range(m + 1)]
-    rows.sort(reverse=True)
+        scan = [(t + i, r + i * s) for t, r in scan for i in range(m + 1)]
+    scan.sort(reverse=True)
     top, hits = 0, []  # the best degree so far and its points, one per row
-    for t, b in rows:
+    for t, r in scan:
         if t + width <= top:
             break
-        lo = b + max(0, top - t)
-        row = ways[lo : b + width]  # the row's points of degree >= top
-        if min(filter(None, row), default=p + 1) <= p:
-            i = next(i for i in range(len(row) - 1, -1, -1) if 0 < row[i] <= p)
-            if t + lo - b + i > top:
-                top, hits = t + lo - b + i, []
-            hits.append(lo + i)
+        row = rows[r]
+        i = ((row + low) & ~(row + over) & high).bit_length() // bits - 1  # -1: none
+        if i >= 0 and t + i >= top:
+            if t + i > top:
+                top, hits = t + i, []
+            hits.append((r, i))
     best = max(
-        (tuple(i // s % (m + 1) for s, m in zip(strides, maxes)) for i in hits),
+        (tuple(r // s % (m + 1) for s, m in zip(strides, maxes)) + (i,) for r, i in hits),
         key=order.key,
     )
     return OracleReport(
         FrobeniusResult.finite(best),
         scanned_bound=sum(maxes),
-        certificate=f"all {len(ways)} points of the box [0, {maxes}] (lambda = {lam}, "
+        certificate=f"all {len(rows) * width} points of the box [0, {maxes}] (lambda = {lam}, "
         f"p = {p}) counted exactly",
     )
 
@@ -254,9 +263,10 @@ def _oracle_f0(S: Semigroup, budget: _Budget) -> OracleReport:
     if values[0] == 1:
         return OracleReport(FrobeniusResult.finite((-1,)), 0, "no gaps: S = N")
     bound = checked((values[0] - 1) * (values[-1] - 1) - 1)  # Schur (Brauer 1942)
-    ways, _ = _count_grid(S.generators, (bound,), budget=budget)
+    rows, bits, _ = _count_grid(S.generators, (bound,), budget=budget)
+    low, _, high = _fields(bits, bound + 1, 0)
     return OracleReport(
-        FrobeniusResult.finite((len(ways) - 1 - ways[::-1].index(0),)),  # the last gap
+        FrobeniusResult.finite(((~(rows[0] + low) & high).bit_length() // bits - 1,)),  # the last gap
         scanned_bound=bound,
         certificate=f"all integers up to {bound} counted exactly",
     )

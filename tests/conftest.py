@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 import pfrobenius as pf
+from pfrobenius.oracle import _Budget, _count_grid
 
 # the worked 5-generator example used throughout: generator order is part of
 # the contract (it fixes the variable order of the polynomial ring)
@@ -147,6 +148,31 @@ def random_rank2_semigroup(rng: random.Random, q: int) -> pf.Semigroup:
         S = pf.minimalize_generators(gens, q)
         if len(pf.cone.ray_generators(S)) == 2 and pf.is_fp_finite(S):
             return S
+
+
+def unpack_rows(rows, bits: int, width: int) -> list[int]:
+    """The counts of packed rows of width fields of bits bits, field i of a
+    row at bit bits * i, as one flat list in row-major order."""
+    cell = (1 << bits) - 1
+    return [row >> bits * i & cell for row in rows for i in range(width)]
+
+
+def pack_rows(counts, bits: int, width: int) -> list[int]:
+    """The inverse of unpack_rows: each run of width counts as one row."""
+    return [
+        sum(c << bits * i for i, c in enumerate(counts[r : r + width]))
+        for r in range(0, len(counts), width)
+    ]
+
+
+def grid_counts(generators, maxes, budget=_Budget(None)) -> tuple[list[int], tuple[int, ...]]:
+    """The oracle's grid over [0, maxes], decoded from its packed rows: every
+    count in row-major order, n at sum(n_j * strides[j]), and the strides.
+    It binds the oracle's own _count_grid, so a test that patches the
+    oracle's name does not see these calls."""
+    rows, bits, _ = _count_grid(generators, maxes, budget)
+    strides = tuple(prod(m + 1 for m in maxes[j + 1 :]) for j in range(len(maxes)))
+    return unpack_rows(rows, bits, maxes[-1] + 1), strides
 
 
 def f0_certified(gens, f: int) -> bool:

@@ -24,8 +24,8 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.frobenius import _apery_walk
-from pfrobenius.oracle import _Budget, _count_grid, _direct_lambda
-from conftest import EXAMPLE_GENS, criterion6_gluings, random_finite_semigroup, random_semigroup
+from pfrobenius.oracle import _Budget, _direct_lambda
+from conftest import EXAMPLE_GENS, criterion6_gluings, grid_counts, random_finite_semigroup, random_semigroup
 
 GRLEX = pf.OrderSpec("grlex")
 
@@ -84,7 +84,7 @@ def test_criterion_2_reference_example_staircase(S):
     G = pf.reduced_basis(S, GRLEX)
     omega = {m for b in G for m in (b.lead, b.trail)}
     corner = pf.s_degree(S, tuple(b - 1 for b in pf.lambda_bounds(S, G)))
-    n_single = _count_grid(S.generators, corner)[0].count(1)
+    n_single = grid_counts(S.generators, corner)[0].count(1)
     result = pf.fp_general(S, 1, GRLEX)
     oracle_f1 = pf.oracle_fp(S, 1, GRLEX).result
     elapsed = time.perf_counter() - t0
@@ -131,7 +131,7 @@ def test_criterion_4_all_basis_binomials_indispensable(S):
     degrees = {b: pf.s_degree(S, b.lead) for b in G}
     maxes = tuple(max(m[j] for m in degrees.values()) for j in range(S.q))
     box = itertools.product(*(range(m + 1) for m in maxes))  # the grid's order
-    counts = dict(zip(box, _count_grid(S.generators, maxes)[0]))
+    counts = dict(zip(box, grid_counts(S.generators, maxes)[0]))
     expected = {(b.lead, b.trail) for b, m in degrees.items() if counts[m] == 2}
     dispensable = [b for b, m in degrees.items() if counts[m] != 2]
     ind = {(b.lead, b.trail) for b in pf.indispensable_binomials(S)}

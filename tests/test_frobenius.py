@@ -1198,8 +1198,8 @@ def test_fp_general_q3_p1():
 def test_orders_share_one_scan():
     # the scan does not depend on the order: grlex then grevlex on one (S, p)
     # run it once, and each pick is the tuple scan's answer and the
-    # oracle's; the four-ray semigroup's cone is not simplicial, and a p = 2
-    # oracle call takes about 0.25-0.35 s on Q3 and 0.05-0.07 s on the
+    # oracle's; the four-ray semigroup's cone is not simplicial, and a cold
+    # p = 2 oracle call takes about 0.06-0.09 s on Q3 and 0.02-0.04 s on the
     # four-ray semigroup on a shared 2-core x86 VM
     four_rays = ((0, 0, 2), (0, 0, 3), (4, 0, 2), (6, 0, 3), (0, 4, 2), (0, 6, 3), (4, 4, 2), (6, 6, 3), (1, 1, 1))
     cases = [(pf.Semigroup(3, Q3), 1, (21, 45, 58)), (pf.Semigroup(3, Q3), 2, (21, 45, 93)),

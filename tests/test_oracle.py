@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import itertools
 import random
+import tracemalloc
 from math import gcd, prod
 from operator import le
 from pathlib import Path
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import pfrobenius as pf
-from conftest import EXAMPLE_GENS, criterion6_gluings, f0_certified, random_finite_semigroup
+from conftest import (
+    EXAMPLE_GENS, Q3, criterion6_gluings, f0_certified, grid_counts, pack_rows, random_finite_semigroup, unpack_rows,
+)
 from pfrobenius.core import checked
 from pfrobenius.oracle import _Budget, _count_grid, _direct_lambda
 
@@ -28,7 +31,7 @@ def reference_direct_lambda(S: pf.Semigroup, cap=10_000, budget=_Budget(None)) -
         top, hit = 1, None
         while hit is None:
             grid_top = tuple(checked(top * c) for c in a)
-            ways, strides = _count_grid(others, grid_top, budget)
+            ways, strides = grid_counts(others, grid_top, budget)
             step = sum(c * s for c, s in zip(a, strides))
             hit = next((j for j in range(1, top + 1) if ways[j * step]), None)
             if hit is None and top == cap:
@@ -47,7 +50,7 @@ def reference_oracle_fp(S: pf.Semigroup, p: int, order: pf.OrderSpec) -> pf.Frob
     # every term is non-negative, so the top corner bounds every candidate
     corner = (sum(p * b * a[j] for b, a in zip(lam, S.generators)) for j in range(S.q))
     maxes = tuple(map(checked, corner))
-    ways, strides = _count_grid(S.generators, maxes, budget=budget)
+    ways, strides = grid_counts(S.generators, maxes, budget)
     candidates = {0}  # flat indices of sum(gamma_i a_i), 0 <= gamma_i <= p*lambda_i
     for b, a in zip(lam, S.generators):
         step = sum(c * s for c, s in zip(a, strides))
@@ -214,10 +217,14 @@ def test_count_grid_matches_pointwise_recurrence():
             g = tuple(rng.randint(0, 7) for _ in range(q))
             if any(g):
                 gens.append(g)
-        ways, strides = _count_grid(gens, tuple(maxes))
+        rows, bits, strides = _count_grid(gens, tuple(maxes))
+        ways = unpack_rows(rows, bits, maxes[-1] + 1)
         assert ways == _pointwise_counts(gens, maxes), (gens, maxes)
-        assert strides[-1] == 1
-        assert all(s == t * (m + 1) for s, t, m in zip(strides, strides[1:], maxes[1:]))
+        # one row per point of the other coordinates, and a spare top bit
+        assert len(rows) == len(ways) // (maxes[-1] + 1)
+        assert strides[-1:] in ([], [1])
+        assert all(s == t * (m + 1) for s, t, m in zip(strides, strides[1:], maxes[1:-1]))
+        assert max(ways) < 1 << bits - 1
         seen.update(
             ("zero coordinate" for g in gens if 0 in g),
             ("exceeds maxes" for g in gens if any(c > m for c, m in zip(g, maxes))),
@@ -226,18 +233,17 @@ def test_count_grid_matches_pointwise_recurrence():
     assert seen == {"zero coordinate", "exceeds maxes", "zero in maxes"}
     # counts that need 1-, 2-, 4-, 8- and 16-byte fields on a line at q = 1,
     # and in the rows of a grid with generators off the last axis at q = 2
-    # and q = 3; at top = 2000 every grid's fields are 16 bytes wide, decoded
-    # one field at a time
+    # and q = 3; at top = 2000 every grid's fields are 16 bytes wide
     widths = set()
     for steps, top in (((3, 5), 40), ((1, 2, 3), 60), ((1, 2, 3, 4), 250), (range(1, 9), 400), (range(1, 13), 2000)):
-        line, _ = _count_grid([(c,) for c in steps], (top,))
+        line, _ = grid_counts([(c,) for c in steps], (top,))
         assert line == _pointwise_counts([(c,) for c in steps], (top,))
         # the bytes its largest count needs, rounded up to a power of two
         widths.add(1 << ((max(line).bit_length() + 7) // 8 - 1).bit_length())
         gens = [(c, 0) for c in steps] + [(0, 2), (1, 1)]
-        assert _count_grid(gens, (top, 2))[0] == _pointwise_counts(gens, (top, 2)), gens
+        assert grid_counts(gens, (top, 2))[0] == _pointwise_counts(gens, (top, 2)), gens
         gens = [(c, 0, 0) for c in steps] + [(0, 1, 0), (0, 0, 1), (1, 1, 1)]
-        assert _count_grid(gens, (top, 2, 2))[0] == _pointwise_counts(gens, (top, 2, 2)), gens
+        assert grid_counts(gens, (top, 2, 2))[0] == _pointwise_counts(gens, (top, 2, 2)), gens
     assert widths == {1, 2, 4, 8, 16}
 
 
@@ -246,9 +252,23 @@ def test_oracle_count_needs_wide_fields():
     assert pf.oracle_count(pf.numerical(*range(10, 20)), (20000,)) == 4348220030937770017981
 
 
+def test_oracle_q3_memory():
+    # the box of Q3 at p = 2 (about 2.5 million points) is read in place as
+    # packed rows; a flat list of its counts took the traced peak to 43 MB
+    S = pf.Semigroup(3, Q3)
+    _direct_lambda.cache_clear()
+    tracemalloc.start()
+    try:
+        assert pf.oracle_fp(S, 2).result.point == (21, 45, 93)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000, peak
+
+
 def test_oracle_q3_grid_refused_by_size():
-    # each line over [0, 2^20] takes 1 MB, but the grid over the box holds
-    # about 2^60 counts: its list is refused by its size, before any memory
+    # each row over [0, 2^20] takes 8 MB, but the grid over the box holds
+    # about 2^40 rows: their list is refused by its size, before any memory
     # is touched, and reported as the budget's error
     S = pf.Semigroup(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     with pytest.raises(pf.OracleBudgetError, match="refused the grid"):
@@ -273,7 +293,7 @@ def test_count_grid_axis_generators():
         ]
         gens += [tuple(rng.randint(1, 4) for _ in range(q)) for _ in range(rng.randint(0, 2) if q > 1 else 0)]
         rng.shuffle(gens)
-        ways, _ = _count_grid(gens, tuple(maxes))
+        ways, _ = grid_counts(gens, tuple(maxes))
         assert ways == _pointwise_counts(gens, maxes), (gens, maxes)
         axis = [g for g in gens if sum(map(bool, g)) == 1]
         seen.update((q, sum(1 for g in axis if g[j])) for j in range(q))
@@ -323,12 +343,12 @@ def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
     def counted(gens, maxes, budget=_Budget(None)):
         # the oracle reads the reference counts, so a wrong grid cannot
         # send a multiplier search past its hit
-        ways, strides = _count_grid(gens, maxes, budget)
+        rows, bits, strides = _count_grid(gens, maxes, budget)
         want = _pointwise_counts(gens, maxes)
         grids.append(maxes)
-        if ways != want:
+        if unpack_rows(rows, bits, maxes[-1] + 1) != want:
             wrong.append((gens, maxes))
-        return want, strides
+        return pack_rows(want, bits, maxes[-1] + 1), bits, strides
 
     monkeypatch.setattr(pf.oracle, "_count_grid", counted)
     _direct_lambda.cache_clear()
@@ -338,6 +358,123 @@ def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
     assert sum(len(maxes) == 2 for maxes in grids) >= 2 * len(gluings)
     assert sum(len(maxes) == 1 for maxes in grids) >= 2 * len(gluings)
     assert wrong == []
+
+
+def _linear_lambda(S: pf.Semigroup) -> tuple[int, ...]:
+    """The multipliers by a linear search: the least lam >= 1 with lam * a_k a
+    sum of the other generators, by the top corner of the pointwise counts
+    up to lam * a_k."""
+    lam = []
+    for k, a in enumerate(S.generators):
+        others = S.generators[:k] + S.generators[k + 1 :]
+        j = 1
+        while _pointwise_counts(others, tuple(j * c for c in a))[-1] == 0:
+            j += 1
+        lam.append(j)
+    return tuple(lam)
+
+
+def _first_points(q: int, k: int) -> list[tuple[int, ...]]:
+    """The first k nonzero points of N^q, by degree, then lexicographically."""
+    out, d = [], 0
+    while len(out) < k:
+        d += 1
+        out += sorted(n for n in itertools.product(range(d + 1), repeat=q) if sum(n) == d)
+    return out[:k]
+
+
+def _count_bound(gens, maxes) -> int:
+    """The bound on every count of a grid that _count_grid's docstring proves:
+    the product of the ranges of all generators but the one with the largest."""
+    return prod(sorted(min(m // c for c, m in zip(a, maxes) if c) + 1 for a in gens)[:-1])
+
+
+# (q, field bits, k, maxes): the first k points of N^q counted over [0, maxes]
+# have a count bound within 1/32 below 2^(bits - 1)
+EDGE_GRIDS = [
+    (1, 8, 2, (252,)), (1, 16, 3, (441,)), (1, 64, 8, (2326,)), (1, 128, 19, (1177,)),
+    (2, 8, 5, (2, 12)), (2, 16, 4, (32, 58)), (2, 64, 17, (25, 58)), (2, 128, 35, (44, 45)),
+    (3, 8, 5, (1, 2, 12)), (3, 16, 12, (1, 4, 4)), (3, 64, 27, (8, 9, 10)), (3, 128, 99, (4, 5, 10)),
+]
+
+
+def test_field_tests_at_width_edges():
+    # each count bound falls just under 2^(bits-1), so one more count would
+    # take the spare top bit: the field tests mark exactly the fields that
+    # hold 1 to p, and 0, for p at a count and one below it (counts equal to
+    # p and to p + 1) and for p >= 2^(bits-1), where no count exceeds p
+    for q, bits, k, maxes in EDGE_GRIDS:
+        gens = _first_points(q, k)
+        top = 1 << bits - 1
+        assert top - top // 32 <= _count_bound(gens, maxes) < top, (q, bits)
+        rows, got_bits, _ = _count_grid(gens, maxes)
+        assert got_bits == bits, (q, bits)
+        width = maxes[-1] + 1
+        ways = _pointwise_counts(gens, maxes)
+        assert unpack_rows(rows, bits, width) == ways, (q, bits)
+        cells = [ways[r : r + width] for r in range(0, len(ways), width)]
+        big = max(ways)
+        mid = sorted(set(ways))[len(set(ways)) // 2]
+        for p in (1, big, big - 1, mid, mid - 1, top - 2, top - 1, top, 2 * top):
+            low, over, high = pf.oracle._fields(bits, width, p)
+            for row, counts in zip(rows, cells):
+                marked = (row + low) & ~(row + over) & high
+                assert marked == sum(1 << bits * i + bits - 1 for i, w in enumerate(counts) if 1 <= w <= p)
+                assert ~(row + low) & high == sum(1 << bits * i + bits - 1 for i, w in enumerate(counts) if not w)
+        assert pf.oracle_count(pf.Semigroup(q, gens), maxes) == ways[-1], (q, bits)
+    # one point further, the top count of the line of 1 and 2 reaches 2^7,
+    # so its fields are 16 bits wide, and the top bit of each stays spare
+    rows, bits, _ = _count_grid([(1,), (2,)], (254,))
+    assert bits == 16 and rows[0] >> 16 * 254 == 128
+
+
+def test_oracle_readers_at_each_field_width(monkeypatch):
+    # F_p, F_0 and the multipliers, read in place off grids of 8-, 16-, 64-
+    # and 128-bit fields, equal the answers of the pointwise counts: lam by
+    # a linear search, F_p as the order-maximum of the box's points with 1
+    # to p factorizations, F_0 as the last zero up to the Schur bound.  p
+    # itself stays below every count bound of the box, which holds each
+    # generator's range p*lam_i >= 2p, so p >= 2^(bits-1) is left to the
+    # edge test
+    seen, calls = set(), []
+
+    def spied(gens, maxes, budget=_Budget(None)):
+        rows, bits, strides = _count_grid(gens, maxes, budget)
+        calls.append(bits)
+        return rows, bits, strides
+
+    monkeypatch.setattr(pf.oracle, "_count_grid", spied)
+    example = pf.minimalize_generators(EXAMPLE_GENS)
+    q3 = pf.Semigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 5), (0, 0, 4), (3, 2, 3)))
+    for S, ps in (
+        (pf.numerical(2, 3), (1, 2)), (pf.numerical(*range(5, 10)), (1,)), (pf.numerical(*range(6, 12)), ()),
+        (pf.numerical(*range(10, 20)), (1,)), (pf.numerical(*range(20, 40)), (1,)), (example, (1, 2)), (q3, (1,)),
+    ):
+        lam = _linear_lambda(S)
+        calls = []
+        _direct_lambda.cache_clear()
+        assert _direct_lambda(S, _Budget(None)) == lam, S
+        seen.update((S.q, "lambda", bits) for bits in calls)
+        for p in ps:
+            maxes = pf.s_degree(S, [p * b - 1 for b in lam])
+            box = itertools.product(*(range(m + 1) for m in maxes))
+            hits = [n for n, w in zip(box, _pointwise_counts(S.generators, maxes)) if 1 <= w <= p]
+            for order in (GRLEX, GREVLEX):
+                calls = []
+                report = pf.oracle_fp(S, p, order)
+                assert report.result.point == max(hits, key=order.key), (S, p, order)
+                assert report.scanned_bound == sum(maxes)
+                seen.add((S.q, "F_p", calls[-1]))
+        if S.q == 1:
+            values = sorted(a for a, in S.generators)
+            bound = (values[0] - 1) * (values[-1] - 1) - 1
+            calls = []
+            f0 = pf.oracle_fp(S, 0).result.point
+            ways = _pointwise_counts(S.generators, (bound,))
+            assert f0 == (bound - ways[::-1].index(0),) and f0_certified(values, f0[0]), S
+            seen.add((1, "F_0", calls[-1]))
+    assert {(1, reader, bits) for reader in ("lambda", "F_p", "F_0") for bits in (8, 16, 64, 128)} <= seen
+    assert {(2, "F_p", 16), (2, "F_p", 32), (3, "lambda", 16), (3, "F_p", 32)} <= seen
 
 
 def _parallel_draw(rng: random.Random, q: int) -> pf.Semigroup:
@@ -366,14 +503,7 @@ def test_direct_lambda_matches_linear_search():
     draws = [random_finite_semigroup(rng, i % 3 + 1) for i in range(18)]
     draws += [_parallel_draw(rng, i % 2 + 2) for i in range(18)]
     for S in draws:
-        linear = []
-        for k, a in enumerate(S.generators):
-            others = S.generators[:k] + S.generators[k + 1 :]
-            lam = 1
-            while _pointwise_counts(others, tuple(lam * c for c in a))[-1] == 0:
-                lam += 1
-            linear.append(lam)
-        assert _direct_lambda(S, _Budget(None)) == tuple(linear), S
+        assert _direct_lambda(S, _Budget(None)) == _linear_lambda(S), S
 
 
 def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
@@ -485,9 +615,9 @@ def test_oracle_scan_picks_order_maximum(monkeypatch):
         S = pf.minimalize_generators(gens)
         pf.oracle_fp(S, 1)  # caches lam on the true counts, before any is made up
         maxes = pf.s_degree(S, [b - 1 for b in _direct_lambda(S, _Budget(None))])
-        cases.append((S, maxes, _count_grid(S.generators, maxes)[1]))
+        cases.append((S, maxes, *_count_grid(S.generators, maxes)[1:]))
     misses = _direct_lambda.cache_info().misses
-    for S, maxes, strides in cases:
+    for S, maxes, bits, strides in cases:
         box = list(itertools.product(*(range(m + 1) for m in maxes)))
         with monkeypatch.context() as patch:
             for _ in range(40):
@@ -496,7 +626,8 @@ def test_oracle_scan_picks_order_maximum(monkeypatch):
                 ends = [n for n in level if n[-1] == maxes[-1]]
                 picked = set(rng.sample(level, min(len(level), rng.randint(1, 3))) + ends[-1:])
                 ways = [1 if n in picked else rng.choice((0, 2, 3) if sum(n) >= d else (0, 1, 2)) for n in box]
-                patch.setattr(pf.oracle, "_count_grid", lambda *args, **kwargs: (ways, strides))
+                rows = pack_rows(ways, bits, maxes[-1] + 1)
+                patch.setattr(pf.oracle, "_count_grid", lambda *args, **kwargs: (rows, bits, strides))
                 for order in (GRLEX, GREVLEX):
                     assert pf.oracle_fp(S, 1, order).result.point == max(picked, key=order.key), (S, d, order)
             # no multiplier was counted through the made-up grid
@@ -515,7 +646,7 @@ def test_few_factorizations_lie_in_tight_box():
         for p in (1, 2, 3) if q < 3 else (1,):
             corner = tuple(sum((p * b - 1) * a[j] for b, a in zip(lam, S.generators)) for j in range(q))
             maxes = tuple(2 * c for c in corner)
-            ways, strides = _count_grid(S.generators, maxes)
+            ways, strides = grid_counts(S.generators, maxes)
             for idx, w in enumerate(ways):
                 if 1 <= w <= p:
                     n = tuple(idx // s % (m + 1) for s, m in zip(strides, maxes))

@@ -1,8 +1,7 @@
 """Exact computation of p-Frobenius vectors of affine semigroups.
 
-The Groebner engine, ``groebner``, loads on first use (PEP 562): no route
-for a semigroup of rank at most 2 needs it, so ``import pfrobenius`` leaves
-it out.  It and its five re-exports (``_ENGINE``) resolve here when first
+The Groebner engine, ``groebner``, loads on first use (PEP 562): the p-Apery
+walk needs none of it, so ``import pfrobenius`` leaves it out.  It and its five re-exports (``_ENGINE``) resolve here when first
 looked up.
 """
 

@@ -1,16 +1,12 @@
-"""Rational cone geometry: extremal rays and the finiteness criterion.
+"""Rational cone geometry: extremal rays and the finiteness criterion, in
+integer arithmetic only.
 
-The finiteness of the p-Frobenius vector (for p >= 1, any graded order) is
-equivalent to every extremal ray of the rational cone spanned by the
-generators containing at least two minimal generators.  A direction is
-extremal exactly when a linear form separates it from the other directions
-(Farkas' lemma).  For q <= 2 no form is needed: the directions of N^2 lie
-in one quarter-plane, so the sign of det[d e] orders them by angle, and the
-extremal ones are the first and the last, found in one pass of one
-cross-product comparison per generator (at q = 1 the one direction is
-extremal).  For q >= 3 the form's existence is decided by Fourier-Motzkin
-elimination over its q coefficients.  Both run in integer arithmetic, so no
-floating point is involved anywhere.
+- ``ray_generators`` picks the minimal generators on each extremal ray,
+  cached per semigroup; its docstring proves the pick, with
+  ``_separable`` deciding it for q >= 3.
+- ``is_fp_finite`` is the finiteness criterion of F_p, and
+  ``extremal_ray_directions`` and ``unpaired_rays`` read the rays too.
+- ``primitive_direction`` divides a vector by the gcd of its coordinates.
 """
 from __future__ import annotations
 

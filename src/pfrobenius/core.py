@@ -182,13 +182,15 @@ class Semigroup(Record):
 
 
 def s_degree(S: Semigroup, lam: tuple[int, ...]) -> tuple[int, ...]:
-    """The semigroup element sum(lam_i * a_i) of an exponent vector."""
+    """The semigroup element sum(lam_i * a_i) of an exponent vector.  Every
+    term is a product of non-negative ints, so the sum bounds each partial
+    one, and the 64-bit guard checks each coordinate once, at the end."""
     out = [0] * S.q
     for li, a in zip(_as_point(lam, S.h), S.generators):
         if li:
             for j in range(S.q):
-                out[j] = checked(out[j] + checked(li * a[j]))
-    return tuple(out)
+                out[j] += li * a[j]
+    return tuple(map(checked, out))
 
 
 def minimalize_generators(gens, q: int | None = None) -> Semigroup:
@@ -237,11 +239,12 @@ class FrobeniusResult(Record):
 
     @classmethod
     def finite(cls, point) -> "FrobeniusResult":
-        """A finite value: a point of ints, negative ones too (F_0(N) = -1)."""
+        """A finite value: a point of ints in the 64-bit range, negative ones
+        too (F_0(N) = -1)."""
         point = _as_tuple(point, "a point")
         if not all(type(c) is int for c in point):  # a bool is an int subclass, not an int
             raise ValidationError(f"coordinates must be ints, got {point}")
-        return cls(point)
+        return cls(tuple(map(checked, point)))
 
     @classmethod
     def infinite(cls) -> "FrobeniusResult":

@@ -1,27 +1,19 @@
-"""p-Frobenius vectors: one pipeline for every p >= 1, with semigroups of
-rank at most 2 read off their p-Apery sets.
+"""p-Frobenius vectors, and the binomial generating sets of the semigroup ideal.
 
-``fp_general`` checks p and the order, refuses p = 0 beyond q = 1, and
-for p >= 1 runs the finiteness gate on the rays of the cone.  Then one of
-two routes lists the candidates for F_p, the elements of the top degree
-with at most p factorizations, and the order picks F_p among them last.
-Neither route depends on the order, so each is cached per (S, p), and
-both orders share one run.  The number of extremal rays picks the route,
-whatever q is.  A semigroup with one ray (every numerical one, at every
-p >= 0) or two takes ``_apery_walk``, a pruned walk over the sums of the
-generators off the rays, one size level at a time, with no Groebner basis.
-``f0_numerical(S)`` is ``fp_general(S, 0)``.  A cone with three rays or
-more takes ``_fp_groebner``: the toric engine's reduced basis, the
-per-generator bounds Lambda read off it, and a scan of the standard
-monomials grown from 0 inside prod [0, p*lambda_i) by descending degree,
-counting each fiber by reverse rewriting down to the first degree with one
-of at most p factorizations.  ``candidate_degrees`` lists the degrees of
-the closed box, the paper's candidate set D.
+- ``fp_general`` is the one F_p pipeline; its docstring holds the contract
+  and the route rule, and ``f0_numerical`` is its p = 0.
+- ``_apery_walk`` and ``_fp_groebner`` are its two routes, each docstring
+  with its algorithm and proof.  ``_staircase`` reads the walk's rank-2
+  corners off its kept sums; ``lambda_bounds`` gives the scan's box, and
+  ``candidate_degrees`` lists the degrees of the closed box, the paper's
+  candidate set D.
+- ``nabla_components``, ``verify_minimal_ideal_basis`` and
+  ``indispensable_binomials`` read the factorizations and the binomials.
 
 Only ``_fp_groebner``, ``indispensable_binomials``,
 ``verify_minimal_ideal_basis`` and, through ``factorizations``,
 ``nabla_components`` use the Groebner engine; each imports it when called,
-so the routes of rank at most 2 run without loading it.
+so the walk runs without loading it.
 """
 from __future__ import annotations
 
@@ -84,21 +76,13 @@ def candidate_degrees(S: Semigroup, lam: tuple[int, ...], p: int) -> set[tuple[i
 def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> FrobeniusResult:
     """F_p(S) for any p >= 1, and for p = 0 when q = 1 (UnsupportedError else).
 
-    Two routes, after the gate on the rays for p >= 1, picked by the number
-    of rays alone, each cached per (S, p) and returning the candidates of
-    the top degree:
-    - one or two rays (rank <= 2, at any q) take ``_apery_walk``, with no
-      Groebner basis: in the coordinates z of the ray generators, the
-      factorizations of n are the sums L of the other generators with
-      z(L) <= z(n) in n's class mod D; a pruned walk by ascending
-      z_1 + z_2 keeps, per class, the L that have at most p others at or
-      below them, and returns the corners of the top degree of the
-      staircase {#Z <= p} that those L draw, none for an infinite F_0;
-    - three rays or more (rank >= 3) take ``_fp_groebner``: a scan of the
-      standard monomials of the toric engine's reduced basis in the box
-      prod [0, p*lambda_i), by descending degree, for the top degree whose
-      fibers hold at most p monomials.
-    The order is graded, so F_p is its largest candidate, picked here, last.
+    For p >= 1 the gate on the rays answers an infinite F_p first.  Then the
+    number of extremal rays alone picks the route, whatever q is: one or two
+    rays take ``_apery_walk``, three or more ``_fp_groebner``.  Each route
+    returns the candidates for F_p, all of one top degree (none for an
+    infinite F_0), and none of its steps depends on the order, so each is
+    cached per (S, p) and both orders share one run.  The order is graded,
+    so F_p is its largest candidate, picked here, last.
     """
     _as_int(p, "p", 0)
     _as_order(order)
@@ -261,11 +245,11 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
     dropped before L is seen.  Two sums of one level are never strictly
     below one another, and equal ones count each other.  Which of those
     the walk keeps depends on their order in the level, and so does which
-    multisets are grown later, but not the set {#Z <= p} argued below, so
-    not the corners read from it.  So for n with #Z(n) <= p, #Z(n) is the
-    number of kept L of n's class at or below n: none of its factorizations
-    was dropped.  An n with #Z(n) > p has p + 1 kept below it, its own or
-    those that dropped one.
+    multisets are grown later, but not the set {#Z <= p}, so not the points
+    read from it.  So for n with #Z(n) <= p, #Z(n) is the number of kept L
+    of n's class at or below n: none of its factorizations was dropped.  An
+    n with #Z(n) > p has p + 1 kept below it, its own or those that dropped
+    one.
     F_(p+1) is finite, so only finitely many L are kept and the walk ends.
 
     Rank 1: the scaled z_1 have gcd 1, so every class mod m_1 is reached and
@@ -276,21 +260,9 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
     infinite when g_1, then the gcd of the generators, is above 1.  These are
     the p-Apery sets of Komatsu's p-numerical semigroups.
 
-    Rank 2: in one class, sort the kept L by z_1.  For z_1 from x_i to below
-    the next value x_(i+1), #Z <= p holds exactly below y_i, the (p+1)-th
-    smallest z_2 among the kept L with z_1 <= x_i.  So the maximal points of
-    the class with #Z <= p are z = (x_(i+1) - m_1, y_i - m_2),
-    n = (g_1 z_1 e1 + g_2 z_2 e2) / D.  Past the last x, or where fewer than
-    p + 1 kept L have z_1 <= x_i, the class would hold infinitely many n
-    with 1 <= #Z(n) <= p, which a finite F_p rules out.  Under a graded
-    order F_p is the largest of the corners of the top degree, once
-    the corners outside S (no kept L at or below, so #Z = 0) are shown
-    never to be largest: there the p + 1 smallest z_2 all equal y_i, so the
-    kept L at x_(i+1) lie lower (else p + 1 kept L below it would have
-    dropped it), and corner i + 1 has the same y and a larger x.  The read
-    weighs z_i by g_i times the degree of e_i, computed once, keeps only the
-    corners of the largest degree so far, and skips a class with at most
-    p + 1 kept L, which has no corner.
+    Rank 2: ``_staircase`` reads the corners of the top degree off the kept
+    L of all classes, weighing z_i by g_i times the degree of e_i, and each
+    corner (a, b) it returns is n = (g_1 a e1 + g_2 b e2) / D.
     """
     (e1, *_), *plane = ray_generators(S)  # cached, shared with the gate
     if plane:
@@ -357,27 +329,56 @@ def _apery_walk(S: Semigroup, p: int) -> tuple[tuple[int, ...], ...]:
     if not plane:  # F_0 from the first L of each class, F_p from the last
         z1 = g1 * (max(pts[-1][0] for pts in kept if not p or pts[-1] > pts[0]) - m1)
         return (tuple(checked(z1 * c // D) for c in e1),)
-    # the maximal points of each class, as (z_1, z_2) with z_i scaled back by
-    # g_i, kept only while their degree, D times w.z, is the largest so far
-    w1, w2 = g1 * sum(e1), g2 * sum(e2)
+    corners = _staircase(kept.values(), k, m1, m2, g1 * sum(e1), g2 * sum(e2))
+    return tuple(tuple(checked((g1 * a * u + g2 * b * v) // D) for u, v in zip(e1, e2)) for a, b in corners)
+
+
+def _staircase(classes, k: int, m1: int, m2: int, w1: int, w2: int) -> list[tuple[int, int]]:
+    """The maximal points of the largest degree a*w1 + b*w2 over the
+    staircases of ``classes``, as pairs (a, b).  A class is a list of points
+    (x, y) of one coset of m1 Z x m2 Z, repeats counted; its staircase is the
+    set of the coset's points z with fewer than k of the list at or below z.
+
+    In one class let x_0 < x_1 < ... be the distinct x, and y_i the k-th
+    smallest y of the points with x <= x_i.  From x_i to below x_(i+1) the
+    staircase holds the z with y < y_i.  Left of x_0, where fewer than k
+    points have x <= x_i, and past the last x, it runs on without end, with
+    no maximal point.  So the maximal points are the (x_(i+1) - m1, y_i - m2)
+    with y_(i+1) < y_i.  A sweep by ascending x, with a heap of the k
+    smallest y, finds each when a point of the column x_(i+1) first pushes
+    the k-th smallest y below y_i.
+
+    ``_apery_walk`` passes the kept L of each class with k = p + 1, so a
+    staircase is {#Z <= p} of its class.  Its points above an n with
+    1 <= #Z(n) <= p have 1 to p factorizations too, finitely many as F_p is
+    finite, so one of them is maximal; above F_p, it would outrank F_p under
+    the graded order.  So F_p is a maximal point, of the top degree unless a
+    maximal point outside S (no kept L at or below) is larger.  Those occur,
+    where the k smallest y all equal y_i and k kept L of the column x_(i+1)
+    lie lower, and no argument here rules one out at the top degree; the
+    tests' differentials against the Groebner scan (``apery_differential``,
+    ``rank2_differential``) check that none is.
+    """
     top, corners = 0, []
-    for pts in kept.values():
-        if len(pts) <= k:  # a corner needs p + 1 kept below it and one past it
+    for pts in classes:
+        if len(pts) <= k:  # a step needs k points left of it and one in it
             continue
-        pts.sort()
-        smallest: list[int] = []  # the k smallest z_2 so far, negated
-        for (x, y), (x_next, _) in zip(pts, pts[1:]):
-            push(smallest, -y)
+        # the k smallest y so far, negated, and the k-th smallest left of the
+        # column x while the column has not stepped below it, else None
+        smallest, column, bar = [], None, None
+        for x, y in sorted(pts):
+            if x != column:
+                column, bar = x, -smallest[0] if len(smallest) == k else None
+            heapq.heappush(smallest, -y)
             if len(smallest) > k:
-                pop(smallest)
-            if x_next > x and len(smallest) == k:
-                a, b = x_next - m1, -smallest[0] - m2
-                degree = a * w1 + b * w2
-                if degree > top or not corners:
-                    top, corners = degree, [(g1 * a, g2 * b)]
-                elif degree == top:
-                    corners.append((g1 * a, g2 * b))
-    return tuple(tuple(checked((a * u + b * v) // D) for u, v in zip(e1, e2)) for a, b in corners)
+                heapq.heappop(smallest)
+                if bar is not None and -smallest[0] < bar:
+                    a, b, bar = x - m1, bar - m2, None
+                    if (degree := a * w1 + b * w2) > top or not corners:
+                        top, corners = degree, [(a, b)]
+                    elif degree == top:
+                        corners.append((a, b))
+    return corners
 
 
 def f0_numerical(S: Semigroup) -> FrobeniusResult:

@@ -5,16 +5,13 @@ whole Buchberger machinery closes over (lead, trail) exponent-vector pairs:
 S-polynomials of binomials are binomials, and reducing a binomial by
 binomials rewrites single monomials.  General polynomials never appear.
 
-The semigroup ideal comes from the integer kernel of the generator matrix,
-with no auxiliary variables (Bigatti, La Scala & Robbiano, "Computing toric
-ideals", JSC 27, 1999; Hosten & Sturmfels, GRIN, IPCO 1995).  A basis of the
-kernel lattice L gives binomials x^{v+} - x^{v-} whose ideal can be smaller
-than the semigroup ideal; saturating it by the product of all variables
-recovers the semigroup ideal, because L is saturated.  The kernel basis is
-size-reduced, one set of variables that need no step is picked from it and
-the circuits of the generator matrix together, the circuits usable on that
-set join it, and the other variables are saturated one at a time (see
-``toric_ideal_generators``).
+- ``toric_ideal_generators`` builds the reduced basis of the semigroup
+  ideal from the integer kernel of the generator matrix (``_kernel_basis``),
+  with no auxiliary variables; its docstring holds the saturation lemma,
+  and ``_buchberger``'s the pair criteria.
+- ``buchberger_reduced`` and ``reduced_basis`` give bases under other
+  orders; ``normal_form``, ``in_ideal``, ``fiber``, ``fiber_size`` and
+  ``top_small_fibers`` read a basis.
 
 Inside the engine an exponent vector is one int (Bachmann & Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC 1998): a
@@ -380,7 +377,10 @@ def _divide_out(basis: list[Packed], key: _Order, s: int) -> list[Packed]:
 @functools.lru_cache(maxsize=256)
 def toric_ideal_generators(S: Semigroup) -> tuple[Binomial, ...]:
     """The reduced Groebner basis of the semigroup ideal I_A of S under the
-    weighted revlex order with x_{h-1} last.
+    weighted revlex order with x_{h-1} last, from the kernel lattice L of
+    the generator matrix with no auxiliary variables (Bigatti, La Scala &
+    Robbiano, "Computing toric ideals", JSC 27, 1999; Hosten & Sturmfels,
+    GRIN, IPCO 1995).
 
     Starts from an ideal J_0 of binomials with I_B <= J_0 <= I_A, I_B the
     ideal of the binomials x^{v+} - x^{v-} of a kernel basis B of L, and

@@ -1,18 +1,16 @@
 """Brute-force reference implementations, deliberately independent of the
-Groebner engine: factorizations are counted by a coin-counting dynamic
-program (no depth-first search, no normal forms, no bases).  A grid is a
-list of rows, each one Python int of fixed-width fields over the last
-coordinate; a generator is counted by one shift, add and mask per row it
-reaches, and at q = 1 the grid is one row, a line.  Every count stays below
-the top bit of its field, so the readers test whole rows in place: one add
-per bound marks, in each field's spare top bit, the counts above that bound,
-with no carry between fields.  The multiplier bounds are read off one line
-per axis and one grid shared by the other generators, and F_p off one grid
-over the tight box, from its top degree down.  A budget covers the whole
-call, the multiplier search included, and is checked once per generator; a
-grid is allocated before the first check, so one the allocator grants is
-bounded only by the machine.  In any disagreement with the optimized
-algorithms, these routines are trusted.
+Groebner engine: in any disagreement with the optimized algorithms, these
+routines are trusted.  The module imports only ``core`` and ``cone``.
+
+- ``_count_grid`` counts the factorizations of every point of a box by a
+  coin-counting dynamic program on packed rows, with its no-carry proof;
+  ``_fields`` gives the masks that test a whole row in place.
+- ``_direct_lambda`` finds the multipliers that bound the box, with their
+  proof; ``oracle_fp`` reads F_p off one grid over that box, and
+  ``_oracle_f0`` reads F_0 off one line.  ``oracle_count`` reads one count.
+- ``_Budget`` covers a whole call, the multiplier search included, and is
+  checked once per generator.  A grid is allocated before the first check,
+  so one the allocator grants is bounded only by the machine.
 """
 from __future__ import annotations
 

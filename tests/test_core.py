@@ -337,6 +337,10 @@ def test_frobenius_result_takes_ints():
     for point in ((2.9,), (True,), ("2",)):
         with pytest.raises(pf.ValidationError):
             pf.FrobeniusResult.finite(point)
+    # every built point passes the 64-bit guard, this one too
+    for point in ((2**63,), (-2**64,)):
+        with pytest.raises(pf.OverflowGuardError):
+            pf.FrobeniusResult.finite(point)
 
 
 S35 = pf.numerical(3, 5)

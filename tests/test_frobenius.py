@@ -13,7 +13,7 @@ import pytest
 
 import pfrobenius as pf
 from pfrobenius.core import _F0_SCOPE
-from pfrobenius.frobenius import _apery_walk, _fp_groebner
+from pfrobenius.frobenius import _apery_walk, _fp_groebner, _staircase
 from pfrobenius.groebner import Binomial
 from pfrobenius.oracle import _Budget, _direct_lambda
 from conftest import (
@@ -858,6 +858,65 @@ def test_walk_matches_reference_planar(example_S):
         S = pf.Semigroup(len(gens[0]), gens)
         for p in (1, 2):
             check_walk(S, p)
+
+
+def staircase_reference(classes, k, m1, m2, w1, w2) -> list[tuple[int, int]]:
+    """The maximal points z of {z in the class's coset: fewer than k points of
+    the class at or below z}, over every class, of the largest degree
+    z_1 w1 + z_2 w2, found by counting at each point of the coset in the box
+    one step wider than the class on every side.  The set is closed
+    downwards, so z is maximal when both steps up from it leave the set; a
+    point on the box's upper edge never is, as the step out of the box counts
+    the same points."""
+    found = []
+    for pts in classes:
+        if not pts:
+            continue
+        xs, ys = [x for x, _ in pts], [y for _, y in pts]
+
+        def inside(a, b):
+            return sum(x <= a and y <= b for x, y in pts) < k
+
+        for a in range(min(xs) - m1, max(xs) + m1 + 1, m1):
+            for b in range(min(ys) - m2, max(ys) + m2 + 1, m2):
+                if inside(a, b) and not inside(a + m1, b) and not inside(a, b + m2):
+                    found.append((a, b))
+    top = max((a * w1 + b * w2 for a, b in found), default=None)
+    return sorted(z for z in found if z[0] * w1 + z[1] * w2 == top)
+
+
+def test_staircase_matches_brute_force():
+    # random classes with repeats and ties in x and in y, alone and in
+    # batches over distinct cosets, against the count at every point of a box
+    rng = random.Random(11)
+    seen = Counter()
+    for draw in range(900):
+        m1, m2, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(2, 4)
+        w1 = rng.randint(1, 9)
+        w2 = rng.choice((w1, rng.randint(1, 9)))  # equal weights tie more degrees
+        cosets = [(rng.randint(-4, 9), rng.randint(-4, 9)) for _ in range(1 if draw < 600 else rng.randint(2, 5))]
+        cosets = list({(x0 % m1, y0 % m2): (x0, y0) for x0, y0 in cosets}.values())
+        classes = []
+        for x0, y0 in cosets:
+            pts = [(x0 + m1 * rng.randint(0, 6), y0 + m2 * rng.randint(0, 6)) for _ in range(rng.randint(0, 12))]
+            pts += rng.sample(pts, rng.randint(0, len(pts) // 3))  # repeats
+            rng.shuffle(pts)
+            classes.append(pts)
+        want = staircase_reference(classes, k, m1, m2, w1, w2)
+        assert sorted(_staircase([list(pts) for pts in classes], k, m1, m2, w1, w2)) == want, (classes, k, m1, m2)
+        seen["classes"] += len(classes)
+        seen["with a corner"] += bool(want)
+        seen["several corners"] += len(want) > 1
+    assert seen["classes"] >= 1000 and seen["with a corner"] >= 300 and seen["several corners"] >= 10, seen
+
+
+def test_walk_level_loop_names_are_fast_locals():
+    # a comprehension or lambda in _apery_walk that captures a name makes it
+    # a closure cell, and the level loop would then read it through a cell
+    # dereference on every popped sum
+    loop = {"x", "y", "j", "c", "below", "under", "u", "v", "s", "t", "i", "level", "size", "k", "m1", "m2",
+            "kept", "levels", "sizes", "tails", "pop", "push"}
+    assert not loop & set(_apery_walk.__wrapped__.__code__.co_cellvars)
 
 
 def apery_differential(draws: int, seed: int = 0, oracle_every: int = 10) -> Counter:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from functools import lru_cache
+from operator import le
 
 INT64_MAX = 2**63 - 1
 
@@ -217,14 +218,21 @@ def minimalize_generators(gens, q: int | None = None) -> Semigroup:
 @lru_cache(maxsize=256)
 def _minimal(gens: tuple[tuple[int, ...], ...]) -> Semigroup:
     """The semigroup of the atoms of distinct nonzero generators.  Cached:
-    a file loaded again, or a semigroup glued again, finds its atoms here."""
+    a file loaded again, or a semigroup glued again, finds its atoms here.
+
+    S is positive, so a factorization of g other than g itself never uses
+    g (what is left of g would be 0): g is an atom exactly when it has one
+    factorization over the whole set, and the atoms generate S.  So every
+    test searches on the plan of gens, which the loaded semigroup reuses
+    when no generator drops out.  A generator that lies above no other one
+    has no other factorization, and is an atom with no search."""
     from . import factorization
 
-    # S is positive: a generator lies in <others> iff it is no atom, and the atoms generate S
     atoms = (
         g
-        for i, g in enumerate(gens)
-        if not factorization.factor_tuples(gens[:i] + gens[i + 1 :], g, 1)
+        for g in gens
+        if not any(a is not g and all(map(le, a, g)) for a in gens)
+        or len(factorization.factor_tuples(gens, g, 2)) == 1
     )
     return Semigroup(len(gens[0]), tuple(atoms))
 

@@ -1,11 +1,21 @@
 """Factorization sets Z_n(S): membership and capped counts by exact bounded
 depth-first search, the whole set as a fiber of the toric ideal.  Only
-``factorizations`` uses the Groebner engine, and imports it when called."""
+``factorizations`` uses the Groebner engine, and imports it when called.
+
+The search takes the generators in a fixed plan.  A step that is the last to
+touch a coordinate closes it: its multiplicity is forced.  A free step whose
+next step closes coordinate j walks its multiplicities k by that step's
+period: the closing step divides residual_j - k*g_j by its own c_j and
+refuses a remainder, so only the k in one class mod c_j / gcd(g_j, c_j)
+reach it, and the period drops no k that it would accept."""
 from __future__ import annotations
 
 import functools
+from math import gcd
 
 from .core import Semigroup, ValidationError, _as_int, _as_point
+
+_NO_PERIOD = (0, 1, 1, 0)  # every k: residual_0 is divisible by 1, and k = 0 mod 1
 
 
 def _max_multiplicity(gen: tuple[int, ...], residual: tuple[int, ...]) -> int:
@@ -20,43 +30,75 @@ def _max_multiplicity(gen: tuple[int, ...], residual: tuple[int, ...]) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _plan(gens: tuple[tuple[int, ...], ...]):
-    """The generators in search order, for each step the coordinates no later
-    step touches, and the step of each generator, as tuples: cached per
-    generator tuple, since a gluing and a scan search one semigroup often.
+    """The search plan of a generator tuple: its steps, and the coordinates
+    no generator touches.  Cached per generator tuple, since a gluing and a
+    scan search one semigroup often.
 
-    Generators with more nonzero coordinates go first, then those with the
-    same support together, larger first, so that each coordinate is closed
-    (its multiplicity forced) as early as possible."""
+    Each step is (generator, the coordinates no later step touches, period,
+    the generator's index).  Generators with more nonzero coordinates go
+    first, then those with the same support together, larger first, so that
+    each coordinate is closed (its multiplicity forced) as early as
+    possible.
+
+    A free step g followed by a step c that closes coordinate j (its first)
+    gets the period (j, d, m, inv): d = gcd(g_j, c_j), m = c_j / d and inv
+    the inverse of g_j / d mod m.  Step c accepts k*g only if c_j divides
+    residual_j - k*g_j, which needs d | residual_j and then holds exactly
+    for k = (residual_j / d) * inv mod m.  With g_j = 0, m = 1 and the test
+    is d | residual_j alone.  Every other step gets ``_NO_PERIOD``."""
     support = [tuple(j for j, a in enumerate(g) if a) for g in gens]
     order = sorted(range(len(gens)), key=lambda i: (-len(support[i]), support[i], -sum(gens[i])))
     last = {j: step for step, i in enumerate(order) for j in support[i]}
     closes = [[] for _ in order]
     for j, step in last.items():
         closes[step].append(j)
-    position = sorted(range(len(order)), key=order.__getitem__)
-    return tuple(gens[i] for i in order), tuple(map(tuple, closes)), tuple(position)
+    steps = []
+    for step, i in enumerate(order):
+        g, period = gens[i], _NO_PERIOD
+        if not closes[step] and closes[step + 1]:  # the last step always closes
+            j = closes[step + 1][0]
+            c = gens[order[step + 1]][j]
+            d = gcd(g[j], c)
+            period = (j, d, c // d, pow(g[j] // d, -1, c // d))
+        steps.append((g, tuple(closes[step]), period, i))
+    untouched = tuple(j for j in range(len(gens[0])) if j not in last)
+    return tuple(steps), untouched
 
 
-def _search(gens, closes, idx, residual, prefix, out, cap):
-    """DFS over multiplicities of gens[idx:]; residual stays non-negative.
+def _search(steps, idx, residual, lam, out, cap):
+    """DFS over the multiplicities of the steps from idx on; residual stays
+    non-negative, and lam holds the multiplicities set so far, in generator
+    order (a leaf appends a copy).
 
-    At the step that closes coordinate j the multiplicity is forced to
-    residual_j / gen_j, so every coordinate is zero once all steps are taken."""
-    if idx == len(gens):
-        out.append(tuple(prefix))
+    A step that closes coordinates forces its multiplicity to
+    residual_j / gen_j for the first of them, j, and refuses it if the
+    division leaves a remainder, if what is left is negative anywhere or if
+    it is not zero on another closed coordinate; so every coordinate is zero
+    once all steps are taken.  A free step walks range(k0, top + 1, m) by
+    its period (j, d, m, inv), k0 = (residual_j / d) * inv mod m, and none
+    if d does not divide residual_j: the k it skips are those the next step,
+    which closes j, would refuse for a remainder, so the list and its order
+    do not change."""
+    if idx == len(steps):
+        out.append(tuple(lam))
         return
-    g, closed = gens[idx], closes[idx]
-    top = _max_multiplicity(g, residual)
+    g, closed, (j, d, m, inv), slot = steps[idx]
     if closed:
         k, left = divmod(residual[closed[0]], g[closed[0]])
-        if left or k > top or any(residual[j] != k * g[j] for j in closed[1:]):
+        if left:
             return
-        ks = (k,)
-    else:
-        ks = range(top + 1)
-    for k in ks:
         rem = tuple(r - k * a for r, a in zip(residual, g))
-        _search(gens, closes, idx + 1, rem, prefix + [k], out, cap)
+        if min(rem) < 0 or any(rem[i] for i in closed[1:]):
+            return
+        lam[slot] = k
+        _search(steps, idx + 1, rem, lam, out, cap)
+        return
+    t, left = divmod(residual[j], d)
+    if left:
+        return
+    for k in range(t * inv % m, _max_multiplicity(g, residual) + 1, m):
+        lam[slot] = k
+        _search(steps, idx + 1, tuple(r - k * a for r, a in zip(residual, g)), lam, out, cap)
         if cap is not None and len(out) >= cap:
             return
 
@@ -65,14 +107,14 @@ def factor_tuples(gens, n, cap: int | None) -> list[tuple[int, ...]]:
     """Up to cap factorizations of n over the plain tuples gens (all if cap
     is None), in generator order.  Nothing is checked: n must be a point of
     the generators' dimension.  ``core._minimal`` decides each atom through
-    it with no Semigroup per leave-one-out, and with no cap it is the tests'
+    it on the plan of the whole set, and with no cap it is the tests'
     reference for ``factorizations``."""
-    if any(c and not any(g[j] for g in gens) for j, c in enumerate(n)):
-        return []  # a coordinate no generator touches
-    ordered, closes, position = _plan(gens)
+    steps, untouched = _plan(gens)
+    if any(n[j] for j in untouched):
+        return []
     out: list[tuple[int, ...]] = []
-    _search(ordered, closes, 0, n, [], out, cap)
-    return [tuple(lam[s] for s in position) for lam in out]
+    _search(steps, 0, n, [0] * len(gens), out, cap)
+    return out
 
 
 def _factor(S: Semigroup, n, cap: int | None) -> list[tuple[int, ...]]:

@@ -68,23 +68,31 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, int, lis
     shift and add per factor while the shift stays on the row.  Every other
     generator a multiplies the grid by 1/(1 - t^a): each row of the sub-box
     [a, maxes], in ascending order, adds its source row, already final as
-    a's nonzero head puts it earlier, shifted by a's last coordinate.  Each
-    sum is masked back to the row; shifts only move counts up the row, so
+    a's nonzero head puts it earlier, shifted by a's last coordinate; the
+    last head coordinate has row stride 1, so its rows run as one range.
+    Each sum is masked back to the row; shifts only move counts up the row, so
     the fields the mask drops past maxes feed nothing in the box.  No field
     carries: each field counts factorizations of its point n over some of
     the generators (those on the last axis, mid-product, fewer than 2^(i+1)
     times), so at most #Z_n.  A factorization of n uses a at most
     min_j(n_j // a_j) times, and given the multiplicities of all generators
     but one, n fixes the last, so #Z_n is at most the product of the ranges
-    min_j(maxes_j // a_j) + 1 of all generators but the one with the
-    largest range.  The width is the least of 8, 16, 32, ... bits that
-    holds that bound below its top bit, and the spare top bit is what lets
-    a reader test a whole row at once (see _fields).  A grid the allocator
-    refuses, by memory or by size, is the budget's error.
+    min_j(maxes_j // a_j) + 1 (over the j with a_j > 0) of all generators
+    but the one with the largest range.  The width is the least of 8, 16,
+    32, ... bits that holds that bound below its top bit, and the spare top
+    bit is what lets a reader test a whole row at once (see _fields).  A
+    grid the allocator refuses, by memory or by size, is the budget's error.
     """
     width = maxes[-1] + 1
     row_strides = [prod(m + 1 for m in maxes[j + 1 : -1]) for j in range(len(maxes) - 1)]
-    bound = prod(sorted([min([m // c for c, m in zip(a, maxes) if c]) + 1 for a in generators])[:-1])
+    top, ranges = max(maxes), []  # no range exceeds top + 1
+    for a in generators:
+        r = top
+        for c, m in zip(a, maxes):
+            if c and m // c < r:
+                r = m // c
+        ranges.append(r + 1)
+    bound = prod(ranges) // max(ranges, default=1)
     bits = 8
     while bound >> bits - 1:
         bits *= 2
@@ -106,14 +114,15 @@ def _count_grid(generators, maxes, budget=_Budget(None)) -> tuple[list, int, lis
             budget.check()
             if any(c > m for c, m in zip(a, maxes)):
                 continue  # no point of the grid has a factorization using a
-            *head, c = a
-            sub = [0]
-            for h, m, s in zip(head, maxes, row_strides):
-                sub = [r + i * s for r in sub for i in range(h, m + 1)]
-            back = sum(map(mul, head, row_strides))
+            *lead, h, c = a  # the head is lead and h, and h's rows have stride 1
+            starts = [0]
+            for x, m, s in zip(lead, maxes, row_strides):
+                starts = [r + i * s for r in starts for i in range(x, m + 1)]
+            back = sum(map(mul, lead, row_strides)) + h
             shift = bits * c
-            for r in sub:
-                rows[r] = (rows[r] + (rows[r - back] << shift)) & mask
+            for start in starts:
+                for r in range(start + h, start + maxes[-2] + 1):
+                    rows[r] = (rows[r] + (rows[r - back] << shift)) & mask
     except (MemoryError, OverflowError):
         raise OracleBudgetError(f"the allocator refused the grid over [0, {maxes}]") from None
     return rows, bits, row_strides

@@ -150,6 +150,44 @@ def random_rank2_semigroup(rng: random.Random, q: int) -> pf.Semigroup:
             return S
 
 
+def unstepped_factor_tuples(gens, n, cap: int | None) -> list[tuple[int, ...]]:
+    """``factorization.factor_tuples`` with no periods: the same plan, built
+    here on its own, with every multiplicity of a free step tried from 0 up.
+    The stepped search must return the same list, in the same order."""
+    if any(c and not any(g[j] for g in gens) for j, c in enumerate(n)):
+        return []
+    support = [tuple(j for j, a in enumerate(g) if a) for g in gens]
+    order = sorted(range(len(gens)), key=lambda i: (-len(support[i]), support[i], -sum(gens[i])))
+    last = {j: step for step, i in enumerate(order) for j in support[i]}
+    closes = [[] for _ in order]
+    for j, step in last.items():
+        closes[step].append(j)
+    ordered = [gens[i] for i in order]
+    out = []
+
+    def search(idx, residual, prefix):
+        if idx == len(ordered):
+            out.append(tuple(prefix))
+            return
+        g, closed = ordered[idx], closes[idx]
+        top = min(r // a for r, a in zip(residual, g) if a)
+        if closed:
+            k, left = divmod(residual[closed[0]], g[closed[0]])
+            if left or k > top or any(residual[j] != k * g[j] for j in closed[1:]):
+                return
+            ks = (k,)
+        else:
+            ks = range(top + 1)
+        for k in ks:
+            search(idx + 1, tuple(r - k * a for r, a in zip(residual, g)), prefix + [k])
+            if cap is not None and len(out) >= cap:
+                return
+
+    search(0, tuple(n), [])
+    position = sorted(range(len(order)), key=order.__getitem__)
+    return [tuple(lam[s] for s in position) for lam in out]
+
+
 def unpack_rows(rows, bits: int, width: int) -> list[int]:
     """The counts of packed rows of width fields of bits bits, field i of a
     row at bit bits * i, as one flat list in row-major order."""

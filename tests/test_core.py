@@ -6,14 +6,16 @@ import json
 import pickle
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import pfrobenius as pf
+from pfrobenius import factorization
 from pfrobenius.core import EQUAL, GREATER, LESS
-from conftest import EXAMPLE_GENS
+from conftest import EXAMPLE_GENS, unstepped_factor_tuples
 
 vectors = st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=4)
 orders = st.sampled_from(["grlex", "grevlex"])
@@ -186,6 +188,48 @@ def test_minimalize_list_and_tuple_input_agree():
         assert pf.minimalize_generators(gens[::-1]).generators == tuple(
             g for g in dict.fromkeys(gens[::-1]) if g in S.generators
         )
+
+
+def leave_one_out_atoms(gens) -> tuple:
+    """The generators of the distinct nonzero gens that do not factor over
+    the others, one unstepped search per generator."""
+    return tuple(g for i, g in enumerate(gens) if not unstepped_factor_tuples(gens[:i] + gens[i + 1 :], g, 1))
+
+
+def test_atoms_match_leave_one_out():
+    # g is an atom iff it has one factorization over the whole set, and one
+    # that lies above no other generator is an atom with no search: 2000
+    # seeded sets at q = 1-3 and h up to 20, with non-atoms, generators of
+    # equal degree and single generators
+    rng = random.Random(97)
+    seen = Counter()
+    for i in range(2000):
+        q = i % 3 + 1
+        h = 1 if i % 20 == 0 else rng.randint(2, 12 if q == 1 else 20)
+        gens = set()
+        while len(gens) < h:
+            g = tuple(rng.randint(0 if q > 1 else 1, (40, 9, 5)[q - 1]) for _ in range(q))
+            if any(g):
+                gens.add(g)
+        gens = tuple(sorted(gens, key=lambda _: rng.random()))
+        atoms = leave_one_out_atoms(gens)
+        assert pf.minimalize_generators(gens, q).generators == atoms, gens
+        seen["non-atoms"] += len(atoms) < h
+        seen["equal degree"] += len({sum(g) for g in gens}) < h
+        seen["single"] += h == 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_atoms_share_one_plan_with_the_semigroup():
+    # the atom tests, a membership test and a capped count on a fresh minimal
+    # tuple all search on one plan: one miss of the plan cache, where one
+    # plan per leave-one-out made six
+    gens = ((11, 0), (13, 0), (0, 7), (0, 17), (5, 3))
+    misses = factorization._plan.cache_info().misses
+    S = pf.minimalize_generators(gens)
+    assert S.generators == gens
+    assert pf.contains(S, (16, 3)) and pf.count_capped(S, (26, 0), 3) == 1
+    assert factorization._plan.cache_info().misses == misses + 1
 
 
 def test_minimalize_rejects_bad_input():

@@ -3,11 +3,14 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from collections import Counter
+from math import prod
 
 import pytest
 
 import pfrobenius as pf
-from conftest import random_semigroup
+from conftest import random_semigroup, unstepped_factor_tuples
+from pfrobenius import factorization
 
 
 def brute_force_factorizations(S: pf.Semigroup, n: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -159,3 +162,62 @@ def test_walks_the_fiber():
     assert time.perf_counter() - t0 < 2.0
     assert len(Z) == 21 and (0, 0, 279, 0, 0) in Z
     assert all(pf.s_degree(S, lam) == (2790, 837, 3348) for lam in Z)
+
+
+def stepped_draws(rng: random.Random, count: int):
+    """count (gens, n) pairs at q = 1-3 whose coordinates share factors, so
+    that closing pairs such as (4, 0), (6, 0) meet: half of the n are points
+    of the semigroup, the other half points near them.  Every tenth q = 3
+    draw holds (a, b, 0), (x, 0, z), (y, 0, 0) and (0, w, 0), whose first
+    step is free, 0 on the coordinate 2 that the second step closes."""
+    for i in range(count):
+        q = i % 3 + 1
+        values = list(range(1, 25)) if q == 1 else [0, 0, 1, 2, 3, 4, 6, 8, 9, 12]
+        gens, h = set(), rng.randint(1, 6 if q < 3 else 5)
+        if i % 30 == 2:
+            a, b, x, z, y, w = (rng.choice(values[2:]) for _ in range(6))
+            gens = {(a, b, 0), (x, 0, z), (y, 0, 0), (0, w, 0)}
+        while len(gens) < h:
+            g = tuple(rng.choice(values) for _ in range(q))
+            if any(g):
+                gens.add(g)
+        gens = tuple(sorted(gens, key=lambda _: rng.random()))
+        n = pf.s_degree(pf.Semigroup(q, gens), [rng.randint(0, 3) for _ in gens])
+        if i % 2:
+            n = tuple(c + rng.randint(0, 3) for c in n)
+        yield gens, n
+
+
+def test_stepped_search_matches_unstepped(monkeypatch):
+    # a free step walks its multiplicities by the period of the step that
+    # closes its coordinate next: the lists, in their order, at every cap
+    # are those of the search that tries every multiplicity, and the closing
+    # step is never handed a residual it refuses for a remainder
+    seen = Counter()
+    search = factorization._search
+
+    def spy(steps, idx, residual, *rest):
+        if idx < len(steps):
+            g, closed, (j, d, m, _), _ = steps[idx]
+            if closed and idx and not steps[idx - 1][1]:  # a free step's k reached it
+                assert residual[closed[0]] % g[closed[0]] == 0, (steps, residual)
+                seen["handed"] += 1
+            elif not closed and steps[idx + 1][1]:  # a free step with a period
+                seen["shared"] += d > 1 and g[j] > 0
+                seen["zero"] += g[j] == 0
+                seen["period 1"] += m == 1
+                seen["not divided"] += residual[j] % d > 0
+        return search(steps, idx, residual, *rest)
+
+    monkeypatch.setattr(factorization, "_search", spy)
+    rng = random.Random(71)
+    for gens, n in stepped_draws(rng, 1000):
+        full = factorization.factor_tuples(gens, n, None)
+        assert full == unstepped_factor_tuples(gens, n, None), (gens, n)
+        for cap in (1, 2, 3):
+            assert factorization.factor_tuples(gens, n, cap) == unstepped_factor_tuples(gens, n, cap), (gens, n, cap)
+        S = pf.Semigroup(len(n), gens)
+        if prod(min(c // a for c, a in zip(n, g) if a) + 1 for g in gens) <= 2000:
+            assert set(full) == brute_force_factorizations(S, n) and len(set(full)) == len(full), (gens, n)
+            seen["brute force"] += 1
+    assert min(seen.values()) >= 100 and len(seen) == 6, seen

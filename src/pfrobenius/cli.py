@@ -37,11 +37,12 @@ _ERROR_CODES = [
     (OracleBudgetError, "ORACLE_BUDGET", 5),
     (ValidationError, "VALIDATION", 4),
 ]
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(payload, sort_keys=True), built once
 
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(_ENCODER.encode(payload))
         return
     # text rendering: one "key: value" line per entry
     def lines(obj, prefix=""):
@@ -186,6 +187,10 @@ _COMMANDS = {name: (fn, {**_SHARED, **options}) for name, fn, options in [
     ("oracle", oracle_cmd, {**_ORDER, "--p": ("p", int, False, None, "F_p by brute force."),
                             "--element": ("element", str, False, None, "Count factorizations of one element."), **_BUDGET}),
 ]}
+# built once per command, not per call: the option defaults, and the required flags with their dests
+_DEFAULTS = {name: {dest: default for dest, _, _, default, _ in table.values()} for name, (_, table) in _COMMANDS.items()}
+_REQUIRED = {name: [(flag, dest) for flag, (dest, _, required, _, _) in table.items() if required]
+             for name, (_, table) in _COMMANDS.items()}
 
 
 def _help(name: str | None) -> str:
@@ -212,7 +217,7 @@ def _parse(argv: list[str]):
     if name not in _COMMANDS:
         raise _UsageError(f"expected a command: {', '.join(_COMMANDS)}")
     fn, table = _COMMANDS[name]
-    args = {dest: default for dest, _, _, default, _ in table.values()}
+    args = dict(_DEFAULTS[name])
     tokens = iter(rest)
     for token in tokens:
         if token == "--help":
@@ -236,7 +241,7 @@ def _parse(argv: list[str]):
         except ValueError as exc:  # a ValidationError too
             raise _UsageError(f"{flag}: {exc}") from None
     # a required option has no default, and a given value is never None
-    missing = [flag for flag, (dest, _, required, _, _) in table.items() if required and args[dest] is None]
+    missing = [flag for flag, dest in _REQUIRED[name] if args[dest] is None]
     if missing:
         raise _UsageError(f"missing {', '.join(missing)}")
     return fn, SimpleNamespace(**args)

@@ -110,4 +110,4 @@ def is_fp_finite(S: Semigroup) -> bool:
     Holds exactly when each extremal ray direction is shared by at least two
     distinct minimal generators.
     """
-    return all(len(gens) > 1 for gens in ray_generators(S))
+    return min(map(len, ray_generators(S))) > 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from functools import lru_cache
-from operator import le
+from operator import le, mul
 
 INT64_MAX = 2**63 - 1
 
@@ -177,6 +177,15 @@ class Semigroup(Record):
             raise ValidationError("generators must be pairwise distinct")
         self._set(q, gens)
 
+    @classmethod
+    def _trusted(cls, q: int, gens: tuple[tuple[int, ...], ...]) -> "Semigroup":
+        """The semigroup on a tuple the library built of points that passed
+        the checks of ``__init__`` where they entered: distinct nonzero points
+        of N^q in the 64-bit range, which are not checked again."""
+        S = object.__new__(cls)
+        S._set(q, gens)
+        return S
+
     @property
     def h(self) -> int:
         return len(self.generators)
@@ -186,12 +195,8 @@ def s_degree(S: Semigroup, lam: tuple[int, ...]) -> tuple[int, ...]:
     """The semigroup element sum(lam_i * a_i) of an exponent vector.  Every
     term is a product of non-negative ints, so the sum bounds each partial
     one, and the 64-bit guard checks each coordinate once, at the end."""
-    out = [0] * S.q
-    for li, a in zip(_as_point(lam, S.h), S.generators):
-        if li:
-            for j in range(S.q):
-                out[j] += li * a[j]
-    return tuple(map(checked, out))
+    lam = _as_point(lam, S.h)
+    return tuple([checked(sum(map(mul, lam, column))) for column in zip(*S.generators)])
 
 
 def minimalize_generators(gens, q: int | None = None) -> Semigroup:
@@ -234,11 +239,17 @@ def _minimal(gens: tuple[tuple[int, ...], ...]) -> Semigroup:
         if not any(a is not g and all(map(le, a, g)) for a in gens)
         or len(factorization.factor_tuples(gens, g, 2)) == 1
     )
-    return Semigroup(len(gens[0]), tuple(atoms))
+    return Semigroup._trusted(len(gens[0]), tuple(atoms))  # some of gens, which are checked
 
 
 class FrobeniusResult(Record):
-    """Either a finite point of N^q or the distinguished infinite value."""
+    """Either a finite point of N^q or the distinguished infinite value.
+
+    ``finite`` checks a point that comes from outside.  A point the library
+    built itself has passed ``checked`` on every coordinate where it was
+    made, so the routes and the oracle construct ``FrobeniusResult(point)``
+    directly.
+    """
 
     __slots__ = ("point",)
 
@@ -308,10 +319,12 @@ def semigroup_from_json(doc: dict) -> tuple[Semigroup, OrderSpec]:
 
 def load_semigroup(path) -> tuple[Semigroup, OrderSpec]:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    # ValueError covers malformed JSON, bytes that are not UTF-8 and an int
-    # too long to convert; RecursionError an array nested too deep
+        with open(path, "rb", buffering=0) as fh:  # one read of the whole file
+            raw = fh.read()
+        # decoded first: json.loads would also take UTF-16 or a BOM from bytes
+        doc = json.loads(raw.decode("utf-8"))
+    # ValueError covers malformed JSON (a BOM too), bytes that are not UTF-8
+    # and an int too long to convert; RecursionError an array nested too deep
     except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read semigroup JSON from {path}: {exc}") from exc
     return semigroup_from_json(doc)

@@ -91,8 +91,10 @@ def fp_general(S: Semigroup, p: int, order: OrderSpec = OrderSpec()) -> Frobeniu
     if p and not is_fp_finite(S):
         return INFINITE
     route = _apery_walk if len(ray_generators(S)) <= 2 else _fp_groebner  # the rays are cached
-    points = route(S, p)
-    return FrobeniusResult.finite(max(points, key=order.key)) if points else INFINITE
+    points = route(S, p)  # each checked where the route built it
+    if not points:
+        return INFINITE
+    return FrobeniusResult(max(points, key=order.key) if len(points) > 1 else points[0])
 
 
 @functools.lru_cache(maxsize=256)

@@ -6,7 +6,7 @@ import enum
 import functools
 from math import gcd
 
-from .core import OrderSpec, Record, Semigroup, ValidationError, _as_int, _as_point, checked, minimalize_generators
+from .core import OrderSpec, Record, Semigroup, ValidationError, _as_int, _as_point, _minimal, checked
 from .factorization import contains, count_capped
 from .frobenius import fp_general
 
@@ -44,7 +44,8 @@ def validate_gluing(S: Semigroup, spec: GluingSpec) -> None:
     """
     if len(spec.gamma) != S.q:
         raise ValidationError("gamma dimension does not match the semigroup")
-    if minimalize_generators(S.generators, S.q).generators != S.generators:
+    # S's constructor checked its generators as points, distinct and nonzero
+    if _minimal(S.generators).generators != S.generators:
         raise ValidationError("S's generator list is not minimal, so neither is the glued one")
     if spec.gamma in S.generators:
         raise ValidationError("gamma must not be a minimal generator of S")
@@ -70,7 +71,8 @@ def glue(S: Semigroup, spec: GluingSpec) -> Semigroup:
     gens = tuple(
         tuple(checked(spec.d * c) for c in a) for a in S.generators
     ) + (spec.gamma,)
-    return Semigroup(S.q, gens)
+    # points of N^q, nonzero and distinct as S's are, and gamma is not in d*S
+    return Semigroup._trusted(S.q, gens)
 
 
 def _finite_fp(S: Semigroup, p: int, spec: GluingSpec, order: OrderSpec) -> tuple[int, ...]:
@@ -111,6 +113,7 @@ def gluing_equality(
     fp = _finite_fp(S, p, spec, order)
     if count_capped(S, fp, p + 1) != p:
         return GluingVerdict.PRECONDITION_FAILED
-    if contains(S, tuple(f - g for f, g in zip(fp, spec.gamma))):
+    rest = tuple(f - g for f, g in zip(fp, spec.gamma))
+    if min(rest) >= 0 and contains(S, rest):  # a negative coordinate is no element
         return GluingVerdict.STRICTLY_LESS
     return GluingVerdict.EQUAL

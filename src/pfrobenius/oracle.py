@@ -136,8 +136,11 @@ def _fields(bits: int, width: int, p: int) -> tuple[int, int, int]:
     field's top bit exactly when n > c and stays below 2^bits, so no field
     carries into the next: (row + low) & ~(row + over) & high marks the
     fields that hold 1 to p, and ~(row + low) & high those that hold 0.
+    The row of ones is read from width copies of the little-endian bytes
+    of a field holding 1 (bits is a multiple of 8), in time linear in the
+    row, where dividing 2^(bits*width) - 1 by 2^bits - 1 is quadratic.
     """
-    ones = ((1 << bits * width) - 1) // ((1 << bits) - 1)
+    ones = int.from_bytes((1).to_bytes(bits // 8, "little") * width, "little")
     high = ones << bits - 1
     return high - ones, ones * max((1 << bits - 1) - 1 - p, 0), high
 
@@ -152,32 +155,48 @@ def _direct_lambda(S: Semigroup, budget: _Budget) -> tuple[int, ...]:
     factorizations (j - i)*e_k and c - i*e_k, with j - i < j (j - i = 1
     would make a_k no atom).  If a_m = g_m*d shares a_k = g_k*d's ray,
     top_k = g_m / gcd(g_k, g_m) puts top_k*a_k in <a_m>; else top_k = 2.
-    The finite gate pairs every axis generator, so those on axis j read lam
-    off one line, a one-dimensional grid of that axis's steps up to their
-    largest top_k*a_k, which no other generator reaches.  The rest share one
-    grid over the componentwise max
-    of top_k*a_k, and only the unresolved tops double: past the finite gate
-    an unpaired generator is a non-negative rational combination of others
-    in its support, so some multiple of it factors over them, and only the
-    budget bounds the search.  The axis tops stay off that grid, which they
-    would stretch along every axis.  The multipliers do not depend on p, so
-    they are cached per semigroup; a call that raises caches nothing.
+
+    A point of an extremal ray, such as an axis of N^q, factors only over
+    that ray's generators: the others would leave it.  So a generator on an
+    axis that carries exactly two, g*e_j and m*e_j, has lam = top, that is
+    m / gcd(g, m) and g / gcd(g, m), with no count; at q = 1 every generator
+    lies on the one axis.  The finite gate pairs every axis generator, so
+    those on an axis with three or more read lam off one line, a
+    one-dimensional grid of that axis's steps up to their largest top_k*a_k,
+    which no other generator reaches.  The rest share one grid over the
+    componentwise max of top_k*a_k, and only the unresolved tops double:
+    past the finite gate an unpaired generator is a non-negative rational
+    combination of others in its support, so some multiple of it factors
+    over them, and only the budget bounds the search.  The axis tops stay
+    off that grid, which they would stretch along every axis.  The
+    multipliers do not depend on p, so they are cached per semigroup; a
+    call that raises caches nothing.
     """
-    gens = S.generators
-    on_ray = [(_direction(a), gcd(*a)) for a in gens]  # a = g*d
-    rays = {}
-    for d, g in on_ray:
-        rays.setdefault(d, []).append(g)
-    tops = [min((m // gcd(g, m) for m in rays[d] if m != g), default=2) for d, g in on_ray]
+    gens, q = S.generators, S.q
+    if q == 1:  # one ray: every generator on the axis
+        tops = [min((m // gcd(g, m) for m, in gens if m != g), default=2) for g, in gens]
+        axes, off = [list(range(S.h))], []
+    else:
+        on_ray = [(_direction(a), gcd(*a)) for a in gens]  # a = g*d
+        rays = {}
+        for d, g in on_ray:
+            rays.setdefault(d, []).append(g)
+        tops = [min((m // gcd(g, m) for m in rays[d] if m != g), default=2) for d, g in on_ray]
+        axes = [[k for k, a in enumerate(gens) if a[j] == sum(a)] for j in range(q)]
+        off = [k for k, a in enumerate(gens) if max(a) < sum(a)]
     lam = [None] * S.h
-    axes = [[k for k, a in enumerate(gens) if a[j] == sum(a)] for j in range(S.q)]
-    for j, ks in enumerate(axes + [[k for k, a in enumerate(gens) if max(a) < sum(a)]]):
+    for j, ks in enumerate(axes + [off]):
+        if j < q:
+            if len(ks) == 2:  # the pair alone on its axis
+                lam[ks[0]], lam[ks[1]] = tops[ks[0]], tops[ks[1]]
+                continue
+            line = [(gens[k][j],) for k in ks]
         while ks:
-            maxes = tuple(max(checked(tops[k] * gens[k][i]) for k in ks) for i in range(S.q))
-            if j < S.q:  # the line of axis j, read at a[j] = a . e_j
-                rows, bits, _ = _count_grid([(gens[k][j],) for k in axes[j]], (maxes[j],), budget)
+            if j < q:  # the line of axis j, read at a[j] = a . e_j
+                rows, bits, _ = _count_grid(line, (max(checked(tops[k] * gens[k][j]) for k in ks),), budget)
                 steps = [(0, gens[k][j]) for k in ks]
             else:
+                maxes = tuple(max(checked(tops[k] * gens[k][i]) for k in ks) for i in range(q))
                 rows, bits, strides = _count_grid(gens, maxes, budget)
                 steps = [(sum(map(mul, gens[k], strides)), gens[k][-1]) for k in ks]
             cell = (1 << bits) - 1
@@ -249,12 +268,9 @@ def oracle_fp(
             if t + i > top:
                 top, hits = t + i, []
             hits.append((r, i))
-    best = max(
-        (tuple(r // s % (m + 1) for s, m in zip(strides, maxes)) + (i,) for r, i in hits),
-        key=order.key,
-    )
+    points = [tuple(r // s % (m + 1) for s, m in zip(strides, maxes)) + (i,) for r, i in hits]
     return OracleReport(
-        FrobeniusResult.finite(best),
+        FrobeniusResult(max(points, key=order.key) if len(points) > 1 else points[0]),  # within maxes
         scanned_bound=sum(maxes),
         certificate=f"all {len(rows) * width} points of the box [0, {maxes}] (lambda = {lam}, "
         f"p = {p}) counted exactly",
@@ -268,12 +284,12 @@ def _oracle_f0(S: Semigroup, budget: _Budget) -> OracleReport:
     if (g := gcd(*values)) != 1:
         return OracleReport(INFINITE, 0, f"every generator is a multiple of {g}")
     if values[0] == 1:
-        return OracleReport(FrobeniusResult.finite((-1,)), 0, "no gaps: S = N")
+        return OracleReport(FrobeniusResult((-1,)), 0, "no gaps: S = N")
     bound = checked((values[0] - 1) * (values[-1] - 1) - 1)  # Schur (Brauer 1942)
     rows, bits, _ = _count_grid(S.generators, (bound,), budget=budget)
     low, _, high = _fields(bits, bound + 1, 0)
     return OracleReport(
-        FrobeniusResult.finite(((~(rows[0] + low) & high).bit_length() // bits - 1,)),  # the last gap
+        FrobeniusResult(((~(rows[0] + low) & high).bit_length() // bits - 1,)),  # the last gap, below bound
         scanned_bound=bound,
         certificate=f"all integers up to {bound} counted exactly",
     )

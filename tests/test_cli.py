@@ -45,6 +45,78 @@ def run_json(capsys, args):
     return status, json.loads(out)
 
 
+GOLDEN_FILES = {
+    "t1": {"q": 1, "generators": [[5], [7], [11]]},
+    "t2": {"q": 1, "generators": [[4], [9], [14]]},
+    "t3": {"q": 1, "generators": [[6], [9], [20]]},
+    "n1": {"q": 1, "generators": [[3], [4]]},
+    "n2": {"q": 1, "generators": [[5], [7]]},
+    "g1": {"q": 2, "generators": [[2, 0], [3, 0], [0, 3], [0, 4], [1, 2]]},
+    "g2": {"q": 2, "generators": [[2, 0], [3, 0], [0, 2], [0, 3]]},
+    "g3": {"q": 2, "generators": [[2, 0], [3, 0], [0, 2], [0, 3], [1, 1]]},
+    "ex": BIG2D,
+}
+# (command, input file, options), exit status, stdout and stderr: each call's
+# bytes as the CLI printed them before the fixed per-call work was cut; the
+# second g1 gluing's off-axis generator (2, 4) has lambda = 3, and the first
+# has F_1(S) - gamma = (-4, 14), with a negative coordinate
+GOLDEN = [
+    (("fp", "t1", "--p", "0", "--verify"), 0, '{"meta": {"oracle": [13], "oracle_agrees": true, "order": "grlex"}, "result": [13]}\n', ""),
+    (("fp", "t1", "--p", "1", "--verify"), 0, '{"meta": {"oracle": [24], "oracle_agrees": true, "order": "grlex"}, "result": [24]}\n', ""),
+    (("fp", "t1", "--p", "2", "--verify"), 0, '{"meta": {"oracle": [34], "oracle_agrees": true, "order": "grlex"}, "result": [34]}\n', ""),
+    (("fp", "t2", "--p", "0", "--verify"), 0, '{"meta": {"oracle": [19], "oracle_agrees": true, "order": "grlex"}, "result": [19]}\n', ""),
+    (("fp", "t2", "--p", "1", "--verify"), 0, '{"meta": {"oracle": [33], "oracle_agrees": true, "order": "grlex"}, "result": [33]}\n', ""),
+    (("fp", "t2", "--p", "2", "--verify"), 0, '{"meta": {"oracle": [47], "oracle_agrees": true, "order": "grlex"}, "result": [47]}\n', ""),
+    (("fp", "t3", "--p", "0", "--verify"), 0, '{"meta": {"oracle": [43], "oracle_agrees": true, "order": "grlex"}, "result": [43]}\n', ""),
+    (("fp", "t3", "--p", "1", "--verify"), 0, '{"meta": {"oracle": [61], "oracle_agrees": true, "order": "grlex"}, "result": [61]}\n', ""),
+    (("fp", "t3", "--p", "2", "--verify"), 0, '{"meta": {"oracle": [79], "oracle_agrees": true, "order": "grlex"}, "result": [79]}\n', ""),
+    (("glue", "n1", "--d", "2", "--gamma", "15", "--p", "0", "--verify"), 0,
+     '{"meta": {"bound": [25], "glued": {"generators": [[6], [8], [15]], "q": 1}, "oracle": [25]}, "result": [25]}\n', ""),
+    (("glue", "n1", "--d", "2", "--gamma", "15", "--p", "1", "--verify"), 0,
+     '{"meta": {"bound": [49], "glued": {"generators": [[6], [8], [15]], "q": 1}, "oracle": [49], "verdict": "equal"}, "result": [49]}\n', ""),
+    (("glue", "n1", "--d", "2", "--gamma", "15", "--p", "2", "--verify"), 0,
+     '{"meta": {"bound": [73], "glued": {"generators": [[6], [8], [15]], "q": 1}, "oracle": [55], "verdict": "strictly-less"}, "result": [73]}\n', ""),
+    (("glue", "n2", "--d", "3", "--gamma", "19", "--p", "0", "--verify"), 0,
+     '{"meta": {"bound": [107], "glued": {"generators": [[15], [21], [19]], "q": 1}, "oracle": [107]}, "result": [107]}\n', ""),
+    (("glue", "n2", "--d", "3", "--gamma", "19", "--p", "1", "--verify"), 0,
+     '{"meta": {"bound": [212], "glued": {"generators": [[15], [21], [19]], "q": 1}, "oracle": [149], "verdict": "strictly-less"}, "result": [212]}\n', ""),
+    (("glue", "n2", "--d", "3", "--gamma", "19", "--p", "2", "--verify"), 0,
+     '{"meta": {"bound": [317], "glued": {"generators": [[15], [21], [19]], "q": 1}, "oracle": [191], "verdict": "strictly-less"}, "result": [317]}\n', ""),
+    (("glue", "g1", "--d", "3", "--gamma", "5,5", "--p", "1", "--verify"), 0,
+     '{"meta": {"bound": [13, 67], "glued": {"generators": [[6, 0], [9, 0], [0, 9], [0, 12], [3, 6], [5, 5]], "q": 2}, '
+     '"oracle": [13, 67], "verdict": "equal"}, "result": [13, 67]}\n', ""),
+    (("glue", "g1", "--d", "3", "--gamma", "2,4", "--p", "1", "--verify"), 0,
+     '{"meta": {"bound": [7, 65], "glued": {"generators": [[6, 0], [9, 0], [0, 9], [0, 12], [3, 6], [2, 4]], "q": 2}, '
+     '"oracle": [7, 65], "verdict": "equal"}, "result": [7, 65]}\n', ""),
+    (("glue", "g2", "--d", "2", "--gamma", "5,5", "--p", "1", "--verify"), 0,
+     '{"meta": {"bound": [19, 19], "glued": {"generators": [[4, 0], [6, 0], [0, 4], [0, 6], [5, 5]], "q": 2}, '
+     '"oracle": [19, 13], "verdict": "strictly-less"}, "result": [19, 19]}\n', ""),
+    (("glue", "g3", "--d", "3", "--gamma", "4,2", "--p", "1", "--verify"), 0,
+     '{"meta": {"bound": [32, 7], "glued": {"generators": [[6, 0], [9, 0], [0, 6], [0, 9], [3, 3], [4, 2]], "q": 2}, '
+     '"oracle": [32, 7], "verdict": "equal"}, "result": [32, 7]}\n', ""),
+    (("oracle", "ex", "--p", "1"), 0,
+     '{"meta": {"certificate": "all 1265 points of the box [0, (22, 54)] (lambda = (4, 3, 6, 5, 6), p = 1) counted exactly", '
+     '"scanned_bound": 76}, "result": [2, 51]}\n', ""),
+    (("fp", "t1", "--p", "1", "--verify", "--format", "text"), 0,
+     "result: [24]\nmeta.order: grlex\nmeta.oracle: [24]\nmeta.oracle_agrees: True\n", ""),
+    (("fp", "t1", "--verify"), 2, "", "pfrobenius fp: error: missing --p; see pfrobenius fp --help\n"),
+    (("glue", "n1", "--d", "2", "--gamma", "5", "--verify"), 4,
+     '{"error": {"code": "VALIDATION", "message": "gamma = (5,) is not an element of S"}}\n', ""),
+]
+
+
+def test_golden_outputs(capsys, tmp_path):
+    # every call prints these bytes and exits with this status, in one
+    # process, so later calls on a file meet the caches of earlier ones
+    paths = {name: write(tmp_path, doc, f"{name}.json") for name, doc in GOLDEN_FILES.items()}
+    got = []
+    for (cmd, name, *options), *_ in GOLDEN:
+        status = parse_and_dispatch([cmd, "--input", paths[name], *options])
+        captured = capsys.readouterr()
+        got.append(((cmd, name, *options), status, captured.out, captured.err))
+    assert got == GOLDEN
+
+
 def test_check_finite(capsys, tmp_path):
     status, out = run_json(capsys, ["check-finite", "--input", write(tmp_path, BIG2D)])
     assert status == 0
@@ -723,6 +795,9 @@ def test_last_option_value_wins(capsys, tmp_path):
         # json.load raises RecursionError and ValueError on these two
         pytest.param(b'{"q": 1, "generators": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="nested-too-deep"),
         pytest.param(b'{"q": 1, "generators": [[' + b"1" * 5000 + b'], [3]]}', id="int-too-long"),
+        # json.loads would decode both from bytes; the loader reads UTF-8 text only
+        pytest.param(b'\xef\xbb\xbf{"q": 1, "generators": [[2], [3]]}', id="utf8-bom"),
+        pytest.param('{"q": 1, "generators": [[2], [3]]}'.encode("utf-16"), id="utf16"),
     ],
 )
 def test_bad_input_file_is_validation(capsys, tmp_path, content):

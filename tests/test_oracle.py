@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 from math import gcd, prod
 from operator import le
 from pathlib import Path
@@ -13,7 +14,8 @@ import pytest
 
 import pfrobenius as pf
 from conftest import (
-    EXAMPLE_GENS, Q3, criterion6_gluings, f0_certified, grid_counts, pack_rows, random_finite_semigroup, unpack_rows,
+    EXAMPLE_GENS, Q3, criterion6_gluings, f0_certified, grid_counts, pack_rows, random_finite_semigroup,
+    random_offaxis_semigroup, unpack_rows,
 )
 from pfrobenius.core import checked
 from pfrobenius.oracle import _Budget, _count_grid, _direct_lambda
@@ -354,19 +356,21 @@ def test_count_grid_on_bench_gluings(monkeypatch, tmp_path):
     _direct_lambda.cache_clear()
     for gens, d, gamma in gluings:
         pf.oracle_fp(pf.glue(pf.Semigroup(2, gens), pf.GluingSpec(d, gamma)), 1)
-    # each gluing's box and its multiplier search: a line per axis and a grid
-    assert sum(len(maxes) == 2 for maxes in grids) >= 2 * len(gluings)
-    assert sum(len(maxes) == 1 for maxes in grids) >= 2 * len(gluings)
+    # each gluing's box and its multiplier search's grid, and a second grid
+    # for the 13 whose off-axis lambda passes its first top of 2; every axis
+    # carries two generators, whose lambda needs no line
+    assert sum(len(maxes) == 2 for maxes in grids) == 2 * len(gluings) + 13
+    assert sum(len(maxes) == 1 for maxes in grids) == 0
     assert wrong == []
 
 
-def _linear_lambda(S: pf.Semigroup) -> tuple[int, ...]:
-    """The multipliers by a linear search: the least lam >= 1 with lam * a_k a
-    sum of the other generators, by the top corner of the pointwise counts
-    up to lam * a_k."""
+def _linear_lambda(S: pf.Semigroup, ks=None) -> tuple[int, ...]:
+    """The multipliers of the generators ks (all if None) by a linear search:
+    the least lam >= 1 with lam * a_k a sum of the other generators, by the
+    top corner of the pointwise counts up to lam * a_k."""
     lam = []
-    for k, a in enumerate(S.generators):
-        others = S.generators[:k] + S.generators[k + 1 :]
+    for k in range(S.h) if ks is None else ks:
+        a, others = S.generators[k], S.generators[:k] + S.generators[k + 1 :]
         j = 1
         while _pointwise_counts(others, tuple(j * c for c in a))[-1] == 0:
             j += 1
@@ -435,7 +439,8 @@ def test_oracle_readers_at_each_field_width(monkeypatch):
     # to p factorizations, F_0 as the last zero up to the Schur bound.  p
     # itself stays below every count bound of the box, which holds each
     # generator's range p*lam_i >= 2p, so p >= 2^(bits-1) is left to the
-    # edge test
+    # edge test.  An axis with two generators needs no line, so each width of
+    # the lambda line is met on a set of three or more
     seen, calls = set(), []
 
     def spied(gens, maxes, budget=_Budget(None)):
@@ -447,7 +452,8 @@ def test_oracle_readers_at_each_field_width(monkeypatch):
     example = pf.minimalize_generators(EXAMPLE_GENS)
     q3 = pf.Semigroup(3, ((2, 0, 0), (3, 0, 0), (0, 2, 0), (0, 3, 0), (0, 0, 5), (0, 0, 4), (3, 2, 3)))
     for S, ps in (
-        (pf.numerical(2, 3), (1, 2)), (pf.numerical(*range(5, 10)), (1,)), (pf.numerical(*range(6, 12)), ()),
+        (pf.numerical(2, 3), (1, 2)), (pf.numerical(3, 4, 5), (1,)), (pf.numerical(*range(5, 10)), (1,)),
+        (pf.numerical(*range(6, 12)), ()),
         (pf.numerical(*range(10, 20)), (1,)), (pf.numerical(*range(20, 40)), (1,)), (example, (1, 2)), (q3, (1,)),
     ):
         lam = _linear_lambda(S)
@@ -506,12 +512,46 @@ def test_direct_lambda_matches_linear_search():
         assert _direct_lambda(S, _Budget(None)) == _linear_lambda(S), S
 
 
+def test_direct_lambda_closed_form_on_two_generator_axes(monkeypatch):
+    # a generator on an axis that carries only one other has lam = top, with
+    # no line; on 2100 seeded draws (q = 1-3) those multipliers equal the
+    # linear search's, and every other generator keeps its grid: at q = 1
+    # two generators, at q = 2 and 3 two on every axis and a grid only for
+    # the generators off the axes
+    grids = []
+
+    def counted(gens, maxes, budget):
+        grids.append(maxes)
+        return _count_grid(gens, maxes, budget)
+
+    monkeypatch.setattr(pf.oracle, "_count_grid", counted)
+    rng = random.Random(41)
+    draws = 0
+    while draws < 2100:
+        q = draws % 3 + 1
+        if q == 1:
+            a, b = rng.sample(range(2, 13), 2)
+            if a % b == 0 or b % a == 0:
+                continue
+            S = pf.numerical(a, b)
+        else:
+            S = random_finite_semigroup(rng, q)
+        paired = [k for j in range(q) if len(ks := [k for k, a in enumerate(S.generators) if a[j] == sum(a)]) == 2
+                  for k in ks]
+        assert len(paired) == 2 * q, S
+        _direct_lambda.cache_clear()
+        lam = _direct_lambda(S, _Budget(None))
+        assert tuple(lam[k] for k in paired) == _linear_lambda(S, paired), S
+        draws += 1
+    assert grids and not any(len(maxes) == 1 for maxes in grids)
+
+
 def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
     # every generator here has another on its ray, so its top holds the hit:
     # lam costs one line (a one-dimensional grid) of the steps of each axis
-    # that carries generators, and one shared grid for the generators off
-    # the axes, if there are any
-    counts = []
+    # that carries three or more generators, none for an axis with two, and
+    # one shared grid for the generators off the axes, if there are any
+    counts, lines = [], 0
 
     def grid(gens, maxes, budget):
         counts.append(tuple(c for c, in gens) if len(maxes) == 1 else gens)
@@ -532,8 +572,10 @@ def test_direct_lambda_one_grid_per_paired_generator(monkeypatch):
         lam = _direct_lambda(S, _Budget(None))
         axes = [tuple(a[j] for a in S.generators if a[j] == sum(a)) for j in range(S.q)]
         off_axis = any(max(a) < sum(a) for a in S.generators)
-        assert counts == [steps for steps in axes if steps] + [S.generators] * off_axis, S
+        assert counts == [steps for steps in axes if len(steps) > 2] + [S.generators] * off_axis, S
         assert lam == reference_direct_lambda(S)
+        lines += sum(len(steps) > 2 for steps in axes)
+    assert lines == 4  # the numerical draws with three or four generators
 
 
 def test_direct_lambda_budget_error(example_S):
@@ -667,3 +709,61 @@ def test_oracle_imports_no_engine():
             absolute.update(a.name for a in node.names)
     assert relative == {"core", "cone"}
     assert not any(m.split(".")[0] == "pfrobenius" for m in absolute)
+
+
+def oracle_differential(draws: int, seed: int = 0) -> Counter:
+    """The oracle against its independent references on `draws` seeded draws,
+    taken in turn from ``random_finite_semigroup`` at q = 1, 2 and 3,
+    ``random_offaxis_semigroup``, and numerical sets of two and of three to
+    five generators in [2, 20]: on each, ``_direct_lambda`` must equal the
+    linear search, and at p = 1..3 under both orders ``oracle_fp`` must give
+    ``reference_oracle_fp``'s F_p; at q = 3 only p = 1 runs the reference,
+    whose grid over the whole candidate box takes 0.3 to 1.4 s per draw at
+    p = 2 and 3, and there the oracle must give ``fp_general``'s F_p.  At
+    p = 0 a numerical F_0 must pass ``f0_certified``, or be infinite where
+    the generators share a factor, and q >= 2 must be refused.  Returns how
+    many of each were checked."""
+    rng = random.Random(seed)
+    seen = Counter()
+    while seen["draws"] < draws:
+        kind = seen["draws"] % 6
+        if kind < 3:
+            S = random_finite_semigroup(rng, kind + 1)
+        elif kind == 3:
+            S = random_offaxis_semigroup(rng)
+        else:  # drawn again until minimalization leaves two, or three or more
+            S = pf.numerical(*rng.sample(range(2, 21), 2 if kind == 4 else rng.randint(3, 5)))
+            if (S.h == 2) != (kind == 4) or S.h < 2:
+                continue
+        seen["draws"] += 1
+        seen[f"q = {S.q}, h = {S.h}" if S.q == 1 else f"q = {S.q}"] += 1
+        _direct_lambda.cache_clear()
+        if pf.is_fp_finite(S):
+            assert _direct_lambda(S, _Budget(None)) == _linear_lambda(S), S
+            seen["lambda"] += 1
+        for p in (0, 1, 2, 3):
+            for order in (GRLEX, GREVLEX):
+                if p == 0 and S.q > 1:
+                    with pytest.raises(pf.UnsupportedError):
+                        pf.oracle_fp(S, 0, order)
+                    continue
+                got = pf.oracle_fp(S, p, order).result
+                if p == 0:
+                    values = [a for a, in S.generators]
+                    assert got == pf.INFINITE if gcd(*values) > 1 else f0_certified(values, got.point[0]), S
+                elif S.q == 3 and p > 1:
+                    assert got == pf.fp_general(S, p, order), (S, p, order)
+                    seen["fp_general"] += 1
+                elif pf.is_fp_finite(S):
+                    assert got == reference_oracle_fp(S, p, order), (S, p, order)
+                    seen["reference"] += 1
+                else:
+                    assert got == pf.INFINITE, (S, p)
+                seen[f"p = {p}"] += 1
+    return seen
+
+
+def test_oracle_differential():
+    # a few draws of each kind; CI runs 360 (the Oracle differential step)
+    seen = oracle_differential(24, seed=1)
+    assert seen["draws"] == 24 and seen["lambda"] == 24 and seen["p = 3"] == 48, seen
